@@ -56,7 +56,6 @@ def main() -> int:
     parser.add_argument("--max-rank", type=int, default=4,
                         help="largest p+q (or n for GL families) to test")
     parser.add_argument("--max-witnesses", type=int, default=5)
-    parser.add_argument("--include-so8", action="store_true", default=True)
     args = parser.parse_args()
 
     print("== families where the computed and induced orders coincide ==")
@@ -68,9 +67,8 @@ def main() -> int:
     print("== families that are strictly finer already at small rank ==")
     sweep("d-oxo-even", [(2, 1)], args.max_witnesses)
     sweep("d-oxo-odd", [(1, 2)], args.max_witnesses)
-    if args.include_so8:
-        sweep("d-oxo-even", [(2, 2)], args.max_witnesses)
-        sweep("d-oxo-odd", [(2, 2)], args.max_witnesses)
+    sweep("d-oxo-even", [(2, 2)], args.max_witnesses)
+    sweep("d-oxo-odd", [(2, 2)], args.max_witnesses)
     return 0
 
 

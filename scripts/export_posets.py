@@ -11,22 +11,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from orbitcalc.clans import case_from_params
+from orbitcalc.clans import DESK_RANKS, case_from_params
 from orbitcalc.orbits import (
     full_closure_order,
     poset_json_text,
     poset_to_dot,
     weak_order_graph,
-)
-
-DESK_RANKS = (
-    ("a", 2, 2),
-    ("b-so", 2, 1),
-    ("c-spxsp", 2, 1),
-    ("c-sp-gl", 2, 2),
-    ("d-oxo-even", 2, 1),
-    ("d-so-gl", 3, 3),
-    ("d-oxo-odd", 1, 2),
 )
 
 

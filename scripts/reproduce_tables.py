@@ -14,19 +14,9 @@ import sys
 import time
 from pathlib import Path
 
-from orbitcalc.clans import case_from_params, parse_clan
+from orbitcalc.clans import DESK_RANKS, case_from_params, parse_clan
 from orbitcalc.formulas import all_classes, formula_ring
 from orbitcalc.poly import parse_poly
-
-DESK_RANKS = (
-    ("a", 2, 2),
-    ("b-so", 2, 1),
-    ("c-spxsp", 2, 1),
-    ("c-sp-gl", 2, 2),
-    ("d-oxo-even", 2, 1),
-    ("d-so-gl", 3, 3),
-    ("d-oxo-odd", 1, 2),
-)
 
 
 def main() -> int:

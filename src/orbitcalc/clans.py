@@ -10,15 +10,15 @@ so every clan is stored in canonical form: pair labels are renumbered
 The module also provides the rank-number tables attached to a clan, the partial
 order defined by comparing those tables, the covering moves that generate it,
 enumeration of all clans of a shape, the symmetry predicates and per-case clan
-families for the seven supported symmetric pairs, and (de)serialization.
+families for the seven supported symmetric pairs, and the desk ranks at which
+every family is checked.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 PLUS = "+"
@@ -33,6 +33,17 @@ CASE_TAGS = (
     "d-oxo-even",   # (SO(2n), S(O(2p) x O(2q))), n = p + q
     "d-so-gl",      # (SO(2n), GL(n))
     "d-oxo-odd",    # (SO(2n), S(O(2p+1) x O(2q-1))), n = p + q
+)
+
+#: The shipped rank of each family: (tag, p, q), checked end to end.
+DESK_RANKS = (
+    ("a", 2, 2),
+    ("b-so", 2, 1),
+    ("c-spxsp", 2, 1),
+    ("c-sp-gl", 2, 2),
+    ("d-oxo-even", 2, 1),
+    ("d-so-gl", 3, 3),
+    ("d-oxo-odd", 1, 2),
 )
 
 
@@ -152,20 +163,6 @@ class Clan:
         flip = {PLUS: MINUS, MINUS: PLUS}
         return Clan(tuple(flip.get(s, s) for s in self.symbols), self.q, self.p)
 
-    def to_json(self) -> dict:
-        return {
-            "symbols": [s if isinstance(s, str) else str(s) for s in self.symbols],
-            "p": self.p,
-            "q": self.q,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Clan":
-        syms = tuple(
-            s if s in (PLUS, MINUS) else int(s) for s in data["symbols"]
-        )
-        return Clan(syms, int(data["p"]), int(data["q"]))
-
 
 def make_clan(symbols: Sequence, p: int, q: int) -> Clan:
     """Build a clan from a symbol sequence ('+', '-', or hashable pair labels)."""
@@ -238,21 +235,6 @@ class RankTable:
         if not (1 <= i < j <= self.n):
             raise IndexError(f"cross rank needs 1 <= i < j <= n, got ({i}, {j})")
         return self.cross[i - 1][j - i - 1]
-
-    def to_json(self) -> dict:
-        return {
-            "plus": list(self.plus),
-            "minus": list(self.minus),
-            "cross": [list(row) for row in self.cross],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "RankTable":
-        return RankTable(
-            tuple(data["plus"]),
-            tuple(data["minus"]),
-            tuple(tuple(row) for row in data["cross"]),
-        )
 
 
 def rank_table(c: Clan) -> RankTable:
@@ -638,7 +620,3 @@ def underlying_involution(c: Clan) -> tuple[int, ...]:
     for (a, b) in c.pairs():
         vals[a - 1], vals[b - 1] = b, a
     return tuple(vals)
-
-
-def clans_to_json(clans: Sequence[Clan]) -> str:
-    return json.dumps([c.to_text() for c in clans], indent=2)

@@ -9,16 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .clans import (
     CASE_TAGS,
+    DESK_RANKS,
     CaseId,
     ClanError,
     case_from_params,
     enumerate_case_clans,
     enumerate_clans,
+    in_case_family,
     leq,
     parse_clan,
     rank_table,
@@ -28,7 +29,6 @@ from .formulas import (
     all_classes,
     chern_factored,
     closed_class,
-    formula_ring,
     verify_localization,
 )
 from .geometry import in_closure, measure_rank_numbers, representative_flag
@@ -45,31 +45,10 @@ from .weyl import is_closed_clan
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
-DESK_RANKS = (
-    ("a", 2, 2),
-    ("b-so", 2, 1),
-    ("c-spxsp", 2, 1),
-    ("c-sp-gl", 2, 2),
-    ("d-oxo-even", 2, 1),
-    ("d-so-gl", 3, 3),
-    ("d-oxo-odd", 1, 2),
-)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    case: CaseId | None
-    fmt: str
-    output: str | None
-    factored: bool
-    verify: bool
-    threads: int
-    max_nodes: int
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        Path(cfg.output).write_text(text, encoding="utf-8")
+def _emit(args, text: str) -> None:
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -88,12 +67,11 @@ def _resolve_case(args) -> CaseId:
     return case_from_params(args.case, p, q)
 
 
-def _guardrail(cfg: RunConfig, case: CaseId) -> None:
-    count = len(enumerate_case_clans(case))
-    if count > cfg.max_nodes:
+def _guardrail(args, case: CaseId, count: int) -> None:
+    if count > args.max_nodes:
         print(
             f"warning: case {case.tag} ({case.p},{case.q}) has {count} orbits, "
-            f"above the --max-nodes cap {cfg.max_nodes}; this may take long",
+            f"above the --max-nodes cap {args.max_nodes}; this may take long",
             file=sys.stderr,
         )
 
@@ -103,42 +81,42 @@ def _guardrail(cfg: RunConfig, case: CaseId) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_enumerate(cfg: RunConfig, args) -> int:
+def cmd_enumerate(args) -> int:
     case = _resolve_case(args)
-    _guardrail(cfg, case)
     clans = enumerate_case_clans(case)
-    if cfg.fmt == "json":
+    _guardrail(args, case, len(clans))
+    if args.fmt == "json":
         data = {
             "case": {"tag": case.tag, "p": case.p, "q": case.q},
             "count": len(clans),
             "clans": [c.to_text() for c in clans],
         }
-        _emit(cfg, json.dumps(data, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
     else:
-        _emit(cfg, "".join(c.to_text() + "\n" for c in clans))
+        _emit(args, "".join(c.to_text() + "\n" for c in clans))
     return 0
 
 
-def cmd_poset(cfg: RunConfig, args) -> int:
+def cmd_poset(args) -> int:
     case = _resolve_case(args)
-    _guardrail(cfg, case)
     poset = weak_order_graph(case)
+    _guardrail(args, case, len(poset.nodes))
     if args.full:
         poset = full_closure_order(poset)
-    if cfg.fmt == "dot":
-        _emit(cfg, poset_to_dot(poset))
+    if args.fmt == "dot":
+        _emit(args, poset_to_dot(poset))
     else:
-        _emit(cfg, poset_json_text(poset))
+        _emit(args, poset_json_text(poset))
     return 0
 
 
-def cmd_classes(cfg: RunConfig, args) -> int:
+def cmd_classes(args) -> int:
     case = _resolve_case(args)
-    _guardrail(cfg, case)
     poset = weak_order_graph(case)
+    _guardrail(args, case, len(poset.nodes))
     classes = all_classes(case, poset)
-    if cfg.verify:
-        report = verify_localization(case, classes=classes, threads=cfg.threads)
+    if args.verify:
+        report = verify_localization(case, classes=classes, poset=poset)
         if not report.ok:
             for line in report.failures:
                 print(f"verify: {line}", file=sys.stderr)
@@ -146,24 +124,24 @@ def cmd_classes(cfg: RunConfig, args) -> int:
     ordered = sorted(poset.nodes, key=lambda c: (poset.ranks[c], c.sort_key()))
 
     def render(c) -> str:
-        if cfg.factored and is_closed_clan(case, c):
+        if args.factored and is_closed_clan(case, c):
             return closed_class(case, c).to_text()
         return classes[c].to_text()
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         data = {
             "case": {"tag": case.tag, "p": case.p, "q": case.q},
             "classes": {c.to_text(): render(c) for c in ordered},
         }
-        _emit(cfg, json.dumps(data, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
     else:
         width = max(len(c.to_text()) for c in ordered)
         lines = [f"{c.to_text():<{width}}  {render(c)}" for c in ordered]
-        _emit(cfg, "".join(line + "\n" for line in lines))
+        _emit(args, "".join(line + "\n" for line in lines))
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     if args.case is None:
         targets = [case_from_params(t, p, q) for t, p, q in DESK_RANKS]
     else:
@@ -171,8 +149,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     lines = []
     failed = False
     for case in targets:
-        _guardrail(cfg, case)
-        report = verify_localization(case, threads=cfg.threads)
+        poset = weak_order_graph(case)
+        _guardrail(args, case, len(poset.nodes))
+        report = verify_localization(case, poset=poset)
         status = "OK" if report.ok else "FAIL"
         support = (
             f"support pairs {report.support_pairs_checked}"
@@ -187,11 +166,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         if not report.ok:
             failed = True
             lines.extend(f"      {f}" for f in report.failures)
-    _emit(cfg, "".join(line + "\n" for line in lines))
+    _emit(args, "".join(line + "\n" for line in lines))
     return VERIFY_ERROR if failed else 0
 
 
-def cmd_oracle(cfg: RunConfig, args) -> int:
+def cmd_oracle(args) -> int:
     closure_max = args.max_n
     measure_max = args.measure_max_n
     mismatches = []
@@ -222,19 +201,20 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         f"compared {compared} closure pairs (p+q <= {closure_max})"
     ]
     out.extend("      " + m for m in mismatches)
-    _emit(cfg, "".join(line + "\n" for line in out))
+    _emit(args, "".join(line + "\n" for line in out))
     return VERIFY_ERROR if mismatches else 0
 
 
-def cmd_conjecture(cfg: RunConfig, args) -> int:
+def cmd_conjecture(args) -> int:
     case = _resolve_case(args)
-    _guardrail(cfg, case)
     try:
-        report = check_conjecture(case)
+        poset = weak_order_graph(case)
+        _guardrail(args, case, len(poset.nodes))
+        report = check_conjecture(poset)
     except OrbitError as exc:
         print(f"containment violated: {exc}", file=sys.stderr)
         return VERIFY_ERROR
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         data = {
             "case": {"tag": case.tag, "p": case.p, "q": case.q},
             "coincides": report.coincides,
@@ -242,11 +222,11 @@ def cmd_conjecture(cfg: RunConfig, args) -> int:
                 [a.to_text(), b.to_text()] for a, b in report.witnesses
             ],
         }
-        _emit(cfg, json.dumps(data, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
         return 0
     if report.coincides:
         _emit(
-            cfg,
+            args,
             f"case {case.tag} ({case.p},{case.q}): computed closure order "
             "coincides with the rank-number order\n",
         )
@@ -259,26 +239,28 @@ def cmd_conjecture(cfg: RunConfig, args) -> int:
             f"  {a.to_text()} < {b.to_text()} only for rank numbers"
             for a, b in report.witnesses
         )
-        _emit(cfg, "".join(line + "\n" for line in lines))
+        _emit(args, "".join(line + "\n" for line in lines))
     return 0
 
 
-def cmd_chern(cfg: RunConfig, args) -> int:
+def cmd_chern(args) -> int:
     case = _resolve_case(args)
     if args.clan is None:
         raise ClanError("--clan is required for chern")
     P, Q = case.ambient_shape
     c = parse_clan(args.clan, P, Q)
+    if not in_case_family(case, c):
+        raise ClanError(f"{c.to_text()} is not a clan of case {case.tag}")
     formula = chern_factored(case, c)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         data = {
             "case": {"tag": case.tag, "p": case.p, "q": case.q},
             "clan": c.to_text(),
             "chern": formula.to_text(),
         }
-        _emit(cfg, json.dumps(data, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
     else:
-        _emit(cfg, formula.to_text() + "\n")
+        _emit(args, formula.to_text() + "\n")
     return 0
 
 
@@ -294,25 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classes for two-block flag-variety orbit families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, case_required: bool = True) -> None:
-        p.add_argument("--case", choices=sorted(CASE_TAGS),
-                       required=False, default=None,
-                       help="orbit family selector")
-        p.add_argument("--p", type=int, default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--n", type=int, default=None,
-                       help="shorthand for --p N --q N (GL families)")
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=["text", "json", "dot"])
-        p.add_argument("--output", default=None, help="write to file")
-        p.add_argument("--factored", action="store_true")
-        p.add_argument("--verify", action="store_true",
-                       help="run localization checks before emitting")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--max-nodes", type=int, default=5000,
-                       help="warn when the family is larger than this")
-
+    commands = {}
     for name, fn in [
         ("enumerate", cmd_enumerate),
         ("poset", cmd_poset),
@@ -322,16 +286,35 @@ def build_parser() -> argparse.ArgumentParser:
         ("conjecture", cmd_conjecture),
         ("chern", cmd_chern),
     ]:
-        p = sub.add_parser(name)
-        common(p)
+        p = commands[name] = sub.add_parser(name)
         p.set_defaults(fn=fn)
+        p.add_argument("--output", default=None, help="write to file")
 
-    sub.choices["poset"].add_argument(
+    for name, p in commands.items():
+        if name != "oracle":
+            p.add_argument("--case", choices=sorted(CASE_TAGS), default=None,
+                           help="orbit family selector")
+            p.add_argument("--p", type=int, default=None)
+            p.add_argument("--q", type=int, default=None)
+            p.add_argument("--n", type=int, default=None,
+                           help="shorthand for --p N --q N (GL families)")
+        if name not in ("oracle", "chern"):
+            p.add_argument("--max-nodes", type=int, default=5000,
+                           help="warn when the family is larger than this")
+        if name not in ("oracle", "verify"):
+            formats = ["text", "json", "dot"] if name == "poset" else ["text", "json"]
+            p.add_argument("--format", dest="fmt", default="text", choices=formats)
+
+    commands["poset"].add_argument(
         "--full", action="store_true",
         help="saturate and include the full closure order")
-    sub.choices["chern"].add_argument("--clan", default=None)
-    sub.choices["oracle"].add_argument("--max-n", type=int, default=4)
-    sub.choices["oracle"].add_argument("--measure-max-n", type=int, default=5)
+    commands["classes"].add_argument("--factored", action="store_true")
+    commands["classes"].add_argument(
+        "--verify", action="store_true",
+        help="run localization checks before emitting")
+    commands["chern"].add_argument("--clan", default=None)
+    commands["oracle"].add_argument("--max-n", type=int, default=4)
+    commands["oracle"].add_argument("--measure-max-n", type=int, default=5)
     return parser
 
 
@@ -342,17 +325,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
-    cfg = RunConfig(
-        case=None,
-        fmt=args.fmt,
-        output=args.output,
-        factored=args.factored,
-        verify=args.verify,
-        threads=args.threads,
-        max_nodes=args.max_nodes,
-    )
     try:
-        return args.fn(cfg, args)
+        return args.fn(args)
     except (ClanError, FormulaError, OrbitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -276,7 +276,6 @@ def verify_localization(
     case: CaseId,
     classes: Mapping[Clan, Polynomial] | None = None,
     poset: OrbitPoset | None = None,
-    threads: int = 1,
 ) -> LocalizationReport:
     """Pointwise correctness checks for the computed classes.
 
@@ -294,30 +293,15 @@ def verify_localization(
     ring = formula_ring(case)
     failures: list[str] = []
 
-    def check_closed(c: Clan) -> list[str]:
-        bad = []
-        f = classes[c]
+    closed_points = 0
+    for c in closed_clans(case):
         for w in closed_orbit_fixed_points(case, c):
-            lhs = restrict_at(case, f, w)
-            rhs = closed_restriction_product(case, w)
-            if lhs != rhs:
-                bad.append(
+            closed_points += 1
+            if restrict_at(case, classes[c], w) != closed_restriction_product(case, w):
+                failures.append(
                     f"closed restriction mismatch at {c.to_text()}, "
                     f"fixed point {w}"
                 )
-        return bad
-
-    closed = closed_clans(case)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for bad in pool.map(check_closed, closed):
-                failures.extend(bad)
-    else:
-        for c in closed:
-            failures.extend(check_closed(c))
-    closed_points = sum(len(closed_orbit_fixed_points(case, c)) for c in closed)
 
     support_pairs = 0
     support_checked = case.tag != "d-oxo-odd"

@@ -4,11 +4,12 @@ Polynomials live in a fixed :class:`Ring` with three banks of variables:
 ``x1..x_nx`` (torus weights of the ambient group), ``y1..y_ny`` (weights of
 the symmetric subgroup / bundle roots), and ``z1..z_nz`` (Chern-class
 variables).  Coefficients are :class:`fractions.Fraction`, so every
-computation is exact.  The module provides the Weyl-group substitution
-action, divided-difference operators for the four classical root types,
-exact division, elementary symmetric polynomials, determinants, rewriting
-of block-symmetric polynomials in terms of elementary symmetric generators,
-and a factored-form container used for human-readable output.
+computation is exact.  The module provides substitution of polynomials for
+variables (which also gives the Weyl-group action), divided-difference
+operators for the four classical root types, elementary symmetric
+polynomials, determinants, rewriting of block-symmetric polynomials in terms
+of elementary symmetric generators, and a factored-form container used for
+human-readable output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import add, mul
+from typing import Mapping, Sequence
 
 
 class PolyError(ValueError):
@@ -109,17 +111,21 @@ class Ring:
     def one(self) -> "Polynomial":
         return self.const(1)
 
-    def to_json(self) -> dict:
-        return {"nx": self.nx, "ny": self.ny, "nz": self.nz}
-
-    @staticmethod
-    def from_json(data: dict) -> "Ring":
-        return Ring(int(data["nx"]), int(data["ny"]), int(data.get("nz", 0)))
-
 
 # ---------------------------------------------------------------------------
 # Polynomial
 # ---------------------------------------------------------------------------
+
+
+def _mul_terms(a: Mapping[tuple[int, ...], Fraction],
+               b: Mapping[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
+    """Product of two term mappings; cancelled terms stay as zero entries."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 def _term_sort_key(item: tuple[tuple[int, ...], Fraction]):
@@ -226,19 +232,10 @@ class Polynomial:
                 return self.ring.zero
             return Polynomial(self.ring, {e: k * c for e, k in self._terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
         small, big = (self._terms, other._terms)
         if len(small) > len(big):
             small, big = big, small
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _mul_terms(small, big))
 
     __rmul__ = __mul__
 
@@ -270,65 +267,28 @@ class Polynomial:
 
     # -- substitution -------------------------------------------------------
 
-    def map_monomials(
-        self, fn: Callable[[tuple[int, ...], Fraction], tuple[tuple[int, ...], Fraction]]
-    ) -> "Polynomial":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self._terms.items():
-            key, c = fn(exps, coeff)
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Polynomial(self.ring, out)
-
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Substitute arbitrary polynomials for variables (by exponent slot)."""
+        """Substitute polynomials for variables (by exponent slot), all at once."""
         if not images:
             return self
-        ring = self.ring
-        cache: dict[tuple[int, int], Polynomial] = {}
-
-        def power(idx: int, k: int) -> Polynomial:
-            key = (idx, k)
-            if key not in cache:
-                cache[key] = images[idx] ** k
-            return cache[key]
-
-        total = ring.zero
+        for idx, image in images.items():
+            if not 0 <= idx < self.ring.width:
+                raise PolyError(f"variable index {idx} out of range")
+            self._check(image)
+        keep = [idx not in images for idx in range(self.ring.width)]
+        powers: dict[tuple[int, int], Mapping[tuple[int, ...], Fraction]] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self._terms.items():
-            untouched = list(exps)
-            piece = ring.const(coeff)
-            for idx, e in enumerate(exps):
-                if e and idx in images:
-                    untouched[idx] = 0
-                    piece = piece * power(idx, e)
-            if any(untouched):
-                piece = piece * ring.monomial(tuple(untouched))
-            total = total + piece
-        return total
-
-    def remap_vars(self, images: Mapping[int, tuple[int, int]]) -> "Polynomial":
-        """Fast substitution var -> sign * var: images[idx] = (target_idx, sign)."""
-        width = self.ring.width
-
-        def fn(exps, coeff):
-            vec = [0] * width
-            sign = 1
-            for idx, e in enumerate(exps):
-                if not e:
-                    continue
-                if idx in images:
-                    tgt, s = images[idx]
-                    vec[tgt] += e
-                    if s < 0 and e % 2:
-                        sign = -sign
-                else:
-                    vec[idx] += e
-            return tuple(vec), coeff * sign
-
-        return self.map_monomials(fn)
+            piece = {tuple(map(mul, exps, keep)): coeff}
+            for idx in images:
+                e = exps[idx]
+                if e:
+                    if (idx, e) not in powers:
+                        powers[idx, e] = (images[idx] ** e)._terms
+                    piece = _mul_terms(piece, powers[idx, e])
+            for key, c in piece.items():
+                out[key] = out.get(key, 0) + c
+        return Polynomial(self.ring, out)
 
     # -- display ------------------------------------------------------------
 
@@ -349,22 +309,6 @@ class Polynomial:
 
     def __repr__(self):  # pragma: no cover
         return f"Polynomial({self.to_text()!r})"
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> list:
-        return [
-            {"exps": list(exps), "num": c.numerator, "den": c.denominator}
-            for exps, c in self.sorted_terms()
-        ]
-
-    @staticmethod
-    def from_json(ring: Ring, data: Iterable[dict]) -> "Polynomial":
-        terms = {}
-        for row in data:
-            exps = tuple(int(e) for e in row["exps"])
-            terms[exps] = Fraction(int(row["num"]), int(row.get("den", 1)))
-        return Polynomial(ring, terms)
 
 
 def term_text(ring: Ring, exps: tuple[int, ...], coeff: Fraction) -> str:
@@ -506,17 +450,6 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def weyl_act_x(f: Polynomial, w: Sequence[int]) -> Polynomial:
-    """Signed-permutation action on the x variables: x_i -> sign(w_i) x_|w_i|."""
-    ring = f.ring
-    if len(w) != ring.nx:
-        raise PolyError("signed permutation length must equal nx")
-    images = {}
-    for i, wi in enumerate(w, start=1):
-        images[ring.var_index("x", i)] = (ring.var_index("x", abs(wi)), 1 if wi > 0 else -1)
-    return f.remap_vars(images)
-
-
 def _check_root_index(lie_type: str, rank: int, i: int) -> None:
     if lie_type == "A":
         if not 1 <= i <= rank - 1:
@@ -539,12 +472,12 @@ def reflect_x(f: Polynomial, lie_type: str, rank: int, i: int) -> Polynomial:
     xa = ring.var_index("x", i)
     if lie_type == "A" or i < rank:
         xb = ring.var_index("x", i + 1)
-        return f.remap_vars({xa: (xb, 1), xb: (xa, 1)})
+        return f.substitute({xa: ring.x(i + 1), xb: ring.x(i)})
     if lie_type in ("B", "C"):
-        return f.remap_vars({xa: (xa, -1)})
+        return f.substitute({xa: -ring.x(i)})
     # type D, i == rank: x_{rank-1} -> -x_rank, x_rank -> -x_{rank-1}
     xprev = ring.var_index("x", rank - 1)
-    return f.remap_vars({xprev: (xa, -1), xa: (xprev, -1)})
+    return f.substitute({xprev: -ring.x(rank), xa: -ring.x(rank - 1)})
 
 
 def simple_root_poly(ring: Ring, lie_type: str, rank: int, i: int) -> Polynomial:
@@ -638,44 +571,6 @@ def divided_difference(f: Polynomial, lie_type: str, rank: int, i: int) -> Polyn
     if lie_type == "C":
         return _dd_single(f, ring.var_index("x", rank), 2)
     return _dd_sum(f, ring.var_index("x", rank - 1), ring.var_index("x", rank))
-
-
-# ---------------------------------------------------------------------------
-# Exact division
-# ---------------------------------------------------------------------------
-
-
-def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact polynomial division; raises PolyError if den does not divide num."""
-    if num.ring != den.ring:
-        raise PolyError("polynomials from different rings")
-    if den.is_zero():
-        raise PolyError("division by zero polynomial")
-    if num.is_zero():
-        return num.ring.zero
-    if den.is_constant():
-        return num * (1 / den.constant_value())
-    lead_exps, lead_coeff = den.lead()
-    rest = den - num.ring.monomial(lead_exps, lead_coeff)
-    remainder = dict(num.terms)
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    while remainder:
-        exps = min(remainder, key=lambda e: _term_sort_key((e, 0)))
-        coeff = remainder[exps]
-        q_exps = tuple(a - b for a, b in zip(exps, lead_exps))
-        if any(e < 0 for e in q_exps):
-            raise PolyError("not exactly divisible")
-        q_coeff = coeff / lead_coeff
-        quotient[q_exps] = quotient.get(q_exps, Fraction(0)) + q_coeff
-        del remainder[exps]
-        for rexps, rcoeff in rest.terms.items():
-            key = tuple(a + b for a, b in zip(q_exps, rexps))
-            s = remainder.get(key, Fraction(0)) - q_coeff * rcoeff
-            if s:
-                remainder[key] = s
-            else:
-                remainder.pop(key, None)
-    return Polynomial(num.ring, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -871,18 +766,3 @@ class FactoredPoly:
 
     def __repr__(self):  # pragma: no cover
         return f"FactoredPoly({self.to_text()!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "scalar": [self.scalar.numerator, self.scalar.denominator],
-            "factors": [fac.to_json() for fac in self.factors],
-        }
-
-    @staticmethod
-    def from_json(ring: Ring, data: dict) -> "FactoredPoly":
-        num, den = data["scalar"]
-        return FactoredPoly(
-            ring,
-            Fraction(int(num), int(den)),
-            [Polynomial.from_json(ring, fac) for fac in data["factors"]],
-        )

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from orbitcalc.clans import (
+    DESK_RANKS,
     case_from_params,
     covering_successors,
     enumerate_clans,
@@ -48,17 +49,6 @@ from orbitcalc.weyl import (
 )
 
 DATA = Path(__file__).parent / "data"
-
-DESK_RANKS = (
-    ("a", 2, 2),
-    ("b-so", 2, 1),
-    ("c-spxsp", 2, 1),
-    ("c-sp-gl", 2, 2),
-    ("d-oxo-even", 2, 1),
-    ("d-so-gl", 3, 3),
-    ("d-oxo-odd", 1, 2),
-)
-
 
 def _check_table(tag: str, p: int, q: int) -> int:
     """Recompute one class table and compare against its frozen fixture."""

@@ -73,11 +73,6 @@ def test_unicode_minus_accepted():
     assert parse_clan("+−", 1, 1) == parse_clan("+-", 1, 1)
 
 
-def test_json_round_trip():
-    c = parse_clan("12+-12", 3, 3)
-    assert Clan.from_json(json.loads(json.dumps(c.to_json()))) == c
-
-
 # ---------------------------------------------------------------------------
 # Rank tables
 # ---------------------------------------------------------------------------

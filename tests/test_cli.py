@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,12 @@ class TestChern:
         assert code == 2
         assert "clan" in err
 
+    def test_clan_outside_family_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "chern", "--case", "b-so", "--p", "2",
+                             "--q", "1", "--clan=++-+-+-")
+        assert code == 2 and out == ""
+        assert "++-+-+-" in err and "b-so" in err
+
 
 class TestPoset:
     def test_dot_has_all_nodes_and_blue_edge(self, capsys):
@@ -77,6 +85,16 @@ class TestPoset:
         assert code == 0
         data = json.loads(out)
         assert "1212" in data["full_order"]["1221"]
+
+    def test_readme_json_example_has_the_real_keys(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("`poset --format json`:", 1)[1].split("```json", 1)[1]
+        example = example.split("```", 1)[0]
+        documented = set(re.findall(r'^  "(\w+)":', example, flags=re.MULTILINE))
+        code, out, _ = run(capsys, "poset", "--case", "a", "--p", "2", "--q", "2",
+                           "--format", "json", "--full")
+        assert code == 0
+        assert documented == set(json.loads(out))
 
 
 class TestClasses:
@@ -211,6 +229,22 @@ class TestUsageErrors:
         code, _, err = run(capsys, "chern", "--case", "a", "--p", "2",
                            "--q", "2", "--clan", "+-")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["classes", "--case", "a", "--p", "1", "--q", "1", "--format", "dot"],
+        ["conjecture", "--case", "a", "--p", "1", "--q", "1", "--format", "dot"],
+        ["chern", "--case", "a", "--p", "1", "--q", "1", "--clan", "+-",
+         "--format", "dot"],
+        ["verify", "--format", "json"],
+        ["oracle", "--case", "a", "--p", "1", "--q", "1"],
+        ["poset", "--case", "a", "--p", "1", "--q", "1", "--factored"],
+        ["enumerate", "--case", "a", "--p", "1", "--q", "1", "--verify"],
+        ["verify", "--threads", "2"],
+    ])
+    def test_option_of_another_subcommand_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err or "invalid choice" in err
 
 
 class TestOutputFile:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcalc.clans import CaseId, ClanError, case_from_params, parse_clan
+from orbitcalc.clans import DESK_RANKS, CaseId, ClanError, case_from_params, parse_clan
 from orbitcalc.formulas import (
     FormulaError,
     all_classes,
@@ -37,15 +37,7 @@ from orbitcalc.weyl import (
 
 DATA = Path(__file__).parent / "data"
 
-DESK = {
-    "a": ("a", 2, 2),
-    "b-so": ("b-so", 2, 1),
-    "c-spxsp": ("c-spxsp", 2, 1),
-    "c-sp-gl": ("c-sp-gl", 2, 2),
-    "d-oxo-even": ("d-oxo-even", 2, 1),
-    "d-so-gl": ("d-so-gl", 3, 3),
-    "d-oxo-odd": ("d-oxo-odd", 1, 2),
-}
+DESK = {t: (t, p, q) for t, p, q in DESK_RANKS}
 
 
 def desk_case(tag: str) -> CaseId:
@@ -262,10 +254,6 @@ class TestLocalization:
         assert report.support_checked == (tag != "d-oxo-odd")
         if tag == "d-oxo-odd":
             assert report.support_pairs_checked == 0
-
-    def test_threaded_run_agrees(self):
-        case = desk_case("c-sp-gl")
-        assert verify_localization(case, threads=4).ok
 
     def test_closed_restriction_product_example(self):
         # at the identity of the determinantal family: weights
