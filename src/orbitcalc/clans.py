@@ -124,16 +124,6 @@ class Clan:
                     first[sym] = pos
         return tuple(sorted(out))
 
-    def mate(self, pos: int) -> int | None:
-        """The matched position of a pair endpoint (1-based); None for signs."""
-        sym = self.symbols[pos - 1]
-        if not isinstance(sym, int):
-            return None
-        for other, s in enumerate(self.symbols, start=1):
-            if s == sym and other != pos:
-                return other
-        raise ClanError(f"unmatched pair label at position {pos}")
-
     def to_text(self) -> str:
         out = []
         for sym in self.symbols:
@@ -235,6 +225,19 @@ class RankTable:
         if not (1 <= i < j <= self.n):
             raise IndexError(f"cross rank needs 1 <= i < j <= n, got ({i}, {j})")
         return self.cross[i - 1][j - i - 1]
+
+    def below(self, other: "RankTable") -> bool:
+        """The rank-number order on tables of one size: sign ranks at least
+        ``other``'s, crossing ranks at most ``other``'s."""
+        return (
+            all(a >= b for a, b in zip(self.plus, other.plus))
+            and all(a >= b for a, b in zip(self.minus, other.minus))
+            and all(
+                a <= b
+                for row, other_row in zip(self.cross, other.cross)
+                for a, b in zip(row, other_row)
+            )
+        )
 
 
 def rank_table(c: Clan) -> RankTable:
@@ -391,8 +394,9 @@ class CaseId:
         if self.tag not in CASE_TAGS:
             raise ClanError(f"unknown case tag {self.tag!r}")
         if self.tag in ("c-sp-gl", "d-so-gl"):
-            if self.p != self.q or self.p < 1:
-                raise ClanError(f"case {self.tag} needs p == q == n >= 1")
+            low = 2 if self.tag == "d-so-gl" else 1  # type D needs rank 2
+            if self.p != self.q or self.p < low:
+                raise ClanError(f"case {self.tag} needs p == q == n >= {low}")
         elif self.tag == "a":
             if self.p < 0 or self.q < 0 or self.p + self.q < 1:
                 raise ClanError("case a needs p, q >= 0 with p + q >= 1")
@@ -438,19 +442,6 @@ class CaseId:
         P, Q = self.ambient_shape
         return P + Q
 
-    def describe(self) -> str:
-        n = self.grank
-        names = {
-            "a": f"(GL({n}), GL({self.p}) x GL({self.q}))",
-            "b-so": f"(SO({2 * n + 1}), S(O({2 * self.p}) x O({2 * self.q + 1})))",
-            "c-spxsp": f"(Sp({2 * n}), Sp({2 * self.p}) x Sp({2 * self.q}))",
-            "c-sp-gl": f"(Sp({2 * n}), GL({n}))",
-            "d-oxo-even": f"(SO({2 * n}), S(O({2 * self.p}) x O({2 * self.q})))",
-            "d-so-gl": f"(SO({2 * n}), GL({n}))",
-            "d-oxo-odd": f"(SO({2 * n}), S(O({2 * self.p + 1}) x O({2 * self.q - 1})))",
-        }
-        return names[self.tag]
-
 
 def case_from_params(tag: str, p: int | None = None, q: int | None = None,
                      n: int | None = None) -> CaseId:
@@ -489,7 +480,10 @@ def in_case_family(case: CaseId, c: Clan) -> bool:
     if tag == "d-so-gl":
         if not is_skew_symmetric(c) or _has_self_mirror_pair(c):
             return False
-        return rank_table(c).minus_at(case.grank) % 2 == 0
+        # the minus rank at the middle, rank_table(c).minus_at(n), is even
+        n = case.grank
+        closed = sum(1 for _, b in c.pairs() if b <= n)
+        return (c.symbols[:n].count(MINUS) + closed) % 2 == 0
     raise ClanError(f"unknown case tag {tag!r}")
 
 
@@ -505,20 +499,10 @@ def enumerate_case_clans(case: CaseId) -> tuple[Clan, ...]:
 
 
 def leq(a: Clan, b: Clan) -> bool:
-    """The rank-table order: a <= b iff a's sign ranks dominate b's and a's
-    crossing ranks are dominated by b's."""
+    """The rank-table order: a <= b iff a's table is below b's."""
     if (a.p, a.q) != (b.p, b.q):
         raise ClanError("clans of different shapes are incomparable")
-    ta, tb = rank_table(a), rank_table(b)
-    n = a.n
-    for i in range(1, n + 1):
-        if ta.plus_at(i) < tb.plus_at(i) or ta.minus_at(i) < tb.minus_at(i):
-            return False
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            if ta.cross_at(i, j) > tb.cross_at(i, j):
-                return False
-    return True
+    return rank_table(a).below(rank_table(b))
 
 
 def covering_moves(c: Clan) -> tuple[tuple[str, tuple[int, ...], Clan], ...]:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .clans import CaseId, Clan, ClanError, leq
+from .clans import CaseId, Clan, ClanError, in_case_family
 from .orbits import OrbitPoset, full_closure_order, weak_order_graph
 from .poly import (
     FactoredPoly,
@@ -36,7 +36,6 @@ from .poly import (
 )
 from .weyl import (
     Weyl,
-    closed_clans,
     closed_orbit_fixed_points,
     distinguished_representative,
     fixed_points_by_clan,
@@ -294,7 +293,7 @@ def verify_localization(
     failures: list[str] = []
 
     closed_points = 0
-    for c in closed_clans(case):
+    for c in poset.minima():  # the closed orbits
         for w in closed_orbit_fixed_points(case, c):
             closed_points += 1
             if restrict_at(case, classes[c], w) != closed_restriction_product(case, w):
@@ -353,6 +352,8 @@ def chern_class(
     classes: Mapping[Clan, Polynomial] | None = None,
 ) -> Polynomial:
     """The class with y-variables rewritten as Chern classes (z-variables)."""
+    if not in_case_family(case, c):
+        raise ClanError(f"{c.to_text()} is not a clan of case {case.tag}")
     if classes is None:
         classes = all_classes(case)
     return chern_substitute(classes[c], chern_blocks(case))

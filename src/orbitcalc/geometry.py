@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .clans import Clan, ClanError, RankTable, leq, rank_table
+from .clans import Clan, RankTable, rank_table
 
 Vector = tuple[Fraction, ...]
 
@@ -104,12 +104,14 @@ def representative_flag(c: Clan) -> Flag:
     opening position and -e_a + e_b at its closing position."""
     n = c.n
     p = c.p
+    mate = {}
+    for a, b in c.pairs():
+        mate[a], mate[b] = b, a
     next_plus = 1
     next_minus = p + 1
     slot = [0] * (n + 1)
     for i, s in enumerate(c.symbols, start=1):
-        opening = s not in ("+", "-") and c.mate(i) > i
-        if s == "+" or opening:
+        if s == "+" or mate.get(i, 0) > i:
             slot[i] = next_plus
             next_plus += 1
         else:
@@ -120,7 +122,7 @@ def representative_flag(c: Clan) -> Flag:
         if s in ("+", "-"):
             vectors.append(_basis_vector(n, slot[i]))
         else:
-            j = c.mate(i)
+            j = mate[i]
             if j > i:
                 ea = _basis_vector(n, slot[i])
                 eb = _basis_vector(n, slot[j])
@@ -165,15 +167,4 @@ def in_closure(f: Flag, t: Clan) -> bool:
     most the clan's."""
     if f.n != t.n:
         raise GeometryError("flag and clan sizes differ")
-    measured = measure_rank_numbers(f, t.p, t.q)
-    target = rank_table(t)
-    for i in range(1, t.n + 1):
-        if measured.plus_at(i) < target.plus_at(i):
-            return False
-        if measured.minus_at(i) < target.minus_at(i):
-            return False
-    for i in range(1, t.n):
-        for j in range(i + 1, t.n + 1):
-            if measured.cross_at(i, j) > target.cross_at(i, j):
-                return False
-    return True
+    return measure_rank_numbers(f, t.p, t.q).below(rank_table(t))

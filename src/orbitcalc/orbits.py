@@ -1,4 +1,4 @@
-"""Weak order moves, cross action, edge degrees, the weak-order graph,
+"""Weak order moves, cross action, the weak-order graph with edge degrees,
 the full closure order via saturation, and the order-comparison checker.
 
 Simple-root actions on clans are computed in the ambient one-sided clan
@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .clans import CaseId, Clan, ClanError, enumerate_case_clans, in_case_family, leq
+from .clans import CaseId, Clan, ClanError, enumerate_case_clans, in_case_family, rank_table
 from .weyl import Weyl, embed_in_ambient, simple_reflection, validate_weyl
 
 
@@ -146,7 +146,7 @@ def weak_move(case: CaseId, c: Clan, i: int) -> Clan:
 
 
 # ---------------------------------------------------------------------------
-# Cross action and edge degree
+# Cross action
 # ---------------------------------------------------------------------------
 
 
@@ -171,14 +171,6 @@ def cross_action(case: CaseId, c: Clan, w: Weyl) -> Clan:
 
 def cross_action_simple(case: CaseId, c: Clan, i: int) -> Clan:
     return cross_action(case, c, simple_reflection(case.family, case.grank, i))
-
-
-def edge_degree(case: CaseId, c: Clan, i: int) -> int:
-    """Degree of the weak edge out of c along root i: 2 exactly when the
-    cross action of s_i fixes c (and the move still ascends)."""
-    if weak_move(case, c, i) == c:
-        raise OrbitError(f"no weak edge out of {c.to_text()} along root {i}")
-    return 2 if cross_action_simple(case, c, i) == c else 1
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +200,6 @@ class OrbitPoset:
         targets = {dst for _, dst, _, _ in self.weak_edges}
         return tuple(c for c in self.nodes if c not in targets)
 
-    def successors(self, c: Clan) -> tuple[tuple[int, Clan, int], ...]:
-        return tuple(
-            (root, dst, deg) for src, dst, root, deg in self.weak_edges if src == c
-        )
-
-    def predecessors(self, c: Clan) -> tuple[tuple[int, Clan, int], ...]:
-        return tuple(
-            (root, src, deg) for src, dst, root, deg in self.weak_edges if dst == c
-        )
-
     def full_leq(self, a: Clan, b: Clan) -> bool:
         if self.full_order is None:
             raise OrbitError("full order not computed; use full_closure_order")
@@ -225,7 +207,9 @@ class OrbitPoset:
 
 
 def weak_order_graph(case: CaseId) -> OrbitPoset:
-    """All orbits of the case with their ascending weak-order edges."""
+    """All orbits of the case with their ascending weak-order edges.  An
+    edge along root i has degree 2 exactly when the cross action of s_i
+    fixes its source."""
     nodes = tuple(enumerate_case_clans(case))
     index = {c: k for k, c in enumerate(nodes)}
     edges = []
@@ -236,7 +220,7 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
             dst = weak_move(case, c, i)
             if dst == c:
                 continue
-            deg = edge_degree(case, c, i)
+            deg = 2 if cross_action_simple(case, c, i) == c else 1
             edges.append((c, dst, i, deg))
             out_count[index[c]] += 1
             in_edges[index[dst]].append(index[c])
@@ -297,12 +281,14 @@ def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
     index = {c: k for k, c in enumerate(nodes)}
     m = len(nodes)
     roots = list(simple_root_indices(case))
-    move_tbl = [[0] * (len(roots) + 1) for _ in range(m)]
+    # a root that does not ascend moves an orbit to itself
+    move_tbl = [[k] * (len(roots) + 1) for k in range(m)]
     cross_tbl = [[0] * (len(roots) + 1) for _ in range(m)]
+    for src, dst, i, _ in poset.weak_edges:
+        move_tbl[index[src]][i] = index[dst]
     for c in nodes:
         k = index[c]
         for i in roots:
-            move_tbl[k][i] = index[weak_move(case, c, i)]
             cross_tbl[k][i] = index[cross_action_simple(case, c, i)]
 
     down: list[set[int]] = [{k} for k in range(m)]
@@ -341,9 +327,10 @@ def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
     for src, dst, _, _ in poset.weak_edges:
         if index[src] not in down[index[dst]]:
             raise OrbitError("saturated order does not contain the weak order")
+    tables = [rank_table(c) for c in nodes]
     for a in range(m):
         for b in down[a]:
-            if not leq(nodes[b], nodes[a]):
+            if not tables[b].below(tables[a]):
                 raise OrbitError(
                     "saturated order is not contained in the rank-number order: "
                     f"{nodes[b].to_text()} vs {nodes[a].to_text()}"
@@ -373,13 +360,14 @@ def check_conjecture(case_or_poset: CaseId | OrbitPoset) -> OrderComparison:
         if isinstance(case_or_poset, OrbitPoset) and case_or_poset.full_order
         else full_closure_order(case_or_poset)
     )
+    tables = {c: rank_table(c) for c in poset.nodes}
     witnesses = []
     for b in poset.nodes:
         downs = poset.full_order[b]
         for a in poset.nodes:
             if a is b:
                 continue
-            if leq(a, b) and a not in downs:
+            if a not in downs and tables[a].below(tables[b]):
                 witnesses.append((a, b))
     witnesses.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
     return OrderComparison(poset.case, not witnesses, tuple(witnesses))

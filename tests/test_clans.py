@@ -186,6 +186,14 @@ def test_case_family_membership_details():
     assert in_case_family(case7, parse_clan("+-11-+", 3, 3))
 
 
+def test_d_so_gl_family_has_even_middle_minus_rank():
+    for n in (2, 3, 4):
+        case = CaseId("d-so-gl", n, n)
+        for c in enumerate_clans(n, n):
+            if is_skew_symmetric(c) and not any(a + b == 2 * n + 1 for a, b in c.pairs()):
+                assert in_case_family(case, c) == (rank_table(c).minus_at(n) % 2 == 0)
+
+
 def test_case_id_validation():
     with pytest.raises(ClanError):
         CaseId("c-sp-gl", 2, 3)
@@ -193,6 +201,8 @@ def test_case_id_validation():
         CaseId("nope", 1, 1)
     with pytest.raises(ClanError):
         CaseId("d-oxo-odd", 1, 0)
+    with pytest.raises(ClanError, match="n >= 2"):
+        CaseId("d-so-gl", 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +217,24 @@ def test_leq_examples():
     assert not leq(a, b) and not leq(b, a)
     with pytest.raises(ClanError):
         leq(parse_clan("+-", 1, 1), parse_clan("++--", 2, 2))
+
+
+def test_below_is_the_entrywise_rank_comparison():
+    def entrywise(ta, tb):
+        n = ta.n
+        return all(
+            ta.plus_at(i) >= tb.plus_at(i) and ta.minus_at(i) >= tb.minus_at(i)
+            for i in range(1, n + 1)
+        ) and all(
+            ta.cross_at(i, j) <= tb.cross_at(i, j)
+            for i in range(1, n) for j in range(i + 1, n + 1)
+        )
+
+    for shape in [(2, 2), (3, 2)]:
+        tables = [rank_table(c) for c in enumerate_clans(*shape)]
+        for ta in tables:
+            for tb in tables:
+                assert ta.below(tb) == entrywise(ta, tb)
 
 
 def test_leq_is_partial_order_2_2():

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from orbitcalc import cli
-from orbitcalc.formulas import LocalizationReport
+from orbitcalc.clans import DESK_RANKS, case_from_params
+from orbitcalc.formulas import FormulaError, LocalizationReport
+from orbitcalc.orbits import OrbitError, weak_order_graph
+
+GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 
 
 def run(capsys, *argv):
@@ -225,6 +232,11 @@ class TestUsageErrors:
                            "--q", "2", "--clan", "+*--")
         assert code == 2 and "error" in err
 
+    def test_rank_one_even_orthogonal_gl_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "classes", "--case", "d-so-gl", "--n", "1")
+        assert code == 2 and out == ""
+        assert "n >= 2" in err
+
     def test_clan_shape_mismatch(self, capsys):
         code, _, err = run(capsys, "chern", "--case", "a", "--p", "2",
                            "--q", "2", "--clan", "+-")
@@ -245,6 +257,31 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+class TestExitCodes:
+    def test_failed_propagation_check_is_verification_failure(self, capsys, monkeypatch):
+        def fail(case, poset=None):
+            raise FormulaError("propagation is path dependent")
+        monkeypatch.setattr(cli, "all_classes", fail)
+        code, out, err = run(capsys, "classes", "--case", "a", "--p", "1", "--q", "1")
+        assert code == 1 and out == ""
+        assert "path dependent" in err
+
+    def test_failed_containment_check_is_verification_failure(self, capsys, monkeypatch):
+        def fail(poset):
+            raise OrbitError("saturated order is not antisymmetric")
+        monkeypatch.setattr(cli, "check_conjecture", fail)
+        code, out, err = run(capsys, "conjecture", "--case", "a", "--p", "1", "--q", "1")
+        assert code == 1 and out == ""
+        assert "antisymmetric" in err
+
+    def test_other_errors_are_not_usage_errors(self, monkeypatch):
+        def fail(case):
+            raise ValueError("a bug")
+        monkeypatch.setattr(cli, "enumerate_case_clans", fail)
+        with pytest.raises(ValueError, match="a bug"):
+            cli.main(["enumerate", "--case", "a", "--p", "1", "--q", "1"])
 
 
 class TestOutputFile:
@@ -281,3 +318,61 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(x1^2 - x1*z3 + z4)(x2^2 - x2*z3 + z4)"
+
+
+# ---------------------------------------------------------------------------
+# golden run: exit code and output digests of every subcommand on every desk
+# rank; re-record with `PYTHONPATH=src python tests/test_cli.py`
+# ---------------------------------------------------------------------------
+
+
+def golden_calls() -> list[list[str]]:
+    calls = []
+    for tag, p, q in DESK_RANKS:
+        if tag in ("c-sp-gl", "d-so-gl"):
+            case_args = ["--case", tag, "--n", str(p)]
+        else:
+            case_args = ["--case", tag, "--p", str(p), "--q", str(q)]
+        poset = weak_order_graph(case_from_params(tag, p, q))
+        mid = next(c for c in poset.nodes if poset.ranks[c] == poset.max_rank // 2)
+        for fmt in ("text", "json"):
+            calls.append(["enumerate", *case_args, "--format", fmt])
+        for fmt in ("json", "dot"):
+            calls.append(["poset", *case_args, "--format", fmt])
+            calls.append(["poset", *case_args, "--format", fmt, "--full"])
+        for fmt in ("text", "json"):
+            calls.append(["classes", *case_args, "--format", fmt])
+            calls.append(["classes", *case_args, "--format", fmt,
+                          "--factored", "--verify"])
+            calls.append(["conjecture", *case_args, "--format", fmt])
+        calls.append(["verify", *case_args])
+        calls.append(["chern", *case_args, f"--clan={mid.to_text()}"])
+    calls.append(["verify"])
+    calls.append(["oracle"])
+    calls.append(["chern", "--case", "b-so", "--p", "2", "--q", "1", "--clan=++-+-+-"])
+    return calls
+
+
+def golden_result(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+        "stderr_sha256": hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest(),
+    }
+
+
+def test_golden_run_is_byte_identical():
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [r["argv"] for r in recorded] == golden_calls()
+    for r in recorded:
+        assert golden_result(r["argv"]) == r
+
+
+if __name__ == "__main__":
+    results = [golden_result(argv) for argv in golden_calls()]
+    lines = ",\n".join(json.dumps(r, sort_keys=True) for r in results)
+    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -379,6 +380,13 @@ class TestChern:
                     case, c, classes
                 )
 
+    def test_clan_outside_family_rejected(self):
+        case = case_from_params("b-so", 2, 1)
+        c = parse_clan("++-+-+-", 4, 3)
+        for fn in (chern_class, chern_factored):
+            with pytest.raises(ClanError, match=r"\+\+-\+-\+- is not a clan of case b-so"):
+                fn(case, c)
+
     def test_unsymmetric_input_rejected(self):
         case = desk_case("a")
         ring = formula_ring(case)
@@ -400,9 +408,8 @@ class TestPropagation:
         # path independence was genuinely exercised
         case = desk_case("a")
         g = weak_order_graph(case)
-        multi_parent = [
-            c for c in g.nodes if len(g.predecessors(c)) > 1
-        ]
+        in_degree = Counter(dst for _, dst, _, _ in g.weak_edges)
+        multi_parent = [c for c in g.nodes if in_degree[c] > 1]
         assert len(multi_parent) >= 5
         all_classes(case, g)
 

@@ -12,7 +12,6 @@ from orbitcalc.orbits import (
     check_conjecture,
     cross_action,
     cross_action_simple,
-    edge_degree,
     full_closure_order,
     poset_json_text,
     poset_to_dot,
@@ -155,22 +154,27 @@ class TestCrossAction:
 # ---------------------------------------------------------------------------
 
 
+def edge_degree(case: CaseId, text: str, root: int) -> int:
+    src = pc(case, text)
+    (deg,) = [d for s, _, i, d in weak_order_graph(case).weak_edges
+              if s == src and i == root]
+    return deg
+
+
 class TestEdgeDegree:
     def test_degree_two_when_cross_action_fixes(self):
-        assert edge_degree(C4_2, pc(C4_2, "1212"), 1) == 2
+        assert cross_action_simple(C4_2, pc(C4_2, "1212"), 1) == pc(C4_2, "1212")
+        assert edge_degree(C4_2, "1212", 1) == 2
 
     def test_degree_one_when_cross_action_moves(self):
-        assert edge_degree(C4_2, pc(C4_2, "+-+-"), 1) == 1
+        assert cross_action_simple(C4_2, pc(C4_2, "+-+-"), 1) != pc(C4_2, "+-+-")
+        assert edge_degree(C4_2, "+-+-", 1) == 1
 
     def test_braid_edge_degree_one(self):
-        assert edge_degree(B21, pc(B21, "122+331"), 3) == 1
+        assert edge_degree(B21, "122+331", 3) == 1
 
     def test_branch_edge_degree_two(self):
-        assert edge_degree(D7_12, pc(D7_12, "122331"), 3) == 2
-
-    def test_error_when_no_edge(self):
-        with pytest.raises(OrbitError):
-            edge_degree(A22, pc(A22, "1221"), 1)
+        assert edge_degree(D7_12, "122331", 3) == 2
 
     def test_type_a_has_no_degree_two_edges(self):
         for p, q in [(1, 1), (2, 2), (3, 2)]:
@@ -234,6 +238,17 @@ EXPECTED_TOPS = {
 }
 
 
+STRETCH_RANKS = {
+    "a": [(1, 4), (2, 3), (3, 3)],
+    "b-so": [(2, 2), (3, 1)],
+    "c-spxsp": [(2, 2)],
+    "c-sp-gl": [(3, 3), (4, 4)],
+    "d-oxo-even": [(2, 2)],
+    "d-so-gl": [(4, 4)],
+    "d-oxo-odd": [(2, 2), (1, 3), (3, 1)],
+}
+
+
 class TestWeakOrderGraph:
     @pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
     def test_node_count_and_top(self, case):
@@ -254,8 +269,10 @@ class TestWeakOrderGraph:
 
     @pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
     def test_minima_are_the_closed_orbits(self, case):
-        g = weak_order_graph(case)
-        assert set(g.minima()) == set(closed_clans(case))
+        # localization reads the closed orbits off the minima, in this order
+        for p, q in [(case.p, case.q), *STRETCH_RANKS[case.tag]]:
+            other = case_from_params(case.tag, p, q)
+            assert weak_order_graph(other).minima() == tuple(closed_clans(other))
 
     @pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
     def test_graded_by_longest_path(self, case):
@@ -275,9 +292,11 @@ class TestWeakOrderGraph:
     def test_successors_and_predecessors(self):
         g = weak_order_graph(C4_2)
         top = pc(C4_2, "1221")
-        assert g.successors(top) == ()
-        preds = {(root, src.to_text()) for root, src, _ in g.predecessors(top)}
+        assert [e for e in g.weak_edges if e[0] == top] == []
+        preds = {(root, src.to_text()) for src, dst, root, _ in g.weak_edges
+                 if dst == top}
         assert preds == {(1, "1212"), (2, "1+-1"), (2, "1-+1")}
+        assert weak_move(C4_2, top, 1) == top
 
 
 # ---------------------------------------------------------------------------
