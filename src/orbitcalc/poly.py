@@ -3,13 +3,13 @@
 Polynomials live in a fixed :class:`Ring` with three banks of variables:
 ``x1..x_nx`` (torus weights of the ambient group), ``y1..y_ny`` (weights of
 the symmetric subgroup / bundle roots), and ``z1..z_nz`` (Chern-class
-variables).  Coefficients are :class:`fractions.Fraction`, so every
-computation is exact.  The module provides substitution of polynomials for
-variables (which also gives the Weyl-group action), divided-difference
-operators for the four classical root types, elementary symmetric
-polynomials, determinants, rewriting of block-symmetric polynomials in terms
-of elementary symmetric generators, and a factored-form container used for
-human-readable output.
+variables).  A coefficient is an ``int`` when it is integral, else a
+:class:`fractions.Fraction`; exact either way.  The module provides
+substitution of polynomials for variables (which also gives the Weyl-group
+action), divided-difference operators for the four classical root types,
+elementary symmetric polynomials, determinants, rewriting of block-symmetric
+polynomials in terms of elementary symmetric generators, and a factored-form
+container used for human-readable output.
 """
 
 from __future__ import annotations
@@ -17,12 +17,22 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 from typing import Mapping, Sequence
 
 
 class PolyError(ValueError):
     """Raised on invalid polynomial input or an impossible exact operation."""
+
+
+def _exact(c: Fraction | int) -> Fraction | int:
+    """A coefficient in normal form: ``int`` when integral, else ``Fraction``."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +57,11 @@ class Ring:
     def width(self) -> int:
         return self.nx + self.ny + self.nz
 
-    def var_name(self, index: int) -> str:
-        if 0 <= index < self.nx:
-            return f"x{index + 1}"
-        if index < self.nx + self.ny:
-            return f"y{index - self.nx + 1}"
-        if index < self.width:
-            return f"z{index - self.nx - self.ny + 1}"
-        raise PolyError(f"variable index {index} out of range")
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Variable names by exponent slot: x1.., y1.., z1..."""
+        banks = (("x", self.nx), ("y", self.ny), ("z", self.nz))
+        return tuple(f"{bank}{i}" for bank, count in banks for i in range(1, count + 1))
 
     def var_index(self, bank: str, i: int) -> int:
         """0-based exponent slot of x_i / y_i / z_i (1-based i)."""
@@ -83,10 +90,7 @@ class Ring:
             key = tuple(exps)
             if len(key) != self.width:
                 raise PolyError("exponent vector has wrong width")
-        c = Fraction(coeff)
-        if c == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {key: c})
+        return Polynomial._from_clean(self, {key: _exact(coeff)})
 
     def var(self, bank: str, i: int) -> "Polynomial":
         return self.monomial({self.var_index(bank, i): 1})
@@ -101,11 +105,11 @@ class Ring:
         return self.var("z", i)
 
     def const(self, c: Fraction | int) -> "Polynomial":
-        return self.monomial({}, Fraction(c))
+        return self.monomial({}, c)
 
     @property
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._from_clean(self, {})
 
     @property
     def one(self) -> "Polynomial":
@@ -117,10 +121,11 @@ class Ring:
 # ---------------------------------------------------------------------------
 
 
-def _mul_terms(a: Mapping[tuple[int, ...], Fraction],
-               b: Mapping[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
+def _mul_terms(a: Mapping[tuple[int, ...], Fraction | int],
+               b: Mapping[tuple[int, ...], Fraction | int]
+               ) -> dict[tuple[int, ...], Fraction | int]:
     """Product of two term mappings; cancelled terms stay as zero entries."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Fraction | int] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             key = tuple(map(add, e1, e2))
@@ -128,24 +133,32 @@ def _mul_terms(a: Mapping[tuple[int, ...], Fraction],
     return out
 
 
-def _term_sort_key(item: tuple[tuple[int, ...], Fraction]):
-    exps, _ = item
-    return (-sum(exps), tuple(-e for e in exps))
+def _grlex(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Graded-lex key: the larger key is the higher term."""
+    return sum(exps), exps
 
 
 class Polynomial:
-    """Immutable sparse polynomial: mapping exponent-vector -> Fraction."""
+    """Immutable sparse polynomial: mapping exponent-vector -> coefficient."""
 
     __slots__ = ("ring", "_terms", "_hash")
 
-    def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Fraction]):
-        clean = {}
-        for exps, coeff in terms.items():
-            c = Fraction(coeff)
-            if c != 0:
-                clean[tuple(exps)] = c
+    def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Fraction | int]):
+        self._fill(ring, {tuple(e): _exact(c) for e, c in terms.items()})
+
+    @classmethod
+    def _from_clean(cls, ring: Ring,
+                    terms: Mapping[tuple[int, ...], Fraction | int]) -> "Polynomial":
+        """Trusted constructor: ``terms`` has tuple keys and coefficients in
+        normal form (see ``_exact``) or their sums and products."""
+        self = object.__new__(cls)
+        self._fill(ring, terms)
+        return self
+
+    def _fill(self, ring: Ring, terms: Mapping[tuple[int, ...], Fraction | int]) -> None:
+        """Set the slots, dropping zero coefficients."""
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", {e: c for e, c in terms.items() if c})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):  # pragma: no cover
@@ -166,7 +179,7 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise PolyError("polynomial is not constant")
-        return next(iter(self._terms.values()), Fraction(0))
+        return Fraction(next(iter(self._terms.values()), 0))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -190,7 +203,7 @@ class Polynomial:
         """Graded-lex leading term (highest degree, then lex-largest)."""
         if not self._terms:
             raise PolyError("zero polynomial has no leading term")
-        exps = min(self._terms, key=lambda e: _term_sort_key((e, 0)))
+        exps = max(self._terms, key=_grlex)
         return exps, self._terms[exps]
 
     # -- arithmetic ---------------------------------------------------------
@@ -205,17 +218,13 @@ class Polynomial:
         self._check(other)
         out = dict(self._terms)
         for exps, c in other._terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return Polynomial(self.ring, out)
+            out[exps] = out.get(exps, 0) + c
+        return Polynomial._from_clean(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self._terms.items()})
+        return Polynomial._from_clean(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -227,15 +236,15 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return self.ring.zero
-            return Polynomial(self.ring, {e: k * c for e, k in self._terms.items()})
+            c = _exact(other)
+            return Polynomial._from_clean(
+                self.ring, {e: _exact(k * c) for e, k in self._terms.items()}
+            )
         self._check(other)
         small, big = (self._terms, other._terms)
         if len(small) > len(big):
             small, big = big, small
-        return Polynomial(self.ring, _mul_terms(small, big))
+        return Polynomial._from_clean(self.ring, _mul_terms(small, big))
 
     __rmul__ = __mul__
 
@@ -268,7 +277,11 @@ class Polynomial:
     # -- substitution -------------------------------------------------------
 
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Substitute polynomials for variables (by exponent slot), all at once."""
+        """Substitute polynomials for variables (by exponent slot), all at once.
+
+        When every image is 0 or +-1 times one variable (a restriction to a
+        fixed point, a Weyl reflection), each term's exponents are moved in
+        one pass; otherwise each term is multiplied out."""
         if not images:
             return self
         for idx, image in images.items():
@@ -276,8 +289,28 @@ class Polynomial:
                 raise PolyError(f"variable index {idx} out of range")
             self._check(image)
         keep = [idx not in images for idx in range(self.ring.width)]
-        powers: dict[tuple[int, int], Mapping[tuple[int, ...], Fraction]] = {}
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Fraction | int] = {}
+        remap = _signed_remap(images)
+        if remap is not None:
+            zeroed, moves = remap
+            for exps, coeff in self._terms.items():
+                if zeroed and any(exps[idx] for idx in zeroed):
+                    continue
+                vec = list(map(mul, exps, keep))
+                odd = False
+                for idx, target, negate in moves:
+                    e = exps[idx]
+                    if e:
+                        vec[target] += e
+                        if negate and e & 1:
+                            odd = not odd
+                key = tuple(vec)
+                if odd:
+                    out[key] = out.get(key, 0) - coeff
+                else:
+                    out[key] = out.get(key, 0) + coeff
+            return Polynomial._from_clean(self.ring, out)
+        powers: dict[tuple[int, int], Mapping[tuple[int, ...], Fraction | int]] = {}
         for exps, coeff in self._terms.items():
             piece = {tuple(map(mul, exps, keep)): coeff}
             for idx in images:
@@ -288,12 +321,13 @@ class Polynomial:
                     piece = _mul_terms(piece, powers[idx, e])
             for key, c in piece.items():
                 out[key] = out.get(key, 0) + c
-        return Polynomial(self.ring, out)
+        return Polynomial._from_clean(self.ring, out)
 
     # -- display ------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self._terms.items(), key=_term_sort_key)
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction | int]]:
+        terms = self._terms
+        return [(e, terms[e]) for e in sorted(terms, key=_grlex, reverse=True)]
 
     def to_text(self) -> str:
         if not self._terms:
@@ -311,14 +345,30 @@ class Polynomial:
         return f"Polynomial({self.to_text()!r})"
 
 
-def term_text(ring: Ring, exps: tuple[int, ...], coeff: Fraction) -> str:
+def _signed_remap(
+    images: Mapping[int, Polynomial],
+) -> tuple[list[int], list[tuple[int, int, bool]]] | None:
+    """``(zeroed slots, [(slot, target slot, negate)])`` when every image is
+    0 or +-1 times one variable, else None."""
+    zeroed, moves = [], []
+    for idx, image in images.items():
+        terms = image.terms
+        if not terms:
+            zeroed.append(idx)
+            continue
+        if len(terms) != 1:
+            return None
+        (exps, c), = terms.items()
+        if (c != 1 and c != -1) or sum(exps) != 1:
+            return None
+        moves.append((idx, exps.index(1), c == -1))
+    return zeroed, moves
+
+
+def term_text(ring: Ring, exps: tuple[int, ...], coeff: Fraction | int) -> str:
     """Render one term with a non-negative coefficient, e.g. ``2*x1*y3^2``."""
-    parts = []
-    for idx, e in enumerate(exps):
-        if e == 1:
-            parts.append(ring.var_name(idx))
-        elif e > 1:
-            parts.append(f"{ring.var_name(idx)}^{e}")
+    parts = [name if e == 1 else f"{name}^{e}"
+             for name, e in zip(ring.names, exps) if e]
     if not parts:
         return str(coeff)
     if coeff != 1:
@@ -494,30 +544,26 @@ def simple_root_poly(ring: Ring, lie_type: str, rank: int, i: int) -> Polynomial
 
 def _dd_swap(f: Polynomial, a: int, b: int) -> Polynomial:
     """Divided difference for alpha = x_a - x_b (0-based exponent slots)."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Fraction | int] = {}
     for exps, coeff in f.terms.items():
         i, j = exps[a], exps[b]
         if i == j:
             continue
         lo, hi = (j, i) if i > j else (i, j)
-        sign = 1 if i > j else -1
+        c = coeff if i > j else -coeff
         base = list(exps)
         for t in range(lo, hi):
             base[a] = t
             base[b] = i + j - 1 - t
             key = tuple(base)
-            s = out.get(key, Fraction(0)) + sign * coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return Polynomial(f.ring, out)
+            out[key] = out.get(key, 0) + c
+    return Polynomial._from_clean(f.ring, out)
 
 
 def _dd_single(f: Polynomial, a: int, alpha_coeff: int) -> Polynomial:
     """Divided difference for alpha = alpha_coeff * x_a (type B: 1, type C: 2)."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    scale = Fraction(2, alpha_coeff)
+    out: dict[tuple[int, ...], Fraction | int] = {}
+    scale = _exact(Fraction(2, alpha_coeff))
     for exps, coeff in f.terms.items():
         i = exps[a]
         if i % 2 == 0:
@@ -525,39 +571,28 @@ def _dd_single(f: Polynomial, a: int, alpha_coeff: int) -> Polynomial:
         base = list(exps)
         base[a] = i - 1
         key = tuple(base)
-        s = out.get(key, Fraction(0)) + scale * coeff
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return Polynomial(f.ring, out)
+        out[key] = out.get(key, 0) + scale * coeff
+    return Polynomial._from_clean(f.ring, out)
 
 
 def _dd_sum(f: Polynomial, a: int, b: int) -> Polynomial:
     """Divided difference for alpha = x_a + x_b (type D branch node)."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Fraction | int] = {}
     for exps, coeff in f.terms.items():
         i, j = exps[a], exps[b]
         if i == j and (i + j) % 2 == 0:
             continue
         lo = min(i, j)
         d = abs(i - j)
-        if (i + j) % 2 == 0:
-            sign = 1 if i > j else -1
-        else:
-            sign = 1
+        c = -coeff if (i + j) % 2 == 0 and i < j else coeff
+        signed = (c, -c)
         base = list(exps)
         for t in range(d):
             base[a] = lo + d - 1 - t
             base[b] = lo + t
             key = tuple(base)
-            term_sign = sign * (1 if t % 2 == 0 else -1)
-            s = out.get(key, Fraction(0)) + term_sign * coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return Polynomial(f.ring, out)
+            out[key] = out.get(key, 0) + signed[t % 2]
+    return Polynomial._from_clean(f.ring, out)
 
 
 def divided_difference(f: Polynomial, lie_type: str, rank: int, i: int) -> Polynomial:
@@ -648,7 +683,7 @@ def chern_substitute(f: Polynomial, blocks: Sequence[tuple[int, int]]) -> Polyno
     for idx in f.used_vars():
         if ring.nx <= idx < ring.nx + ring.ny and idx not in covered:
             raise PolyError(
-                f"variable {ring.var_name(idx)} is outside every symmetric block"
+                f"variable {ring.names[idx]} is outside every symmetric block"
             )
 
     e_cache: dict[tuple[int, int], Polynomial] = {}
@@ -672,7 +707,7 @@ def chern_substitute(f: Polynomial, blocks: Sequence[tuple[int, int]]) -> Polyno
         if not candidates:
             result = result + current
             return result
-        exps, coeff = min(candidates, key=_term_sort_key)
+        exps, coeff = max(candidates, key=lambda t: _grlex(t[0]))
         stripped = list(exps)
         subtrahend = current.ring.const(coeff)
         image_exps = list(exps)

@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitcalc.clans import DESK_RANKS, case_from_params
+from orbitcalc.formulas import all_classes, delta, formula_ring, restrict_at
+from orbitcalc.orbits import weak_order_graph
 from orbitcalc.poly import (
     FactoredPoly,
     Polynomial,
@@ -19,6 +22,7 @@ from orbitcalc.poly import (
     reflect_x,
     simple_root_poly,
 )
+from orbitcalc.weyl import closed_orbit_fixed_points
 
 R = Ring(4, 4, 4)
 
@@ -87,6 +91,26 @@ def test_degree_and_lead():
     assert R.zero.degree() == -1
     with pytest.raises(PolyError):
         R.zero.lead()
+
+
+def test_integral_coefficients_compare_and_hash_as_ints():
+    one = (0,) * R.width
+    assert type(Polynomial(R, {one: Fraction(6, 2)}).terms[one]) is int
+    assert type(R.const(Fraction(6, 2)).terms[one]) is int
+    as_fraction = Polynomial._from_clean(R, {one: Fraction(3)})
+    assert type(as_fraction.terms[one]) is Fraction
+    assert as_fraction == R.const(3) == 3
+    assert hash(as_fraction) == hash(R.const(3))
+    summed = Fraction(1, 2) * R.x(1) + Fraction(5, 2) * R.x(1)
+    assert summed == 3 * R.x(1) and hash(summed) == hash(3 * R.x(1))
+
+
+def test_constant_value_is_a_fraction():
+    assert type(R.const(3).constant_value()) is Fraction
+    assert type(R.zero.constant_value()) is Fraction
+    exps, coeff = parse_poly("x1/2", R).lead()
+    assert exps == R.x(1).lead()[0]
+    assert type(coeff) is Fraction and coeff == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +216,19 @@ def substitutions(draw):
     targets = draw(st.permutations(slots))
     images = {}
     for idx, target in zip(slots, targets):
-        kind = draw(st.sampled_from(("poly", "zero", "swap", "var")))
+        kind = draw(st.sampled_from(("poly", "zero", "swap", "var", "scaled", "linear")))
         if kind == "poly":
             images[idx] = draw(polys(ring=S, max_terms=3, max_exp=2))
         elif kind == "zero":
             images[idx] = S.zero
+        elif kind == "scaled":  # one variable, coefficient not +-1: 2*x1
+            coeff = draw(st.sampled_from((2, -2, 3, Fraction(1, 2), Fraction(-1, 2))))
+            images[idx] = S.monomial({target: 1}, coeff)
+        elif kind == "linear":  # two variables: x1 - y1
+            other = draw(st.integers(0, S.width - 1).filter(lambda k: k != target))
+            images[idx] = S.monomial({target: 1}) + S.monomial(
+                {other: 1}, draw(st.sampled_from((1, -1)))
+            )
         else:
             if kind == "var":
                 target = draw(st.integers(0, S.width - 1))
@@ -208,6 +240,34 @@ def substitutions(draw):
 @settings(max_examples=200, deadline=None)
 def test_substitute_matches_reference(f, images):
     assert f.substitute(images) == reference_substitute(f, images)
+
+
+def _signed_variable_images(case, ring, w):
+    """The images of the x-variables at the fixed point w (see restrict_at)."""
+    zero_abs = case.p + 1 if case.tag == "d-oxo-odd" else None
+    return {
+        ring.var_index("x", i): (
+            ring.zero if abs(v) == zero_abs else ring.y(abs(v)) * (1 if v > 0 else -1)
+        )
+        for i, v in enumerate(w, start=1)
+    }
+
+
+@pytest.mark.parametrize("tag,p,q", DESK_RANKS)
+def test_restriction_matches_general_substitution(tag, p, q):
+    case = case_from_params(tag, p, q)
+    poset = weak_order_graph(case)
+    classes = all_classes(case, poset)
+    ring = formula_ring(case)
+    points = 0
+    for c in poset.minima():
+        for w in closed_orbit_fixed_points(case, c):
+            images = _signed_variable_images(case, ring, w)
+            assert restrict_at(case, classes[c], w) == reference_substitute(
+                classes[c], images
+            )
+            points += 1
+    assert points
 
 
 def test_substitute_examples():
@@ -258,6 +318,94 @@ def test_divided_difference_leibniz(lie_type, rank, f, g):
         assert lhs == rhs
 
 
+def _reference_dd_swap(f, a, b):
+    """The earlier Fraction-based kernels, kept as references."""
+    out = {}
+    for exps, coeff in f.terms.items():
+        i, j = exps[a], exps[b]
+        if i == j:
+            continue
+        lo, hi = (j, i) if i > j else (i, j)
+        sign = 1 if i > j else -1
+        base = list(exps)
+        for t in range(lo, hi):
+            base[a] = t
+            base[b] = i + j - 1 - t
+            key = tuple(base)
+            s = out.get(key, Fraction(0)) + sign * coeff
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return Polynomial(f.ring, out)
+
+
+def _reference_dd_single(f, a, alpha_coeff):
+    out = {}
+    scale = Fraction(2, alpha_coeff)
+    for exps, coeff in f.terms.items():
+        i = exps[a]
+        if i % 2 == 0:
+            continue
+        base = list(exps)
+        base[a] = i - 1
+        key = tuple(base)
+        s = out.get(key, Fraction(0)) + scale * coeff
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return Polynomial(f.ring, out)
+
+
+def _reference_dd_sum(f, a, b):
+    out = {}
+    for exps, coeff in f.terms.items():
+        i, j = exps[a], exps[b]
+        if i == j and (i + j) % 2 == 0:
+            continue
+        lo = min(i, j)
+        d = abs(i - j)
+        if (i + j) % 2 == 0:
+            sign = 1 if i > j else -1
+        else:
+            sign = 1
+        base = list(exps)
+        for t in range(d):
+            base[a] = lo + d - 1 - t
+            base[b] = lo + t
+            key = tuple(base)
+            term_sign = sign * (1 if t % 2 == 0 else -1)
+            s = out.get(key, Fraction(0)) + term_sign * coeff
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return Polynomial(f.ring, out)
+
+
+def reference_divided_difference(f, lie_type, rank, i):
+    x = f.ring.var_index
+    if lie_type == "A" or i < rank:
+        return _reference_dd_swap(f, x("x", i), x("x", i + 1))
+    if lie_type in ("B", "C"):
+        return _reference_dd_single(f, x("x", rank), 1 if lie_type == "B" else 2)
+    return _reference_dd_sum(f, x("x", rank - 1), x("x", rank))
+
+
+TYPES_AND_RANKS = [(t, n) for t in "ABCD" for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("lie_type,rank", TYPES_AND_RANKS)
+@given(f=polys())
+@settings(max_examples=40, deadline=None)
+def test_divided_difference_matches_reference(lie_type, rank, f):
+    for i in _root_indices(lie_type, rank):
+        assert divided_difference(f, lie_type, rank, i) == reference_divided_difference(
+            f, lie_type, rank, i
+        )
+
+
 def test_divided_difference_examples():
     assert divided_difference(R.x(1), "A", 4, 1) == R.one
     assert divided_difference(R.x(2), "A", 4, 1) == -R.one
@@ -272,6 +420,86 @@ def test_divided_difference_examples():
         divided_difference(R.x(1), "A", 4, 4)
     with pytest.raises(PolyError):
         divided_difference(R.x(1), "E", 4, 1)
+
+
+# ---------------------------------------------------------------------------
+# Optional cross-checks against sympy
+# ---------------------------------------------------------------------------
+
+
+def _to_sympy(sympy, f):
+    gens = sympy.symbols(" ".join(f.ring.names))
+    total = sympy.Integer(0)
+    for exps, coeff in f.terms.items():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for g, e in zip(gens, exps):
+            term *= g ** e
+        total += term
+    return total, gens
+
+
+SYMPY_SAMPLES = [
+    "x1^3*x2 - 1/2*x2^2*x3 + 3*x1*x4^2 + x3^3*y1",
+    "x1*x2*x3*x4 + 2/3*x3^4 - x4^3*z2 + 5",
+    "(x1 + x4)^3(x2 - y2) - 1/4*x3*x4^2",
+    "(x3 - x4)^2(x3 + x4 + y1)^2 + x2^5",
+]
+
+
+@pytest.mark.parametrize("lie_type,rank", TYPES_AND_RANKS)
+def test_divided_difference_matches_sympy(lie_type, rank):
+    sympy = pytest.importorskip("sympy")
+    for text in SYMPY_SAMPLES:
+        f = parse_poly(text, R)
+        expr, gens = _to_sympy(sympy, f)
+        x = gens[:R.nx]
+        for i in _root_indices(lie_type, rank):
+            if lie_type == "A" or i < rank:
+                alpha = x[i - 1] - x[i]
+                swap = {x[i - 1]: x[i], x[i]: x[i - 1]}
+            elif lie_type in ("B", "C"):
+                alpha = x[rank - 1] * (1 if lie_type == "B" else 2)
+                swap = {x[rank - 1]: -x[rank - 1]}
+            else:
+                alpha = x[rank - 2] + x[rank - 1]
+                swap = {x[rank - 2]: -x[rank - 1], x[rank - 1]: -x[rank - 2]}
+            expected = sympy.cancel((expr - expr.subs(swap, simultaneous=True)) / alpha)
+            got, _ = _to_sympy(sympy, divided_difference(f, lie_type, rank, i))
+            assert sympy.expand(expected - got) == 0
+
+
+@pytest.mark.parametrize("tag,p,q", [("c-sp-gl", 2, 2), ("d-so-gl", 3, 3)])
+def test_delta_matches_sympy(tag, p, q):
+    """delta(ring, m, w) against the module docstring's definition of
+    det(c_{m+1+j-2i}), at a fixed point of a closed orbit with a sign."""
+    sympy = pytest.importorskip("sympy")
+    case = case_from_params(tag, p, q)
+    ring = formula_ring(case)
+    n = case.grank
+    m = n if tag == "c-sp-gl" else n - 1
+    points = [w for c in weak_order_graph(case).minima()
+              for w in closed_orbit_fixed_points(case, c)]
+    w = next(w for w in points if min(w) < 0)
+    winv = [0] * n
+    for i, v in enumerate(w, start=1):
+        winv[abs(v) - 1] = i if v > 0 else -i
+    _, gens = _to_sympy(sympy, ring.zero)
+    xs = [gens[abs(v) - 1] * (1 if v > 0 else -1) for v in winv]
+    ys = list(gens[n:2 * n])
+    t = sympy.Symbol("t")
+
+    def elem(k, values):
+        generating = sympy.prod([1 + t * v for v in values])
+        return sympy.Poly(generating, t).coeff_monomial(t ** k)
+
+    def c(k):
+        if k == 0:
+            return 2
+        return elem(k, xs) + elem(k, ys) if 0 < k <= n else 0
+
+    matrix = sympy.Matrix(m, m, lambda i, j: c(m + 1 + (j + 1) - 2 * (i + 1)))
+    got, _ = _to_sympy(sympy, delta(ring, m, w))
+    assert sympy.expand(matrix.det() - got) == 0
 
 
 # ---------------------------------------------------------------------------
