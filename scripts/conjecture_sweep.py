@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 
-from orbitcalc.clans import case_from_params
+from orbitcalc.clans import CASES, case_from_params
 from orbitcalc.orbits import check_conjecture
 
 COINCIDENCE_FAMILIES = ("b-so", "c-spxsp", "c-sp-gl")
@@ -24,14 +24,11 @@ STRICT_FAMILIES = ("d-oxo-even", "d-oxo-odd")
 
 
 def shapes_for(tag: str, max_rank: int):
-    if tag in ("c-sp-gl", "d-so-gl"):
-        low = 3 if tag == "d-so-gl" else 1
+    row = CASES[tag]
+    if row.symmetry == "skew":  # the GL pairs: p == q == n
+        low = 3 if tag == "d-so-gl" else row.least
         return [(n, n) for n in range(low, max_rank + 1)]
-    out = []
-    for n in range(2, max_rank + 1):
-        for p in range(1, n):
-            out.append((p, n - p))
-    return out
+    return [(p, n - p) for n in range(row.least, max_rank + 1) for p in range(1, n)]
 
 
 def sweep(tag: str, shapes, max_witnesses: int) -> None:

@@ -9,42 +9,78 @@ so every clan is stored in canonical form: pair labels are renumbered
 
 The module also provides the rank-number tables attached to a clan, the partial
 order defined by comparing those tables, the covering moves that generate it,
-enumeration of all clans of a shape, the symmetry predicates and per-case clan
-families for the seven supported symmetric pairs, and the desk ranks at which
-every family is checked.
+enumeration of all clans of a shape, the symmetry predicates, and the table
+``CASES`` of the seven supported symmetric pairs: each pair's clan family,
+K's root-system blocks, and the desk rank at which the family is checked.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 PLUS = "+"
 MINUS = "-"
 
+
+@dataclass(frozen=True)
+class CaseRow:
+    """The datum of one symmetric pair (G, K).
+
+    ``family`` is G's root family; ``symmetry`` is that of the clans labelling
+    the orbits ("none", "mirror" for symmetric clans, "skew" for the GL pairs);
+    ``shape(p, q)`` is their (P, Q) shape; ``least`` is the least rank;
+    ``desk`` is the shipped (p, q); ``blocks(p, q)`` is K's root system as
+    (type, coordinates) blocks, coordinates 1-based.
+    """
+
+    family: str
+    symmetry: str
+    shape: Callable[[int, int], tuple[int, int]]
+    least: int
+    desk: tuple[int, int]
+    blocks: Callable[[int, int], tuple[tuple[str, range], ...]]
+
+
+def _pair_blocks(first: str, second: str, gap: int = 0):
+    """K blocks of type ``first`` on 1..p and ``second`` on p+1+gap..p+q."""
+    return lambda p, q: ((first, range(1, p + 1)), (second, range(p + 1 + gap, p + q + 1)))
+
+
+def _gl_blocks(p: int, q: int) -> tuple[tuple[str, range], ...]:
+    """K = GL(n), p == q == n: one A block on 1..n."""
+    return (("A", range(1, p + 1)),)
+
+
+#: The seven supported symmetric pairs, by tag.
+CASES = {
+    # (GL(p+q), GL(p) x GL(q))
+    "a": CaseRow("A", "none", lambda p, q: (p, q), 1, (2, 2), _pair_blocks("A", "A")),
+    # (SO(2n+1), S(O(2p) x O(2q+1))), n = p + q
+    "b-so": CaseRow("B", "mirror", lambda p, q: (2 * p, 2 * q + 1), 2, (2, 1),
+                    _pair_blocks("D", "B")),
+    # (Sp(2n), Sp(2p) x Sp(2q)), n = p + q
+    "c-spxsp": CaseRow("C", "mirror", lambda p, q: (2 * p, 2 * q), 2, (2, 1),
+                       _pair_blocks("C", "C")),
+    # (Sp(2n), GL(n))
+    "c-sp-gl": CaseRow("C", "skew", lambda p, q: (p, q), 1, (2, 2), _gl_blocks),
+    # (SO(2n), S(O(2p) x O(2q))), n = p + q
+    "d-oxo-even": CaseRow("D", "mirror", lambda p, q: (2 * p, 2 * q), 2, (2, 1),
+                          _pair_blocks("D", "D")),
+    # (SO(2n), GL(n))
+    "d-so-gl": CaseRow("D", "skew", lambda p, q: (p, q), 2, (3, 3), _gl_blocks),
+    # (SO(2n), S(O(2p+1) x O(2q-1))), n = p + q; no K block covers p + 1
+    "d-oxo-odd": CaseRow("D", "mirror", lambda p, q: (2 * p + 1, 2 * q - 1), 2, (1, 2),
+                         _pair_blocks("B", "B", gap=1)),
+}
+
 #: Tags for the seven supported symmetric pairs.
-CASE_TAGS = (
-    "a",            # (GL(p+q), GL(p) x GL(q))
-    "b-so",         # (SO(2n+1), S(O(2p) x O(2q+1))), n = p + q
-    "c-spxsp",      # (Sp(2n), Sp(2p) x Sp(2q)), n = p + q
-    "c-sp-gl",      # (Sp(2n), GL(n))
-    "d-oxo-even",   # (SO(2n), S(O(2p) x O(2q))), n = p + q
-    "d-so-gl",      # (SO(2n), GL(n))
-    "d-oxo-odd",    # (SO(2n), S(O(2p+1) x O(2q-1))), n = p + q
-)
+CASE_TAGS = tuple(CASES)
 
 #: The shipped rank of each family: (tag, p, q), checked end to end.
-DESK_RANKS = (
-    ("a", 2, 2),
-    ("b-so", 2, 1),
-    ("c-spxsp", 2, 1),
-    ("c-sp-gl", 2, 2),
-    ("d-oxo-even", 2, 1),
-    ("d-so-gl", 3, 3),
-    ("d-oxo-odd", 1, 2),
-)
+DESK_RANKS = tuple((tag, *row.desk) for tag, row in CASES.items())
 
 
 class ClanError(ValueError):
@@ -381,78 +417,73 @@ def is_skew_symmetric(c: Clan) -> bool:
 class CaseId:
     """One of the seven supported symmetric pairs, with its rank parameters.
 
-    For the two GL-subgroup cases (``c-sp-gl``, ``d-so-gl``) the parameters
-    satisfy p == q == n.  For all the others n = p + q is the rank of the
-    ambient group.
+    For the two GL pairs (``c-sp-gl``, ``d-so-gl``) the parameters satisfy
+    p == q == n.  For all the others n = p + q is the rank of the ambient
+    group.
     """
 
     tag: str
     p: int
     q: int
+    # read off the table once, at construction
+    row: CaseRow = field(init=False, repr=False, compare=False)
+    ambient_shape: tuple[int, int] = field(init=False, repr=False, compare=False)
+    grank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.tag not in CASE_TAGS:
+        row = CASES.get(self.tag)
+        if row is None:
             raise ClanError(f"unknown case tag {self.tag!r}")
-        if self.tag in ("c-sp-gl", "d-so-gl"):
-            low = 2 if self.tag == "d-so-gl" else 1  # type D needs rank 2
-            if self.p != self.q or self.p < low:
-                raise ClanError(f"case {self.tag} needs p == q == n >= {low}")
-        elif self.tag == "a":
-            if self.p < 0 or self.q < 0 or self.p + self.q < 1:
-                raise ClanError("case a needs p, q >= 0 with p + q >= 1")
-        else:
-            if self.p < 1 or self.q < 1:
-                raise ClanError(f"case {self.tag} needs p, q >= 1")
-
-    @property
-    def grank(self) -> int:
-        """Rank of the ambient group (the number of x/y variables)."""
-        if self.tag in ("c-sp-gl", "d-so-gl"):
-            return self.p
-        return self.p + self.q
+        p, q = self.p, self.q
+        if row.symmetry == "skew":
+            if p != q or p < row.least:
+                raise ClanError(f"case {self.tag} needs p == q == n >= {row.least}")
+        elif row.symmetry == "none":
+            if p < 0 or q < 0 or p + q < row.least:
+                raise ClanError(
+                    f"case {self.tag} needs p, q >= 0 with p + q >= {row.least}"
+                )
+        elif p < 1 or q < 1:
+            raise ClanError(f"case {self.tag} needs p, q >= 1")
+        # ambient_shape: the (P, Q) shape of the clans labelling the orbits;
+        # grank: the rank of the ambient group (the number of x/y variables),
+        # which is the clan length, halved for the folded families
+        P, Q = row.shape(p, q)
+        n = P + Q if row.symmetry == "none" else (P + Q) // 2
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "ambient_shape", (P, Q))
+        object.__setattr__(self, "grank", n)
 
     @property
     def family(self) -> str:
         """Root-system family of the ambient group: 'A', 'B', 'C', or 'D'."""
-        return {
-            "a": "A",
-            "b-so": "B",
-            "c-spxsp": "C",
-            "c-sp-gl": "C",
-            "d-oxo-even": "D",
-            "d-so-gl": "D",
-            "d-oxo-odd": "D",
-        }[self.tag]
-
-    @property
-    def ambient_shape(self) -> tuple[int, int]:
-        """The (P, Q) shape of the clans that label this case's orbits."""
-        if self.tag == "a":
-            return (self.p, self.q)
-        if self.tag == "b-so":
-            return (2 * self.p, 2 * self.q + 1)
-        if self.tag in ("c-spxsp", "d-oxo-even"):
-            return (2 * self.p, 2 * self.q)
-        if self.tag in ("c-sp-gl", "d-so-gl"):
-            return (self.grank, self.grank)
-        return (2 * self.p + 1, 2 * self.q - 1)  # d-oxo-odd
+        return self.row.family
 
     @property
     def ambient_len(self) -> int:
         P, Q = self.ambient_shape
         return P + Q
 
+    @property
+    def k_blocks(self) -> tuple[tuple[str, range], ...]:
+        """K's root system: (type, coordinates) for each block."""
+        return self.row.blocks(self.p, self.q)
 
-def case_from_params(tag: str, p: int | None = None, q: int | None = None,
-                     n: int | None = None) -> CaseId:
-    """Build a CaseId from CLI-style parameters (--p/--q or --n)."""
-    if tag in ("c-sp-gl", "d-so-gl"):
-        if n is None:
-            if p is not None and (q is None or q == p):
-                n = p
-            else:
-                raise ClanError(f"case {tag} needs --n")
-        return CaseId(tag, n, n)
+    @property
+    def uncovered(self) -> tuple[int, ...]:
+        """The coordinates no K block covers: p + 1 in d-oxo-odd, else none."""
+        covered = {i for _, block in self.k_blocks for i in block}
+        return tuple(i for i in range(1, self.grank + 1) if i not in covered)
+
+
+def case_from_params(tag: str, p: int | None = None, q: int | None = None) -> CaseId:
+    """Build a CaseId from CLI-style parameters (--p/--q, or --n as p for the
+    GL pairs)."""
+    row = CASES.get(tag)
+    if row is not None and row.symmetry == "skew":
+        if p is None or (q is not None and q != p):
+            raise ClanError(f"case {tag} needs --n")
+        return CaseId(tag, p, p)
     if p is None or q is None:
         raise ClanError(f"case {tag} needs --p and --q")
     return CaseId(tag, p, q)
@@ -464,27 +495,27 @@ def _has_self_mirror_pair(c: Clan) -> bool:
 
 
 def in_case_family(case: CaseId, c: Clan) -> bool:
-    """Whether the clan labels an orbit of the given case."""
-    P, Q = case.ambient_shape
-    if (c.p, c.q) != (P, Q):
+    """Whether the clan labels an orbit of the given case.
+
+    A self-mirror pair (positions a + b = N + 1, N the clan length) is barred
+    for mirror clans in type C and for skew clans in type D."""
+    if (c.p, c.q) != case.ambient_shape:
         return False
-    tag = case.tag
-    if tag == "a":
+    row = case.row
+    if row.symmetry == "none":
         return True
-    if tag in ("b-so", "d-oxo-even", "d-oxo-odd"):
-        return is_symmetric(c)
-    if tag == "c-spxsp":
-        return is_symmetric(c) and not _has_self_mirror_pair(c)
-    if tag == "c-sp-gl":
-        return is_skew_symmetric(c)
-    if tag == "d-so-gl":
-        if not is_skew_symmetric(c) or _has_self_mirror_pair(c):
-            return False
-        # the minus rank at the middle, rank_table(c).minus_at(n), is even
-        n = case.grank
-        closed = sum(1 for _, b in c.pairs() if b <= n)
-        return (c.symbols[:n].count(MINUS) + closed) % 2 == 0
-    raise ClanError(f"unknown case tag {tag!r}")
+    if row.symmetry == "mirror":
+        return is_symmetric(c) and not (row.family == "C" and _has_self_mirror_pair(c))
+    if not is_skew_symmetric(c):
+        return False
+    if row.family == "C":
+        return True
+    if _has_self_mirror_pair(c):
+        return False
+    # the minus rank at the middle, rank_table(c).minus_at(n), is even
+    n = case.grank
+    closed = sum(1 for _, b in c.pairs() if b <= n)
+    return (c.symbols[:n].count(MINUS) + closed) % 2 == 0
 
 
 def enumerate_case_clans(case: CaseId) -> tuple[Clan, ...]:

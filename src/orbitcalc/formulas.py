@@ -225,18 +225,18 @@ def all_classes(
 
 def restrict_at(case: CaseId, f: Polynomial, w: Weyl) -> Polynomial:
     """Restrict a class to the fixed point w: x_i evaluates to the signed
-    y-variable picked out by w(i); in the branched odd case the absolute
-    value p+1 evaluates to zero."""
+    y-variable picked out by w(i), or to zero where |w(i)| is a coordinate
+    no K block covers (p+1 in the branched odd case)."""
     ring = f.ring
     n = case.grank
     if len(w) != n:
         raise FormulaError("fixed point length does not match the case")
-    zero_abs = case.p + 1 if case.tag == "d-oxo-odd" else None
+    zeroed = case.uncovered
     images = {}
     for i in range(1, n + 1):
         v = w[i - 1]
         a = abs(v)
-        if a == zero_abs:
+        if a in zeroed:
             images[ring.var_index("x", i)] = ring.zero
         else:
             images[ring.var_index("x", i)] = ring.y(a) * (1 if v > 0 else -1)
@@ -303,7 +303,7 @@ def verify_localization(
                 )
 
     support_pairs = 0
-    support_checked = case.tag != "d-oxo-odd"
+    support_checked = not case.uncovered
     if support_checked:
         by_clan = fixed_points_by_clan(case)
         for c in poset.nodes:
@@ -336,14 +336,7 @@ def verify_localization(
 def chern_blocks(case: CaseId) -> tuple[tuple[int, int], ...]:
     """y-variable blocks whose elementary symmetric polynomials become the
     z-variables of the Chern-class form."""
-    p, q, n = case.p, case.q, case.grank
-    if case.tag in ("c-sp-gl", "d-so-gl"):
-        blocks = [(1, n)]
-    elif case.tag == "d-oxo-odd":
-        blocks = [(1, p), (p + 2, q - 1)]
-    else:
-        blocks = [(1, p), (p + 1, q)]
-    return tuple((start, size) for start, size in blocks if size > 0)
+    return tuple((block.start, len(block)) for _, block in case.k_blocks if block)
 
 
 def chern_class(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
 from .clans import CaseId, Clan, ClanError, enumerate_case_clans, in_case_family, rank_table
@@ -115,7 +116,7 @@ def weak_move(case: CaseId, c: Clan, i: int) -> Clan:
     N = case.ambient_len
     symbols = list(c.symbols)
 
-    if case.tag == "a":
+    if case.family == "A":
         moved = _apply_schedule(symbols, [(i, i + 1)])
     elif i < n or (case.family == "D" and i == n - 1):
         moved = _apply_schedule(symbols, [(i, i + 1), (N - i, N + 1 - i)])
@@ -140,7 +141,7 @@ def weak_move(case: CaseId, c: Clan, i: int) -> Clan:
         return c
     P, Q = c.p, c.q
     result = Clan(tuple(moved), P, Q)
-    if case.tag != "a" and not in_case_family(case, result):
+    if case.family != "A" and not in_case_family(case, result):
         return c
     return result
 
@@ -154,12 +155,9 @@ def cross_action(case: CaseId, c: Clan, w: Weyl) -> Clan:
     """Permute the symbols of c by the ambient permutation attached to w."""
     if not in_case_family(case, c):
         raise ClanError(f"{c.to_text()} is not a clan of case {case.tag}")
-    if case.tag == "a":
-        sigma = validate_weyl(w, "A")
-    else:
-        w = validate_weyl(w, case.family)
-        parity = "odd" if case.tag == "b-so" else "even"
-        sigma = embed_in_ambient(w, parity)
+    sigma = validate_weyl(w, case.family)
+    if case.family != "A":
+        sigma = embed_in_ambient(sigma, "odd" if case.ambient_len % 2 else "even")
     if len(sigma) != case.ambient_len:
         raise OrbitError("permutation length does not match the ambient clan length")
     old = c.symbols
@@ -211,10 +209,8 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
     edge along root i has degree 2 exactly when the cross action of s_i
     fixes its source."""
     nodes = tuple(enumerate_case_clans(case))
-    index = {c: k for k, c in enumerate(nodes)}
     edges = []
-    out_count = [0] * len(nodes)
-    in_edges: dict[int, list[int]] = {k: [] for k in range(len(nodes))}
+    below: dict[Clan, list[Clan]] = {c: [] for c in nodes}
     for c in nodes:
         for i in simple_root_indices(case):
             dst = weak_move(case, c, i)
@@ -222,32 +218,19 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
                 continue
             deg = 2 if cross_action_simple(case, c, i) == c else 1
             edges.append((c, dst, i, deg))
-            out_count[index[c]] += 1
-            in_edges[index[dst]].append(index[c])
+            below[dst].append(c)
 
-    # longest-path rank from the minima, with cycle detection
-    rank = [0] * len(nodes)
-    queue = [k for k, v in in_edges.items() if not v]
-    seen = 0
-    remaining = {k: len(v) for k, v in in_edges.items()}
-    adj: dict[int, list[int]] = {k: [] for k in range(len(nodes))}
-    for src, dst, _, _ in edges:
-        adj[index[src]].append(index[dst])
-    order = []
-    while queue:
-        k = queue.pop()
-        order.append(k)
-        seen += 1
-        for m in adj[k]:
-            rank[m] = max(rank[m], rank[k] + 1)
-            remaining[m] -= 1
-            if remaining[m] == 0:
-                queue.append(m)
-    if seen != len(nodes):
-        raise OrbitError("weak-order moves produced a cycle")
+    # longest-path rank from the minima
+    rank: dict[Clan, int] = {}
+    try:
+        for c in TopologicalSorter(below).static_order():
+            rank[c] = max((rank[b] + 1 for b in below[c]), default=0)
+    except CycleError:
+        raise OrbitError("weak-order moves produced a cycle") from None
 
-    ranks = {c: rank[index[c]] for c in nodes}
-    tops = [c for c in nodes if out_count[index[c]] == 0]
+    ranks = {c: rank[c] for c in nodes}
+    sources = {src for src, _, _, _ in edges}
+    tops = [c for c in nodes if c not in sources]
     if len(tops) != 1:
         raise OrbitError(f"expected a unique dense clan, found {len(tops)}")
     for src, dst, i, _ in edges:

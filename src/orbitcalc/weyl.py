@@ -9,11 +9,12 @@ negative entries; type D elements have an even number of them.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections import Counter
 from functools import lru_cache
 
-from .clans import CaseId, Clan, ClanError
+from .clans import CaseId, Clan, ClanError, enumerate_case_clans, in_case_family
 
 Weyl = tuple[int, ...]
 Root = tuple[int, ...]
@@ -222,91 +223,64 @@ def ambient_weyl(case: CaseId) -> tuple[Weyl, ...]:
     return weyl_elements(case.family, case.grank)
 
 
-def _blocks_preserved(w: Weyl, p: int) -> bool:
-    return all((abs(v) <= p) == (i <= p) for i, v in enumerate(w, start=1))
-
-
 def wk_member(case: CaseId, w: Weyl) -> bool:
-    """Membership in the symmetric subgroup's Weyl group W_K."""
+    """Membership in the symmetric subgroup's Weyl group W_K: |w| maps every
+    K block onto itself, with no negative entry in an A block and an even
+    number in a D block (so an uncovered coordinate is fixed up to sign)."""
     w = validate_weyl(w, case.family)
-    p, n = case.p, case.grank
-    tag = case.tag
-    if tag == "a":
-        return all(v > 0 for v in w) and _blocks_preserved(w, p)
-    if tag == "b-so":
-        if not _blocks_preserved(w, p):
+    for lie_type, block in case.k_blocks:
+        if any(abs(w[i - 1]) not in block for i in block):
             return False
-        return sum(1 for v in w[:p] if v < 0) % 2 == 0
-    if tag == "c-spxsp":
-        return _blocks_preserved(w, p)
-    if tag in ("c-sp-gl", "d-so-gl"):
-        return all(v > 0 for v in w)
-    if tag == "d-oxo-even":
-        if not _blocks_preserved(w, p):
+        negs = sum(1 for i in block if w[i - 1] < 0)
+        if (lie_type == "A" and negs) or (lie_type == "D" and negs % 2):
             return False
-        first = sum(1 for v in w[:p] if v < 0)
-        second = sum(1 for v in w[p:] if v < 0)
-        return first % 2 == 0 and second % 2 == 0
-    # d-oxo-odd: |w| preserves {1..p}, {p+1}, {p+2..n}; total sign parity is
-    # already even for type D; the sign at position p+1 carries the parity.
-    if abs(w[p]) != p + 1:
-        return False
-    return all((abs(v) <= p) == (i <= p) for i, v in enumerate(w, start=1) if i != p + 1)
+    return True
+
+
+def _weyl_order(lie_type: str, k: int) -> int:
+    if lie_type == "A":
+        return math.factorial(k)
+    order = 2 ** k * math.factorial(k)
+    return order // 2 if lie_type == "D" else order
 
 
 def wk_order(case: CaseId) -> int:
-    """Order of W_K (the group tested by wk_member)."""
-    import math
-
-    p, q, n = case.p, case.q, case.grank
-    tag = case.tag
-    if tag == "a":
-        return math.factorial(p) * math.factorial(q)
-    if tag == "b-so":
-        return 2 ** (p - 1) * math.factorial(p) * 2 ** q * math.factorial(q)
-    if tag == "c-spxsp":
-        return 2 ** p * math.factorial(p) * 2 ** q * math.factorial(q)
-    if tag in ("c-sp-gl", "d-so-gl"):
-        return math.factorial(n)
-    if tag == "d-oxo-even":
-        return 2 ** (p - 1) * math.factorial(p) * 2 ** (q - 1) * math.factorial(q)
-    return 2 ** (n - 1) * math.factorial(p) * math.factorial(q - 1)
+    """Order of W_K (the group tested by wk_member): the product of the
+    block Weyl-group orders."""
+    return math.prod(_weyl_order(t, len(block)) for t, block in case.k_blocks)
 
 
 def fixed_point_to_clan(case: CaseId, w: Weyl) -> Clan:
     """The clan of the orbit containing the coordinate-flag fixed point w.
 
-    Supported for the six equal-rank cases; the seventh case has no such
+    Supported where K's blocks cover every coordinate; d-oxo-odd has no such
     dictionary for non-closed orbits.
     """
     w = validate_weyl(w, case.family)
     p, n = case.p, case.grank
     if len(w) != n:
         raise WeylError(f"expected a signed permutation of {n}")
-    tag = case.tag
+    if case.uncovered:
+        raise WeylError(
+            f"the fixed-point dictionary is not available for case {case.tag}"
+        )
     P, Q = case.ambient_shape
-    if tag == "a":
-        symbols = ["+" if v <= p else "-" for v in w]
-        return Clan(tuple(symbols), P, Q)
-    if tag in ("b-so", "c-spxsp", "d-oxo-even"):
-        half = ["+" if abs(v) <= p else "-" for v in w]
-        if tag == "b-so":
-            symbols = half + ["-"] + half[::-1]
-        else:
-            symbols = half + half[::-1]
-        return Clan(tuple(symbols), P, Q)
-    if tag in ("c-sp-gl", "d-so-gl"):
+    symmetry = case.row.symmetry
+    if symmetry == "skew":
         half = ["+" if v > 0 else "-" for v in w]
         flipped = ["-" if s == "+" else "+" for s in half]
         return Clan(tuple(half + flipped[::-1]), P, Q)
-    raise WeylError(
-        "the fixed-point dictionary is not available for case d-oxo-odd"
-    )
+    half = ["+" if abs(v) <= p else "-" for v in w]
+    if symmetry == "none":
+        return Clan(tuple(half), P, Q)
+    middle = ["-"] * (Q % 2)  # b-so: the odd summand's middle sign
+    return Clan(tuple(half + middle + half[::-1]), P, Q)
 
 
 @lru_cache(maxsize=None)
 def fixed_points_by_clan(case: CaseId) -> dict[Clan, tuple[Weyl, ...]]:
-    """Group every ambient Weyl element by the clan of its orbit (cases 1-6)."""
+    """Group every ambient Weyl element by the clan of its orbit (where K's
+    blocks cover every coordinate)."""
     groups: dict[Clan, list[Weyl]] = {}
     for w in ambient_weyl(case):
         c = fixed_point_to_clan(case, w)
@@ -315,21 +289,18 @@ def fixed_points_by_clan(case: CaseId) -> dict[Clan, tuple[Weyl, ...]]:
 
 
 def is_closed_clan(case: CaseId, c: Clan) -> bool:
-    """Closed orbits carry sign-only clans; in the seventh case, clans whose
-    single pair sits at the two middle positions with signs elsewhere."""
-    from .clans import in_case_family
-
+    """Closed orbits carry sign-only clans; where a coordinate is uncovered
+    (d-oxo-odd), clans whose single pair sits at the two middle positions
+    with signs elsewhere."""
     if not in_case_family(case, c):
         return False
-    if case.tag != "d-oxo-odd":
+    if not case.uncovered:
         return not c.pairs()
     n = case.grank
     return c.pairs() == ((n, n + 1),)
 
 
 def closed_clans(case: CaseId) -> list[Clan]:
-    from .clans import enumerate_case_clans
-
     return [c for c in enumerate_case_clans(case) if is_closed_clan(case, c)]
 
 
@@ -337,15 +308,16 @@ def closed_orbit_fixed_points(case: CaseId, c: Clan) -> tuple[Weyl, ...]:
     """All coordinate-flag fixed points lying in the given closed orbit."""
     if not is_closed_clan(case, c):
         raise ClanError(f"{c.to_text()} is not a closed-orbit clan for this case")
-    if case.tag != "d-oxo-odd":
+    if not case.uncovered:
         return fixed_points_by_clan(case).get(c, ())
-    p, n = case.p, case.grank
+    (u,) = case.uncovered
+    n = case.grank
     out = []
     for w in ambient_weyl(case):
-        if abs(w[n - 1]) != p + 1:
+        if abs(w[n - 1]) != u:
             continue
         ok = all(
-            (abs(w[i - 1]) <= p) == (c.symbols[i - 1] == "+") for i in range(1, n)
+            (abs(w[i - 1]) < u) == (c.symbols[i - 1] == "+") for i in range(1, n)
         )
         if ok:
             out.append(w)
@@ -355,21 +327,23 @@ def closed_orbit_fixed_points(case: CaseId, c: Clan) -> tuple[Weyl, ...]:
 def distinguished_representative(case: CaseId, c: Clan) -> Weyl:
     """Deterministic fixed-point representative of a closed orbit.
 
-    Lexicographically least fixed point, except in the seventh case where the
-    formulas depend on the choice: there the standard representative has no
-    negative entries, w(n) = p+1, and increasing values within the '+'
-    positions (1..p) and the '-' positions (p+2..n)."""
-    if case.tag != "d-oxo-odd":
+    Lexicographically least fixed point, except where a coordinate u is
+    uncovered (d-oxo-odd, u = p+1) and the formulas depend on the choice:
+    there the standard representative has no negative entries, w(n) = u,
+    and increasing values within the '+' positions (1..p) and the '-'
+    positions (p+2..n)."""
+    if not case.uncovered:
         points = closed_orbit_fixed_points(case, c)
         if not points:
             raise ClanError(f"no fixed points found for {c.to_text()}")
         return min(points)
     if not is_closed_clan(case, c):
         raise ClanError(f"{c.to_text()} is not a closed-orbit clan for this case")
-    p, n = case.p, case.grank
+    (u,) = case.uncovered
+    n = case.grank
     vals = [0] * n
-    vals[n - 1] = p + 1
-    next_plus, next_minus = 1, p + 2
+    vals[n - 1] = u
+    next_plus, next_minus = 1, u + 1
     for i in range(1, n):
         if c.symbols[i - 1] == "+":
             vals[i - 1] = next_plus
@@ -441,43 +415,16 @@ def _full_pair_system(n: int, block: range, with_short: bool,
 
 @lru_cache(maxsize=None)
 def subgroup_roots(case: CaseId) -> tuple[Root, ...]:
-    """The full (positive and negative) root list of the symmetric subgroup."""
-    p, n = case.p, case.grank
-    tag = case.tag
-    first = range(1, p + 1)
-    second = range(p + 1, n + 1)
+    """The full (positive and negative) root list of the symmetric subgroup:
+    the root systems of K's blocks."""
+    n = case.grank
     roots: list[Root] = []
-    if tag == "a":
-        for block in (first, second):
-            members = list(block)
-            for a in range(len(members)):
-                for b in range(len(members)):
-                    if a != b:
-                        i, j = members[a], members[b]
-                        vec = [0] * n
-                        vec[i - 1] = 1
-                        vec[j - 1] = -1
-                        roots.append(tuple(vec))
-    elif tag == "b-so":
-        roots += _full_pair_system(n, first, with_short=False)
-        roots += _full_pair_system(n, second, with_short=True)
-    elif tag == "c-spxsp":
-        roots += _full_pair_system(n, first, with_short=True, short_coeff=2)
-        roots += _full_pair_system(n, second, with_short=True, short_coeff=2)
-    elif tag in ("c-sp-gl", "d-so-gl"):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    vec = [0] * n
-                    vec[i - 1] = 1
-                    vec[j - 1] = -1
-                    roots.append(tuple(vec))
-    elif tag == "d-oxo-even":
-        roots += _full_pair_system(n, first, with_short=False)
-        roots += _full_pair_system(n, second, with_short=False)
-    else:  # d-oxo-odd
-        roots += _full_pair_system(n, range(1, p + 1), with_short=True)
-        roots += _full_pair_system(n, range(p + 2, n + 1), with_short=True)
+    for lie_type, block in case.k_blocks:
+        if lie_type == "A":
+            roots += [_pair_root(n, i, j, -1) for i in block for j in block if i != j]
+        else:
+            roots += _full_pair_system(n, block, with_short=lie_type != "D",
+                                       short_coeff=2 if lie_type == "C" else 1)
     return tuple(roots)
 
 
@@ -493,14 +440,13 @@ def apply_weyl_to_root(w: Weyl, root: Root) -> Root:
 
 def restriction_weights(case: CaseId, w: Weyl) -> tuple[Root, ...]:
     """Multiset of torus weights of the closed orbit's normal-ish directions:
-    the images of the positive roots under w (then the coordinate restriction
-    for the seventh case), with one occurrence of every subgroup root removed.
+    the images of the positive roots under w (with every uncovered coordinate
+    zeroed), with one occurrence of every subgroup root removed.
     Sorted for determinism."""
     w = validate_weyl(w, case.family)
     images = [apply_weyl_to_root(w, r) for r in positive_roots(case)]
-    if case.tag == "d-oxo-odd":
-        slot = case.p  # zero out the (p+1)-st coordinate
-        images = [r[:slot] + (0,) + r[slot + 1:] for r in images]
+    for u in case.uncovered:  # zero out the uncovered coordinate
+        images = [r[:u - 1] + (0,) + r[u:] for r in images]
     counts = Counter(images)
     for beta in subgroup_roots(case):
         if counts.get(beta, 0) > 0:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitcalc import orbits
 from orbitcalc.clans import CaseId, ClanError, case_from_params, leq, parse_clan
 from orbitcalc.orbits import (
     OrbitError,
@@ -297,6 +298,33 @@ class TestWeakOrderGraph:
                  if dst == top}
         assert preds == {(1, "1212"), (2, "1+-1"), (2, "1-+1")}
         assert weak_move(C4_2, top, 1) == top
+
+    @staticmethod
+    def fake_moves(monkeypatch, case, moves):
+        """Make weak_move follow {(clan, root): clan}; other moves fix."""
+        table = {(pc(case, a), i): pc(case, b) for (a, i), b in moves.items()}
+        monkeypatch.setattr(orbits, "weak_move", lambda _, c, i: table.get((c, i), c))
+
+    def test_cycle_is_an_error(self, monkeypatch):
+        case = case_from_params("a", 1, 1)
+        self.fake_moves(monkeypatch, case, {("+-", 1): "-+", ("-+", 1): "+-"})
+        with pytest.raises(OrbitError, match="weak-order moves produced a cycle"):
+            weak_order_graph(case)
+
+    def test_several_tops_are_an_error(self, monkeypatch):
+        case = case_from_params("a", 1, 1)
+        self.fake_moves(monkeypatch, case, {})
+        with pytest.raises(OrbitError, match="expected a unique dense clan, found 3"):
+            weak_order_graph(case)
+
+    def test_ungraded_edge_is_an_error(self, monkeypatch):
+        case = case_from_params("a", 2, 1)
+        moves = {("++-", 1): "+-+", ("+-+", 1): "11+", ("++-", 2): "11+"}
+        moves.update({(c, 1): "11+" for c in ("-++", "1+1", "+11")})
+        self.fake_moves(monkeypatch, case, moves)
+        message = r"weak edge \+\+- -> 11\+ \(root 2\) is not graded"
+        with pytest.raises(OrbitError, match=message):
+            weak_order_graph(case)
 
 
 # ---------------------------------------------------------------------------

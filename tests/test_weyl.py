@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcalc.clans import CaseId, ClanError, enumerate_case_clans, parse_clan
+from orbitcalc.clans import CASES, CaseId, Clan, ClanError, parse_clan
+from orbitcalc.formulas import chern_blocks
 from orbitcalc.weyl import (
     WeylError,
     ambient_weyl,
@@ -390,3 +391,187 @@ def test_restriction_weight_count_matches_closed_class_degree():
             for w in closed_orbit_fixed_points(case, c):
                 counts.add(len(restriction_weights(case, w)))
         assert len(counts) == 1, (case.tag, counts)
+
+
+# ---------------------------------------------------------------------------
+# The K-block rules against the earlier per-tag code
+# ---------------------------------------------------------------------------
+#
+# The functions below are the per-tag versions that the rules derived from
+# K's blocks (``CASES``) replaced.  They are kept as references only.
+
+
+def _reference_blocks_preserved(w, p):
+    return all((abs(v) <= p) == (i <= p) for i, v in enumerate(w, start=1))
+
+
+def reference_wk_member(case, w):
+    w = validate_weyl(w, case.family)
+    p, n = case.p, case.grank
+    tag = case.tag
+    if tag == "a":
+        return all(v > 0 for v in w) and _reference_blocks_preserved(w, p)
+    if tag == "b-so":
+        if not _reference_blocks_preserved(w, p):
+            return False
+        return sum(1 for v in w[:p] if v < 0) % 2 == 0
+    if tag == "c-spxsp":
+        return _reference_blocks_preserved(w, p)
+    if tag in ("c-sp-gl", "d-so-gl"):
+        return all(v > 0 for v in w)
+    if tag == "d-oxo-even":
+        if not _reference_blocks_preserved(w, p):
+            return False
+        first = sum(1 for v in w[:p] if v < 0)
+        second = sum(1 for v in w[p:] if v < 0)
+        return first % 2 == 0 and second % 2 == 0
+    if abs(w[p]) != p + 1:
+        return False
+    return all((abs(v) <= p) == (i <= p) for i, v in enumerate(w, start=1) if i != p + 1)
+
+
+def reference_wk_order(case):
+    p, q, n = case.p, case.q, case.grank
+    tag = case.tag
+    if tag == "a":
+        return math.factorial(p) * math.factorial(q)
+    if tag == "b-so":
+        return 2 ** (p - 1) * math.factorial(p) * 2 ** q * math.factorial(q)
+    if tag == "c-spxsp":
+        return 2 ** p * math.factorial(p) * 2 ** q * math.factorial(q)
+    if tag in ("c-sp-gl", "d-so-gl"):
+        return math.factorial(n)
+    if tag == "d-oxo-even":
+        return 2 ** (p - 1) * math.factorial(p) * 2 ** (q - 1) * math.factorial(q)
+    return 2 ** (n - 1) * math.factorial(p) * math.factorial(q - 1)
+
+
+def reference_fixed_point_to_clan(case, w):
+    w = validate_weyl(w, case.family)
+    p, n = case.p, case.grank
+    if len(w) != n:
+        raise WeylError(f"expected a signed permutation of {n}")
+    tag = case.tag
+    P, Q = case.ambient_shape
+    if tag == "a":
+        symbols = ["+" if v <= p else "-" for v in w]
+        return Clan(tuple(symbols), P, Q)
+    if tag in ("b-so", "c-spxsp", "d-oxo-even"):
+        half = ["+" if abs(v) <= p else "-" for v in w]
+        if tag == "b-so":
+            symbols = half + ["-"] + half[::-1]
+        else:
+            symbols = half + half[::-1]
+        return Clan(tuple(symbols), P, Q)
+    if tag in ("c-sp-gl", "d-so-gl"):
+        half = ["+" if v > 0 else "-" for v in w]
+        flipped = ["-" if s == "+" else "+" for s in half]
+        return Clan(tuple(half + flipped[::-1]), P, Q)
+    raise WeylError(
+        "the fixed-point dictionary is not available for case d-oxo-odd"
+    )
+
+
+def _reference_pair_system(n, block, with_short, short_coeff=1):
+    roots = []
+    members = list(block)
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            i, j = members[a], members[b]
+            for si in (1, -1):
+                for sj in (1, -1):
+                    vec = [0] * n
+                    vec[i - 1] = si
+                    vec[j - 1] = sj
+                    roots.append(tuple(vec))
+    if with_short:
+        for i in members:
+            for coeff in (short_coeff, -short_coeff):
+                vec = [0] * n
+                vec[i - 1] = coeff
+                roots.append(tuple(vec))
+    return roots
+
+
+def _reference_type_a_roots(n, block):
+    members = list(block)
+    roots = []
+    for a in range(len(members)):
+        for b in range(len(members)):
+            if a != b:
+                vec = [0] * n
+                vec[members[a] - 1] = 1
+                vec[members[b] - 1] = -1
+                roots.append(tuple(vec))
+    return roots
+
+
+def reference_subgroup_roots(case):
+    p, n = case.p, case.grank
+    tag = case.tag
+    first = range(1, p + 1)
+    second = range(p + 1, n + 1)
+    if tag == "a":
+        return tuple(_reference_type_a_roots(n, first) + _reference_type_a_roots(n, second))
+    if tag == "b-so":
+        return tuple(_reference_pair_system(n, first, False)
+                     + _reference_pair_system(n, second, True))
+    if tag == "c-spxsp":
+        return tuple(_reference_pair_system(n, first, True, 2)
+                     + _reference_pair_system(n, second, True, 2))
+    if tag in ("c-sp-gl", "d-so-gl"):
+        return tuple(_reference_type_a_roots(n, range(1, n + 1)))
+    if tag == "d-oxo-even":
+        return tuple(_reference_pair_system(n, first, False)
+                     + _reference_pair_system(n, second, False))
+    return tuple(_reference_pair_system(n, range(1, p + 1), True)
+                 + _reference_pair_system(n, range(p + 2, n + 1), True))
+
+
+def reference_chern_blocks(case):
+    p, q, n = case.p, case.q, case.grank
+    if case.tag in ("c-sp-gl", "d-so-gl"):
+        blocks = [(1, n)]
+    elif case.tag == "d-oxo-odd":
+        blocks = [(1, p), (p + 2, q - 1)]
+    else:
+        blocks = [(1, p), (p + 1, q)]
+    return tuple((start, size) for start, size in blocks if size > 0)
+
+
+def _cases_up_to_rank(max_rank):
+    out = []
+    for tag in CASES:
+        for p in range(0, max_rank + 1):
+            for q in range(0, max_rank + 1):
+                try:
+                    case = CaseId(tag, p, q)
+                except ClanError:
+                    continue
+                if case.grank <= max_rank:
+                    out.append(case)
+    return out
+
+
+RANK4_CASES = _cases_up_to_rank(4)
+
+
+def test_rank4_case_list_covers_every_tag():
+    assert {case.tag for case in RANK4_CASES} == set(CASES)
+    assert len(RANK4_CASES) == 45
+
+
+@pytest.mark.parametrize("case", RANK4_CASES, ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
+def test_block_rules_match_per_tag_reference(case):
+    assert wk_order(case) == reference_wk_order(case)
+    assert subgroup_roots(case) == reference_subgroup_roots(case)
+    assert chern_blocks(case) == reference_chern_blocks(case)
+    expected_uncovered = (case.p + 1,) if case.tag == "d-oxo-odd" else ()
+    assert case.uncovered == expected_uncovered
+    for w in ambient_weyl(case):
+        assert wk_member(case, w) == reference_wk_member(case, w), w
+        if case.uncovered:
+            with pytest.raises(WeylError, match="not available for case d-oxo-odd"):
+                fixed_point_to_clan(case, w)
+        else:
+            assert fixed_point_to_clan(case, w) == reference_fixed_point_to_clan(case, w)
