@@ -20,7 +20,6 @@ from orbitcalc.clans import CASES, case_from_params
 from orbitcalc.orbits import check_conjecture
 
 COINCIDENCE_FAMILIES = ("b-so", "c-spxsp", "c-sp-gl")
-STRICT_FAMILIES = ("d-oxo-even", "d-oxo-odd")
 
 
 def shapes_for(tag: str, max_rank: int):
@@ -55,13 +54,16 @@ def main() -> int:
     parser.add_argument("--max-witnesses", type=int, default=5)
     args = parser.parse_args()
 
-    print("== families where the computed and induced orders coincide ==")
+    print("== types B and C: families where the computed and induced orders coincide ==")
     for tag in COINCIDENCE_FAMILIES:
         sweep(tag, shapes_for(tag, args.max_rank), args.max_witnesses)
+
+    print()
+    print("== type D, (SO(2n), GL(n)): coincides at (3,3), strictly finer at (4,4) and (5,5) ==")
     sweep("d-so-gl", shapes_for("d-so-gl", args.max_rank), args.max_witnesses)
 
     print()
-    print("== families that are strictly finer already at small rank ==")
+    print("== type D, orthogonal pairs: strictly finer already at small rank ==")
     sweep("d-oxo-even", [(2, 1)], args.max_witnesses)
     sweep("d-oxo-odd", [(1, 2)], args.max_witnesses)
     sweep("d-oxo-even", [(2, 2)], args.max_witnesses)

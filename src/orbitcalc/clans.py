@@ -12,6 +12,12 @@ order defined by comparing those tables, the covering moves that generate it,
 enumeration of all clans of a shape, the symmetry predicates, and the table
 ``CASES`` of the seven supported symmetric pairs: each pair's clan family,
 K's root-system blocks, and the desk rank at which the family is checked.
+
+Type A enumerates every clan of its shape.  The six folded families are
+enumerated directly: a walk fills positions left to right, each choice
+together with its image under the fold i -> N + 1 - i, and
+``in_case_family`` then applies the per-family bars to the few mirror or
+skew clans this yields.
 """
 
 from __future__ import annotations
@@ -518,10 +524,61 @@ def in_case_family(case: CaseId, c: Clan) -> bool:
     return (c.symbols[:n].count(MINUS) + closed) % 2 == 0
 
 
+def _folded_clans(P: int, Q: int, skew: bool) -> Iterator[Clan]:
+    """Every clan of shape (P, Q) fixed by the fold i -> N + 1 - i, N = P + Q.
+
+    The fold keeps a sign of a mirror clan and flips a sign of a skew clan,
+    and sends a pair (a, b) to the pair (N + 1 - b, N + 1 - a).  Positions are
+    filled left to right, each choice together with its image, so the open
+    positions always lie between the leftmost open one and its image.  The
+    middle of an odd-length clan is its own image and holds a sign.
+    """
+    N = P + Q
+    image = {PLUS: MINUS, MINUS: PLUS} if skew else {PLUS: PLUS, MINUS: MINUS}
+    syms: list = [None] * N
+
+    def fill(i: int, label: int) -> Iterator[Clan]:
+        while i < N and syms[i] is not None:
+            i += 1
+        if i == N:
+            if syms.count(PLUS) - syms.count(MINUS) == P - Q:
+                yield Clan(tuple(syms), P, Q)
+            return
+        i_bar = N - 1 - i
+        for s in (PLUS, MINUS):
+            syms[i_bar] = image[s]
+            syms[i] = s
+            yield from fill(i + 1, label)
+        syms[i] = syms[i_bar] = None
+        for j in range(i + 1, i_bar + 1):
+            j_bar = N - 1 - j
+            if syms[j] is not None or j == j_bar:  # j == j_bar: the middle
+                continue
+            syms[i] = syms[j] = label
+            if j == i_bar:  # a self-mirror pair
+                yield from fill(i + 1, label + 1)
+            else:
+                syms[j_bar] = syms[i_bar] = label + 1
+                yield from fill(i + 1, label + 2)
+                syms[j_bar] = syms[i_bar] = None
+            syms[i] = syms[j] = None
+
+    return fill(0, 1)
+
+
 def enumerate_case_clans(case: CaseId) -> tuple[Clan, ...]:
-    """All clans of the case's family, in canonical-string order."""
+    """All clans of the case's family, in canonical-string order.
+
+    Type A takes every clan of its shape.  The folded families build the
+    mirror or skew clans of their shape directly and keep those
+    :func:`in_case_family` admits."""
     P, Q = case.ambient_shape
-    return tuple(c for c in enumerate_clans(P, Q) if in_case_family(case, c))
+    if case.row.symmetry == "none":
+        return enumerate_clans(P, Q)
+    found = [c for c in _folded_clans(P, Q, case.row.symmetry == "skew")
+             if in_case_family(case, c)]
+    found.sort(key=Clan.sort_key)
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .clans import (
     CASE_TAGS,
+    CASES,
     DESK_RANKS,
     CaseId,
     ClanError,
@@ -59,6 +60,8 @@ def _resolve_case(args) -> CaseId:
     if args.n is not None:
         if args.p is not None or args.q is not None:
             raise ClanError("give either --n or --p/--q, not both")
+        if CASES[args.case].symmetry != "skew":
+            raise ClanError(f"case {args.case} takes --p/--q, not --n")
         p = q = args.n
     else:
         if args.p is None or args.q is None:
@@ -291,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--p", type=int, default=None)
             p.add_argument("--q", type=int, default=None)
             p.add_argument("--n", type=int, default=None,
-                           help="shorthand for --p N --q N (GL families)")
+                           help="the rank of a GL family (c-sp-gl, d-so-gl)")
         if name not in ("oracle", "chern"):
             p.add_argument("--max-nodes", type=int, default=5000,
                            help="warn when the family is larger than this")

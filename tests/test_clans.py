@@ -1,5 +1,11 @@
-"""Tests for clan parsing, rank tables, enumeration, order, and covering moves."""
+"""Tests for clan parsing, rank tables, enumeration, order, and covering moves.
 
+Run as a script (``PYTHONPATH=src python tests/test_clans.py``), this module
+re-records ``tests/data/census_folded_rank5.json`` from
+:func:`reference_enumerate_case_clans`.
+"""
+
+import hashlib
 import itertools
 import json
 import random
@@ -9,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcalc.clans import (
+    CASES,
     CaseId,
     Clan,
     ClanError,
@@ -29,6 +36,7 @@ from orbitcalc.clans import (
 )
 
 DATA = Path(__file__).parent / "data"
+CENSUS_RANK5 = DATA / "census_folded_rank5.json"
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +211,64 @@ def test_case_id_validation():
         CaseId("d-oxo-odd", 1, 0)
     with pytest.raises(ClanError, match="n >= 2"):
         CaseId("d-so-gl", 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Direct enumeration of the folded families against the type-A filter
+# ---------------------------------------------------------------------------
+
+
+def reference_enumerate_case_clans(case):
+    """The case's family as a filter over every type-A clan of its shape:
+    the definition :func:`enumerate_case_clans` must reproduce, in order."""
+    P, Q = case.ambient_shape
+    return tuple(c for c in enumerate_clans(P, Q) if in_case_family(case, c))
+
+
+def cases_up_to_rank(max_rank):
+    out = []
+    for tag in CASES:
+        for p in range(0, max_rank + 1):
+            for q in range(0, max_rank + 1):
+                try:
+                    case = CaseId(tag, p, q)
+                except ClanError:
+                    continue
+                if case.grank <= max_rank:
+                    out.append(case)
+    return out
+
+
+RANK4_CASES = cases_up_to_rank(4)
+
+
+def folded_rank5_cases():
+    return [case for case in cases_up_to_rank(5)
+            if case.grank == 5 and case.row.symmetry != "none"]
+
+
+def census_entry(case, clans):
+    """Count and SHA-256 of the newline-joined clan texts of one case."""
+    text = "\n".join(c.to_text() for c in clans)
+    return {"tag": case.tag, "p": case.p, "q": case.q, "count": len(clans),
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def test_rank4_cases_cover_every_tag():
+    assert {case.tag for case in RANK4_CASES} == set(CASES)
+    assert len(RANK4_CASES) == 45
+
+
+@pytest.mark.parametrize("case", RANK4_CASES, ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
+def test_enumerate_case_clans_matches_reference(case):
+    assert enumerate_case_clans(case) == reference_enumerate_case_clans(case)
+
+
+def test_folded_rank5_census_matches_fixture():
+    recorded = json.loads(CENSUS_RANK5.read_text(encoding="utf-8"))
+    got = [census_entry(case, enumerate_case_clans(case)) for case in folded_rank5_cases()]
+    assert len(got) == 18
+    assert got == recorded
 
 
 # ---------------------------------------------------------------------------
@@ -438,3 +504,10 @@ def test_relabeling_invariance(c, seed):
 @settings(max_examples=100, deadline=None)
 def test_rank_table_round_trip_property(c):
     assert clan_from_rank_table(rank_table(c)) == c
+
+
+if __name__ == "__main__":
+    entries = [census_entry(case, reference_enumerate_case_clans(case))
+               for case in folded_rank5_cases()]
+    lines = ",\n".join(json.dumps(e, sort_keys=True) for e in entries)
+    CENSUS_RANK5.write_text(f"[\n{lines}\n]\n", encoding="utf-8")

@@ -223,6 +223,11 @@ class TestUsageErrors:
                            "--n", "2", "--p", "2")
         assert code == 2 and "not both" in err
 
+    def test_n_for_a_p_q_family(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--case", "b-so", "--n", "2")
+        assert code == 2 and out == ""
+        assert "--p/--q" in err
+
     def test_unknown_case_is_argparse_error(self, capsys):
         code, _, _ = run(capsys, "poset", "--case", "z", "--p", "1", "--q", "1")
         assert code == 2
@@ -302,6 +307,14 @@ class TestOutputFile:
         _, out, _ = run(capsys, "poset", "--case", "a", "--p", "1", "--q", "1",
                         "--format", "dot")
         assert path.read_text(encoding="utf-8") == out
+
+    def test_missing_directory_is_io_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, "enumerate", "--case", "a", "--p", "1",
+                             "--q", "1", "--output", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert not path.parent.exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["poset", "--help"]])
