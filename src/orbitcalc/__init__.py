@@ -9,9 +9,6 @@ from .clans import (  # noqa: F401
     ClanError,
     RankTable,
     case_from_params,
-    clan_from_rank_table,
-    covering_moves,
-    covering_successors,
     enumerate_case_clans,
     enumerate_clans,
     in_case_family,
@@ -21,5 +18,4 @@ from .clans import (  # noqa: F401
     make_clan,
     parse_clan,
     rank_table,
-    underlying_involution,
 )

@@ -8,8 +8,7 @@ so every clan is stored in canonical form: pair labels are renumbered
 ``1, 2, ...`` in order of first occurrence.
 
 The module also provides the rank-number tables attached to a clan, the partial
-order defined by comparing those tables, the covering moves that generate it,
-enumeration of all clans of a shape, the symmetry predicates, and the table
+order defined by comparing those tables, enumeration of all clans of a shape, the symmetry predicates, and the table
 ``CASES`` of the seven supported symmetric pairs: each pair's clan family,
 K's root-system blocks, and the desk rank at which the family is checked.
 
@@ -257,17 +256,6 @@ class RankTable:
     def n(self) -> int:
         return len(self.plus)
 
-    def plus_at(self, i: int) -> int:
-        return self.plus[i - 1]
-
-    def minus_at(self, i: int) -> int:
-        return self.minus[i - 1]
-
-    def cross_at(self, i: int, j: int) -> int:
-        if not (1 <= i < j <= self.n):
-            raise IndexError(f"cross rank needs 1 <= i < j <= n, got ({i}, {j})")
-        return self.cross[i - 1][j - i - 1]
-
     def below(self, other: "RankTable") -> bool:
         """The rank-number order on tables of one size: sign ranks at least
         ``other``'s, crossing ranks at most ``other``'s."""
@@ -301,60 +289,6 @@ def rank_table(c: Clan) -> RankTable:
             row.append(sum(1 for (a, b) in pairs if a <= i and b > j))
         cross.append(tuple(row))
     return RankTable(tuple(plus), tuple(minus), tuple(cross))
-
-
-def clan_from_rank_table(t: RankTable) -> Clan:
-    """Reconstruct the unique clan with the given rank table.
-
-    Raises :class:`ClanError` when no clan has this table.
-    """
-    n = t.n
-    if n < 1:
-        raise ClanError("empty rank table")
-    plus = (0,) + t.plus
-    minus = (0,) + t.minus
-    kinds = []  # '+', '-', 'F' (first of a pair), 'S' (second of a pair)
-    for i in range(1, n + 1):
-        dp = plus[i] - plus[i - 1]
-        dm = minus[i] - minus[i - 1]
-        if (dp, dm) == (1, 0):
-            kinds.append(PLUS)
-        elif (dp, dm) == (0, 1):
-            kinds.append(MINUS)
-        elif (dp, dm) == (0, 0):
-            kinds.append("F")
-        elif (dp, dm) == (1, 1):
-            kinds.append("S")
-        else:
-            raise ClanError(f"rank table has invalid jump ({dp}, {dm}) at position {i}")
-    symbols: list = [None] * n
-    open_firsts: list[int] = []  # 1-based positions of unmatched first occurrences
-    next_label = 1
-    for i, kind in enumerate(kinds, start=1):
-        if kind in (PLUS, MINUS):
-            symbols[i - 1] = kind
-        elif kind == "F":
-            open_firsts.append(i)
-        else:  # second occurrence: mate with the first open position i_l with cross(i_l, i) < l
-            mate_pos = None
-            for l, cand in enumerate(open_firsts, start=1):
-                if t.cross_at(cand, i) < l:
-                    mate_pos = cand
-                    break
-            if mate_pos is None:
-                raise ClanError(f"rank table admits no mate for the pair closing at {i}")
-            open_firsts.remove(mate_pos)
-            symbols[mate_pos - 1] = next_label
-            symbols[i - 1] = next_label
-            next_label += 1
-    if open_firsts:
-        raise ClanError("rank table leaves unmatched pair openings")
-    p = t.plus[-1]
-    q = t.minus[-1]
-    clan = Clan(tuple(symbols), p, q)
-    if rank_table(clan) != t:
-        raise ClanError("rank table is not realized by any clan")
-    return clan
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +452,7 @@ def in_case_family(case: CaseId, c: Clan) -> bool:
         return True
     if _has_self_mirror_pair(c):
         return False
-    # the minus rank at the middle, rank_table(c).minus_at(n), is even
+    # the minus rank at the middle, rank_table(c).minus[n - 1], is even
     n = case.grank
     closed = sum(1 for _, b in c.pairs() if b <= n)
     return (c.symbols[:n].count(MINUS) + closed) % 2 == 0
@@ -582,7 +516,7 @@ def enumerate_case_clans(case: CaseId) -> tuple[Clan, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Partial order and covering moves
+# Partial order
 # ---------------------------------------------------------------------------
 
 
@@ -591,104 +525,3 @@ def leq(a: Clan, b: Clan) -> bool:
     if (a.p, a.q) != (b.p, b.q):
         raise ClanError("clans of different shapes are incomparable")
     return rank_table(a).below(rank_table(b))
-
-
-def covering_moves(c: Clan) -> tuple[tuple[str, tuple[int, ...], Clan], ...]:
-    """All single-step ascents from ``c``: (kind, positions, result) triples.
-
-    The ten kinds, with 1-based positions:
-
-    - ``signs-to-pair``      (a, b): '+','-' or '-','+' at a < b becomes a pair {a, b}.
-    - ``pair-plus-right``    (a, b, k): pair (a,b) and '+' at k > b -> pair (a,k), '+' at b.
-    - ``pair-minus-right``   likewise for '-'.
-    - ``plus-pair-left``     (a, b, cpos): '+' at a < b, pair (b,cpos) -> pair (a,cpos), '+' at b.
-    - ``minus-pair-left``    likewise for '-'.
-    - ``nested-to-crossing`` (a, b, cpos, d): pairs (a,b),(cpos,d), b < cpos -> (a,cpos),(b,d).
-    - ``pairs-to-plusminus`` same support -> pair (a,d), '+' at b, '-' at cpos.
-    - ``pairs-to-minusplus`` same support -> pair (a,d), '-' at b, '+' at cpos.
-    - ``crossing-to-nesting`` (a, b, cpos, d): pairs (a,cpos),(b,d), a<b<cpos<d -> (a,d),(b,cpos).
-    """
-    n = c.n
-    syms = c.symbols
-    pairs = c.pairs()
-    out = []
-
-    def build(new_syms: list) -> Clan:
-        return make_clan(new_syms, c.p, c.q)
-
-    fresh = n + 1  # label guaranteed unused
-
-    # signs-to-pair
-    for a in range(1, n + 1):
-        if syms[a - 1] not in (PLUS, MINUS):
-            continue
-        for b in range(a + 1, n + 1):
-            if syms[b - 1] in (PLUS, MINUS) and syms[b - 1] != syms[a - 1]:
-                new = list(syms)
-                new[a - 1] = fresh
-                new[b - 1] = fresh
-                out.append(("signs-to-pair", (a, b), build(new)))
-
-    # pair-plus-right / pair-minus-right
-    for (a, b) in pairs:
-        for k in range(b + 1, n + 1):
-            s = syms[k - 1]
-            if s in (PLUS, MINUS):
-                new = list(syms)
-                new[b - 1] = s
-                new[k - 1] = new[a - 1]
-                kind = "pair-plus-right" if s == PLUS else "pair-minus-right"
-                out.append((kind, (a, b, k), build(new)))
-
-    # plus-pair-left / minus-pair-left
-    for (b, cpos) in pairs:
-        for a in range(1, b):
-            s = syms[a - 1]
-            if s in (PLUS, MINUS):
-                new = list(syms)
-                new[a - 1] = new[b - 1]
-                new[b - 1] = s
-                kind = "plus-pair-left" if s == PLUS else "minus-pair-left"
-                out.append((kind, (a, b, cpos), build(new)))
-
-    # two disjoint pairs (a,b), (cpos,d) with b < cpos
-    for (a, b) in pairs:
-        for (cpos, d) in pairs:
-            if b < cpos:
-                new = list(syms)
-                new[b - 1], new[cpos - 1] = new[cpos - 1], new[b - 1]
-                out.append(("nested-to-crossing", (a, b, cpos, d), build(new)))
-                new = list(syms)
-                label = new[a - 1]
-                new[b - 1] = PLUS
-                new[cpos - 1] = MINUS
-                new[d - 1] = label
-                out.append(("pairs-to-plusminus", (a, b, cpos, d), build(new)))
-                new = list(syms)
-                new[b - 1] = MINUS
-                new[cpos - 1] = PLUS
-                new[d - 1] = label
-                out.append(("pairs-to-minusplus", (a, b, cpos, d), build(new)))
-
-    # crossing-to-nesting: pairs (a,cpos),(b,d) with a < b < cpos < d
-    for (a, cpos) in pairs:
-        for (b, d) in pairs:
-            if a < b < cpos < d:
-                new = list(syms)
-                new[cpos - 1], new[d - 1] = new[d - 1], new[cpos - 1]
-                out.append(("crossing-to-nesting", (a, b, cpos, d), build(new)))
-
-    return tuple(out)
-
-
-def covering_successors(c: Clan) -> frozenset[Clan]:
-    """The clans reached from ``c`` by one covering move."""
-    return frozenset(res for (_, _, res) in covering_moves(c))
-
-
-def underlying_involution(c: Clan) -> tuple[int, ...]:
-    """One-line notation of the involution that transposes each matched pair."""
-    vals = list(range(1, c.n + 1))
-    for (a, b) in c.pairs():
-        vals[a - 1], vals[b - 1] = b, a
-    return tuple(vals)

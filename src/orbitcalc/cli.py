@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from .clans import (
     case_from_params,
     enumerate_case_clans,
     enumerate_clans,
-    leq,
     parse_clan,
     rank_table,
 )
@@ -32,7 +32,12 @@ from .formulas import (
     closed_class,
     verify_localization,
 )
-from .geometry import in_closure, measure_rank_numbers, representative_flag
+from .geometry import (
+    GeometryError,
+    block_diagonal_matrix,
+    measure_rank_numbers,
+    representative_flag,
+)
 from .orbits import (
     OrbitError,
     check_conjecture,
@@ -174,34 +179,30 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    closure_max = args.max_n
+    move_max = args.max_n
     measure_max = args.measure_max_n
+    rng = random.Random("oracle")  # a str seed does not depend on PYTHONHASHSEED
     mismatches = []
     measured = 0
-    compared = 0
-    for n in range(1, measure_max + 1):
+    moved = 0
+    for n in range(1, max(measure_max, move_max) + 1):
         for p in range(0, n + 1):
             q = n - p
             for c in enumerate_clans(p, q):
-                measured += 1
-                if measure_rank_numbers(representative_flag(c), p, q) != rank_table(c):
-                    mismatches.append(f"measure mismatch at {c.to_text()} ({p},{q})")
-    for n in range(1, closure_max + 1):
-        for p in range(0, n + 1):
-            q = n - p
-            clans = enumerate_clans(p, q)
-            flags = {c: representative_flag(c) for c in clans}
-            for g in clans:
-                for t in clans:
-                    compared += 1
-                    if in_closure(flags[g], t) != leq(g, t):
-                        mismatches.append(
-                            f"closure mismatch: {g.to_text()} vs {t.to_text()} ({p},{q})"
-                        )
+                flag, table = representative_flag(c), rank_table(c)
+                if n <= measure_max:
+                    measured += 1
+                    if measure_rank_numbers(flag, p, q) != table:
+                        mismatches.append(f"measure mismatch at {c.to_text()} ({p},{q})")
+                if n <= move_max:
+                    moved += 1
+                    k = block_diagonal_matrix(rng, p, q)
+                    if measure_rank_numbers(flag.transformed(k), p, q) != table:
+                        mismatches.append(f"K-invariance mismatch at {c.to_text()} ({p},{q})")
     status = "OK" if not mismatches else "FAIL"
     out = [
         f"{status}  measured {measured} representative flags (p+q <= {measure_max}), "
-        f"compared {compared} closure pairs (p+q <= {closure_max})"
+        f"moved {moved} by a block-diagonal k (p+q <= {move_max})"
     ]
     out.extend("      " + m for m in mismatches)
     _emit(args, "".join(line + "\n" for line in out))
@@ -310,8 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify", action="store_true",
         help="run localization checks before emitting")
     commands["chern"].add_argument("--clan", default=None)
-    commands["oracle"].add_argument("--max-n", type=int, default=4)
-    commands["oracle"].add_argument("--measure-max-n", type=int, default=5)
+    commands["oracle"].add_argument(
+        "--max-n", type=int, default=4, metavar="N",
+        help="move each representative flag with p+q <= N by a random "
+        "block-diagonal k in GL(p) x GL(q) and measure it again")
+    commands["oracle"].add_argument(
+        "--measure-max-n", type=int, default=5, metavar="N",
+        help="measure each representative flag with p+q <= N")
     return parser
 
 
@@ -327,7 +333,7 @@ def main(argv=None) -> int:
     except ClanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (FormulaError, OrbitError) as exc:
+    except (FormulaError, GeometryError, OrbitError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     except OSError as exc:

@@ -42,7 +42,6 @@ from .weyl import (
     is_closed_clan,
     restriction_weights,
     stat_lp,
-    stat_phip,
     stat_psi,
     stat_sigma,
     stat_tau,
@@ -147,33 +146,6 @@ def closed_class(case: CaseId, c: Clan) -> FactoredPoly:
         for j in range(p + 2, n + 1):
             factors += _pair_factors(ring, winv[i - 1], j)
     return FactoredPoly(ring, _sign(stat_tau(w, p)), factors)
-
-
-def component_class(case: CaseId, u: Weyl) -> FactoredPoly:
-    """One subgroup-component summand of a closed-orbit class in the odd
-    special orthogonal family; the full class is the sum over the two
-    components' representatives u and (-1,2,...,n) o u.
-
-    Signed indices act on variables by x_{-k} = -x_k."""
-    if case.tag != "b-so":
-        raise FormulaError("component classes only arise in the b-so case")
-    ring = formula_ring(case)
-    n, p = case.grank, case.p
-    uinv = weyl_inverse(u)
-    sign = _sign(stat_phip(u, p) + stat_lp(weyl_abs(u), p))
-    mono_x = ring.one
-    for i in range(1, p + 1):
-        v = uinv[i - 1]
-        mono_x = mono_x * ring.x(abs(v)) * (1 if v > 0 else -1)
-    mono_y = ring.one
-    for i in range(1, p + 1):
-        mono_y = mono_y * ring.y(i)
-    factors = [mono_x + mono_y]
-    for i in range(1, p + 1):
-        a = abs(uinv[i - 1])
-        for j in range(p + 1, n + 1):
-            factors += _pair_factors(ring, a, j)
-    return FactoredPoly(ring, sign * Fraction(1, 2), factors)
 
 
 # ---------------------------------------------------------------------------

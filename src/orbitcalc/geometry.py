@@ -2,18 +2,20 @@
 
 Builds an explicit representative flag inside each orbit, measures the three
 rank-number families of arbitrary flags by Gaussian elimination over the
-rationals, and tests closure membership against a clan's rank table.  This
-is the brute-force geometric ground truth the combinatorial order is checked
-against.
+rationals, and moves flags by invertible block-diagonal matrices, elements of
+K = GL(p) x GL(q).  Rank numbers are K-invariant, so a moved representative
+must measure its clan's rank table again: the brute-force geometric ground
+truth the rank-number description of the orbits is checked against.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .clans import Clan, RankTable, rank_table
+from .clans import Clan, RankTable
 
 Vector = tuple[Fraction, ...]
 
@@ -91,6 +93,21 @@ class Flag:
         return Flag(tuple(new))
 
 
+def block_diagonal_matrix(rng: random.Random, p: int, q: int):
+    """Random invertible block-diagonal rational matrix (p and q blocks)."""
+    n = p + q
+    while True:
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for r in range(p):
+            for c in range(p):
+                m[r][c] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for r in range(q):
+            for c in range(q):
+                m[p + r][p + c] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        if rank_of_rows(m) == n:
+            return m
+
+
 def _basis_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if k == i - 1 else 0) for k in range(n))
 
@@ -159,12 +176,3 @@ def measure_rank_numbers(f: Flag, p: int, q: int) -> RankTable:
             row.append(dim - j)
         cross.append(tuple(row))
     return RankTable(tuple(plus), tuple(minus), tuple(cross))
-
-
-def in_closure(f: Flag, t: Clan) -> bool:
-    """Whether the flag lies in the closure of the clan's orbit: measured
-    plus and minus ranks at least the clan's, projected-sum dimensions at
-    most the clan's."""
-    if f.n != t.n:
-        raise GeometryError("flag and clan sizes differ")
-    return measure_rank_numbers(f, t.p, t.q).below(rank_table(t))

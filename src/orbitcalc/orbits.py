@@ -184,7 +184,7 @@ class OrbitPoset:
     nodes: tuple[Clan, ...]
     weak_edges: tuple[tuple[Clan, Clan, int, int], ...]  # (src, dst, root, degree)
     ranks: Mapping[Clan, int]
-    full_order: Mapping[Clan, frozenset[Clan]] | None = None
+    full_order: Mapping[Clan, frozenset[Clan]] | None = None  # b -> {a <= b}
 
     @property
     def top(self) -> Clan:
@@ -197,11 +197,6 @@ class OrbitPoset:
     def minima(self) -> tuple[Clan, ...]:
         targets = {dst for _, dst, _, _ in self.weak_edges}
         return tuple(c for c in self.nodes if c not in targets)
-
-    def full_leq(self, a: Clan, b: Clan) -> bool:
-        if self.full_order is None:
-            raise OrbitError("full order not computed; use full_closure_order")
-        return a in self.full_order[b]
 
 
 def weak_order_graph(case: CaseId) -> OrbitPoset:

@@ -5,11 +5,11 @@ Polynomials live in a fixed :class:`Ring` with three banks of variables:
 the symmetric subgroup / bundle roots), and ``z1..z_nz`` (Chern-class
 variables).  A coefficient is an ``int`` when it is integral, else a
 :class:`fractions.Fraction`; exact either way.  The module provides
-substitution of polynomials for variables (which also gives the Weyl-group
-action), divided-difference operators for the four classical root types,
-elementary symmetric polynomials, determinants, rewriting of block-symmetric
-polynomials in terms of elementary symmetric generators, and a factored-form
-container used for human-readable output.
+substitution of signed variables for variables (restriction to a fixed
+point, the Weyl-group action), divided-difference operators for the four
+classical root types, elementary symmetric polynomials, determinants,
+rewriting of block-symmetric polynomials in terms of elementary symmetric
+generators, and a factored-form container used for human-readable output.
 """
 
 from __future__ import annotations
@@ -121,18 +121,6 @@ class Ring:
 # ---------------------------------------------------------------------------
 
 
-def _mul_terms(a: Mapping[tuple[int, ...], Fraction | int],
-               b: Mapping[tuple[int, ...], Fraction | int]
-               ) -> dict[tuple[int, ...], Fraction | int]:
-    """Product of two term mappings; cancelled terms stay as zero entries."""
-    out: dict[tuple[int, ...], Fraction | int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(map(add, e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
 def _grlex(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Graded-lex key: the larger key is the higher term."""
     return sum(exps), exps
@@ -199,13 +187,6 @@ class Polynomial:
                     used.add(idx)
         return frozenset(used)
 
-    def lead(self) -> tuple[tuple[int, ...], Fraction]:
-        """Graded-lex leading term (highest degree, then lex-largest)."""
-        if not self._terms:
-            raise PolyError("zero polynomial has no leading term")
-        exps = max(self._terms, key=_grlex)
-        return exps, self._terms[exps]
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
@@ -244,7 +225,12 @@ class Polynomial:
         small, big = (self._terms, other._terms)
         if len(small) > len(big):
             small, big = big, small
-        return Polynomial._from_clean(self.ring, _mul_terms(small, big))
+        out: dict[tuple[int, ...], Fraction | int] = {}
+        for e1, c1 in small.items():
+            for e2, c2 in big.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return Polynomial._from_clean(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -277,50 +263,36 @@ class Polynomial:
     # -- substitution -------------------------------------------------------
 
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Substitute polynomials for variables (by exponent slot), all at once.
-
-        When every image is 0 or +-1 times one variable (a restriction to a
-        fixed point, a Weyl reflection), each term's exponents are moved in
-        one pass; otherwise each term is multiplied out."""
+        """Substitute signed variables for variables (by exponent slot), all
+        at once: every image is 0 or +-1 times one variable, as in a
+        restriction to a fixed point or a Weyl reflection, so each term's
+        exponents are moved in one pass.  Any other image raises
+        :class:`PolyError`."""
         if not images:
             return self
         for idx, image in images.items():
             if not 0 <= idx < self.ring.width:
                 raise PolyError(f"variable index {idx} out of range")
             self._check(image)
+        zeroed, moves = _signed_remap(images)
         keep = [idx not in images for idx in range(self.ring.width)]
         out: dict[tuple[int, ...], Fraction | int] = {}
-        remap = _signed_remap(images)
-        if remap is not None:
-            zeroed, moves = remap
-            for exps, coeff in self._terms.items():
-                if zeroed and any(exps[idx] for idx in zeroed):
-                    continue
-                vec = list(map(mul, exps, keep))
-                odd = False
-                for idx, target, negate in moves:
-                    e = exps[idx]
-                    if e:
-                        vec[target] += e
-                        if negate and e & 1:
-                            odd = not odd
-                key = tuple(vec)
-                if odd:
-                    out[key] = out.get(key, 0) - coeff
-                else:
-                    out[key] = out.get(key, 0) + coeff
-            return Polynomial._from_clean(self.ring, out)
-        powers: dict[tuple[int, int], Mapping[tuple[int, ...], Fraction | int]] = {}
         for exps, coeff in self._terms.items():
-            piece = {tuple(map(mul, exps, keep)): coeff}
-            for idx in images:
+            if zeroed and any(exps[idx] for idx in zeroed):
+                continue
+            vec = list(map(mul, exps, keep))
+            odd = False
+            for idx, target, negate in moves:
                 e = exps[idx]
                 if e:
-                    if (idx, e) not in powers:
-                        powers[idx, e] = (images[idx] ** e)._terms
-                    piece = _mul_terms(piece, powers[idx, e])
-            for key, c in piece.items():
-                out[key] = out.get(key, 0) + c
+                    vec[target] += e
+                    if negate and e & 1:
+                        odd = not odd
+            key = tuple(vec)
+            if odd:
+                out[key] = out.get(key, 0) - coeff
+            else:
+                out[key] = out.get(key, 0) + coeff
         return Polynomial._from_clean(self.ring, out)
 
     # -- display ------------------------------------------------------------
@@ -347,21 +319,21 @@ class Polynomial:
 
 def _signed_remap(
     images: Mapping[int, Polynomial],
-) -> tuple[list[int], list[tuple[int, int, bool]]] | None:
-    """``(zeroed slots, [(slot, target slot, negate)])`` when every image is
-    0 or +-1 times one variable, else None."""
+) -> tuple[list[int], list[tuple[int, int, bool]]]:
+    """``(zeroed slots, [(slot, target slot, negate)])``; raises
+    :class:`PolyError` unless every image is 0 or +-1 times one variable."""
     zeroed, moves = [], []
     for idx, image in images.items():
         terms = image.terms
         if not terms:
             zeroed.append(idx)
             continue
-        if len(terms) != 1:
-            return None
-        (exps, c), = terms.items()
-        if (c != 1 and c != -1) or sum(exps) != 1:
-            return None
-        moves.append((idx, exps.index(1), c == -1))
+        if len(terms) == 1:
+            (exps, c), = terms.items()
+            if (c == 1 or c == -1) and sum(exps) == 1:
+                moves.append((idx, exps.index(1), c == -1))
+                continue
+        raise PolyError(f"the image of slot {idx} is not 0 or +-1 times one variable")
     return zeroed, moves
 
 
@@ -511,35 +483,6 @@ def _check_root_index(lie_type: str, rank: int, i: int) -> None:
             raise PolyError("type D needs rank >= 2")
     else:
         raise PolyError(f"unknown Lie type {lie_type!r}")
-
-
-def reflect_x(f: Polynomial, lie_type: str, rank: int, i: int) -> Polynomial:
-    """Apply the i-th simple reflection (acting on x1..x_rank) to f."""
-    ring = f.ring
-    if rank > ring.nx:
-        raise PolyError("rank exceeds number of x variables")
-    _check_root_index(lie_type, rank, i)
-    xa = ring.var_index("x", i)
-    if lie_type == "A" or i < rank:
-        xb = ring.var_index("x", i + 1)
-        return f.substitute({xa: ring.x(i + 1), xb: ring.x(i)})
-    if lie_type in ("B", "C"):
-        return f.substitute({xa: -ring.x(i)})
-    # type D, i == rank: x_{rank-1} -> -x_rank, x_rank -> -x_{rank-1}
-    xprev = ring.var_index("x", rank - 1)
-    return f.substitute({xprev: -ring.x(rank), xa: -ring.x(rank - 1)})
-
-
-def simple_root_poly(ring: Ring, lie_type: str, rank: int, i: int) -> Polynomial:
-    """The i-th simple root as a linear polynomial in the x variables."""
-    _check_root_index(lie_type, rank, i)
-    if lie_type == "A" or i < rank:
-        return ring.x(i) - ring.x(i + 1)
-    if lie_type == "B":
-        return ring.x(rank)
-    if lie_type == "C":
-        return ring.x(rank) * 2
-    return ring.x(rank - 1) + ring.x(rank)
 
 
 def _dd_swap(f: Polynomial, a: int, b: int) -> Polynomial:

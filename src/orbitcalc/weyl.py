@@ -1,5 +1,5 @@
-"""Signed permutations, subgroup membership, fixed-point dictionaries,
-closed-orbit representatives, statistics, and root data for the seven cases.
+"""Signed permutations, fixed-point dictionaries, closed-orbit
+representatives, statistics, and root data for the seven cases.
 
 A Weyl-group element is a plain tuple of signed integers ``w`` with
 ``w[i-1] = w(i)`` and ``{|w(i)|} = {1..n}``.  Type A elements have no
@@ -9,12 +9,10 @@ negative entries; type D elements have an even number of them.
 from __future__ import annotations
 
 import itertools
-import math
-import re
 from collections import Counter
 from functools import lru_cache
 
-from .clans import CaseId, Clan, ClanError, enumerate_case_clans, in_case_family
+from .clans import CaseId, Clan, ClanError, in_case_family
 
 Weyl = tuple[int, ...]
 Root = tuple[int, ...]
@@ -44,42 +42,8 @@ def validate_weyl(w, lie_type: str | None = None) -> Weyl:
     return w
 
 
-def weyl_text(w: Weyl) -> str:
-    return ",".join(str(v) for v in w)
-
-
-_COMPACT_RE = re.compile(r"-?\d")
-
-
-def parse_weyl(text: str) -> Weyl:
-    """Parse '-2,-4,1,3,-5' or the compact single-digit form '-2-413-5'."""
-    text = text.strip().replace("−", "-")
-    if not text:
-        raise WeylError("empty signed-permutation text")
-    if "," in text:
-        try:
-            entries = [int(part) for part in text.split(",")]
-        except ValueError as exc:
-            raise WeylError(f"bad signed-permutation text {text!r}") from exc
-    else:
-        entries = []
-        pos = 0
-        while pos < len(text):
-            m = _COMPACT_RE.match(text, pos)
-            if not m:
-                raise WeylError(f"bad signed-permutation text {text!r}")
-            entries.append(int(m.group()))
-            pos = m.end()
-    return validate_weyl(entries)
-
-
 def weyl_abs(w: Weyl) -> Weyl:
     return tuple(abs(v) for v in w)
-
-
-def neg_set(w: Weyl) -> frozenset[int]:
-    """1-based positions whose entry is negative."""
-    return frozenset(i for i, v in enumerate(w, start=1) if v < 0)
 
 
 def weyl_inverse(w: Weyl) -> Weyl:
@@ -90,21 +54,6 @@ def weyl_inverse(w: Weyl) -> Weyl:
         else:
             inv[-v - 1] = -i
     return tuple(inv)
-
-
-def weyl_compose(u: Weyl, w: Weyl) -> Weyl:
-    """(u o w)(i) = u(w(i)), with u(-k) = -u(k)."""
-    if len(u) != len(w):
-        raise WeylError("cannot compose signed permutations of different sizes")
-    out = []
-    for v in w:
-        uv = u[abs(v) - 1]
-        out.append(uv if v > 0 else -uv)
-    return tuple(out)
-
-
-def identity_weyl(n: int) -> Weyl:
-    return tuple(range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -189,11 +138,6 @@ def stat_lp(w: Weyl, p: int) -> int:
     )
 
 
-def stat_phip(w: Weyl, p: int) -> int:
-    """#{i : w(i) < 0 and |w(i)| <= p}."""
-    return sum(1 for v in w if v < 0 and -v <= p)
-
-
 def stat_psi(w: Weyl) -> int:
     return sum(1 for v in w if v < 0)
 
@@ -221,33 +165,6 @@ def stat_tau(w: Weyl, p: int) -> int:
 
 def ambient_weyl(case: CaseId) -> tuple[Weyl, ...]:
     return weyl_elements(case.family, case.grank)
-
-
-def wk_member(case: CaseId, w: Weyl) -> bool:
-    """Membership in the symmetric subgroup's Weyl group W_K: |w| maps every
-    K block onto itself, with no negative entry in an A block and an even
-    number in a D block (so an uncovered coordinate is fixed up to sign)."""
-    w = validate_weyl(w, case.family)
-    for lie_type, block in case.k_blocks:
-        if any(abs(w[i - 1]) not in block for i in block):
-            return False
-        negs = sum(1 for i in block if w[i - 1] < 0)
-        if (lie_type == "A" and negs) or (lie_type == "D" and negs % 2):
-            return False
-    return True
-
-
-def _weyl_order(lie_type: str, k: int) -> int:
-    if lie_type == "A":
-        return math.factorial(k)
-    order = 2 ** k * math.factorial(k)
-    return order // 2 if lie_type == "D" else order
-
-
-def wk_order(case: CaseId) -> int:
-    """Order of W_K (the group tested by wk_member): the product of the
-    block Weyl-group orders."""
-    return math.prod(_weyl_order(t, len(block)) for t, block in case.k_blocks)
 
 
 def fixed_point_to_clan(case: CaseId, w: Weyl) -> Clan:
@@ -298,10 +215,6 @@ def is_closed_clan(case: CaseId, c: Clan) -> bool:
         return not c.pairs()
     n = case.grank
     return c.pairs() == ((n, n + 1),)
-
-
-def closed_clans(case: CaseId) -> list[Clan]:
-    return [c for c in enumerate_case_clans(case) if is_closed_clan(case, c)]
 
 
 def closed_orbit_fixed_points(case: CaseId, c: Clan) -> tuple[Weyl, ...]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -15,7 +16,9 @@ import pytest
 
 from orbitcalc import cli
 from orbitcalc.clans import DESK_RANKS, case_from_params
+from orbitcalc.clans import RankTable
 from orbitcalc.formulas import FormulaError, LocalizationReport
+from orbitcalc.geometry import GeometryError
 from orbitcalc.orbits import OrbitError, weak_order_graph
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
@@ -187,7 +190,49 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--max-n", "3",
                            "--measure-max-n", "3")
         assert code == 0
-        assert out.startswith("OK")
+        assert out == ("OK  measured 21 representative flags (p+q <= 3), "
+                       "moved 21 by a block-diagonal k (p+q <= 3)\n")
+
+    def test_measurement_that_is_not_k_invariant_fails(self, capsys, monkeypatch):
+        # exact on integer-entry flags (every representative flag), one sign
+        # rank off on a flag moved by a rational k
+        measure = cli.measure_rank_numbers
+
+        def not_invariant(f, p, q):
+            t = measure(f, p, q)
+            if all(x.denominator == 1 for v in f.vectors for x in v):
+                return t
+            return RankTable((t.plus[0] + 1,) + t.plus[1:], t.minus, t.cross)
+
+        monkeypatch.setattr(cli, "measure_rank_numbers", not_invariant)
+        code, out, _ = run(capsys, "oracle", "--max-n", "3",
+                           "--measure-max-n", "3")
+        assert code == 1
+        assert out.startswith("FAIL")
+        assert re.search(r"K-invariance mismatch at \S+ \(\d,\d\)", out)
+
+    def test_geometry_error_is_verification_failure(self, capsys, monkeypatch):
+        def fail(c):
+            raise GeometryError("flag vectors are not linearly independent")
+        monkeypatch.setattr(cli, "representative_flag", fail)
+        code, out, err = run(capsys, "oracle", "--max-n", "2",
+                             "--measure-max-n", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("verification failed:")
+        assert "Traceback" not in err
+
+    def test_reruns_are_byte_identical_across_hash_seeds(self):
+        outs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "orbitcalc", "oracle", "--max-n", "3",
+                 "--measure-max-n", "3"],
+                capture_output=True, timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestConjecture:

@@ -19,7 +19,6 @@ from orbitcalc.formulas import (
     chern_factored,
     closed_class,
     closed_restriction_product,
-    component_class,
     delta,
     formula_ring,
     restrict_at,
@@ -27,14 +26,8 @@ from orbitcalc.formulas import (
 )
 from orbitcalc.orbits import weak_order_graph
 from orbitcalc.poly import PolyError, Ring, parse_poly
-from orbitcalc.weyl import (
-    closed_clans,
-    closed_orbit_fixed_points,
-    distinguished_representative,
-    identity_weyl,
-    weyl_compose,
-    weyl_elements,
-)
+from orbitcalc.weyl import distinguished_representative, weyl_elements
+from reference import closed_clans, component_class, identity_weyl, weyl_compose
 
 DATA = Path(__file__).parent / "data"
 

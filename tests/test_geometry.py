@@ -9,7 +9,7 @@ from orbitcalc.clans import enumerate_clans, leq, parse_clan, rank_table
 from orbitcalc.geometry import (
     Flag,
     GeometryError,
-    in_closure,
+    block_diagonal_matrix,
     measure_rank_numbers,
     rank_of_rows,
     representative_flag,
@@ -23,21 +23,6 @@ def span_equal(vectors_a, vectors_b) -> bool:
     return (
         rank_of_rows(rows_b) == r and rank_of_rows(rows_a + rows_b) == r
     )
-
-
-def random_block_matrix(rng: random.Random, p: int, q: int):
-    """Random invertible block-diagonal rational matrix (p and q blocks)."""
-    n = p + q
-    while True:
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for r in range(p):
-            for c in range(p):
-                m[r][c] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        for r in range(q):
-            for c in range(q):
-                m[p + r][p + c] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        if rank_of_rows(m) == n:
-            return m
 
 
 class TestFlag:
@@ -110,39 +95,42 @@ class TestMeasure:
 
 
 class TestInClosure:
+    """A flag lies in the closure of t's orbit when its measured rank numbers
+    are below t's rank table."""
+
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
     def test_equivalent_to_rank_number_order(self, shape):
         clans = enumerate_clans(*shape)
         for g in clans:
-            fg = representative_flag(g)
+            measured = measure_rank_numbers(representative_flag(g), *shape)
             for t in clans:
-                assert in_closure(fg, t) == leq(g, t)
+                assert measured.below(rank_table(t)) == leq(g, t)
 
     def test_dense_clan_contains_everything(self):
-        clans = enumerate_clans(2, 2)
-        dense = parse_clan("1221", 2, 2)
-        for g in clans:
-            assert in_closure(representative_flag(g), dense)
+        dense = rank_table(parse_clan("1221", 2, 2))
+        for g in enumerate_clans(2, 2):
+            assert measure_rank_numbers(representative_flag(g), 2, 2).below(dense)
 
     def test_standard_flag_misses_early_minus_jump(self):
         std = representative_flag(parse_clan("+-", 1, 1))
-        assert not in_closure(std, parse_clan("-+", 1, 1))
+        assert not measure_rank_numbers(std, 1, 1).below(rank_table(parse_clan("-+", 1, 1)))
 
     def test_monotone_in_the_target(self):
         clans = enumerate_clans(2, 1)
         for g in clans:
-            fg = representative_flag(g)
+            measured = measure_rank_numbers(representative_flag(g), 2, 1)
             for t in clans:
                 if not leq(g, t):
                     continue
                 for t2 in clans:
                     if leq(t, t2):
-                        assert in_closure(fg, t2)
+                        assert measured.below(rank_table(t2))
 
     def test_size_mismatch_rejected(self):
         f = representative_flag(parse_clan("11", 1, 1))
+        t = parse_clan("1221", 2, 2)
         with pytest.raises(GeometryError):
-            in_closure(f, parse_clan("1221", 2, 2))
+            measure_rank_numbers(f, t.p, t.q)
 
 
 class TestInvariance:
@@ -154,7 +142,7 @@ class TestInvariance:
                 f = representative_flag(c)
                 base = measure_rank_numbers(f, p, q)
                 for _ in range(20):
-                    m = random_block_matrix(rng, p, q)
+                    m = block_diagonal_matrix(rng, p, q)
                     assert measure_rank_numbers(f.transformed(m), p, q) == base
 
     def test_general_matrix_can_change_measurements(self):
