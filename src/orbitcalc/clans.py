@@ -7,10 +7,10 @@ A clan of shape ``(p, q)`` is a string of length ``n = p + q`` whose entries are
 so every clan is stored in canonical form: pair labels are renumbered
 ``1, 2, ...`` in order of first occurrence.
 
-The module also provides the rank-number tables attached to a clan, the partial
-order defined by comparing those tables, enumeration of all clans of a shape, the symmetry predicates, and the table
-``CASES`` of the seven supported symmetric pairs: each pair's clan family,
-K's root-system blocks, and the desk rank at which the family is checked.
+The module also provides the rank-number tables of a clan and their order,
+enumeration of all clans of a shape, the symmetry predicates, the table
+``CASES`` of the seven supported symmetric pairs, and ``Record``, the
+immutable base of the package's value classes.
 
 Type A enumerates every clan of its shape.  The six folded families are
 enumerated directly: a walk fills positions left to right, each choice
@@ -23,15 +23,56 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 PLUS = "+"
 MINUS = "-"
 
 
-@dataclass(frozen=True)
-class CaseRow:
+class Record:
+    """Immutable record.  A subclass names its fields in ``_fields`` and in its
+    ``__slots__``, may give ``_defaults`` and may override ``_validate``.  Built
+    by position or keyword; compared, hashed and shown field-wise."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or len(values) != len(names)
+                or not kwargs.keys() <= set(names[len(args):])):
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self._validate()
+
+    def _validate(self) -> None:
+        """Check the fields; normalize them with ``object.__setattr__``."""
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class CaseRow(Record):
     """The datum of one symmetric pair (G, K).
 
     ``family`` is G's root family; ``symmetry`` is that of the clans labelling
@@ -41,6 +82,7 @@ class CaseRow:
     (type, coordinates) blocks, coordinates 1-based.
     """
 
+    __slots__ = _fields = ("family", "symmetry", "shape", "least", "desk", "blocks")
     family: str
     symmetry: str
     shape: Callable[[int, int], tuple[int, int]]
@@ -92,6 +134,10 @@ class ClanError(ValueError):
     """Raised for malformed clan strings or inconsistent rank tables."""
 
 
+class CheckError(ValueError):
+    """Base of the errors raised when a consistency or verification check fails."""
+
+
 def _token_sort_key(sym) -> tuple[int, int]:
     """Sort key for canonical-string ordering: '+' < '-' < pair labels by number."""
     if sym == PLUS:
@@ -101,16 +147,13 @@ def _token_sort_key(sym) -> tuple[int, int]:
     return (2, sym)
 
 
-@dataclass(frozen=True)
-class Clan:
+class Clan(Record):
     """A canonical clan.  Build instances with :func:`make_clan` or :func:`parse_clan`."""
 
-    symbols: tuple
-    p: int
-    q: int
+    __slots__ = ("symbols", "p", "q", "_hash")
+    _fields = ("symbols", "p", "q")
 
-    def __post_init__(self) -> None:
-        symbols, p, q = self.symbols, self.p, self.q
+    def __init__(self, symbols: tuple, p: int, q: int) -> None:
         if p < 0 or q < 0 or p + q < 1:
             raise ClanError(f"invalid shape ({p}, {q})")
         if len(symbols) != p + q:
@@ -146,6 +189,17 @@ class Clan:
             else:
                 canon.append(sym)
         object.__setattr__(self, "symbols", tuple(canon))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_hash", hash((self.symbols, p, q)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Clan:
+            return NotImplemented
+        return self.symbols == other.symbols and self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- basic structure ---------------------------------------------------
 
@@ -238,8 +292,7 @@ def parse_clan(text: str, p: int, q: int) -> Clan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(Record):
     """The three rank-number families of a clan.
 
     ``plus[i-1]``  counts '+' signs and completed pairs among the first i symbols;
@@ -248,6 +301,7 @@ class RankTable:
                    s <= i < j < t, as ``cross[i-1][j-i-1]``.
     """
 
+    __slots__ = _fields = ("plus", "minus", "cross")
     plus: tuple[int, ...]
     minus: tuple[int, ...]
     cross: tuple[tuple[int, ...], ...]
@@ -353,8 +407,7 @@ def is_skew_symmetric(c: Clan) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseId:
+class CaseId(Record):
     """One of the seven supported symmetric pairs, with its rank parameters.
 
     For the two GL pairs (``c-sp-gl``, ``d-so-gl``) the parameters satisfy
@@ -362,15 +415,11 @@ class CaseId:
     group.
     """
 
-    tag: str
-    p: int
-    q: int
-    # read off the table once, at construction
-    row: CaseRow = field(init=False, repr=False, compare=False)
-    ambient_shape: tuple[int, int] = field(init=False, repr=False, compare=False)
-    grank: int = field(init=False, repr=False, compare=False)
+    # row, ambient_shape, grank: read off CASES at construction; not in eq, hash, repr
+    __slots__ = ("tag", "p", "q", "row", "ambient_shape", "grank")
+    _fields = ("tag", "p", "q")
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         row = CASES.get(self.tag)
         if row is None:
             raise ClanError(f"unknown case tag {self.tag!r}")

@@ -3,50 +3,23 @@
 Subcommands: enumerate, poset, classes, verify, oracle, conjecture, chern.
 Exit codes: 0 success, 1 verification failure (a failed localization or
 oracle check, or an internal consistency check), 2 usage or i/o error.
+
+A handler imports the layers it calls, and ``json`` only where it writes JSON:
+every call is a fresh process, and start-up was about 3/4 of a ``conjecture``
+call's CPU time.  ``enumerate`` loads ``clans`` alone; ``conjecture`` and ``poset``
+add ``orbits`` and ``weyl``; ``classes``, ``verify`` and ``chern`` add ``formulas``
+and ``poly``; only ``oracle`` loads ``geometry``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from pathlib import Path
 
-from .clans import (
-    CASE_TAGS,
-    CASES,
-    DESK_RANKS,
-    CaseId,
-    ClanError,
-    case_from_params,
-    enumerate_case_clans,
-    enumerate_clans,
-    parse_clan,
-    rank_table,
-)
-from .formulas import (
-    FormulaError,
-    all_classes,
-    chern_factored,
-    closed_class,
-    verify_localization,
-)
-from .geometry import (
-    GeometryError,
-    block_diagonal_matrix,
-    measure_rank_numbers,
-    representative_flag,
-)
-from .orbits import (
-    OrbitError,
-    check_conjecture,
-    full_closure_order,
-    poset_json_text,
-    poset_to_dot,
-    weak_order_graph,
-)
-from .weyl import is_closed_clan
+from .clans import (CASE_TAGS, CASES, DESK_RANKS, CaseId, CheckError, ClanError,
+                    case_from_params, enumerate_case_clans, enumerate_clans, parse_clan,
+                    rank_table)
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -94,6 +67,7 @@ def cmd_enumerate(args) -> int:
     clans = enumerate_case_clans(case)
     _guardrail(args, case, len(clans))
     if args.fmt == "json":
+        import json
         data = {
             "case": {"tag": case.tag, "p": case.p, "q": case.q},
             "count": len(clans),
@@ -106,6 +80,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_poset(args) -> int:
+    from .orbits import full_closure_order, poset_json_text, poset_to_dot, weak_order_graph
     case = _resolve_case(args)
     poset = weak_order_graph(case)
     _guardrail(args, case, len(poset.nodes))
@@ -119,6 +94,9 @@ def cmd_poset(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    from .formulas import all_classes, closed_class, verify_localization
+    from .orbits import weak_order_graph
+    from .weyl import is_closed_clan
     case = _resolve_case(args)
     poset = weak_order_graph(case)
     _guardrail(args, case, len(poset.nodes))
@@ -137,6 +115,7 @@ def cmd_classes(args) -> int:
         return classes[c].to_text()
 
     if args.fmt == "json":
+        import json
         data = {
             "case": {"tag": case.tag, "p": case.p, "q": case.q},
             "classes": {c.to_text(): render(c) for c in ordered},
@@ -150,6 +129,8 @@ def cmd_classes(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .formulas import verify_localization
+    from .orbits import weak_order_graph
     if args.case is None:
         targets = [case_from_params(t, p, q) for t, p, q in DESK_RANKS]
     else:
@@ -179,6 +160,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    import random
+
+    from .geometry import (GeometryError, block_diagonal_matrix, measure_rank_numbers,
+                           representative_flag)
     move_max = args.max_n
     measure_max = args.measure_max_n
     rng = random.Random("oracle")  # a str seed does not depend on PYTHONHASHSEED
@@ -189,16 +174,20 @@ def cmd_oracle(args) -> int:
         for p in range(0, n + 1):
             q = n - p
             for c in enumerate_clans(p, q):
-                flag, table = representative_flag(c), rank_table(c)
-                if n <= measure_max:
-                    measured += 1
-                    if measure_rank_numbers(flag, p, q) != table:
-                        mismatches.append(f"measure mismatch at {c.to_text()} ({p},{q})")
-                if n <= move_max:
-                    moved += 1
-                    k = block_diagonal_matrix(rng, p, q)
-                    if measure_rank_numbers(flag.transformed(k), p, q) != table:
-                        mismatches.append(f"K-invariance mismatch at {c.to_text()} ({p},{q})")
+                at = f"at {c.to_text()} ({p},{q})"
+                try:
+                    flag, table = representative_flag(c), rank_table(c)
+                    if n <= measure_max:
+                        measured += 1
+                        if measure_rank_numbers(flag, p, q) != table:
+                            mismatches.append(f"measure mismatch {at}")
+                    if n <= move_max:
+                        moved += 1
+                        k = block_diagonal_matrix(rng, p, q)
+                        if measure_rank_numbers(flag.transformed(k), p, q) != table:
+                            mismatches.append(f"K-invariance mismatch {at}")
+                except GeometryError as exc:
+                    raise GeometryError(f"{exc} {at}") from exc
     status = "OK" if not mismatches else "FAIL"
     out = [
         f"{status}  measured {measured} representative flags (p+q <= {measure_max}), "
@@ -210,11 +199,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from .orbits import check_conjecture, weak_order_graph
     case = _resolve_case(args)
     poset = weak_order_graph(case)
     _guardrail(args, case, len(poset.nodes))
     report = check_conjecture(poset)
     if args.fmt == "json":
+        import json
         data = {
             "case": {"tag": case.tag, "p": case.p, "q": case.q},
             "coincides": report.coincides,
@@ -244,6 +235,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_chern(args) -> int:
+    from .formulas import chern_factored
     case = _resolve_case(args)
     if args.clan is None:
         raise ClanError("--clan is required for chern")
@@ -251,6 +243,7 @@ def cmd_chern(args) -> int:
     c = parse_clan(args.clan, P, Q)
     formula = chern_factored(case, c)
     if args.fmt == "json":
+        import json
         data = {
             "case": {"tag": case.tag, "p": case.p, "q": case.q},
             "clan": c.to_text(),
@@ -333,7 +326,7 @@ def main(argv=None) -> int:
     except ClanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (FormulaError, GeometryError, OrbitError) as exc:
+    except CheckError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     except OSError as exc:

@@ -18,11 +18,10 @@ and ``c_k = 0`` for k < 0 or k > n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .clans import CaseId, Clan, ClanError, in_case_family
+from .clans import CaseId, CheckError, Clan, ClanError, Record, in_case_family
 from .orbits import OrbitPoset, full_closure_order, weak_order_graph
 from .poly import (
     FactoredPoly,
@@ -50,7 +49,7 @@ from .weyl import (
 )
 
 
-class FormulaError(ValueError):
+class FormulaError(CheckError):
     """Raised when class computation or verification fails."""
 
 
@@ -229,8 +228,9 @@ def closed_restriction_product(case: CaseId, w: Weyl) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
+class LocalizationReport(Record):
+    __slots__ = _fields = ("case", "closed_points_checked", "support_pairs_checked",
+                           "support_checked", "dense_ok", "failures")
     case: CaseId
     closed_points_checked: int
     support_pairs_checked: int

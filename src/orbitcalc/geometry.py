@@ -11,16 +11,15 @@ truth the rank-number description of the orbits is checked against.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .clans import Clan, RankTable
+from .clans import CheckError, Clan, RankTable, Record
 
 Vector = tuple[Fraction, ...]
 
 
-class GeometryError(ValueError):
+class GeometryError(CheckError):
     """Raised for flags that are not full rank or shape mismatches."""
 
 
@@ -58,13 +57,13 @@ def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     """A complete flag: F_i is the span of the first i vectors."""
 
+    __slots__ = _fields = ("vectors",)
     vectors: tuple[Vector, ...]
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         n = len(self.vectors)
         object.__setattr__(
             self, "vectors", tuple(_to_vector(v, n) for v in self.vectors)

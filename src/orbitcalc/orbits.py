@@ -12,16 +12,15 @@ returned unchanged.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
-from .clans import CaseId, Clan, ClanError, enumerate_case_clans, in_case_family, rank_table
+from .clans import (CaseId, CheckError, Clan, ClanError, Record, enumerate_case_clans,
+                    in_case_family, rank_table)
 from .weyl import Weyl, embed_in_ambient, simple_reflection, validate_weyl
 
 
-class OrbitError(ValueError):
+class OrbitError(CheckError):
     """Raised when graph construction or order saturation detects a bug."""
 
 
@@ -176,15 +175,17 @@ def cross_action_simple(case: CaseId, c: Clan, i: int) -> Clan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitPoset:
-    """Weak-order graph of a case, with optional saturated full order."""
+class OrbitPoset(Record):
+    """Weak-order graph of a case, with optional saturated full order; equal only to itself."""
 
+    __slots__ = _fields = ("case", "nodes", "weak_edges", "ranks", "full_order")
+    _defaults = {"full_order": None}
+    __eq__, __hash__ = object.__eq__, object.__hash__
     case: CaseId
     nodes: tuple[Clan, ...]
     weak_edges: tuple[tuple[Clan, Clan, int, int], ...]  # (src, dst, root, degree)
     ranks: Mapping[Clan, int]
-    full_order: Mapping[Clan, frozenset[Clan]] | None = None  # b -> {a <= b}
+    full_order: Mapping[Clan, frozenset[Clan]] | None  # b -> {a <= b}
 
     @property
     def top(self) -> Clan:
@@ -315,7 +316,7 @@ def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
                 )
 
     full = {nodes[k]: frozenset(nodes[v] for v in down[k]) for k in range(m)}
-    return replace(poset, full_order=full)
+    return OrbitPoset(case, nodes, poset.weak_edges, poset.ranks, full)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +324,10 @@ def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderComparison:
+class OrderComparison(Record):
     """Computed closure order versus the order induced by rank numbers."""
 
+    __slots__ = _fields = ("case", "coincides", "witnesses")
     case: CaseId
     coincides: bool
     witnesses: tuple[tuple[Clan, Clan], ...]  # (lower, upper) induced-only pairs
@@ -410,4 +411,5 @@ def poset_to_dot(poset: OrbitPoset) -> str:
 
 
 def poset_json_text(poset: OrbitPoset) -> str:
+    import json
     return json.dumps(poset_to_json(poset), indent=2, sort_keys=True) + "\n"

@@ -15,11 +15,12 @@ generators, and a factored-form container used for human-readable output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
 from typing import Mapping, Sequence
+
+from .clans import Record
 
 
 class PolyError(ValueError):
@@ -40,16 +41,15 @@ def _exact(c: Fraction | int) -> Fraction | int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Record):
     """A polynomial ring with ``nx`` x-variables, ``ny`` y-variables and
     ``nz`` z-variables.  Exponent vectors are tuples of width nx+ny+nz."""
 
-    nx: int
-    ny: int
-    nz: int = 0
+    __slots__ = ("nx", "ny", "nz", "__dict__")  # __dict__ holds cached names
+    _fields = ("nx", "ny", "nz")
+    _defaults = {"nz": 0}
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.nx < 0 or self.ny < 0 or self.nz < 0:
             raise PolyError("variable counts must be non-negative")
 

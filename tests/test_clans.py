@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitcalc.clans import (
     CASES,
+    PLUS,
     CaseId,
     Clan,
     ClanError,
@@ -30,6 +31,8 @@ from orbitcalc.clans import (
     parse_clan,
     rank_table,
 )
+from orbitcalc.orbits import full_closure_order, weak_order_graph
+from orbitcalc.poly import Ring
 from reference import clan_from_rank_table, covering_moves, covering_successors
 
 DATA = Path(__file__).parent / "data"
@@ -76,6 +79,76 @@ def test_parse_errors():
 
 def test_unicode_minus_accepted():
     assert parse_clan("+−", 1, 1) == parse_clan("+-", 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Record semantics of the value classes
+# ---------------------------------------------------------------------------
+
+
+def test_equal_records_hash_equal():
+    pairs = [
+        (parse_clan("1+1", 2, 1), make_clan(["x", "+", "x"], 2, 1)),
+        (rank_table(parse_clan("1212", 2, 2)), rank_table(parse_clan("2121", 2, 2))),
+        (CaseId("b-so", 2, 1), CaseId(tag="b-so", p=2, q=1)),
+        (Ring(2, 3), Ring(nx=2, ny=3, nz=0)),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert parse_clan("1+1", 2, 1) != parse_clan("+11", 2, 1)
+    assert CaseId("b-so", 2, 1) != CaseId("c-spxsp", 2, 1)
+    assert Ring(2, 2) == Ring(nx=2, ny=2, nz=0) != Ring(2, 2, 1)
+    assert Ring(2, 2).names == ("x1", "x2", "y1", "y2")
+
+
+def test_records_are_immutable():
+    for record, name in [(parse_clan("1+1", 2, 1), "p"), (CaseId("a", 1, 1), "tag"),
+                         (rank_table(parse_clan("+-", 1, 1)), "plus"), (Ring(1, 1), "nz")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.other = 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CaseId("a", 1),  # missing
+    lambda: CaseId("a", 1, 1, 1),  # one too many
+    lambda: CaseId("a", 1, 1, r=1),  # unknown
+    lambda: CaseId("a", 1, q=1, p=1),  # given twice
+    lambda: Ring(1),
+    lambda: Ring(1, 1, nw=0),
+    lambda: RankTable((), ()),
+    lambda: Clan((PLUS,), 1),
+    lambda: Clan((PLUS,), 1, 0, r=1),
+])
+def test_missing_or_unknown_field_is_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_case_id_equality_ignores_derived_fields():
+    a, b = CaseId("d-oxo-odd", 1, 2), CaseId("d-oxo-odd", 1, 2)
+    assert a.row is b.row and a.ambient_shape == (3, 3) and a.grank == 3
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "CaseId(tag='d-oxo-odd', p=1, q=2)"
+    assert CaseId("a", 2, 1) != CaseId("a", 1, 2)
+
+
+def test_orbit_poset_equality_is_identity():
+    case = CaseId("a", 1, 1)
+    a, b = weak_order_graph(case), weak_order_graph(case)
+    assert a.nodes == b.nodes and a.weak_edges == b.weak_edges
+    assert a == a and a != b and hash(a) != hash(b)
+    full = full_closure_order(a)
+    assert full != a and full.weak_edges is a.weak_edges and a.full_order is None
+
+
+def test_clan_repr():
+    assert repr(parse_clan("1+1", 2, 1)) == "Clan(symbols=(1, '+', 1), p=2, q=1)"
+    assert repr(rank_table(parse_clan("+-", 1, 1))) == (
+        "RankTable(plus=(1, 1), minus=(0, 1), cross=((0,),))")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitcalc import cli
+from orbitcalc import cli, formulas, geometry, orbits
 from orbitcalc.clans import DESK_RANKS, case_from_params
 from orbitcalc.clans import RankTable
 from orbitcalc.formulas import FormulaError, LocalizationReport
@@ -177,7 +177,7 @@ class TestVerify:
             case=None, closed_points_checked=0, support_pairs_checked=0,
             support_checked=True, dense_ok=False, failures=("synthetic",),
         )
-        monkeypatch.setattr(cli, "verify_localization",
+        monkeypatch.setattr(formulas, "verify_localization",
                             lambda case, **kw: bad)
         code, out, _ = run(capsys, "verify", "--case", "a",
                            "--p", "1", "--q", "1")
@@ -196,7 +196,7 @@ class TestOracle:
     def test_measurement_that_is_not_k_invariant_fails(self, capsys, monkeypatch):
         # exact on integer-entry flags (every representative flag), one sign
         # rank off on a flag moved by a rational k
-        measure = cli.measure_rank_numbers
+        measure = geometry.measure_rank_numbers
 
         def not_invariant(f, p, q):
             t = measure(f, p, q)
@@ -204,7 +204,7 @@ class TestOracle:
                 return t
             return RankTable((t.plus[0] + 1,) + t.plus[1:], t.minus, t.cross)
 
-        monkeypatch.setattr(cli, "measure_rank_numbers", not_invariant)
+        monkeypatch.setattr(geometry, "measure_rank_numbers", not_invariant)
         code, out, _ = run(capsys, "oracle", "--max-n", "3",
                            "--measure-max-n", "3")
         assert code == 1
@@ -212,13 +212,18 @@ class TestOracle:
         assert re.search(r"K-invariance mismatch at \S+ \(\d,\d\)", out)
 
     def test_geometry_error_is_verification_failure(self, capsys, monkeypatch):
+        flag = geometry.representative_flag
+
         def fail(c):
-            raise GeometryError("flag vectors are not linearly independent")
-        monkeypatch.setattr(cli, "representative_flag", fail)
+            if c.to_text() == "11":
+                raise GeometryError("flag vectors are not linearly independent")
+            return flag(c)
+        monkeypatch.setattr(geometry, "representative_flag", fail)
         code, out, err = run(capsys, "oracle", "--max-n", "2",
                              "--measure-max-n", "2")
         assert code == 1 and out == ""
         assert err.startswith("verification failed:")
+        assert err.rstrip().endswith("linearly independent at 11 (1,1)")
         assert "Traceback" not in err
 
     def test_reruns_are_byte_identical_across_hash_seeds(self):
@@ -313,7 +318,7 @@ class TestExitCodes:
     def test_failed_propagation_check_is_verification_failure(self, capsys, monkeypatch):
         def fail(case, poset=None):
             raise FormulaError("propagation is path dependent")
-        monkeypatch.setattr(cli, "all_classes", fail)
+        monkeypatch.setattr(formulas, "all_classes", fail)
         code, out, err = run(capsys, "classes", "--case", "a", "--p", "1", "--q", "1")
         assert code == 1 and out == ""
         assert "path dependent" in err
@@ -321,7 +326,7 @@ class TestExitCodes:
     def test_failed_containment_check_is_verification_failure(self, capsys, monkeypatch):
         def fail(poset):
             raise OrbitError("saturated order is not antisymmetric")
-        monkeypatch.setattr(cli, "check_conjecture", fail)
+        monkeypatch.setattr(orbits, "check_conjecture", fail)
         code, out, err = run(capsys, "conjecture", "--case", "a", "--p", "1", "--q", "1")
         assert code == 1 and out == ""
         assert "antisymmetric" in err
@@ -366,6 +371,59 @@ class TestOutputFile:
 def test_help_exits_zero(capsys, argv):
     assert cli.main(argv) == 0
     assert "orbitcalc" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# start-up footprint: every call is a fresh process, so a subcommand loads
+# only the layers it runs, and no subcommand loads dataclasses
+# ---------------------------------------------------------------------------
+
+LOADED_MODULES = (
+    "import sys\n"
+    "from orbitcalc import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "sys.stderr.write('\\nloaded: ' + ' '.join(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+LAYERS = {"orbits", "weyl", "formulas", "poly", "geometry"}
+A11 = ["--case", "a", "--p", "1", "--q", "1"]
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["enumerate", *A11, "--format", "json"], set()),
+    (["conjecture", *A11, "--format", "json"], {"orbits", "weyl"}),
+    (["poset", *A11, "--full", "--format", "json"], {"orbits", "weyl"}),
+    (["classes", *A11, "--format", "json"], {"orbits", "weyl", "formulas", "poly"}),
+    (["verify", *A11], {"orbits", "weyl", "formulas", "poly"}),
+    (["chern", *A11, "--clan", "+-"], {"orbits", "weyl", "formulas", "poly"}),
+    (["oracle", "--max-n", "2", "--measure-max-n", "2"], {"geometry"}),
+])
+def test_subcommand_loads_only_the_layers_it_runs(argv, layers):
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stderr.rpartition("loaded: ")[2].split())
+    assert {"orbitcalc.clans", "orbitcalc.cli"} <= modules
+    assert {m for m in LAYERS if f"orbitcalc.{m}" in modules} == layers
+    assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjecture", "--case", "d-so-gl", "--n", "4", "--format", "json"],
+    ["poset", "--case", "b-so", "--p", "2", "--q", "1", "--full", "--format", "json"],
+    ["classes", "--case", "a", "--p", "2", "--q", "2"],
+])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # clans hash their symbols, and string hashes change with the seed: every
+    # output must come from sorted data, never from set or dict-of-set order
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitcalc", *argv], capture_output=True,
+            timeout=120, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]
 
 
 def test_module_entry_point_subprocess():
