@@ -10,15 +10,26 @@ point, the Weyl-group action), divided-difference operators for the four
 classical root types, elementary symmetric polynomials, determinants,
 rewriting of block-symmetric polynomials in terms of elementary symmetric
 generators, and a factored-form container used for human-readable output.
+
+Each monomial is one ``int`` key: in a ring of width W, exponent slot i
+(x1.., y1.., z1..) is the 16-bit digit at bit 16*(W-1-i), and the total
+degree sits above them at bit 16*W.  Integer order is then graded-lex order
+(degree first, then slot 0, slot 1, ...), so sorting and ``degree`` act on
+the keys themselves; the key of a product of monomials is the sum of their
+keys, and divided differences and restrictions move digits with shifts.  No
+digit may overflow, so a total degree above ``MAX_DEGREE`` (65,535) raises
+:class:`PolyError` in the constructors, ``*`` and ``**``.  Exponent tuples
+stay the interface of ``Polynomial(ring, {exps: c})``, ``Ring.monomial``,
+``terms`` and ``sorted_terms``.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul
-from typing import Mapping, Sequence
+from operator import add
 
 from .clans import Record
 
@@ -36,6 +47,17 @@ def _exact(c: Fraction | int) -> Fraction | int:
     return c.numerator if c.denominator == 1 else c
 
 
+_BITS = 16  # bits per exponent digit of a packed key
+_DIGIT = (1 << _BITS) - 1
+MAX_DEGREE = _DIGIT
+
+
+def _check_degree(deg: int) -> int:
+    if deg > MAX_DEGREE:
+        raise PolyError(f"degree {deg} exceeds the largest supported degree {MAX_DEGREE}")
+    return deg
+
+
 # ---------------------------------------------------------------------------
 # Ring
 # ---------------------------------------------------------------------------
@@ -45,7 +67,7 @@ class Ring(Record):
     """A polynomial ring with ``nx`` x-variables, ``ny`` y-variables and
     ``nz`` z-variables.  Exponent vectors are tuples of width nx+ny+nz."""
 
-    __slots__ = ("nx", "ny", "nz", "__dict__")  # __dict__ holds cached names
+    __slots__ = ("nx", "ny", "nz", "__dict__")  # __dict__ holds the cached layout
     _fields = ("nx", "ny", "nz")
     _defaults = {"nz": 0}
 
@@ -62,6 +84,46 @@ class Ring(Record):
         """Variable names by exponent slot: x1.., y1.., z1..."""
         banks = (("x", self.nx), ("y", self.ny), ("z", self.nz))
         return tuple(f"{bank}{i}" for bank, count in banks for i in range(1, count + 1))
+
+    @cached_property
+    def _shifts(self) -> tuple[int, ...]:
+        """Bit offset of each exponent slot's digit in a packed key."""
+        return tuple(range(_BITS * (self.width - 1), -1, -_BITS))
+
+    @cached_property
+    def _top(self) -> int:
+        """Bit offset of the total degree in a packed key."""
+        return _BITS * self.width
+
+    @cached_property
+    def _texts(self) -> dict[int, str]:
+        """Rendered monomials by key, filled as they are printed."""
+        return {}
+
+    def _pack(self, exps: Sequence[int]) -> int:
+        """The key of an exponent vector; raises :class:`PolyError` on a wrong
+        width, a negative exponent or a degree above ``MAX_DEGREE``."""
+        exps = tuple(exps)
+        if len(exps) != self.width:
+            raise PolyError(f"exponent vector {exps} does not have width {self.width}")
+        if min(exps, default=0) < 0:
+            raise PolyError(f"negative exponent in {exps}")
+        key = _check_degree(sum(exps))
+        for e in exps:
+            key = key << _BITS | e
+        return key
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        return tuple(key >> s & _DIGIT for s in self._shifts)
+
+    def _text(self, key: int) -> str:
+        """A monomial as text, e.g. ``x1*y3^2``; ``""`` for 1."""
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(self.names, self._unpack(key)) if e)
+        return text
 
     def var_index(self, bank: str, i: int) -> int:
         """0-based exponent slot of x_i / y_i / z_i (1-based i)."""
@@ -84,16 +146,15 @@ class Ring(Record):
         if isinstance(exps, Mapping):
             vec = [0] * self.width
             for idx, e in exps.items():
+                if not 0 <= idx < self.width:
+                    raise PolyError(f"variable index {idx} out of range")
                 vec[idx] = e
-            key = tuple(vec)
-        else:
-            key = tuple(exps)
-            if len(key) != self.width:
-                raise PolyError("exponent vector has wrong width")
-        return Polynomial._from_clean(self, {key: _exact(coeff)})
+            exps = vec
+        return Polynomial._from_clean(self, {self._pack(exps): _exact(coeff)})
 
     def var(self, bank: str, i: int) -> "Polynomial":
-        return self.monomial({self.var_index(bank, i): 1})
+        key = 1 << self._top | 1 << self._shifts[self.var_index(bank, i)]
+        return Polynomial._from_clean(self, {key: 1})
 
     def x(self, i: int) -> "Polynomial":
         return self.var("x", i)
@@ -105,7 +166,7 @@ class Ring(Record):
         return self.var("z", i)
 
     def const(self, c: Fraction | int) -> "Polynomial":
-        return self.monomial({}, c)
+        return Polynomial._from_clean(self, {0: _exact(c)})
 
     @property
     def zero(self) -> "Polynomial":
@@ -121,29 +182,47 @@ class Ring(Record):
 # ---------------------------------------------------------------------------
 
 
-def _grlex(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Graded-lex key: the larger key is the higher term."""
-    return sum(exps), exps
+class _TermView(Mapping):
+    """A polynomial's terms as a read-only mapping exponent tuple -> coefficient."""
+
+    __slots__ = ("_ring", "_terms")
+
+    def __init__(self, ring: Ring, terms: dict[int, Fraction | int]):
+        self._ring = ring
+        self._terms = terms
+
+    def __getitem__(self, exps):
+        try:
+            key = self._ring._pack(exps)
+        except (PolyError, TypeError):
+            raise KeyError(exps) from None
+        return self._terms[key]
+
+    def __iter__(self):
+        return map(self._ring._unpack, self._terms)
+
+    def __len__(self):
+        return len(self._terms)
 
 
 class Polynomial:
-    """Immutable sparse polynomial: mapping exponent-vector -> coefficient."""
+    """Immutable sparse polynomial: mapping packed monomial key -> coefficient."""
 
     __slots__ = ("ring", "_terms", "_hash")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Fraction | int]):
-        self._fill(ring, {tuple(e): _exact(c) for e, c in terms.items()})
+        self._fill(ring, {ring._pack(e): _exact(c) for e, c in terms.items()})
 
     @classmethod
-    def _from_clean(cls, ring: Ring,
-                    terms: Mapping[tuple[int, ...], Fraction | int]) -> "Polynomial":
-        """Trusted constructor: ``terms`` has tuple keys and coefficients in
-        normal form (see ``_exact``) or their sums and products."""
+    def _from_clean(cls, ring: Ring, terms: Mapping[int, Fraction | int]) -> "Polynomial":
+        """Trusted constructor: ``terms`` has packed keys of degree at most
+        ``MAX_DEGREE`` and coefficients in normal form (see ``_exact``) or
+        their sums and products."""
         self = object.__new__(cls)
         self._fill(ring, terms)
         return self
 
-    def _fill(self, ring: Ring, terms: Mapping[tuple[int, ...], Fraction | int]) -> None:
+    def _fill(self, ring: Ring, terms: Mapping[int, Fraction | int]) -> None:
         """Set the slots, dropping zero coefficients."""
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", {e: c for e, c in terms.items() if c})
@@ -155,14 +234,14 @@ class Polynomial:
     # -- basic queries ------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        return self._terms
+    def terms(self) -> Mapping[tuple[int, ...], Fraction | int]:
+        return _TermView(self.ring, self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._terms)
+        return not any(self._terms)  # the key of 1 is 0
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -173,19 +252,17 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(self._terms) >> self.ring._top
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self._terms}
-        return len(degs) <= 1
+        terms, top = self._terms, self.ring._top
+        return not terms or max(terms) >> top == min(terms) >> top
 
     def used_vars(self) -> frozenset[int]:
-        used = set()
-        for exps in self._terms:
-            for idx, e in enumerate(exps):
-                if e:
-                    used.add(idx)
-        return frozenset(used)
+        used = 0
+        for key in self._terms:
+            used |= key
+        return frozenset(idx for idx, s in enumerate(self.ring._shifts) if used >> s & _DIGIT)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -198,8 +275,8 @@ class Polynomial:
             other = self.ring.const(other)
         self._check(other)
         out = dict(self._terms)
-        for exps, c in other._terms.items():
-            out[exps] = out.get(exps, 0) + c
+        for key, c in other._terms.items():
+            out[key] = out.get(key, 0) + c
         return Polynomial._from_clean(self.ring, out)
 
     __radd__ = __add__
@@ -223,12 +300,16 @@ class Polynomial:
             )
         self._check(other)
         small, big = (self._terms, other._terms)
+        if not small or not big:
+            return self.ring.zero
         if len(small) > len(big):
             small, big = big, small
-        out: dict[tuple[int, ...], Fraction | int] = {}
+        top = self.ring._top
+        _check_degree((max(small) >> top) + (max(big) >> top))
+        out: dict[int, Fraction | int] = {}
         for e1, c1 in small.items():
             for e2, c2 in big.items():
-                key = tuple(map(add, e1, e2))
+                key = e1 + e2  # no digit carries: the degree fits
                 out[key] = out.get(key, 0) + c1 * c2
         return Polynomial._from_clean(self.ring, out)
 
@@ -237,6 +318,7 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise PolyError("negative power")
+        _check_degree(k * self.degree())
         result = self.ring.one
         base = self
         while k:
@@ -266,86 +348,90 @@ class Polynomial:
         """Substitute signed variables for variables (by exponent slot), all
         at once: every image is 0 or +-1 times one variable, as in a
         restriction to a fixed point or a Weyl reflection, so each term's
-        exponents are moved in one pass.  Any other image raises
-        :class:`PolyError`."""
+        exponent digits are moved in one pass and the degree is kept.  Any
+        other image raises :class:`PolyError`."""
         if not images:
             return self
         for idx, image in images.items():
             if not 0 <= idx < self.ring.width:
                 raise PolyError(f"variable index {idx} out of range")
             self._check(image)
-        zeroed, moves = _signed_remap(images)
-        keep = [idx not in images for idx in range(self.ring.width)]
-        out: dict[tuple[int, ...], Fraction | int] = {}
-        for exps, coeff in self._terms.items():
-            if zeroed and any(exps[idx] for idx in zeroed):
+        zeroed, kept, negated, moves = _signed_remap(self.ring, images)
+        out: dict[int, Fraction | int] = {}
+        for key, coeff in self._terms.items():
+            if key & zeroed:
                 continue
-            vec = list(map(mul, exps, keep))
-            odd = False
-            for idx, target, negate in moves:
-                e = exps[idx]
-                if e:
-                    vec[target] += e
-                    if negate and e & 1:
-                        odd = not odd
-            key = tuple(vec)
-            if odd:
-                out[key] = out.get(key, 0) - coeff
+            new = key & kept
+            for digits, left, right in moves:
+                new += (key & digits) << left >> right
+            if (key & negated).bit_count() & 1:
+                out[new] = out.get(new, 0) - coeff
             else:
-                out[key] = out.get(key, 0) + coeff
+                out[new] = out.get(new, 0) + coeff
         return Polynomial._from_clean(self.ring, out)
 
     # -- display ------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction | int]]:
-        terms = self._terms
-        return [(e, terms[e]) for e in sorted(terms, key=_grlex, reverse=True)]
+        """The terms in graded-lex order, highest first."""
+        terms, unpack = self._terms, self.ring._unpack
+        return [(unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
 
     def to_text(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
+        ring = self.ring
         pieces = []
-        for exps, coeff in self.sorted_terms():
-            body = term_text(self.ring, exps, abs(coeff))
-            if not pieces:
-                pieces.append(("-" if coeff < 0 else "") + body)
-            else:
-                pieces.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(pieces)
+        for key in sorted(terms, reverse=True):
+            c = terms[key]
+            pieces.append((" - " if c < 0 else " + ") + term_text(ring, key, abs(c)))
+        text = "".join(pieces)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):  # pragma: no cover
         return f"Polynomial({self.to_text()!r})"
 
 
 def _signed_remap(
-    images: Mapping[int, Polynomial],
-) -> tuple[list[int], list[tuple[int, int, bool]]]:
-    """``(zeroed slots, [(slot, target slot, negate)])``; raises
-    :class:`PolyError` unless every image is 0 or +-1 times one variable."""
-    zeroed, moves = [], []
+    ring: Ring, images: Mapping[int, Polynomial],
+) -> tuple[int, int, int, list[tuple[int, int, int]]]:
+    """``(zeroed, kept, negated, moves)`` for ``substitute``: a term with a
+    digit under ``zeroed`` maps to 0, else to its bits under ``kept`` plus
+    ``(key & digits) << left >> right`` for each move, negated when its
+    exponents under ``negated`` (the digits' low bits) have an odd sum.
+    Raises :class:`PolyError` unless every image is 0 or +-1 times one
+    variable."""
+    shifts, one = ring._shifts, 1 << ring._top
+    zeroed = negated = substituted = 0
+    by_offset: dict[int, int] = {}
     for idx, image in images.items():
-        terms = image.terms
+        s = shifts[idx]
+        digit = _DIGIT << s
+        substituted |= digit
+        terms = image._terms
         if not terms:
-            zeroed.append(idx)
+            zeroed |= digit
             continue
         if len(terms) == 1:
-            (exps, c), = terms.items()
-            if (c == 1 or c == -1) and sum(exps) == 1:
-                moves.append((idx, exps.index(1), c == -1))
+            (key, c), = terms.items()
+            if (c == 1 or c == -1) and key >> ring._top == 1:
+                offset = (key - one).bit_length() - 1 - s  # target minus source
+                by_offset[offset] = by_offset.get(offset, 0) | digit
+                if c == -1:
+                    negated |= 1 << s
                 continue
         raise PolyError(f"the image of slot {idx} is not 0 or +-1 times one variable")
-    return zeroed, moves
+    moves = [(digits, max(d, 0), max(-d, 0)) for d, digits in by_offset.items()]
+    return zeroed, ~substituted, negated, moves
 
 
-def term_text(ring: Ring, exps: tuple[int, ...], coeff: Fraction | int) -> str:
+def term_text(ring: Ring, key: int, coeff: Fraction | int) -> str:
     """Render one term with a non-negative coefficient, e.g. ``2*x1*y3^2``."""
-    parts = [name if e == 1 else f"{name}^{e}"
-             for name, e in zip(ring.names, exps) if e]
-    if not parts:
+    mono = ring._text(key)
+    if not mono:
         return str(coeff)
-    if coeff != 1:
-        parts.insert(0, str(coeff))
-    return "*".join(parts)
+    return mono if coeff == 1 else f"{coeff}*{mono}"
 
 
 # ---------------------------------------------------------------------------
@@ -485,56 +571,58 @@ def _check_root_index(lie_type: str, rank: int, i: int) -> None:
         raise PolyError(f"unknown Lie type {lie_type!r}")
 
 
-def _dd_swap(f: Polynomial, a: int, b: int) -> Polynomial:
-    """Divided difference for alpha = x_a - x_b (0-based exponent slots)."""
-    out: dict[tuple[int, ...], Fraction | int] = {}
-    for exps, coeff in f.terms.items():
-        i, j = exps[a], exps[b]
-        if i == j:
+def _dd_swap(f: Polynomial, sa: int, sb: int) -> Polynomial:
+    """Divided difference for alpha = x_a - x_b (``sa``, ``sb``: the bit
+    offsets of their digits).  x_a^i x_b^j maps to the sum of
+    x_a^t x_b^(i+j-1-t), j <= t < i, negated when i < j: the keys step by
+    x_a / x_b."""
+    step = (1 << sa) - (1 << sb)
+    drop = (1 << f.ring._top) + (1 << sb)  # one degree and one x_b
+    out: dict[int, Fraction | int] = {}
+    for key, coeff in f._terms.items():
+        d = (key >> sa & _DIGIT) - (key >> sb & _DIGIT)
+        if not d:
             continue
-        lo, hi = (j, i) if i > j else (i, j)
-        c = coeff if i > j else -coeff
-        base = list(exps)
-        for t in range(lo, hi):
-            base[a] = t
-            base[b] = i + j - 1 - t
-            key = tuple(base)
-            out[key] = out.get(key, 0) + c
+        key -= drop
+        if d > 0:
+            key -= d * step
+        else:
+            d, coeff = -d, -coeff
+        for _ in range(d):
+            out[key] = out.get(key, 0) + coeff
+            key += step
     return Polynomial._from_clean(f.ring, out)
 
 
-def _dd_single(f: Polynomial, a: int, alpha_coeff: int) -> Polynomial:
+def _dd_single(f: Polynomial, sa: int, alpha_coeff: int) -> Polynomial:
     """Divided difference for alpha = alpha_coeff * x_a (type B: 1, type C: 2)."""
-    out: dict[tuple[int, ...], Fraction | int] = {}
     scale = _exact(Fraction(2, alpha_coeff))
-    for exps, coeff in f.terms.items():
-        i = exps[a]
-        if i % 2 == 0:
-            continue
-        base = list(exps)
-        base[a] = i - 1
-        key = tuple(base)
-        out[key] = out.get(key, 0) + scale * coeff
-    return Polynomial._from_clean(f.ring, out)
+    odd = 1 << sa
+    drop = (1 << f.ring._top) + odd
+    return Polynomial._from_clean(
+        f.ring, {key - drop: scale * c for key, c in f._terms.items() if key & odd})
 
 
-def _dd_sum(f: Polynomial, a: int, b: int) -> Polynomial:
-    """Divided difference for alpha = x_a + x_b (type D branch node)."""
-    out: dict[tuple[int, ...], Fraction | int] = {}
-    for exps, coeff in f.terms.items():
-        i, j = exps[a], exps[b]
-        if i == j and (i + j) % 2 == 0:
+def _dd_sum(f: Polynomial, sa: int, sb: int) -> Polynomial:
+    """Divided difference for alpha = x_a + x_b (type D branch node): the
+    keys of the alternating terms step by x_b / x_a."""
+    step = (1 << sb) - (1 << sa)
+    drop = (1 << f.ring._top) + (1 << sa)  # one degree and one x_a
+    out: dict[int, Fraction | int] = {}
+    for key, coeff in f._terms.items():
+        d = (key >> sa & _DIGIT) - (key >> sb & _DIGIT)
+        if not d:
             continue
-        lo = min(i, j)
-        d = abs(i - j)
-        c = -coeff if (i + j) % 2 == 0 and i < j else coeff
-        signed = (c, -c)
-        base = list(exps)
-        for t in range(d):
-            base[a] = lo + d - 1 - t
-            base[b] = lo + t
-            key = tuple(base)
-            out[key] = out.get(key, 0) + signed[t % 2]
+        key -= drop
+        if d < 0:
+            d = -d
+            key -= d * step
+            if not d & 1:
+                coeff = -coeff
+        for _ in range(d):
+            out[key] = out.get(key, 0) + coeff
+            key += step
+            coeff = -coeff
     return Polynomial._from_clean(f.ring, out)
 
 
@@ -542,13 +630,17 @@ def divided_difference(f: Polynomial, lie_type: str, rank: int, i: int) -> Polyn
     """The operator f -> (f - s_i f) / alpha_i for the given root system."""
     ring = f.ring
     _check_root_index(lie_type, rank, i)
+
+    def x(k: int) -> int:
+        return ring._shifts[ring.var_index("x", k)]
+
     if lie_type == "A" or i < rank:
-        return _dd_swap(f, ring.var_index("x", i), ring.var_index("x", i + 1))
+        return _dd_swap(f, x(i), x(i + 1))
     if lie_type == "B":
-        return _dd_single(f, ring.var_index("x", rank), 1)
+        return _dd_single(f, x(rank), 1)
     if lie_type == "C":
-        return _dd_single(f, ring.var_index("x", rank), 2)
-    return _dd_sum(f, ring.var_index("x", rank - 1), ring.var_index("x", rank))
+        return _dd_single(f, x(rank), 2)
+    return _dd_sum(f, x(rank - 1), x(rank))
 
 
 # ---------------------------------------------------------------------------
@@ -639,18 +731,18 @@ def chern_substitute(f: Polynomial, blocks: Sequence[tuple[int, int]]) -> Polyno
             e_cache[key] = elem_sym(ring, k, gens)
         return e_cache[key]
 
+    ymask = 0
+    for s in covered:
+        ymask |= _DIGIT << ring._shifts[s]
     result = ring.zero
     current = f
     while True:
-        candidates = [
-            (exps, coeff)
-            for exps, coeff in current.terms.items()
-            if any(exps[s] for slots, _ in block_slots for s in slots)
-        ]
-        if not candidates:
+        lead = max((key for key in current._terms if key & ymask), default=None)
+        if lead is None:
             result = result + current
             return result
-        exps, coeff = max(candidates, key=lambda t: _grlex(t[0]))
+        coeff = current._terms[lead]
+        exps = ring._unpack(lead)
         stripped = list(exps)
         subtrahend = current.ring.const(coeff)
         image_exps = list(exps)
@@ -726,16 +818,15 @@ class FactoredPoly:
         for fac in self.factors:
             if fac.is_zero():
                 return "0"
-            if len(fac.terms) == 1:
-                exps, c = next(iter(fac.terms.items()))
+            if len(fac._terms) == 1:
+                (exps, c), = fac.sorted_terms()
                 coeff *= c
-                for idx, e in enumerate(exps):
-                    prefix_exps[idx] += e
+                prefix_exps = list(map(add, prefix_exps, exps))
             else:
                 wrapped.append(fac)
         body = "".join(f"({fac.to_text()})" for fac in wrapped)
         sign = "-" if coeff < 0 else ""
-        mono = term_text(self.ring, tuple(prefix_exps), abs(coeff))
+        mono = term_text(self.ring, self.ring._pack(prefix_exps), abs(coeff))
         if body:
             if mono == "1":
                 return sign + body

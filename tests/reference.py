@@ -6,17 +6,23 @@ kept here as checks on the code that does.
 * ``weyl``: signed-permutation composition, the statistic phi_p, the
   subgroup W_K with its order, and the closed clans of a case;
 * ``formulas``: the per-component closed-orbit classes of b-so, whose
-  sum is ``closed_class``;
+  sum is ``closed_class``, and the support check at every fixed point of
+  every orbit, the reference for the one-point check;
 * ``poly``: the simple reflections on the x-variables and the simple
-  roots, the two halves of the defining relation of a divided difference.
+  roots, the two halves of the defining relation of a divided difference,
+  and the kernels on exponent tuples that the packed-key kernels replaced
+  (product, sum, graded-lex order and text, Chern rewrite).
 
 Test modules import it as ``from reference import ...``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from operator import add
+from typing import Mapping
 
 from orbitcalc.clans import (
     MINUS,
@@ -29,11 +35,30 @@ from orbitcalc.clans import (
     make_clan,
     rank_table,
 )
-from orbitcalc.formulas import FormulaError, _pair_factors, _sign, formula_ring
-from orbitcalc.poly import FactoredPoly, Polynomial, PolyError, Ring, _check_root_index
+from orbitcalc.formulas import (
+    FormulaError,
+    LocalizationReport,
+    _pair_factors,
+    _sign,
+    all_classes,
+    closed_restriction_product,
+    formula_ring,
+    restrict_at,
+)
+from orbitcalc.orbits import full_closure_order
+from orbitcalc.poly import (
+    FactoredPoly,
+    Polynomial,
+    PolyError,
+    Ring,
+    _check_root_index,
+)
 from orbitcalc.weyl import (
     Weyl,
     WeylError,
+    ambient_weyl,
+    closed_orbit_fixed_points,
+    fixed_points_by_clan,
     is_closed_clan,
     stat_lp,
     validate_weyl,
@@ -250,6 +275,22 @@ def closed_clans(case: CaseId) -> list[Clan]:
     return [c for c in enumerate_case_clans(case) if is_closed_clan(case, c)]
 
 
+def k_weyl_group(case: CaseId) -> frozenset[Weyl]:
+    """N_K(T)/T as signed permutations: W_K (``wk_member``, the Weyl group
+    of K's identity component), and where a K block has type D, W_K composed
+    with the sign change of the first coordinate of each D block.  That sign
+    change comes from K's other component in the S(O x O) pairs: a
+    reflection in each orthogonal factor (det -1 twice), which negates one
+    coordinate of each factor's torus; in b-so the odd factor's -1 fixes
+    the torus.  Elsewhere K is connected and the group is W_K."""
+    wk = [u for u in ambient_weyl(case) if wk_member(case, u)]
+    flip = list(identity_weyl(case.grank))
+    for lie_type, block in case.k_blocks:
+        if lie_type == "D" and block:
+            flip[block.start - 1] = -block.start
+    return frozenset(wk) | {weyl_compose(tuple(flip), u) for u in wk}
+
+
 # ---------------------------------------------------------------------------
 # Formulas: per-component classes in b-so
 # ---------------------------------------------------------------------------
@@ -280,6 +321,54 @@ def component_class(case: CaseId, u: Weyl) -> FactoredPoly:
         for j in range(p + 1, n + 1):
             factors += _pair_factors(ring, a, j)
     return FactoredPoly(ring, sign * Fraction(1, 2), factors)
+
+
+def verify_localization_every_point(
+    case: CaseId, classes: Mapping[Clan, Polynomial] | None = None,
+) -> LocalizationReport:
+    """``verify_localization`` as it was before the one-point support check:
+    the support of each class is checked at every fixed point of every
+    orbit not below it, stopping at the first nonzero restriction."""
+    poset = full_closure_order(case)
+    if classes is None:
+        classes = all_classes(case, poset)
+    ring = formula_ring(case)
+    failures: list[str] = []
+
+    closed_points = 0
+    for c in poset.minima():
+        for w in closed_orbit_fixed_points(case, c):
+            closed_points += 1
+            if restrict_at(case, classes[c], w) != closed_restriction_product(case, w):
+                failures.append(
+                    f"closed restriction mismatch at {c.to_text()}, "
+                    f"fixed point {w}"
+                )
+
+    support_pairs = 0
+    support_checked = not case.uncovered
+    if support_checked:
+        by_clan = fixed_points_by_clan(case)
+        for c in poset.nodes:
+            f = classes[c]
+            below = poset.full_order[c]
+            for other, points in by_clan.items():
+                if other in below:
+                    continue
+                support_pairs += 1
+                for w in points:
+                    if not restrict_at(case, f, w).is_zero():
+                        failures.append(
+                            f"nonzero restriction of {c.to_text()} at a fixed "
+                            f"point {w} of {other.to_text()}"
+                        )
+                        break
+
+    dense_ok = classes[poset.top] == ring.one
+    return LocalizationReport(
+        case, closed_points, support_pairs, support_checked, dense_ok,
+        tuple(failures),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +403,121 @@ def simple_root_poly(ring: Ring, lie_type: str, rank: int, i: int) -> Polynomial
     if lie_type == "C":
         return ring.x(rank) * 2
     return ring.x(rank - 1) + ring.x(rank)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials: the kernels on exponent tuples
+# ---------------------------------------------------------------------------
+
+
+def tuple_mul(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The product, with exponent tuples added slot by slot."""
+    out: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return Polynomial(f.ring, out)
+
+
+def tuple_add(f: Polynomial, g: Polynomial) -> Polynomial:
+    out = dict(f.terms)
+    for exps, c in g.terms.items():
+        out[exps] = out.get(exps, 0) + c
+    return Polynomial(f.ring, out)
+
+
+def grlex(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Graded-lex key: the larger key is the higher term."""
+    return sum(exps), exps
+
+
+def tuple_sorted_terms(f: Polynomial) -> list:
+    terms = f.terms
+    return [(e, terms[e]) for e in sorted(terms, key=grlex, reverse=True)]
+
+
+def tuple_term_text(ring: Ring, exps: tuple[int, ...], coeff) -> str:
+    parts = [name if e == 1 else f"{name}^{e}"
+             for name, e in zip(ring.names, exps) if e]
+    if not parts:
+        return str(coeff)
+    if coeff != 1:
+        parts.insert(0, str(coeff))
+    return "*".join(parts)
+
+
+def tuple_to_text(f: Polynomial) -> str:
+    if f.is_zero():
+        return "0"
+    pieces = []
+    for exps, coeff in tuple_sorted_terms(f):
+        body = tuple_term_text(f.ring, exps, abs(coeff))
+        if not pieces:
+            pieces.append(("-" if coeff < 0 else "") + body)
+        else:
+            pieces.append((" - " if coeff < 0 else " + ") + body)
+    return "".join(pieces)
+
+
+def tuple_chern_substitute(f: Polynomial, blocks) -> Polynomial:
+    """``chern_substitute`` on exponent tuples: peel off the graded-lex
+    leading term that uses a block variable, as a product of elementary
+    symmetric polynomials of the blocks, until none is left."""
+    ring = f.ring
+    covered = set()
+    block_slots: list[tuple[list[int], int]] = []
+    for start, size in blocks:
+        slots = [ring.var_index("y", start + t) for t in range(size)]
+        covered.update(slots)
+        block_slots.append((slots, start - 1))
+        if start - 1 + size > ring.nz:
+            raise PolyError("ring has too few z variables for these blocks")
+
+    for idx in f.used_vars():
+        if ring.nx <= idx < ring.nx + ring.ny and idx not in covered:
+            raise PolyError(
+                f"variable {ring.names[idx]} is outside every symmetric block"
+            )
+
+    def block_e(bi: int, k: int) -> Polynomial:
+        slots, _ = block_slots[bi]
+        return Polynomial(ring, {
+            tuple(int(idx in subset) for idx in range(ring.width)): 1
+            for subset in itertools.combinations(slots, k)
+        })
+
+    result = ring.zero
+    current = f
+    while True:
+        candidates = [
+            (exps, coeff)
+            for exps, coeff in current.terms.items()
+            if any(exps[s] for slots, _ in block_slots for s in slots)
+        ]
+        if not candidates:
+            return tuple_add(result, current)
+        exps, coeff = max(candidates, key=lambda t: grlex(t[0]))
+        stripped = list(exps)
+        subtrahend = ring.const(coeff)
+        image_exps = list(exps)
+        for bi, (slots, zoffset) in enumerate(block_slots):
+            lam = [exps[s] for s in slots]
+            if any(lam[t] < lam[t + 1] for t in range(len(lam) - 1)):
+                raise PolyError(
+                    "polynomial is not symmetric in a variable block; "
+                    f"offending monomial exponents {lam}"
+                )
+            for s in slots:
+                stripped[s] = 0
+                image_exps[s] = 0
+            lam.append(0)
+            for k in range(1, len(slots) + 1):
+                mult = lam[k - 1] - lam[k]
+                for _ in range(mult):
+                    subtrahend = tuple_mul(subtrahend, block_e(bi, k))
+                image_exps[ring.var_index("z", zoffset + k)] += mult
+        spectator = ring.monomial(tuple(stripped))
+        peeled = tuple_mul(subtrahend, spectator)
+        current = tuple_add(current, Polynomial(ring, {e: -c for e, c in peeled.terms.items()}))
+        result = tuple_add(result, ring.monomial(tuple(image_exps), coeff))

@@ -26,8 +26,21 @@ from orbitcalc.formulas import (
 )
 from orbitcalc.orbits import weak_order_graph
 from orbitcalc.poly import PolyError, Ring, parse_poly
-from orbitcalc.weyl import distinguished_representative, weyl_elements
-from reference import closed_clans, component_class, identity_weyl, weyl_compose
+from orbitcalc.weyl import (
+    ambient_weyl,
+    distinguished_representative,
+    fixed_points_by_clan,
+    weyl_elements,
+)
+from reference import (
+    closed_clans,
+    component_class,
+    identity_weyl,
+    k_weyl_group,
+    verify_localization_every_point,
+    weyl_compose,
+    wk_member,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -288,6 +301,68 @@ class TestLocalization:
         report = verify_localization(case, classes=wrong)
         assert not report.ok
         assert report.failures
+
+
+# the cases with a fixed-point dictionary, where the support is checked
+COVERED = sorted(t for t in DESK if t != "d-oxo-odd")
+
+
+def _act_on_y(ring, u):
+    """The images of the y-variables under the signed permutation u."""
+    return {ring.var_index("y", a): ring.y(abs(v)) * (1 if v > 0 else -1)
+            for a, v in enumerate(u, start=1)}
+
+
+class TestOnePointSupport:
+    """The premises of checking the support at one fixed point per orbit."""
+
+    @pytest.mark.parametrize("tag", COVERED)
+    def test_fixed_points_of_an_orbit_are_one_k_weyl_orbit(self, tag):
+        case = desk_case(tag)
+        group = k_weyl_group(case)
+        for points in fixed_points_by_clan(case).values():
+            assert {weyl_compose(u, min(points)) for u in group} == set(points)
+
+    @pytest.mark.parametrize("tag", COVERED)
+    def test_identity_component_splits_fibres_only_of_disconnected_k(self, tag):
+        """W_K alone (``wk_member``) leaves two orbits in each fibre exactly
+        in the S(O x O) pairs, where K has a second component."""
+        case = desk_case(tag)
+        wk = [u for u in ambient_weyl(case) if wk_member(case, u)]
+        disconnected = any(t == "D" for t, _ in case.k_blocks)
+        assert disconnected == (tag in ("b-so", "d-oxo-even"))
+        assert len(k_weyl_group(case)) == len(wk) * (2 if disconnected else 1)
+        for points in fixed_points_by_clan(case).values():
+            orbits = {frozenset(weyl_compose(u, w) for u in wk) for w in points}
+            assert len(orbits) == (2 if disconnected else 1)
+
+    @pytest.mark.parametrize("tag", COVERED)
+    def test_restriction_is_k_weyl_equivariant(self, tag):
+        """restrict_at(f, u.w) is u acting on the y's of restrict_at(f, w)."""
+        case = desk_case(tag)
+        ring = formula_ring(case)
+        classes = all_classes(case)
+        group = sorted(k_weyl_group(case))
+        for f in classes.values():
+            for w in ambient_weyl(case):
+                at_w = restrict_at(case, f, w)
+                for u in group:
+                    assert restrict_at(case, f, weyl_compose(u, w)) == at_w.substitute(
+                        _act_on_y(ring, u))
+
+    @pytest.mark.parametrize("tag,p,q", DESK_RANKS + (("a", 2, 3),))
+    def test_matches_check_at_every_fixed_point(self, tag, p, q):
+        case = case_from_params(tag, p, q)
+        assert verify_localization(case) == verify_localization_every_point(case)
+
+    def test_wrong_class_reported_alike(self):
+        case = desk_case("a")
+        classes = dict(all_classes(case))
+        c = pc(case, "1+-1")
+        classes[c] = classes[c] + formula_ring(case).one
+        report = verify_localization(case, classes=classes)
+        assert not report.ok and report.failures
+        assert report == verify_localization_every_point(case, classes)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -12,6 +12,7 @@ from orbitcalc.orbits import weak_order_graph
 from orbitcalc.poly import (
     FactoredPoly,
     Polynomial,
+    MAX_DEGREE,
     PolyError,
     Ring,
     chern_substitute,
@@ -21,7 +22,15 @@ from orbitcalc.poly import (
     parse_poly,
 )
 from orbitcalc.weyl import closed_orbit_fixed_points
-from reference import reflect_x, simple_root_poly
+from reference import (
+    reflect_x,
+    simple_root_poly,
+    tuple_add,
+    tuple_chern_substitute,
+    tuple_mul,
+    tuple_sorted_terms,
+    tuple_to_text,
+)
 
 R = Ring(4, 4, 4)
 
@@ -95,12 +104,56 @@ def test_integral_coefficients_compare_and_hash_as_ints():
     one = (0,) * R.width
     assert type(Polynomial(R, {one: Fraction(6, 2)}).terms[one]) is int
     assert type(R.const(Fraction(6, 2)).terms[one]) is int
-    as_fraction = Polynomial._from_clean(R, {one: Fraction(3)})
+    as_fraction = Polynomial._from_clean(R, {0: Fraction(3)})  # 0 is the packed key of 1
     assert type(as_fraction.terms[one]) is Fraction
     assert as_fraction == R.const(3) == 3
     assert hash(as_fraction) == hash(R.const(3))
     summed = Fraction(1, 2) * R.x(1) + Fraction(5, 2) * R.x(1)
     assert summed == 3 * R.x(1) and hash(summed) == hash(3 * R.x(1))
+
+
+def test_constructor_rejects_bad_exponent_vectors():
+    small = Ring(2, 2, 0)
+    for exps in ((1, 0, 0, 0, 5), (1, 0, 0), (-1, 0, 0, 0), (2, -1, 0, 0)):
+        with pytest.raises(PolyError):
+            Polynomial(small, {exps: 1})
+        with pytest.raises(PolyError):
+            small.monomial(exps)
+    for exps in ({0: -1}, {-1: 1}, {4: 1}):
+        with pytest.raises(PolyError):
+            small.monomial(exps)
+
+
+def test_degree_bound():
+    top = R.x(1) ** MAX_DEGREE
+    assert MAX_DEGREE == 65535
+    assert top.degree() == MAX_DEGREE and top.to_text() == "x1^65535"
+    assert parse_poly(top.to_text(), R) == top
+    with pytest.raises(PolyError, match="70000"):
+        parse_poly("x1^70000", R)
+    with pytest.raises(PolyError, match="70000"):
+        R.x(1) ** 40000 * R.x(2) ** 30000
+    with pytest.raises(PolyError, match="65536"):
+        top * (R.y(1) + 1)
+    with pytest.raises(PolyError, match="65536"):
+        R.monomial({0: 65536})
+    with pytest.raises(PolyError, match="65536"):
+        Polynomial(R, {(65535, 1) + (0,) * (R.width - 2): 1})
+    assert (R.x(1) - R.x(1)) ** 70000 == R.zero
+    assert R.const(2) ** 70000 == 2 ** 70000
+
+
+def test_terms_view_shows_exponent_tuples():
+    f = parse_poly("3*x1^2*y4 - z1 + 1/2", R)
+    x1, y4, z1 = R.var_index("x", 1), R.var_index("y", 4), R.var_index("z", 1)
+    exps = tuple(2 if k == x1 else int(k == y4) for k in range(R.width))
+    assert len(f.terms) == 3
+    assert f.terms[exps] == 3 and exps in f.terms
+    assert f.terms[(0,) * R.width] == Fraction(1, 2)
+    assert (0,) * (R.width - 1) not in f.terms and (-1,) * R.width not in f.terms
+    assert dict(f.terms) == dict(f.sorted_terms())
+    assert f.used_vars() == {x1, y4, z1}
+    assert Polynomial(R, f.terms) == f
 
 
 def test_constant_value_is_a_fraction():
@@ -167,6 +220,76 @@ def test_ring_laws(f, g, h):
     assert f * g == g * f
     assert (f + g) * h == f * h + g * h
     assert (f * g) * h == f * (g * h)
+
+
+# ---------------------------------------------------------------------------
+# Packed kernels against the kernels on exponent tuples
+# ---------------------------------------------------------------------------
+
+# every bank alone, mixed banks, and the width of the a(3,3) ring
+BANK_RINGS = [Ring(3, 0, 0), Ring(0, 2, 0), Ring(0, 0, 2), Ring(1, 1, 1),
+              Ring(2, 2, 1), R, Ring(6, 6, 6)]
+
+
+@st.composite
+def ring_and_polys(draw):
+    """A ring, two polynomials in it with int and Fraction coefficients and
+    small or large exponents, and the second one cancelling a drawn subset
+    of the first one's terms when the two are added."""
+    ring = draw(st.sampled_from(BANK_RINGS))
+    max_exp = draw(st.sampled_from((3, 10000)))
+    f = draw(polys(ring=ring, max_exp=max_exp))
+    g = draw(polys(ring=ring, max_exp=max_exp))
+    cancel = draw(st.sets(st.sampled_from(sorted(f.terms)))) if f.terms else set()
+    terms = dict(g.terms)
+    terms.update({e: -f.terms[e] for e in cancel})
+    return ring, f, Polynomial(ring, terms)
+
+
+@given(ring_and_polys())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_tuple_kernels(drawn):
+    _, f, g = drawn
+    assert f + g == tuple_add(f, g)
+    assert f - f == tuple_add(f, -f) == 0
+    assert f * g == tuple_mul(f, g)
+    assert f * g * f == tuple_mul(tuple_mul(f, g), f)
+
+
+@given(ring_and_polys())
+@settings(max_examples=150, deadline=None)
+def test_term_order_and_text_match_tuple_kernels(drawn):
+    _, f, g = drawn
+    for h in (f, g, f + g, f * g):
+        assert h.sorted_terms() == tuple_sorted_terms(h)
+        assert h.to_text() == tuple_to_text(h)
+        assert h.degree() == max(map(sum, h.terms), default=-1)
+        assert h.is_homogeneous() == (len(set(map(sum, h.terms))) <= 1)
+
+
+def test_product_cancellation_to_zero():
+    f = parse_poly("x1 + y1 - 1/2*z1", R)
+    g = parse_poly("x1 - y1 + 1/2*z1", R)
+    assert f * g == tuple_mul(f, g) == parse_poly("x1^2 - y1^2 + y1*z1 - 1/4*z1^2", R)
+    assert (f * g - tuple_mul(f, g)).is_zero()
+    assert (f - f) * g == R.zero and (f - f).to_text() == "0"
+
+
+@given(polys(max_terms=4, max_exp=2), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_chern_substitute_matches_tuple_kernel(f, symmetrize):
+    """Symmetric input gives the same rewrite; other input fails in both."""
+    if symmetrize:
+        y1, y2, y3, y4 = (R.var_index("y", i) for i in range(1, 5))
+        for a, b in ((y1, y2), (y3, y4)):
+            f = f + f.substitute({a: R.monomial({b: 1}), b: R.monomial({a: 1})})
+    try:
+        expected = tuple_chern_substitute(f, BLOCKS_22)
+    except PolyError:
+        with pytest.raises(PolyError):
+            chern_substitute(f, BLOCKS_22)
+    else:
+        assert chern_substitute(f, BLOCKS_22) == expected
 
 
 # ---------------------------------------------------------------------------
