@@ -325,23 +325,34 @@ class RankTable(Record):
 
 
 def rank_table(c: Clan) -> RankTable:
-    """Compute the rank-number table of a clan."""
-    n = c.n
-    pairs = c.pairs()
-    plus = []
-    minus = []
-    for i in range(1, n + 1):
-        np_ = sum(1 for s in c.symbols[:i] if s == PLUS)
-        nm = sum(1 for s in c.symbols[:i] if s == MINUS)
-        complete = sum(1 for (a, b) in pairs if b <= i)
-        plus.append(np_ + complete)
-        minus.append(nm + complete)
-    cross = []
-    for i in range(1, n):
-        row = []
-        for j in range(i + 1, n + 1):
-            row.append(sum(1 for (a, b) in pairs if a <= i and b > j))
-        cross.append(tuple(row))
+    """Compute the rank-number table of a clan in one pass from the left.
+
+    After position i, ``closes[t]`` is 1 exactly when a pair opened at or
+    before i closes at t > i, so crossing row i is the suffix sums of
+    ``closes`` beyond each j > i."""
+    symbols = c.symbols
+    n = len(symbols)
+    close_at = {s: t for t, s in enumerate(symbols, start=1) if s.__class__ is int}
+    closes = [0] * (n + 1)
+    plus, minus, cross = [], [], []
+    n_plus = n_minus = 0
+    for i, s in enumerate(symbols, start=1):
+        if s == PLUS:
+            n_plus += 1
+        elif s == MINUS:
+            n_minus += 1
+        elif close_at[s] == i:
+            n_plus += 1
+            n_minus += 1
+        else:
+            closes[close_at[s]] = 1
+        plus.append(n_plus)
+        minus.append(n_minus)
+        if i < n:
+            # closes[n], ..., closes[i + 2] summed: the entries for j = n - 1 .. i + 1
+            row = [0, *itertools.accumulate(closes[n:i + 1:-1])]
+            row.reverse()
+            cross.append(tuple(row))
     return RankTable(tuple(plus), tuple(minus), tuple(cross))
 
 

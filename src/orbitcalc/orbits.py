@@ -7,7 +7,20 @@ two-position windows (mirror pairs, a middle window, a middle braid, or the
 two extra windows at the branched end), each of which fires exactly when the
 standard one-sided rule ascends.  If a schedule produces a clan outside the
 case's family, the move is treated as not applicable and the input is
-returned unchanged.
+returned unchanged.  The moves trust their input to be a clan of the case:
+the enumeration vouches for every clan the graph and the saturation pass,
+and the CLI checks the clans a user gives.
+
+The cross action of a simple reflection permutes clan positions; each
+root's ambient permutation is built once per case (``root_permutations``).
+
+Saturation and comparison work on ``int`` bitsets.  The orbits are listed
+by rank (ties in node order) and bit k stands for the k-th of them, so an
+orbit's down-set is one ``int`` and a union is one ``|``.  The rank-number
+order is read off column bitsets: for each entry of the rank table and
+each value it takes, the bitset of orbits whose sign rank there is at
+least that value, or whose crossing rank is at most it.  An orbit's
+rank-number down-set is the AND of one column bitset per entry.
 """
 
 from __future__ import annotations
@@ -15,9 +28,9 @@ from __future__ import annotations
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
-from .clans import (CaseId, CheckError, Clan, ClanError, Record, enumerate_case_clans,
-                    in_case_family, rank_table)
-from .weyl import Weyl, embed_in_ambient, simple_reflection, validate_weyl
+from .clans import (CaseId, CheckError, Clan, Record, enumerate_case_clans, in_case_family,
+                    rank_table)
+from .weyl import embed_in_ambient, simple_reflection
 
 
 class OrbitError(CheckError):
@@ -106,9 +119,8 @@ def weak_move(case: CaseId, c: Clan, i: int) -> Clan:
     """The weak-order action of the i-th simple root: the clan of s_i . Q.
 
     Returns ``c`` itself when the root does not ascend (including the folded
-    situations where the schedule would leave the case's clan family)."""
-    if not in_case_family(case, c):
-        raise ClanError(f"{c.to_text()} is not a clan of case {case.tag}")
+    situations where the schedule would leave the case's clan family).
+    ``c`` must be a clan of the case."""
     if i not in simple_root_indices(case):
         raise OrbitError(f"simple root {i} out of range for case {case.tag}")
     n = case.grank
@@ -150,24 +162,27 @@ def weak_move(case: CaseId, c: Clan, i: int) -> Clan:
 # ---------------------------------------------------------------------------
 
 
-def cross_action(case: CaseId, c: Clan, w: Weyl) -> Clan:
-    """Permute the symbols of c by the ambient permutation attached to w."""
-    if not in_case_family(case, c):
-        raise ClanError(f"{c.to_text()} is not a clan of case {case.tag}")
-    sigma = validate_weyl(w, case.family)
-    if case.family != "A":
-        sigma = embed_in_ambient(sigma, "odd" if case.ambient_len % 2 else "even")
-    if len(sigma) != case.ambient_len:
-        raise OrbitError("permutation length does not match the ambient clan length")
-    old = c.symbols
-    new = [None] * len(old)
-    for j, target in enumerate(sigma, start=1):
-        new[target - 1] = old[j - 1]
-    return Clan(tuple(new), c.p, c.q)
+def root_permutations(case: CaseId) -> dict[int, tuple[int, ...]]:
+    """For each simple root i, the ambient permutation of s_i as source
+    positions: position j of the cross action s_i x c holds c's symbol at
+    position ``source[j]`` (0-based)."""
+    parity = "odd" if case.ambient_len % 2 else "even"
+    out = {}
+    for i in simple_root_indices(case):
+        sigma = simple_reflection(case.family, case.grank, i)
+        if case.family != "A":
+            sigma = embed_in_ambient(sigma, parity)
+        source = [0] * len(sigma)
+        for j, target in enumerate(sigma):
+            source[target - 1] = j
+        out[i] = tuple(source)
+    return out
 
 
-def cross_action_simple(case: CaseId, c: Clan, i: int) -> Clan:
-    return cross_action(case, c, simple_reflection(case.family, case.grank, i))
+def cross_reflect(c: Clan, source: tuple[int, ...]) -> Clan:
+    """The cross action on c of the reflection with these source positions."""
+    symbols = c.symbols
+    return Clan(tuple(symbols[j] for j in source), c.p, c.q)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +190,29 @@ def cross_action_simple(case: CaseId, c: Clan, i: int) -> Clan:
 # ---------------------------------------------------------------------------
 
 
+class OrderBits(Record):
+    """A saturated order as bitsets: bit k stands for ``orbits[k]``, the
+    orbits listed by rank.  ``down[k]`` is the down-set of ``orbits[k]`` in
+    the closure order and ``rank_down[k]`` in the rank-number order."""
+
+    __slots__ = _fields = ("orbits", "down", "rank_down")
+    orbits: tuple[Clan, ...]
+    down: tuple[int, ...]
+    rank_down: tuple[int, ...]
+
+
 class OrbitPoset(Record):
     """Weak-order graph of a case, with optional saturated full order; equal only to itself."""
 
-    __slots__ = _fields = ("case", "nodes", "weak_edges", "ranks", "full_order")
-    _defaults = {"full_order": None}
+    __slots__ = _fields = ("case", "nodes", "weak_edges", "ranks", "full_order", "order_bits")
+    _defaults = {"full_order": None, "order_bits": None}
     __eq__, __hash__ = object.__eq__, object.__hash__
     case: CaseId
     nodes: tuple[Clan, ...]
     weak_edges: tuple[tuple[Clan, Clan, int, int], ...]  # (src, dst, root, degree)
     ranks: Mapping[Clan, int]
     full_order: Mapping[Clan, frozenset[Clan]] | None  # b -> {a <= b}
+    order_bits: OrderBits | None  # set with full_order by full_closure_order
 
     @property
     def top(self) -> Clan:
@@ -205,14 +232,15 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
     edge along root i has degree 2 exactly when the cross action of s_i
     fixes its source."""
     nodes = tuple(enumerate_case_clans(case))
+    perms = root_permutations(case)
     edges = []
     below: dict[Clan, list[Clan]] = {c: [] for c in nodes}
     for c in nodes:
-        for i in simple_root_indices(case):
+        for i, source in perms.items():
             dst = weak_move(case, c, i)
             if dst == c:
                 continue
-            deg = 2 if cross_action_simple(case, c, i) == c else 1
+            deg = 2 if cross_reflect(c, source) == c else 1
             edges.append((c, dst, i, deg))
             below[dst].append(c)
 
@@ -243,80 +271,121 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
 # ---------------------------------------------------------------------------
 
 
+def _members(bits: int) -> list[int]:
+    """The positions of the set bits, lowest first."""
+    digits = bin(bits)[:1:-1]
+    out = []
+    k = digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
+
+
 def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
     """Saturate the weak order into the full closure order.
 
     Down-sets start at {self}; for every weak edge Q -> Q' along root s, the
     down-set of Q' absorbs, for every V below Q: V itself, the weak move of V
-    along s, and the cross action of s on V.  Down-sets are closed under
-    transitivity and the whole pass repeats until stable."""
+    along s, and the cross action of s on V, each with its own down-set.
+
+    Each down-set is an ``int`` over the orbits in rank order (bit k is
+    ``orbits[k]``), so a pass in that order meets every edge's source, and
+    every image, before it needs their down-sets.  One pass then suffices,
+    as it shows by no down-set having a bit above its own orbit's (and no
+    edge being a loop).  Failing that (only a doctored graph fails it),
+    passes repeat until stable.  The result is the least family of down-sets closed under the
+    edge rule and transitivity, whatever the order of the pass.
+
+    Three checks follow: the order is antisymmetric (no two orbits share a
+    down-set), it contains the weak order, and it is contained in the
+    rank-number order.  That order's down-sets come from column bitsets
+    (see the module docstring), from one rank table per orbit; both kinds
+    of down-set are kept in ``order_bits`` for :func:`check_conjecture`."""
     poset = (
         case_or_poset
         if isinstance(case_or_poset, OrbitPoset)
         else weak_order_graph(case_or_poset)
     )
     case = poset.case
-    nodes = poset.nodes
-    index = {c: k for k, c in enumerate(nodes)}
-    m = len(nodes)
-    roots = list(simple_root_indices(case))
+    orbits = tuple(sorted(poset.nodes, key=poset.ranks.__getitem__))
+    pos = {c: k for k, c in enumerate(orbits)}
+    m = len(orbits)
+    perms = root_permutations(case)
     # a root that does not ascend moves an orbit to itself
-    move_tbl = [[k] * (len(roots) + 1) for k in range(m)]
-    cross_tbl = [[0] * (len(roots) + 1) for _ in range(m)]
+    move = {i: list(range(m)) for i in perms}
+    cross = {i: [pos[cross_reflect(c, source)] for c in orbits]
+             for i, source in perms.items()}
+    into: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for src, dst, i, _ in poset.weak_edges:
-        move_tbl[index[src]][i] = index[dst]
-    for c in nodes:
-        k = index[c]
-        for i in roots:
-            cross_tbl[k][i] = index[cross_action_simple(case, c, i)]
+        move[i][pos[src]] = pos[dst]
+        into[pos[dst]].append((pos[src], i))
+    # the orbits some root moves or crosses elsewhere
+    active = {i: sum(1 << v for v in range(m) if move[i][v] != v or cross[i][v] != v)
+              for i in perms}
+    loops = any(src == dst for src, dst, _, _ in poset.weak_edges)
 
-    down: list[set[int]] = [{k} for k in range(m)]
-    by_rank = sorted(range(m), key=lambda k: (poset.ranks[nodes[k]], k))
-    edge_list = sorted(
-        ((index[src], index[dst], i) for src, dst, i, _ in poset.weak_edges),
-        key=lambda t: (poset.ranks[nodes[t[0]]], t),
-    )
-
-    changed = True
-    while changed:
-        changed = False
-        for src, dst, i in edge_list:
-            target = down[dst]
-            before = len(target)
-            for v in list(down[src]):
-                target.add(v)
-                target.add(move_tbl[v][i])
-                target.add(cross_tbl[v][i])
-            if len(target) != before:
+    down = [1 << k for k in range(m)]
+    while True:
+        changed, forward = False, loops
+        for k in range(m):
+            acc = down[k]
+            for src, i in into[k]:
+                below, moved, crossed = down[src], move[i], cross[i]
+                acc |= below
+                for v in _members(below & active[i]):
+                    acc |= down[moved[v]] | down[crossed[v]]
+            if acc != down[k]:
+                down[k] = acc
                 changed = True
-        for k in by_rank:
-            extra: set[int] = set()
-            for v in down[k]:
-                extra |= down[v]
-            if not extra <= down[k]:
-                down[k] |= extra
-                changed = True
+            if acc >> (k + 1):
+                forward = True
+        if not (changed and forward):
+            break
 
-    # sanity: antisymmetry, containment of weak order, containment in the
-    # rank-number order on ambient clans
-    for a in range(m):
-        for b in down[a]:
-            if b != a and a in down[b]:
-                raise OrbitError("saturated order is not antisymmetric")
-    for src, dst, _, _ in poset.weak_edges:
-        if index[src] not in down[index[dst]]:
-            raise OrbitError("saturated order does not contain the weak order")
-    tables = [rank_table(c) for c in nodes]
-    for a in range(m):
-        for b in down[a]:
-            if not tables[b].below(tables[a]):
-                raise OrbitError(
-                    "saturated order is not contained in the rank-number order: "
-                    f"{nodes[b].to_text()} vs {nodes[a].to_text()}"
-                )
+    # one rank table per orbit; crossing ranks negated, so every column reads "at least"
+    flat = [t.plus + t.minus + tuple(-x for row in t.cross for x in row)
+            for t in map(rank_table, orbits)]
+    rank_down = [(1 << m) - 1] * m
+    for column in set(zip(*flat)):
+        at_least: dict[int, int] = {}
+        for k, value in enumerate(column):
+            at_least[value] = at_least.get(value, 0) | 1 << k
+        if len(at_least) == 1:
+            continue
+        acc = 0
+        for value in sorted(at_least, reverse=True):
+            acc |= at_least[value]
+            at_least[value] = acc
+        rank_down = [r & at_least[value] for r, value in zip(rank_down, column)]
 
-    full = {nodes[k]: frozenset(nodes[v] for v in down[k]) for k in range(m)}
-    return OrbitPoset(case, nodes, poset.weak_edges, poset.ranks, full)
+    first: dict[int, int] = {}
+    for k, below in enumerate(down):
+        if below in first:
+            raise OrbitError(
+                f"saturated order is not antisymmetric: {orbits[first[below]].to_text()} "
+                f"and {orbits[k].to_text()} lie below each other"
+            )
+        first[below] = k
+    for src, dst, i, _ in poset.weak_edges:
+        if not down[pos[dst]] >> pos[src] & 1:
+            raise OrbitError(
+                "saturated order does not contain the weak order: "
+                f"{src.to_text()} -> {dst.to_text()} (root {i})"
+            )
+    for k in range(m):
+        outside = down[k] & ~rank_down[k]
+        if outside:
+            v = (outside & -outside).bit_length() - 1
+            raise OrbitError(
+                "saturated order is not contained in the rank-number order: "
+                f"{orbits[v].to_text()} vs {orbits[k].to_text()}"
+            )
+
+    full = {c: frozenset(map(orbits.__getitem__, _members(down[pos[c]])))
+            for c in poset.nodes}
+    bits = OrderBits(orbits, tuple(down), tuple(rank_down))
+    return OrbitPoset(case, poset.nodes, poset.weak_edges, poset.ranks, full, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +403,19 @@ class OrderComparison(Record):
 
 
 def check_conjecture(case_or_poset: CaseId | OrbitPoset) -> OrderComparison:
+    """Compare the closure order with the rank-number order: the witnesses
+    are the pairs below only in the latter, ``rank_down & ~down`` per orbit.
+    A poset that does not carry ``order_bits`` is saturated first."""
     poset = (
         case_or_poset
-        if isinstance(case_or_poset, OrbitPoset) and case_or_poset.full_order
+        if isinstance(case_or_poset, OrbitPoset) and case_or_poset.order_bits
         else full_closure_order(case_or_poset)
     )
-    tables = {c: rank_table(c) for c in poset.nodes}
-    witnesses = []
-    for b in poset.nodes:
-        downs = poset.full_order[b]
-        for a in poset.nodes:
-            if a is b:
-                continue
-            if a not in downs and tables[a].below(tables[b]):
-                witnesses.append((a, b))
+    bits = poset.order_bits
+    orbits = bits.orbits
+    witnesses = [(orbits[a], upper)
+                 for upper, below, ranked in zip(orbits, bits.down, bits.rank_down)
+                 for a in _members(ranked & ~below)]
     witnesses.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
     return OrderComparison(poset.case, not witnesses, tuple(witnesses))
 

@@ -2,7 +2,10 @@
 kept here as checks on the code that does.
 
 * ``clans``: the inverse of ``rank_table`` and the covering moves, a
-  third description of the rank-number order;
+  third description of the rank-number order, and the counting
+  ``rank_table`` that the one-pass table replaced;
+* ``orbits``: the cross action of a whole Weyl element, and the set-based
+  saturation and order comparison that the bitset versions replaced;
 * ``weyl``: signed-permutation composition, the statistic phi_p, the
   subgroup W_K with its order, and the closed clans of a case;
 * ``formulas``: the per-component closed-orbit classes of b-so, whose
@@ -32,6 +35,7 @@ from orbitcalc.clans import (
     ClanError,
     RankTable,
     enumerate_case_clans,
+    in_case_family,
     make_clan,
     rank_table,
 )
@@ -45,7 +49,14 @@ from orbitcalc.formulas import (
     formula_ring,
     restrict_at,
 )
-from orbitcalc.orbits import full_closure_order
+from orbitcalc.orbits import (
+    OrbitError,
+    OrbitPoset,
+    OrderComparison,
+    full_closure_order,
+    simple_root_indices,
+    weak_order_graph,
+)
 from orbitcalc.poly import (
     FactoredPoly,
     Polynomial,
@@ -58,8 +69,10 @@ from orbitcalc.weyl import (
     WeylError,
     ambient_weyl,
     closed_orbit_fixed_points,
+    embed_in_ambient,
     fixed_points_by_clan,
     is_closed_clan,
+    simple_reflection,
     stat_lp,
     validate_weyl,
     weyl_abs,
@@ -124,6 +137,27 @@ def clan_from_rank_table(t: RankTable) -> Clan:
     if rank_table(clan) != t:
         raise ClanError("rank table is not realized by any clan")
     return clan
+
+
+def counting_rank_table(c: Clan) -> RankTable:
+    """The rank-number table, each entry counted from scratch."""
+    n = c.n
+    pairs = c.pairs()
+    plus = []
+    minus = []
+    for i in range(1, n + 1):
+        np_ = sum(1 for s in c.symbols[:i] if s == PLUS)
+        nm = sum(1 for s in c.symbols[:i] if s == MINUS)
+        complete = sum(1 for (a, b) in pairs if b <= i)
+        plus.append(np_ + complete)
+        minus.append(nm + complete)
+    cross = []
+    for i in range(1, n):
+        row = []
+        for j in range(i + 1, n + 1):
+            row.append(sum(1 for (a, b) in pairs if a <= i and b > j))
+        cross.append(tuple(row))
+    return RankTable(tuple(plus), tuple(minus), tuple(cross))
 
 
 def covering_moves(c: Clan) -> tuple[tuple[str, tuple[int, ...], Clan], ...]:
@@ -289,6 +323,127 @@ def k_weyl_group(case: CaseId) -> frozenset[Weyl]:
         if lie_type == "D" and block:
             flip[block.start - 1] = -block.start
     return frozenset(wk) | {weyl_compose(tuple(flip), u) for u in wk}
+
+
+# ---------------------------------------------------------------------------
+# Orbits: the cross action of a Weyl element, set-based saturation and
+# comparison
+# ---------------------------------------------------------------------------
+
+
+def cross_action(case: CaseId, c: Clan, w: Weyl) -> Clan:
+    """Permute the symbols of c by the ambient permutation attached to w."""
+    if not in_case_family(case, c):
+        raise ClanError(f"{c.to_text()} is not a clan of case {case.tag}")
+    sigma = validate_weyl(w, case.family)
+    if case.family != "A":
+        sigma = embed_in_ambient(sigma, "odd" if case.ambient_len % 2 else "even")
+    if len(sigma) != case.ambient_len:
+        raise OrbitError("permutation length does not match the ambient clan length")
+    old = c.symbols
+    new = [None] * len(old)
+    for j, target in enumerate(sigma, start=1):
+        new[target - 1] = old[j - 1]
+    return Clan(tuple(new), c.p, c.q)
+
+
+def cross_action_simple(case: CaseId, c: Clan, i: int) -> Clan:
+    return cross_action(case, c, simple_reflection(case.family, case.grank, i))
+
+
+def set_full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
+    """Saturate the weak order into the full closure order.
+
+    Down-sets start at {self}; for every weak edge Q -> Q' along root s, the
+    down-set of Q' absorbs, for every V below Q: V itself, the weak move of V
+    along s, and the cross action of s on V.  Down-sets are closed under
+    transitivity and the whole pass repeats until stable."""
+    poset = (
+        case_or_poset
+        if isinstance(case_or_poset, OrbitPoset)
+        else weak_order_graph(case_or_poset)
+    )
+    case = poset.case
+    nodes = poset.nodes
+    index = {c: k for k, c in enumerate(nodes)}
+    m = len(nodes)
+    roots = list(simple_root_indices(case))
+    # a root that does not ascend moves an orbit to itself
+    move_tbl = [[k] * (len(roots) + 1) for k in range(m)]
+    cross_tbl = [[0] * (len(roots) + 1) for _ in range(m)]
+    for src, dst, i, _ in poset.weak_edges:
+        move_tbl[index[src]][i] = index[dst]
+    for c in nodes:
+        k = index[c]
+        for i in roots:
+            cross_tbl[k][i] = index[cross_action_simple(case, c, i)]
+
+    down: list[set[int]] = [{k} for k in range(m)]
+    by_rank = sorted(range(m), key=lambda k: (poset.ranks[nodes[k]], k))
+    edge_list = sorted(
+        ((index[src], index[dst], i) for src, dst, i, _ in poset.weak_edges),
+        key=lambda t: (poset.ranks[nodes[t[0]]], t),
+    )
+
+    changed = True
+    while changed:
+        changed = False
+        for src, dst, i in edge_list:
+            target = down[dst]
+            before = len(target)
+            for v in list(down[src]):
+                target.add(v)
+                target.add(move_tbl[v][i])
+                target.add(cross_tbl[v][i])
+            if len(target) != before:
+                changed = True
+        for k in by_rank:
+            extra: set[int] = set()
+            for v in down[k]:
+                extra |= down[v]
+            if not extra <= down[k]:
+                down[k] |= extra
+                changed = True
+
+    # sanity: antisymmetry, containment of weak order, containment in the
+    # rank-number order on ambient clans
+    for a in range(m):
+        for b in down[a]:
+            if b != a and a in down[b]:
+                raise OrbitError("saturated order is not antisymmetric")
+    for src, dst, _, _ in poset.weak_edges:
+        if index[src] not in down[index[dst]]:
+            raise OrbitError("saturated order does not contain the weak order")
+    tables = [counting_rank_table(c) for c in nodes]
+    for a in range(m):
+        for b in down[a]:
+            if not tables[b].below(tables[a]):
+                raise OrbitError(
+                    "saturated order is not contained in the rank-number order: "
+                    f"{nodes[b].to_text()} vs {nodes[a].to_text()}"
+                )
+
+    full = {nodes[k]: frozenset(nodes[v] for v in down[k]) for k in range(m)}
+    return OrbitPoset(case, nodes, poset.weak_edges, poset.ranks, full)
+
+
+def set_check_conjecture(case_or_poset: CaseId | OrbitPoset) -> OrderComparison:
+    poset = (
+        case_or_poset
+        if isinstance(case_or_poset, OrbitPoset) and case_or_poset.full_order
+        else set_full_closure_order(case_or_poset)
+    )
+    tables = {c: counting_rank_table(c) for c in poset.nodes}
+    witnesses = []
+    for b in poset.nodes:
+        downs = poset.full_order[b]
+        for a in poset.nodes:
+            if a is b:
+                continue
+            if a not in downs and tables[a].below(tables[b]):
+                witnesses.append((a, b))
+    witnesses.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
+    return OrderComparison(poset.case, not witnesses, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

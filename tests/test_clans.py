@@ -33,7 +33,8 @@ from orbitcalc.clans import (
 )
 from orbitcalc.orbits import full_closure_order, weak_order_graph
 from orbitcalc.poly import Ring
-from reference import clan_from_rank_table, covering_moves, covering_successors
+from reference import (clan_from_rank_table, counting_rank_table, covering_moves,
+                       covering_successors)
 
 DATA = Path(__file__).parent / "data"
 CENSUS_RANK5 = DATA / "census_folded_rank5.json"
@@ -174,6 +175,15 @@ def test_rank_table_basic_example():
 def test_rank_table_crossing_example():
     t = rank_table(parse_clan("1221", 2, 2))
     assert cross_rank(t, 1, 2) == 1 and cross_rank(t, 1, 3) == 1 and cross_rank(t, 2, 3) == 1
+
+
+def test_rank_table_matches_counting_reference():
+    # every clan with p, q <= 4: 4,824 clans
+    clans = [c for p in range(5) for q in range(5) if p + q
+             for c in enumerate_clans(p, q)]
+    assert len(clans) == 4824
+    for c in clans:
+        assert rank_table(c) == counting_rank_table(c), c.to_text()
 
 
 def test_reconstruction_worked_example():

@@ -1,18 +1,23 @@
-"""Tests for weak-order moves, cross action, closure orders, and exports."""
+"""Tests for weak-order moves, cross action, closure orders, and exports.
 
+Run as a script (``PYTHONPATH=src python tests/test_orbits.py``), this module
+re-records ``tests/data/atlas_rank5.json`` from the set-based reference
+:func:`set_check_conjecture`.
+"""
+
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcalc import orbits
-from orbitcalc.clans import CaseId, ClanError, case_from_params, leq, parse_clan
+from orbitcalc import cli, orbits
+from orbitcalc.clans import CASES, CaseId, case_from_params, in_case_family, leq, parse_clan
 from orbitcalc.orbits import (
     OrbitError,
     check_conjecture,
-    cross_action,
-    cross_action_simple,
     full_closure_order,
     poset_json_text,
     poset_to_dot,
@@ -21,7 +26,13 @@ from orbitcalc.orbits import (
     weak_move,
     weak_order_graph,
 )
-from reference import closed_clans, weyl_compose
+from reference import (closed_clans, cross_action, cross_action_simple, set_check_conjecture,
+                       set_full_closure_order, weyl_compose)
+
+ROOT = Path(__file__).parent.parent
+ATLAS_RANK5 = ROOT / "tests" / "data" / "atlas_rank5.json"
+SWEEP = ROOT / "scripts" / "conjecture_sweep.py"
+ATLAS_FAMILIES = ("b-so", "c-spxsp", "c-sp-gl", "d-so-gl")
 
 A22 = case_from_params("a", 2, 2)
 A32 = case_from_params("a", 3, 2)
@@ -90,9 +101,21 @@ class TestWeakMove:
     def test_d_branch_root(self):
         assert weak_move(D7_12, pc(D7_12, "122331"), 3) == pc(D7_12, "123321")
 
-    def test_move_out_of_family_clan_rejected(self):
-        with pytest.raises(ClanError):
-            weak_move(C3_21, pc(D5_21, "+1221+"), 1)
+    @pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
+    def test_graph_stays_in_the_family(self, case):
+        # weak_move trusts its input; the graph only ever hands it family clans
+        g = weak_order_graph(case)
+        assert all(in_case_family(case, c) for c in g.nodes)
+        assert all(in_case_family(case, dst) for _, dst, _, _ in g.weak_edges)
+
+    def test_out_of_family_clan_rejected_at_the_cli(self, capsys):
+        # a mirror clan with a self-mirror pair, which type C bars
+        assert not in_case_family(C3_21, pc(C3_21, "+1221+"))
+        code = cli.main(["chern", "--case", "c-spxsp", "--p", "2", "--q", "1",
+                         "--clan=+1221+"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "+1221+" in captured.err
 
     def test_root_out_of_range(self):
         with pytest.raises(OrbitError):
@@ -437,6 +460,96 @@ class TestOrderComparison:
 
 
 # ---------------------------------------------------------------------------
+# bitset saturation and comparison: the set-based reference, the frozen
+# rank-5 atlas, and the saturation checks on doctored graphs
+# ---------------------------------------------------------------------------
+
+
+def shapes_up_to(tag: str, top: int) -> list[tuple[int, int]]:
+    """Every (p, q) of the family at rank p + q (n for the GL pairs) <= top."""
+    row = CASES[tag]
+    if row.symmetry == "skew":
+        return [(n, n) for n in range(row.least, top + 1)]
+    low = 0 if row.symmetry == "none" else 1
+    return [(p, n - p) for n in range(row.least, top + 1) for p in range(low, n + 1 - low)]
+
+
+REFERENCE_CASES = [case_from_params(tag, p, q) for tag in CASES
+                   for p, q in shapes_up_to(tag, 4)] + [case_from_params("a", 3, 3)]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES,
+                         ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
+def test_bitset_order_matches_set_reference(case):
+    g = weak_order_graph(case)
+    poset, reference = full_closure_order(g), set_full_closure_order(g)
+    assert poset.full_order == reference.full_order
+    assert check_conjecture(poset) == set_check_conjecture(reference)
+
+
+def atlas_rows(compare) -> list[dict]:
+    """The rank-5 order-comparison atlas: verdict and witnesses at every
+    shape ``scripts/conjecture_sweep.py`` sweeps for the four families."""
+    spec = importlib.util.spec_from_file_location("conjecture_sweep", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    rows = []
+    for tag in ATLAS_FAMILIES:
+        for p, q in sweep.shapes_for(tag, 5):
+            report = compare(case_from_params(tag, p, q))
+            rows.append({"tag": tag, "p": p, "q": q, "coincides": report.coincides,
+                         "witnesses": [[a.to_text(), b.to_text()]
+                                       for a, b in report.witnesses]})
+    return rows
+
+
+def test_rank5_atlas_matches_frozen_record():
+    recorded = json.loads(ATLAS_RANK5.read_text(encoding="utf-8"))
+    assert len(recorded) == 28
+    assert sum(len(row["witnesses"]) for row in recorded) == 24
+    assert atlas_rows(check_conjecture) == recorded
+
+
+class TestSaturationChecks:
+    """Each check fires on a doctored graph, and names the clans."""
+
+    def test_downward_edge_breaks_antisymmetry(self):
+        g = weak_order_graph(A22)
+        src, dst, i, _ = next(e for e in g.weak_edges if e[0] == pc(A22, "+-+-"))
+        doctored = orbits.OrbitPoset(A22, g.nodes, g.weak_edges + ((dst, src, i, 1),),
+                                     g.ranks)
+        with pytest.raises(OrbitError, match="not antisymmetric") as err:
+            full_closure_order(doctored)
+        assert f"{src.to_text()} and {dst.to_text()}" in str(err.value)
+        with pytest.raises(OrbitError, match="not antisymmetric"):
+            set_full_closure_order(doctored)
+
+    def test_edge_between_rank_incomparable_orbits(self):
+        g = weak_order_graph(A22)
+        low, high = pc(A22, "++--"), pc(A22, "--++")
+        assert not leq(low, high) and not leq(high, low)
+        # root 1 does not move ++--, so the fake edge adds nothing else below --++
+        assert weak_move(A22, low, 1) == low
+        doctored = orbits.OrbitPoset(A22, g.nodes, g.weak_edges + ((low, high, 1, 1),),
+                                     g.ranks)
+        with pytest.raises(OrbitError, match="rank-number order") as err:
+            full_closure_order(doctored)
+        assert str(err.value).endswith("++-- vs --++")
+        with pytest.raises(OrbitError, match="rank-number order") as err:
+            set_full_closure_order(doctored)
+        assert str(err.value).endswith("++-- vs --++")
+
+
+@pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
+def test_root_permutations_match_reference_cross_action(case):
+    perms = orbits.root_permutations(case)
+    assert list(perms) == list(simple_root_indices(case))
+    for c in weak_order_graph(case).nodes:
+        for i, source in perms.items():
+            assert orbits.cross_reflect(c, source) == cross_action_simple(case, c, i)
+
+
+# ---------------------------------------------------------------------------
 # export formats
 # ---------------------------------------------------------------------------
 
@@ -502,3 +615,9 @@ def test_cross_action_is_an_involution_for_reflections(case, data):
     i = data.draw(st.sampled_from(list(simple_root_indices(case))))
     once = cross_action_simple(case, c, i)
     assert cross_action_simple(case, once, i) == c
+
+
+if __name__ == "__main__":
+    rows = atlas_rows(set_check_conjecture)
+    lines = ",\n".join(json.dumps(row, sort_keys=True) for row in rows)
+    ATLAS_RANK5.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
