@@ -18,7 +18,6 @@ and ``c_k = 0`` for k < 0 or k > n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import Mapping
 
@@ -67,8 +66,8 @@ def formula_ring(case: CaseId) -> Ring:
 # ---------------------------------------------------------------------------
 
 
-def _sign(k: int) -> Fraction:
-    return Fraction(-1 if k % 2 else 1)
+def _sign(k: int) -> int:
+    return -1 if k % 2 else 1
 
 
 def _pair_factors(ring: Ring, a: int, j: int) -> list[Polynomial]:
@@ -76,7 +75,7 @@ def _pair_factors(ring: Ring, a: int, j: int) -> list[Polynomial]:
     return [ring.x(a) - ring.y(j), ring.x(a) + ring.y(j)]
 
 
-def delta(ring: Ring, m: int, w: Weyl, c_zero: Fraction | int = 2) -> Polynomial:
+def delta(ring: Ring, m: int, w: Weyl, c_zero: int = 2) -> Polynomial:
     """The m x m determinant det(c_{m+1+j-2i}) described in the module doc."""
     n = ring.nx
     if len(w) != n:
@@ -138,8 +137,8 @@ def closed_class(case: CaseId, c: Clan) -> FactoredPoly:
         return FactoredPoly(ring, sign, [delta(ring, n, w)])
 
     if tag == "d-so-gl":
-        scalar = _sign(stat_sigma(w)) * Fraction(1, 2 ** (n - 1))
-        return FactoredPoly(ring, scalar, [delta(ring, n - 1, w)])
+        return FactoredPoly(ring, _sign(stat_sigma(w)), [delta(ring, n - 1, w)],
+                            2 ** (n - 1))
 
     # branched orthogonal pair (odd ranks): the standard representative
     winv = weyl_inverse(w)
@@ -171,7 +170,7 @@ def all_classes(
     ):
         value = divided_difference(classes[src], family, n, i)
         if deg == 2:
-            value = value * Fraction(1, 2)
+            value = value / 2
         known = classes.get(dst)
         if known is None:
             classes[dst] = value
@@ -197,37 +196,42 @@ def all_classes(
 # ---------------------------------------------------------------------------
 
 
-def restrict_at(case: CaseId, f: Polynomial, w: Weyl) -> Polynomial:
-    """Restrict a class to the fixed point w: x_i evaluates to the signed
-    y-variable picked out by w(i), or to zero where |w(i)| is a coordinate
-    no K block covers (p+1 in the branched odd case)."""
-    ring = f.ring
+def point_images(case: CaseId, ring: Ring, w: Weyl) -> dict[int, Polynomial]:
+    """The images of the x-variables at the fixed point w, by exponent slot:
+    x_i evaluates to the signed y-variable picked out by w(i), or to zero
+    where |w(i)| is a coordinate no K block covers (p+1 in the branched odd
+    case)."""
     n = case.grank
     if len(w) != n:
         raise FormulaError("fixed point length does not match the case")
     zeroed = case.uncovered
     images = {}
-    for i in range(1, n + 1):
-        v = w[i - 1]
+    for i, v in enumerate(w, start=1):
         a = abs(v)
         if a in zeroed:
             images[ring.var_index("x", i)] = ring.zero
         else:
-            images[ring.var_index("x", i)] = ring.y(a) * (1 if v > 0 else -1)
+            images[ring.var_index("x", i)] = ring.y(a) if v > 0 else -ring.y(a)
+    return images
+
+
+def restrict_at(case: CaseId, f: Polynomial, w: Weyl,
+                images: Mapping[int, Polynomial] | None = None) -> Polynomial:
+    """Restrict a class to the fixed point w (see ``point_images``); a caller
+    that restricts many classes at w passes w's images, built once."""
+    if images is None:
+        images = point_images(case, f.ring, w)
     return f.substitute(images)
 
 
 def closed_restriction_product(case: CaseId, w: Weyl) -> Polynomial:
     """Product of the predicted tangent weights at a closed-orbit fixed
-    point, as a polynomial in the y-variables."""
+    point, as a polynomial in the y-variables: each weight is one linear
+    form in the y's."""
     ring = formula_ring(case)
     out = ring.one
     for weights in restriction_weights(case, w):
-        lin = ring.zero
-        for k, coeff in enumerate(weights, start=1):
-            if coeff:
-                lin = lin + ring.y(k) * coeff
-        out = out * lin
+        out = out * ring.linear("y", weights)
     return out
 
 
@@ -290,6 +294,7 @@ def verify_localization(
     support_checked = not case.uncovered
     if support_checked:
         least = {c: min(points) for c, points in fixed_points_by_clan(case).items()}
+        images = {w: point_images(case, ring, w) for w in least.values()}
         for c in poset.nodes:
             f = classes[c]
             below = poset.full_order[c]
@@ -297,7 +302,7 @@ def verify_localization(
                 if other in below:
                     continue
                 support_pairs += 1
-                if not restrict_at(case, f, w).is_zero():
+                if not restrict_at(case, f, w, images[w]).is_zero():
                     failures.append(
                         f"nonzero restriction of {c.to_text()} at a fixed "
                         f"point {w} of {other.to_text()}"
@@ -364,4 +369,4 @@ def chern_factored(
     except PolyError:
         return FactoredPoly(fp.ring, 1, [chern_substitute(fp.expand(), blocks)])
     done.sort(key=lambda t: (t[0], t[1]))
-    return FactoredPoly(fp.ring, fp.scalar, [f for *_, f in done])
+    return FactoredPoly(fp.ring, fp.scalar, [f for *_, f in done], fp.den)

@@ -3,13 +3,23 @@
 Polynomials live in a fixed :class:`Ring` with three banks of variables:
 ``x1..x_nx`` (torus weights of the ambient group), ``y1..y_ny`` (weights of
 the symmetric subgroup / bundle roots), and ``z1..z_nz`` (Chern-class
-variables).  A coefficient is an ``int`` when it is integral, else a
-:class:`fractions.Fraction`; exact either way.  The module provides
-substitution of signed variables for variables (restriction to a fixed
-point, the Weyl-group action), divided-difference operators for the four
-classical root types, elementary symmetric polynomials, determinants,
-rewriting of block-symmetric polynomials in terms of elementary symmetric
-generators, and a factored-form container used for human-readable output.
+variables).  The module provides substitution of signed variables for
+variables (restriction to a fixed point, the Weyl-group action),
+divided-difference operators for the four classical root types, elementary
+symmetric polynomials, determinants, rewriting of block-symmetric
+polynomials in terms of elementary symmetric generators, and a
+factored-form container used for human-readable output.
+
+Coefficients are exact rationals: a polynomial stores ``int`` numerators
+over one positive ``int`` denominator, in lowest terms (the gcd of the
+denominator and every numerator is 1).  So zero and every integral
+polynomial have denominator 1, and two polynomials are equal exactly when
+their rings, denominators and numerators are.  Linear maps (divided
+differences, substitution, the Chern rewrite, negation) act on the
+numerators and keep the denominator; ``+`` and ``*`` combine denominators
+and reduce once per result; ``/`` divides exactly by a nonzero ``int``.
+``fractions`` is imported only where a ``Fraction`` is handed out
+(``terms``, ``sorted_terms``, ``constant_value``).
 
 Each monomial is one ``int`` key: in a ring of width W, exponent slot i
 (x1.., y1.., z1..) is the 16-bit digit at bit 16*(W-1-i), and the total
@@ -27,24 +37,36 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from operator import add
+from typing import TYPE_CHECKING
 
 from .clans import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PolyError(ValueError):
     """Raised on invalid polynomial input or an impossible exact operation."""
 
 
-def _exact(c: Fraction | int) -> Fraction | int:
-    """A coefficient in normal form: ``int`` when integral, else ``Fraction``."""
-    if c.__class__ is int:
-        return c
-    if c.__class__ is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+def _ratio(c: Fraction | int) -> tuple[int, int]:
+    """An ``int`` or a ``Fraction`` (any rational number) as ``(numerator,
+    denominator)``; raises :class:`PolyError` for anything else."""
+    try:
+        return c.numerator, c.denominator
+    except AttributeError:
+        raise PolyError(f"coefficient {c!r} is not an int or a Fraction") from None
+
+
+def _coefficient(c: int, den: int) -> Fraction | int:
+    """``c/den`` as an ``int`` when integral, else as a ``Fraction``."""
+    if c % den == 0:
+        return c // den
+    from fractions import Fraction
+    return Fraction(c, den)
 
 
 _BITS = 16  # bits per exponent digit of a packed key
@@ -150,7 +172,8 @@ class Ring(Record):
                     raise PolyError(f"variable index {idx} out of range")
                 vec[idx] = e
             exps = vec
-        return Polynomial._from_clean(self, {self._pack(exps): _exact(coeff)})
+        num, den = _ratio(coeff)
+        return Polynomial._from_clean(self, {self._pack(exps): num}, den)
 
     def var(self, bank: str, i: int) -> "Polynomial":
         key = 1 << self._top | 1 << self._shifts[self.var_index(bank, i)]
@@ -165,8 +188,17 @@ class Ring(Record):
     def z(self, i: int) -> "Polynomial":
         return self.var("z", i)
 
+    def linear(self, bank: str, coeffs: Sequence[int]) -> "Polynomial":
+        """The linear form sum of ``coeffs[k-1] * bank_k``, e.g. ``2*y1 - y3``
+        from ``("y", (2, 0, -1))``, built as one polynomial."""
+        one = 1 << self._top
+        return Polynomial._from_clean(self, {
+            one | 1 << self._shifts[self.var_index(bank, k)]: c
+            for k, c in enumerate(coeffs, start=1)})
+
     def const(self, c: Fraction | int) -> "Polynomial":
-        return Polynomial._from_clean(self, {0: _exact(c)})
+        num, den = _ratio(c)
+        return Polynomial._from_clean(self, {0: num}, den)
 
     @property
     def zero(self) -> "Polynomial":
@@ -183,49 +215,61 @@ class Ring(Record):
 
 
 class _TermView(Mapping):
-    """A polynomial's terms as a read-only mapping exponent tuple -> coefficient."""
+    """A polynomial's terms as a read-only mapping exponent tuple -> coefficient
+    (``int`` when integral, else ``Fraction``)."""
 
-    __slots__ = ("_ring", "_terms")
+    __slots__ = ("_poly",)
 
-    def __init__(self, ring: Ring, terms: dict[int, Fraction | int]):
-        self._ring = ring
-        self._terms = terms
+    def __init__(self, poly: "Polynomial"):
+        self._poly = poly
 
     def __getitem__(self, exps):
+        poly = self._poly
         try:
-            key = self._ring._pack(exps)
+            key = poly.ring._pack(exps)
         except (PolyError, TypeError):
             raise KeyError(exps) from None
-        return self._terms[key]
+        return _coefficient(poly._terms[key], poly._den)
 
     def __iter__(self):
-        return map(self._ring._unpack, self._terms)
+        return map(self._poly.ring._unpack, self._poly._terms)
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._poly._terms)
 
 
 class Polynomial:
-    """Immutable sparse polynomial: mapping packed monomial key -> coefficient."""
+    """Immutable sparse polynomial: ``int`` numerators by packed monomial key,
+    over one positive ``int`` denominator, in lowest terms."""
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms", "_den", "_hash")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Fraction | int]):
-        self._fill(ring, {ring._pack(e): _exact(c) for e, c in terms.items()})
+        ratios = {ring._pack(e): _ratio(c) for e, c in terms.items()}
+        den = lcm(*(d for _, d in ratios.values()))
+        self._fill(ring, {key: n * (den // d) for key, (n, d) in ratios.items()}, den)
 
     @classmethod
-    def _from_clean(cls, ring: Ring, terms: Mapping[int, Fraction | int]) -> "Polynomial":
-        """Trusted constructor: ``terms`` has packed keys of degree at most
-        ``MAX_DEGREE`` and coefficients in normal form (see ``_exact``) or
-        their sums and products."""
+    def _from_clean(cls, ring: Ring, terms: Mapping[int, int], den: int = 1) -> "Polynomial":
+        """Trusted constructor: ``terms`` maps packed keys of degree at most
+        ``MAX_DEGREE`` to ``int`` numerators (zeros allowed) over the positive
+        ``int`` denominator ``den``."""
         self = object.__new__(cls)
-        self._fill(ring, terms)
+        self._fill(ring, terms, den)
         return self
 
-    def _fill(self, ring: Ring, terms: Mapping[int, Fraction | int]) -> None:
-        """Set the slots, dropping zero coefficients."""
+    def _fill(self, ring: Ring, terms: Mapping[int, int], den: int) -> None:
+        """Set the slots, dropping zero numerators and reducing to lowest
+        terms."""
+        terms = {e: c for e, c in terms.items() if c}
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {e: c // g for e, c in terms.items()}
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):  # pragma: no cover
@@ -235,7 +279,7 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction | int]:
-        return _TermView(self.ring, self._terms)
+        return _TermView(self)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -246,7 +290,8 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise PolyError("polynomial is not constant")
-        return Fraction(next(iter(self._terms.values()), 0))
+        from fractions import Fraction
+        return Fraction(next(iter(self._terms.values()), 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -271,21 +316,30 @@ class Polynomial:
             raise PolyError("polynomials from different rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return Polynomial._from_clean(self.ring, out)
+        den, oden = self._den, other._den
+        if den == oden:
+            out = dict(self._terms)
+            for key, c in other._terms.items():
+                out[key] = out.get(key, 0) + c
+        else:
+            den = lcm(den, oden)
+            scale, oscale = den // self._den, den // oden
+            out = {key: c * scale for key, c in self._terms.items()}
+            for key, c in other._terms.items():
+                out[key] = out.get(key, 0) + c * oscale
+        return Polynomial._from_clean(self.ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._from_clean(self.ring, {e: -c for e, c in self._terms.items()})
+        return Polynomial._from_clean(
+            self.ring, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         return self + (-other)
 
@@ -293,11 +347,13 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _exact(other)
+        if not isinstance(other, Polynomial):
+            try:
+                num, den = _ratio(other)
+            except PolyError:
+                return NotImplemented
             return Polynomial._from_clean(
-                self.ring, {e: _exact(k * c) for e, k in self._terms.items()}
-            )
+                self.ring, {e: k * num for e, k in self._terms.items()}, self._den * den)
         self._check(other)
         small, big = (self._terms, other._terms)
         if not small or not big:
@@ -306,14 +362,21 @@ class Polynomial:
             small, big = big, small
         top = self.ring._top
         _check_degree((max(small) >> top) + (max(big) >> top))
-        out: dict[int, Fraction | int] = {}
+        out: dict[int, int] = {}
         for e1, c1 in small.items():
             for e2, c2 in big.items():
                 key = e1 + e2  # no digit carries: the degree fits
                 out[key] = out.get(key, 0) + c1 * c2
-        return Polynomial._from_clean(self.ring, out)
+        return Polynomial._from_clean(self.ring, out, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, k: int):
+        """Exact division by a nonzero ``int``."""
+        if not isinstance(k, int) or not k:
+            raise PolyError(f"a polynomial divides only by a nonzero int, not {k!r}")
+        terms = self._terms if k > 0 else {e: -c for e, c in self._terms.items()}
+        return Polynomial._from_clean(self.ring, terms, self._den * abs(k))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -329,16 +392,18 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+            try:
+                other = self.ring.const(other)
+            except PolyError:
+                return NotImplemented
+        return (self.ring == other.ring and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.ring, frozenset(self._terms.items())))
+            h = hash((self.ring, self._den, frozenset(self._terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -357,7 +422,7 @@ class Polynomial:
                 raise PolyError(f"variable index {idx} out of range")
             self._check(image)
         zeroed, kept, negated, moves = _signed_remap(self.ring, images)
-        out: dict[int, Fraction | int] = {}
+        out: dict[int, int] = {}
         for key, coeff in self._terms.items():
             if key & zeroed:
                 continue
@@ -368,24 +433,24 @@ class Polynomial:
                 out[new] = out.get(new, 0) - coeff
             else:
                 out[new] = out.get(new, 0) + coeff
-        return Polynomial._from_clean(self.ring, out)
+        return Polynomial._from_clean(self.ring, out, self._den)
 
     # -- display ------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction | int]]:
         """The terms in graded-lex order, highest first."""
-        terms, unpack = self._terms, self.ring._unpack
-        return [(unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
+        terms, den, unpack = self._terms, self._den, self.ring._unpack
+        return [(unpack(k), _coefficient(terms[k], den)) for k in sorted(terms, reverse=True)]
 
     def to_text(self) -> str:
         terms = self._terms
         if not terms:
             return "0"
-        ring = self.ring
+        ring, den = self.ring, self._den
         pieces = []
         for key in sorted(terms, reverse=True):
             c = terms[key]
-            pieces.append((" - " if c < 0 else " + ") + term_text(ring, key, abs(c)))
+            pieces.append((" - " if c < 0 else " + ") + term_text(ring, key, abs(c), den))
         text = "".join(pieces)
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
@@ -413,7 +478,7 @@ def _signed_remap(
         if not terms:
             zeroed |= digit
             continue
-        if len(terms) == 1:
+        if len(terms) == 1 and image._den == 1:
             (key, c), = terms.items()
             if (c == 1 or c == -1) and key >> ring._top == 1:
                 offset = (key - one).bit_length() - 1 - s  # target minus source
@@ -426,8 +491,14 @@ def _signed_remap(
     return zeroed, ~substituted, negated, moves
 
 
-def term_text(ring: Ring, key: int, coeff: Fraction | int) -> str:
-    """Render one term with a non-negative coefficient, e.g. ``2*x1*y3^2``."""
+def term_text(ring: Ring, key: int, num: int, den: int = 1) -> str:
+    """Render one term with a non-negative coefficient ``num/den``, e.g.
+    ``2*x1*y3^2`` or ``1/2*x1``; the coefficient reads as ``str(Fraction)``
+    writes it."""
+    if den != 1:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    coeff = num if den == 1 else f"{num}/{den}"
     mono = ring._text(key)
     if not mono:
         return str(coeff)
@@ -508,7 +579,8 @@ class _Parser:
                 divisor = self.parse_factor()
                 if not divisor.is_constant() or divisor.is_zero():
                     raise PolyError("division only by nonzero constants")
-                result = result * (1 / divisor.constant_value())
+                (num,) = divisor._terms.values()
+                result = result * divisor._den / num
             elif kind in ("var", "num") or (kind == "op" and val == "("):
                 result = result * self.parse_factor()
             else:
@@ -578,7 +650,7 @@ def _dd_swap(f: Polynomial, sa: int, sb: int) -> Polynomial:
     x_a / x_b."""
     step = (1 << sa) - (1 << sb)
     drop = (1 << f.ring._top) + (1 << sb)  # one degree and one x_b
-    out: dict[int, Fraction | int] = {}
+    out: dict[int, int] = {}
     for key, coeff in f._terms.items():
         d = (key >> sa & _DIGIT) - (key >> sb & _DIGIT)
         if not d:
@@ -591,16 +663,16 @@ def _dd_swap(f: Polynomial, sa: int, sb: int) -> Polynomial:
         for _ in range(d):
             out[key] = out.get(key, 0) + coeff
             key += step
-    return Polynomial._from_clean(f.ring, out)
+    return Polynomial._from_clean(f.ring, out, f._den)
 
 
 def _dd_single(f: Polynomial, sa: int, alpha_coeff: int) -> Polynomial:
     """Divided difference for alpha = alpha_coeff * x_a (type B: 1, type C: 2)."""
-    scale = _exact(Fraction(2, alpha_coeff))
+    scale = 2 // alpha_coeff
     odd = 1 << sa
     drop = (1 << f.ring._top) + odd
     return Polynomial._from_clean(
-        f.ring, {key - drop: scale * c for key, c in f._terms.items() if key & odd})
+        f.ring, {key - drop: scale * c for key, c in f._terms.items() if key & odd}, f._den)
 
 
 def _dd_sum(f: Polynomial, sa: int, sb: int) -> Polynomial:
@@ -608,7 +680,7 @@ def _dd_sum(f: Polynomial, sa: int, sb: int) -> Polynomial:
     keys of the alternating terms step by x_b / x_a."""
     step = (1 << sb) - (1 << sa)
     drop = (1 << f.ring._top) + (1 << sa)  # one degree and one x_a
-    out: dict[int, Fraction | int] = {}
+    out: dict[int, int] = {}
     for key, coeff in f._terms.items():
         d = (key >> sa & _DIGIT) - (key >> sb & _DIGIT)
         if not d:
@@ -623,7 +695,7 @@ def _dd_sum(f: Polynomial, sa: int, sb: int) -> Polynomial:
             out[key] = out.get(key, 0) + coeff
             key += step
             coeff = -coeff
-    return Polynomial._from_clean(f.ring, out)
+    return Polynomial._from_clean(f.ring, out, f._den)
 
 
 def divided_difference(f: Polynomial, lie_type: str, rank: int, i: int) -> Polynomial:
@@ -703,7 +775,8 @@ def chern_substitute(f: Polynomial, blocks: Sequence[tuple[int, int]]) -> Polyno
     disjoint).  For a block starting at ``y_a``, the elementary symmetric
     polynomial ``e_k`` of that block's variables is replaced by
     ``z_{a-1+k}``.  Raises PolyError if f is not symmetric in each block
-    or uses a y variable outside every block.
+    or uses a y variable outside every block.  The rewrite is linear, so it
+    runs on f's numerators and keeps f's denominator.
     """
     ring = f.ring
     covered = set()
@@ -735,16 +808,16 @@ def chern_substitute(f: Polynomial, blocks: Sequence[tuple[int, int]]) -> Polyno
     for s in covered:
         ymask |= _DIGIT << ring._shifts[s]
     result = ring.zero
-    current = f
+    current = Polynomial._from_clean(ring, f._terms)
     while True:
         lead = max((key for key in current._terms if key & ymask), default=None)
         if lead is None:
             result = result + current
-            return result
+            return result / f._den
         coeff = current._terms[lead]
         exps = ring._unpack(lead)
         stripped = list(exps)
-        subtrahend = current.ring.const(coeff)
+        subtrahend = ring.const(coeff)
         image_exps = list(exps)
         for bi, (slots, zoffset) in enumerate(block_slots):
             lam = [exps[s] for s in slots]
@@ -774,14 +847,20 @@ def chern_substitute(f: Polynomial, blocks: Sequence[tuple[int, int]]) -> Polyno
 
 
 class FactoredPoly:
-    """A polynomial kept as scalar * product of factors, for display."""
+    """A polynomial kept as ``scalar / den`` times a product of factors, for
+    display: an ``int`` scalar over a positive ``int`` denominator, in lowest
+    terms.  ``scalar`` may also be given as a ``Fraction``."""
 
-    __slots__ = ("ring", "scalar", "factors")
+    __slots__ = ("ring", "scalar", "den", "factors")
 
     def __init__(self, ring: Ring, scalar: Fraction | int,
-                 factors: Sequence[Polynomial] = ()):
+                 factors: Sequence[Polynomial] = (), den: int = 1):
+        num, d = _ratio(scalar)
+        den *= d
+        g = gcd(num, den)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "scalar", Fraction(scalar))
+        object.__setattr__(self, "scalar", num // g)
+        object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "factors", tuple(factors))
         for fac in self.factors:
             if fac.ring != ring:
@@ -791,21 +870,22 @@ class FactoredPoly:
         raise AttributeError("FactoredPoly is immutable")
 
     def expand(self) -> Polynomial:
-        total = self.ring.const(self.scalar)
+        total = Polynomial._from_clean(self.ring, {0: self.scalar}, self.den)
         for fac in self.factors:
             total = total * fac
         return total
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FactoredPoly(self.ring, self.scalar * other, self.factors)
         if isinstance(other, Polynomial):
-            return FactoredPoly(self.ring, self.scalar, self.factors + (other,))
+            return FactoredPoly(self.ring, self.scalar, self.factors + (other,), self.den)
         if isinstance(other, FactoredPoly):
-            return FactoredPoly(
-                self.ring, self.scalar * other.scalar, self.factors + other.factors
-            )
-        return NotImplemented
+            return FactoredPoly(self.ring, self.scalar * other.scalar,
+                                self.factors + other.factors, self.den * other.den)
+        try:
+            num, den = _ratio(other)
+        except PolyError:
+            return NotImplemented
+        return FactoredPoly(self.ring, self.scalar * num, self.factors, self.den * den)
 
     __rmul__ = __mul__
 
@@ -813,20 +893,20 @@ class FactoredPoly:
         if self.scalar == 0:
             return "0"
         prefix_exps = [0] * self.ring.width
-        coeff = self.scalar
+        num, den = self.scalar, self.den
         wrapped: list[Polynomial] = []
         for fac in self.factors:
             if fac.is_zero():
                 return "0"
             if len(fac._terms) == 1:
-                (exps, c), = fac.sorted_terms()
-                coeff *= c
-                prefix_exps = list(map(add, prefix_exps, exps))
+                (key, c), = fac._terms.items()
+                num, den = num * c, den * fac._den
+                prefix_exps = list(map(add, prefix_exps, self.ring._unpack(key)))
             else:
                 wrapped.append(fac)
         body = "".join(f"({fac.to_text()})" for fac in wrapped)
-        sign = "-" if coeff < 0 else ""
-        mono = term_text(self.ring, self.ring._pack(prefix_exps), abs(coeff))
+        sign = "-" if num < 0 else ""
+        mono = term_text(self.ring, self.ring._pack(prefix_exps), abs(num), den)
         if body:
             if mono == "1":
                 return sign + body

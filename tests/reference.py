@@ -14,7 +14,9 @@ kept here as checks on the code that does.
 * ``poly``: the simple reflections on the x-variables and the simple
   roots, the two halves of the defining relation of a divided difference,
   and the kernels on exponent tuples that the packed-key kernels replaced
-  (product, sum, graded-lex order and text, Chern rewrite).
+  (product, sum, graded-lex order and text, Chern rewrite), and the
+  ``Fraction``-coefficient arithmetic that int numerators over one
+  denominator replaced.
 
 Test modules import it as ``from reference import ...``.
 """
@@ -603,11 +605,18 @@ def tuple_term_text(ring: Ring, exps: tuple[int, ...], coeff) -> str:
 
 
 def tuple_to_text(f: Polynomial) -> str:
-    if f.is_zero():
+    return fraction_to_text(f.ring, f.terms)
+
+
+def fraction_to_text(ring: Ring, terms: Mapping) -> str:
+    """The text of a mapping exponent tuple -> coefficient, each coefficient
+    written by ``str``."""
+    if not terms:
         return "0"
     pieces = []
-    for exps, coeff in tuple_sorted_terms(f):
-        body = tuple_term_text(f.ring, exps, abs(coeff))
+    for exps in sorted(terms, key=grlex, reverse=True):
+        coeff = terms[exps]
+        body = tuple_term_text(ring, exps, abs(coeff))
         if not pieces:
             pieces.append(("-" if coeff < 0 else "") + body)
         else:
@@ -676,3 +685,59 @@ def tuple_chern_substitute(f: Polynomial, blocks) -> Polynomial:
         peeled = tuple_mul(subtrahend, spectator)
         current = tuple_add(current, Polynomial(ring, {e: -c for e, c in peeled.terms.items()}))
         result = tuple_add(result, ring.monomial(tuple(image_exps), coeff))
+
+
+# ---------------------------------------------------------------------------
+# Polynomials: Fraction-coefficient arithmetic
+# ---------------------------------------------------------------------------
+# A polynomial as a dict exponent tuple -> nonzero Fraction, each coefficient
+# reduced on its own, as ``Polynomial`` stored it before it kept int
+# numerators over one denominator.
+
+
+def fraction_terms(f: Polynomial) -> dict[tuple[int, ...], Fraction]:
+    return {exps: Fraction(c) for exps, c in f.terms.items()}
+
+
+def _fraction_collect(pairs) -> dict[tuple[int, ...], Fraction]:
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in pairs:
+        out[exps] = out.get(exps, Fraction(0)) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def fraction_add(a: Mapping, b: Mapping) -> dict[tuple[int, ...], Fraction]:
+    return _fraction_collect(itertools.chain(a.items(), b.items()))
+
+
+def fraction_scale(a: Mapping, c) -> dict[tuple[int, ...], Fraction]:
+    return _fraction_collect((exps, k * Fraction(c)) for exps, k in a.items())
+
+
+def fraction_mul(a: Mapping, b: Mapping) -> dict[tuple[int, ...], Fraction]:
+    return _fraction_collect(
+        (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items())
+
+
+def fraction_pow(a: Mapping, k: int, width: int) -> dict[tuple[int, ...], Fraction]:
+    out = {(0,) * width: Fraction(1)}
+    for _ in range(k):
+        out = fraction_mul(out, a)
+    return out
+
+
+def fraction_substitute(a: Mapping, images: Mapping) -> dict[tuple[int, ...], Fraction]:
+    """Substitute signed variables for variables, all at once: ``images``
+    maps an exponent slot to ``(target slot, sign)``, or to ``None`` for 0."""
+    pairs = []
+    for exps, c in a.items():
+        if any(exps[s] for s, image in images.items() if image is None):
+            continue
+        new = [0 if s in images else e for s, e in enumerate(exps)]
+        for s, image in images.items():
+            if exps[s]:
+                target, sign = image
+                new[target] += exps[s]
+                c *= sign ** exps[s]
+        pairs.append((tuple(new), c))
+    return _fraction_collect(pairs)

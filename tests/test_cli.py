@@ -297,6 +297,30 @@ class TestUsageErrors:
                            "--q", "2", "--clan", "+-")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["chern", "--case", "a", "--p", "2", "--q", "2", "--clan=1+x1"],
+         "unrecognized clan token at 'x1'"),
+        (["chern", "--case", "a", "--p", "2", "--q", "2", "--clan=1+-"],
+         "clan has 3 symbols but shape (2, 2) needs 4"),
+        (["chern", "--case", "a", "--p", "2", "--q", "2", "--clan="],
+         "clan has 0 symbols but shape (2, 2) needs 4"),
+        (["chern", "--case", "a", "--p", "3", "--q", "2", "--clan=1+-+-"],
+         "pair label 1 occurs 1 times"),
+        (["chern", "--case", "a", "--p", "3", "--q", "2", "--clan=1+++1"],
+         "sign counts (+3, -0) incompatible with shape (3, 2)"),
+        (["chern", "--case", "c-spxsp", "--p", "2", "--q", "1", "--clan=+1221+"],
+         "+1221+ is not a clan of case c-spxsp"),
+        (["classes", "--case", "a", "--p", "-1", "--q", "2"],
+         "case a needs p, q >= 0"),
+        (["verify", "--case", "d-oxo-odd", "--p", "0", "--q", "3"],
+         "case d-oxo-odd needs p, q >= 1"),
+    ])
+    def test_malformed_clan_or_shape_is_usage_error(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and reason in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["classes", "--case", "a", "--p", "1", "--q", "1", "--format", "dot"],
         ["conjecture", "--case", "a", "--p", "1", "--q", "1", "--format", "dot"],
@@ -408,6 +432,30 @@ def test_subcommand_loads_only_the_layers_it_runs(argv, layers):
     assert "dataclasses" not in modules
 
 
+D3 = ["--case", "d-so-gl", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", *D3],
+    ["poset", *D3, "--full"],
+    ["conjecture", *D3],
+    ["classes", *D3, "--factored", "--verify", "--format", "json"],
+    ["classes", "--case", "b-so", "--p", "2", "--q", "1"],
+    ["verify", *D3],
+    ["chern", *D3, "--clan=+++---"],
+    ["chern", *D3, "--clan=+1212-"],
+])
+def test_subcommand_does_not_load_fractions(argv):
+    # d-so-gl classes have denominators 2^(n-1) and b-so has degree-2 edges:
+    # both run on int numerators over one denominator
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stderr.rpartition("loaded: ")[2].split())
+    assert "orbitcalc.cli" in modules
+    assert not {"fractions", "decimal", "numbers"} & modules
+
+
 @pytest.mark.parametrize("argv", [
     ["conjecture", "--case", "d-so-gl", "--n", "4", "--format", "json"],
     ["poset", "--case", "b-so", "--p", "2", "--q", "1", "--full", "--format", "json"],
@@ -466,6 +514,19 @@ def golden_calls() -> list[list[str]]:
     calls.append(["verify"])
     calls.append(["oracle"])
     calls.append(["chern", "--case", "b-so", "--p", "2", "--q", "1", "--clan=++-+-+-"])
+    # the paths through a denominator: the 1/2^(n-1) of the d-so-gl closed
+    # classes and the 1/2 on the degree-2 edges of b-so(2,2)
+    d4 = ["--case", "d-so-gl", "--n", "4"]
+    poset = weak_order_graph(case_from_params("d-so-gl", 4, 4))
+    mid = next(c for c in poset.nodes if poset.ranks[c] == poset.max_rank // 2)
+    calls += [
+        ["classes", *d4],
+        ["classes", *d4, "--format", "json", "--factored", "--verify"],
+        ["verify", *d4],
+        ["chern", *d4, f"--clan={poset.minima()[0].to_text()}"],
+        ["chern", *d4, f"--clan={mid.to_text()}"],
+        ["classes", "--case", "b-so", "--p", "2", "--q", "2", "--format", "json"],
+    ]
     return calls
 
 

@@ -1,6 +1,7 @@
 """Tests for exact polynomial arithmetic, operators, and display."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,13 @@ from orbitcalc.poly import (
 )
 from orbitcalc.weyl import closed_orbit_fixed_points
 from reference import (
+    fraction_add,
+    fraction_mul,
+    fraction_pow,
+    fraction_scale,
+    fraction_substitute,
+    fraction_terms,
+    fraction_to_text,
     reflect_x,
     simple_root_poly,
     tuple_add,
@@ -104,10 +112,10 @@ def test_integral_coefficients_compare_and_hash_as_ints():
     one = (0,) * R.width
     assert type(Polynomial(R, {one: Fraction(6, 2)}).terms[one]) is int
     assert type(R.const(Fraction(6, 2)).terms[one]) is int
-    as_fraction = Polynomial._from_clean(R, {0: Fraction(3)})  # 0 is the packed key of 1
-    assert type(as_fraction.terms[one]) is Fraction
-    assert as_fraction == R.const(3) == 3
-    assert hash(as_fraction) == hash(R.const(3))
+    over_two = Polynomial._from_clean(R, {0: 6}, 2)  # 0 is the packed key of 1
+    assert type(over_two.terms[one]) is int and over_two._den == 1
+    assert over_two == R.const(3) == 3
+    assert hash(over_two) == hash(R.const(3))
     summed = Fraction(1, 2) * R.x(1) + Fraction(5, 2) * R.x(1)
     assert summed == 3 * R.x(1) and hash(summed) == hash(3 * R.x(1))
 
@@ -237,7 +245,9 @@ def ring_and_polys(draw):
     small or large exponents, and the second one cancelling a drawn subset
     of the first one's terms when the two are added."""
     ring = draw(st.sampled_from(BANK_RINGS))
-    max_exp = draw(st.sampled_from((3, 10000)))
+    # a term adds up to three exponents, so with 7000 the product f * g * f
+    # stays within MAX_DEGREE, above which the product is refused
+    max_exp = draw(st.sampled_from((3, 7000)))
     f = draw(polys(ring=ring, max_exp=max_exp))
     g = draw(polys(ring=ring, max_exp=max_exp))
     cancel = draw(st.sets(st.sampled_from(sorted(f.terms)))) if f.terms else set()
@@ -795,3 +805,177 @@ def test_factored_text_parses_back():
     ]
     for fp in cases:
         assert parse_poly(fp.to_text(), R) == fp.expand()
+
+
+# ---------------------------------------------------------------------------
+# Int numerators over one denominator, against the Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+DENOMINATORS = (1, 2, 3, 4, 8)
+
+
+@st.composite
+def rational_terms(draw, ring=R, max_terms=5, max_exp=3, x_only=False,
+                   denominators=DENOMINATORS):
+    """A dict exponent tuple -> nonzero Fraction with the given denominators."""
+    width = ring.nx if x_only else ring.width
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        exps = [0] * ring.width
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            exps[draw(st.integers(min_value=0, max_value=width - 1))] += draw(
+                st.integers(min_value=1, max_value=max_exp))
+        c = Fraction(draw(st.integers(min_value=-9, max_value=9)),
+                     draw(st.sampled_from(denominators)))
+        if c:
+            terms[tuple(exps)] = c
+    return terms
+
+
+@st.composite
+def rational_pairs(draw, ring=R, x_only=False):
+    """Two term dicts a and b.  b is drawn freely, or is h - a for an
+    integral h, so that a + b is integral, or is -a, so that a + b is 0."""
+    a = draw(rational_terms(ring, x_only=x_only))
+    kind = draw(st.sampled_from(("free", "integral", "zero")))
+    if kind == "free":
+        return a, draw(rational_terms(ring, x_only=x_only))
+    h = {} if kind == "zero" else draw(rational_terms(ring, x_only=x_only, denominators=(1,)))
+    return a, fraction_add(h, fraction_scale(a, -1))
+
+
+def assert_canonical(f):
+    den, nums = f._den, list(f._terms.values())
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in nums)
+    assert math.gcd(den, *nums) == 1  # so zero and integral polynomials have den 1
+
+
+def assert_matches(result, reference):
+    """``result`` equals the Fraction reference term by term, is canonical,
+    renders as the reference does, and equals and hashes like the equal
+    polynomials built from the reference or from unreduced numerators."""
+    assert dict(result.terms) == reference
+    assert all(type(c) is (int if c.denominator == 1 else Fraction)
+               for c in result.terms.values())
+    assert_canonical(result)
+    assert result.to_text() == fraction_to_text(result.ring, reference)
+    for twin in (Polynomial(result.ring, reference),
+                 Polynomial._from_clean(result.ring, {k: 6 * c for k, c in result._terms.items()},
+                                        6 * result._den)):
+        assert result == twin and hash(result) == hash(twin)
+
+
+@given(rational_pairs())
+@settings(max_examples=150, deadline=None)
+def test_rational_arithmetic_matches_fraction_reference(pair):
+    a, b = pair
+    f, g = Polynomial(R, a), Polynomial(R, b)
+    assert_matches(f, a)
+    assert_matches(g, b)
+    assert_matches(f + g, fraction_add(a, b))
+    assert_matches(f - g, fraction_add(a, fraction_scale(b, -1)))
+    assert_matches(-f, fraction_scale(a, -1))
+    assert_matches(f * g, fraction_mul(a, b))
+    assert_matches(f ** 2, fraction_pow(a, 2, R.width))
+    assert_matches(g ** 3, fraction_pow(b, 3, R.width))
+    whole = math.lcm(*(c.denominator for c in a.values()))
+    for c in (0, 1, -3, whole, Fraction(1, 2), Fraction(-8, 3), Fraction(3, 4)):
+        assert_matches(f * c, fraction_scale(a, c))
+        assert_matches(c * f, fraction_scale(a, c))
+        assert_matches(f + c, fraction_add(a, {(0,) * R.width: Fraction(c)} if c else {}))
+    for k in (1, -1, 2, -3, 4, 8):
+        assert_matches(f / k, fraction_scale(a, Fraction(1, k)))
+        assert (f / k) * k == f
+    assert (f == g) == (a == b)
+    assert (f + g == R.zero) == (not fraction_add(a, b))
+
+
+@pytest.mark.parametrize("lie_type,rank", ALL_TYPES)
+@given(a=rational_terms(x_only=True), symmetrize=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_rational_divided_difference_matches_fraction_reference(lie_type, rank, a, symmetrize):
+    f = Polynomial(R, a)
+    for i in _root_indices(lie_type, rank):
+        g = f + reflect_x(f, lie_type, rank, i) if symmetrize else f  # dd(g) = 0
+        got = divided_difference(g, lie_type, rank, i)
+        assert_matches(got, fraction_terms(reference_divided_difference(g, lie_type, rank, i)))
+        if symmetrize:
+            assert got.is_zero() and got._den == 1
+
+
+def test_rational_divided_difference_cancels_to_integral():
+    f = parse_poly("1/2*x1^2 - 1/2*x2^2", R)
+    assert f._den == 2
+    got = divided_difference(f, "A", 4, 1)
+    assert got == R.x(1) + R.x(2) and got._den == 1
+    assert divided_difference(parse_poly("1/4*x4^3", R), "B", 4, 4) == parse_poly("1/2*x4^2", R)
+    assert divided_difference(parse_poly("1/2*x4", R), "B", 4, 4) == R.one
+    assert divided_difference(parse_poly("1/8*x3 + 1/8*x4", R), "D", 4, 4) == R.const(
+        Fraction(1, 4))
+
+
+@st.composite
+def signed_images(draw, ring=S):
+    """Images of a few slots: 0 or +-1 times one variable, as pairs (target
+    slot, sign) or None for 0, and as polynomials."""
+    slots = draw(st.lists(st.integers(0, ring.width - 1), unique=True, max_size=4))
+    pairs = {}
+    for idx in slots:
+        if draw(st.booleans()):
+            pairs[idx] = (draw(st.integers(0, ring.width - 1)), draw(st.sampled_from((1, -1))))
+        else:
+            pairs[idx] = None
+    images = {idx: ring.zero if image is None else ring.monomial({image[0]: 1}, image[1])
+              for idx, image in pairs.items()}
+    return pairs, images
+
+
+@given(rational_terms(ring=S), signed_images())
+@settings(max_examples=150, deadline=None)
+def test_rational_substitute_matches_fraction_reference(a, drawn):
+    pairs, images = drawn
+    assert_matches(Polynomial(S, a).substitute(images), fraction_substitute(a, pairs))
+
+
+def test_rational_substitute_cancels_to_zero_and_to_integral():
+    x1, x2 = S.var_index("x", 1), S.var_index("x", 2)
+    f = parse_poly("1/2*x1 - 1/2*x2 + y1", S)
+    merged = f.substitute({x1: S.x(2)})
+    assert merged == S.y(1) and merged._den == 1
+    assert f.substitute({x1: S.zero, x2: S.zero}) == S.y(1)
+    with pytest.raises(PolyError):  # one half of a variable is not a signed variable
+        f.substitute({x1: S.x(2) / 2})
+
+
+@given(rational_terms(max_terms=4, max_exp=2))
+@settings(max_examples=60, deadline=None)
+def test_rational_chern_substitute_matches_fraction_reference(a):
+    y1, y2, y3, y4 = (R.var_index("y", i) for i in range(1, 5))
+    for s, t in ((y1, y2), (y3, y4)):  # symmetric in both blocks
+        a = fraction_add(a, fraction_substitute(a, {s: (t, 1), t: (s, 1)}))
+    got = chern_substitute(Polynomial(R, a), BLOCKS_22)
+    assert_matches(got, fraction_terms(tuple_chern_substitute(Polynomial(R, a), BLOCKS_22)))
+
+
+def test_rational_text_and_scalars():
+    f = parse_poly("3/6*x1 + 2/8*y1 - 4/8", R)
+    assert f._den == 4 and f.to_text() == "1/2*x1 + 1/4*y1 - 1/2"
+    assert f * 4 == parse_poly("2*x1 + y1 - 2", R) and (f * 4)._den == 1
+    assert R.const(Fraction(1, 2)) == Fraction(1, 2) and R.const(Fraction(1, 2)) != 1
+    assert (f / 3).to_text() == "1/6*x1 + 1/12*y1 - 1/6"
+    for k in (0, Fraction(1, 2), 0.5):
+        with pytest.raises(PolyError):
+            f / k
+    with pytest.raises(PolyError):
+        R.const(0.5)
+
+
+def test_factored_scalar_is_in_lowest_terms():
+    fp = FactoredPoly(R, Fraction(6, 4), [R.x(1) + R.y(1)], den=3)
+    assert (fp.scalar, fp.den) == (1, 2)
+    assert fp.to_text() == "1/2(x1 + y1)"
+    assert fp.expand() == parse_poly("1/2*x1 + 1/2*y1", R) and fp.expand()._den == 2
+    assert (fp * Fraction(2, 3)).to_text() == "1/3(x1 + y1)"
+    assert FactoredPoly(R, 3, [parse_poly("1/6*x1", R), R.x(2) + R.y(1)]).to_text() == \
+        "1/2*x1(x2 + y1)"
