@@ -9,13 +9,17 @@ every call is a fresh process, and start-up was about 3/4 of a ``conjecture``
 call's CPU time.  ``enumerate`` loads ``clans`` alone; ``conjecture`` and ``poset``
 add ``orbits`` and ``weyl``; ``classes``, ``verify`` and ``chern`` add ``formulas``
 and ``poly``; only ``oracle`` loads ``geometry``.
+
+Every handler hands ``_emit`` its output as chunks, written as they are
+produced: ``classes`` renders one line per orbit, so its table is never
+held whole in memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 from .clans import (CASE_TAGS, CASES, DESK_RANKS, CaseId, CheckError, ClanError,
                     case_from_params, enumerate_case_clans, enumerate_clans, parse_clan,
@@ -25,11 +29,14 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write each chunk of text as it is produced, to ``--output`` (opened
+    once) or to stdout, so no command holds its whole output at once."""
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _resolve_case(args) -> CaseId:
@@ -73,9 +80,9 @@ def cmd_enumerate(args) -> int:
             "count": len(clans),
             "clans": [c.to_text() for c in clans],
         }
-        _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
+        _emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
     else:
-        _emit(args, "".join(c.to_text() + "\n" for c in clans))
+        _emit(args, (c.to_text() + "\n" for c in clans))
     return 0
 
 
@@ -87,9 +94,9 @@ def cmd_poset(args) -> int:
     if args.full:
         poset = full_closure_order(poset)
     if args.fmt == "dot":
-        _emit(args, poset_to_dot(poset))
+        _emit(args, [poset_to_dot(poset)])
     else:
-        _emit(args, poset_json_text(poset))
+        _emit(args, [poset_json_text(poset)])
     return 0
 
 
@@ -120,11 +127,10 @@ def cmd_classes(args) -> int:
             "case": {"tag": case.tag, "p": case.p, "q": case.q},
             "classes": {c.to_text(): render(c) for c in ordered},
         }
-        _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
+        _emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
     else:
         width = max(len(c.to_text()) for c in ordered)
-        lines = [f"{c.to_text():<{width}}  {render(c)}" for c in ordered]
-        _emit(args, "".join(line + "\n" for line in lines))
+        _emit(args, (f"{c.to_text():<{width}}  {render(c)}\n" for c in ordered))
     return 0
 
 
@@ -155,7 +161,7 @@ def cmd_verify(args) -> int:
         if not report.ok:
             failed = True
             lines.extend(f"      {f}" for f in report.failures)
-    _emit(args, "".join(line + "\n" for line in lines))
+    _emit(args, (line + "\n" for line in lines))
     return VERIFY_ERROR if failed else 0
 
 
@@ -194,7 +200,7 @@ def cmd_oracle(args) -> int:
         f"moved {moved} by a block-diagonal k (p+q <= {move_max})"
     ]
     out.extend("      " + m for m in mismatches)
-    _emit(args, "".join(line + "\n" for line in out))
+    _emit(args, (line + "\n" for line in out))
     return VERIFY_ERROR if mismatches else 0
 
 
@@ -213,14 +219,13 @@ def cmd_conjecture(args) -> int:
                 [a.to_text(), b.to_text()] for a, b in report.witnesses
             ],
         }
-        _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
+        _emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
         return 0
     if report.coincides:
-        _emit(
-            args,
+        _emit(args, [
             f"case {case.tag} ({case.p},{case.q}): computed closure order "
             "coincides with the rank-number order\n",
-        )
+        ])
     else:
         lines = [
             f"case {case.tag} ({case.p},{case.q}): computed closure order is "
@@ -230,7 +235,7 @@ def cmd_conjecture(args) -> int:
             f"  {a.to_text()} < {b.to_text()} only for rank numbers"
             for a, b in report.witnesses
         )
-        _emit(args, "".join(line + "\n" for line in lines))
+        _emit(args, (line + "\n" for line in lines))
     return 0
 
 
@@ -249,9 +254,9 @@ def cmd_chern(args) -> int:
             "clan": c.to_text(),
             "chern": formula.to_text(),
         }
-        _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
+        _emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
     else:
-        _emit(args, formula.to_text() + "\n")
+        _emit(args, [formula.to_text() + "\n"])
     return 0
 
 

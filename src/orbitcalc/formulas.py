@@ -273,7 +273,7 @@ def verify_localization(
     S(O x O) pairs.  So the least of them decides for the fibre.  The tests
     check both facts at every desk case.
     """
-    if poset is None or poset.full_order is None:
+    if poset is None or poset.order_bits is None:
         poset = full_closure_order(poset if poset is not None else case)
     if classes is None:
         classes = all_classes(case, poset)
@@ -293,13 +293,16 @@ def verify_localization(
     support_pairs = 0
     support_checked = not case.uncovered
     if support_checked:
-        least = {c: min(points) for c, points in fixed_points_by_clan(case).items()}
-        images = {w: point_images(case, ring, w) for w in least.values()}
+        bits = poset.order_bits
+        pos = {c: k for k, c in enumerate(bits.orbits)}
+        least = [(other, 1 << pos[other], min(points))
+                 for other, points in fixed_points_by_clan(case).items()]
+        images = {w: point_images(case, ring, w) for _, _, w in least}
         for c in poset.nodes:
             f = classes[c]
-            below = poset.full_order[c]
-            for other, w in least.items():
-                if other in below:
+            below = bits.down[pos[c]]
+            for other, bit, w in least:
+                if below & bit:
                     continue
                 support_pairs += 1
                 if not restrict_at(case, f, w, images[w]).is_zero():

@@ -25,6 +25,7 @@ rank-number down-set is the AND of one column bitset per entry.
 
 from __future__ import annotations
 
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
@@ -204,15 +205,27 @@ class OrderBits(Record):
 class OrbitPoset(Record):
     """Weak-order graph of a case, with optional saturated full order; equal only to itself."""
 
-    __slots__ = _fields = ("case", "nodes", "weak_edges", "ranks", "full_order", "order_bits")
-    _defaults = {"full_order": None, "order_bits": None}
+    __slots__ = ("case", "nodes", "weak_edges", "ranks", "order_bits",
+                 "__dict__")  # __dict__ holds full_order once it is read
+    _fields = ("case", "nodes", "weak_edges", "ranks", "order_bits")
+    _defaults = {"order_bits": None}
     __eq__, __hash__ = object.__eq__, object.__hash__
     case: CaseId
     nodes: tuple[Clan, ...]
     weak_edges: tuple[tuple[Clan, Clan, int, int], ...]  # (src, dst, root, degree)
     ranks: Mapping[Clan, int]
-    full_order: Mapping[Clan, frozenset[Clan]] | None  # b -> {a <= b}
-    order_bits: OrderBits | None  # set with full_order by full_closure_order
+    order_bits: OrderBits | None  # set by full_closure_order
+
+    @cached_property
+    def full_order(self) -> dict[Clan, frozenset[Clan]] | None:
+        """The saturated order as sets, b -> {a <= b}, built from
+        ``order_bits`` when first read; ``None`` before saturation."""
+        bits = self.order_bits
+        if bits is None:
+            return None
+        orbits = bits.orbits
+        return {c: frozenset(map(orbits.__getitem__, _members(down)))
+                for c, down in zip(orbits, bits.down)}
 
     @property
     def top(self) -> Clan:
@@ -382,10 +395,8 @@ def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
                 f"{orbits[v].to_text()} vs {orbits[k].to_text()}"
             )
 
-    full = {c: frozenset(map(orbits.__getitem__, _members(down[pos[c]])))
-            for c in poset.nodes}
     bits = OrderBits(orbits, tuple(down), tuple(rank_down))
-    return OrbitPoset(case, poset.nodes, poset.weak_edges, poset.ranks, full, bits)
+    return OrbitPoset(case, poset.nodes, poset.weak_edges, poset.ranks, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +454,9 @@ def poset_to_json(poset: OrbitPoset) -> dict:
             )
         ],
     }
-    if poset.full_order is not None:
-        data["full_order"] = {
-            c.to_text(): sorted(v.to_text() for v in poset.full_order[c])
-            for c in nodes
-        }
+    full = poset.full_order
+    if full is not None:
+        data["full_order"] = {c.to_text(): sorted(v.to_text() for v in full[c]) for c in nodes}
     return data
 
 

@@ -31,11 +31,16 @@ digit may overflow, so a total degree above ``MAX_DEGREE`` (65,535) raises
 :class:`PolyError` in the constructors, ``*`` and ``**``.  Exponent tuples
 stay the interface of ``Polynomial(ring, {exps: c})``, ``Ring.monomial``,
 ``terms`` and ``sorted_terms``.
+
+``to_text`` writes each term inline.  A monomial's text is the text of its
+x-part (``key`` masked to the x digits) and of its y/z-part, each memoised
+once per ring: a case's classes share few of either (at a(3,3), 995 x-parts
+and 64 y-parts for 17,668 monomials).  Text parses back with
+``orbitcalc.parse.parse_poly``.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from math import gcd, lcm
@@ -118,9 +123,16 @@ class Ring(Record):
         return _BITS * self.width
 
     @cached_property
-    def _texts(self) -> dict[int, str]:
-        """Rendered monomials by key, filled as they are printed."""
-        return {}
+    def _masks(self) -> tuple[int, int]:
+        """The x digits and the y/z digits of a packed key."""
+        low = _BITS * (self.ny + self.nz)
+        return (1 << self._top) - (1 << low), (1 << low) - 1
+
+    @cached_property
+    def _texts(self) -> tuple[dict[int, str], dict[int, str]]:
+        """Rendered x-parts and y/z-parts of monomials, by masked key, filled
+        as they are printed."""
+        return {}, {}
 
     def _pack(self, exps: Sequence[int]) -> int:
         """The key of an exponent vector; raises :class:`PolyError` on a wrong
@@ -138,13 +150,12 @@ class Ring(Record):
     def _unpack(self, key: int) -> tuple[int, ...]:
         return tuple(key >> s & _DIGIT for s in self._shifts)
 
-    def _text(self, key: int) -> str:
-        """A monomial as text, e.g. ``x1*y3^2``; ``""`` for 1."""
-        text = self._texts.get(key)
-        if text is None:
-            text = self._texts[key] = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.names, self._unpack(key)) if e)
+    def _part_text(self, texts: dict[int, str], part: int) -> str:
+        """The text of ``part``, a key masked to its x or its y/z digits,
+        memoised in ``texts``."""
+        text = texts[part] = "*".join(
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(self.names, self._unpack(part)) if e)
         return text
 
     def var_index(self, bank: str, i: int) -> int:
@@ -443,16 +454,36 @@ class Polynomial:
         return [(unpack(k), _coefficient(terms[k], den)) for k in sorted(terms, reverse=True)]
 
     def to_text(self) -> str:
+        """The terms, highest first, e.g. ``x1^2 - 2*x1*y3 + 1/2``; each
+        coefficient reads as ``str(Fraction)`` writes it.  A monomial is
+        written from the ring's memoised texts of its x-part and y/z-part."""
         terms = self._terms
         if not terms:
             return "0"
         ring, den = self.ring, self._den
+        xmask, yzmask = ring._masks
+        xtexts, yztexts = ring._texts
         pieces = []
         for key in sorted(terms, reverse=True):
+            x = xtexts.get(key & xmask)
+            if x is None:
+                x = ring._part_text(xtexts, key & xmask)
+            yz = yztexts.get(key & yzmask)
+            if yz is None:
+                yz = ring._part_text(yztexts, key & yzmask)
+            mono = f"{x}*{yz}" if x and yz else x or yz
             c = terms[key]
-            pieces.append((" - " if c < 0 else " + ") + term_text(ring, key, abs(c), den))
-        text = "".join(pieces)
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+            if c < 0:
+                pieces.append(" - ")
+                c = -c
+            else:
+                pieces.append(" + ")
+            if den != 1:
+                g = gcd(c, den)
+                c = c // g if g == den else f"{c // g}/{den // g}"
+            pieces.append(mono if c == 1 and mono else f"{c}*{mono}" if mono else str(c))
+        pieces[0] = "-" if pieces[0] == " - " else ""
+        return "".join(pieces)
 
     def __repr__(self):  # pragma: no cover
         return f"Polynomial({self.to_text()!r})"
@@ -489,140 +520,6 @@ def _signed_remap(
         raise PolyError(f"the image of slot {idx} is not 0 or +-1 times one variable")
     moves = [(digits, max(d, 0), max(-d, 0)) for d, digits in by_offset.items()]
     return zeroed, ~substituted, negated, moves
-
-
-def term_text(ring: Ring, key: int, num: int, den: int = 1) -> str:
-    """Render one term with a non-negative coefficient ``num/den``, e.g.
-    ``2*x1*y3^2`` or ``1/2*x1``; the coefficient reads as ``str(Fraction)``
-    writes it."""
-    if den != 1:
-        g = gcd(num, den)
-        num, den = num // g, den // g
-    coeff = num if den == 1 else f"{num}/{den}"
-    mono = ring._text(key)
-    if not mono:
-        return str(coeff)
-    return mono if coeff == 1 else f"{coeff}*{mono}"
-
-
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"\s*(?:([xyz])(\d+)|(\d+)|([()+\-*/^]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    text = text.replace("−", "-").replace("·", "*")
-    tokens: list[tuple[str, object]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise PolyError(f"cannot tokenize polynomial at: {text[pos:]!r}")
-            break
-        if m.group(1):
-            tokens.append(("var", (m.group(1), int(m.group(2)))))
-        elif m.group(3):
-            tokens.append(("num", int(m.group(3))))
-        else:
-            tokens.append(("op", m.group(4)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, object]], ring: Ring):
-        self.tokens = tokens
-        self.pos = 0
-        self.ring = ring
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise PolyError(f"expected {op!r} in polynomial text")
-
-    def parse_expr(self) -> Polynomial:
-        kind, val = self.peek()
-        sign = 1
-        if kind == "op" and val in ("+", "-"):
-            self.take()
-            sign = -1 if val == "-" else 1
-        total = self.parse_term() * sign
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in ("+", "-"):
-                self.take()
-                term = self.parse_term()
-                total = total + (term if val == "+" else -term)
-            else:
-                return total
-
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                result = result * self.parse_factor()
-            elif kind == "op" and val == "/":
-                self.take()
-                divisor = self.parse_factor()
-                if not divisor.is_constant() or divisor.is_zero():
-                    raise PolyError("division only by nonzero constants")
-                (num,) = divisor._terms.values()
-                result = result * divisor._den / num
-            elif kind in ("var", "num") or (kind == "op" and val == "("):
-                result = result * self.parse_factor()
-            else:
-                return result
-
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_primary()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            k, v = self.take()
-            if k != "num":
-                raise PolyError("exponent must be a number")
-            base = base ** int(v)
-        return base
-
-    def parse_primary(self) -> Polynomial:
-        kind, val = self.take()
-        if kind == "num":
-            return self.ring.const(val)
-        if kind == "var":
-            bank, i = val
-            return self.ring.var(bank, i)
-        if kind == "op" and val == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if kind == "op" and val == "-":
-            return -self.parse_primary()
-        raise PolyError(f"unexpected token {val!r} in polynomial text")
-
-
-def parse_poly(text: str, ring: Ring) -> Polynomial:
-    """Parse text like ``"2*x1*x2(x1 - y3)(x1 + y3) + 1/2"`` exactly."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PolyError("empty polynomial text")
-    parser = _Parser(tokens, ring)
-    result = parser.parse_expr()
-    if parser.pos != len(tokens):
-        raise PolyError(f"trailing junk in polynomial text {text!r}")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +803,8 @@ class FactoredPoly:
                 wrapped.append(fac)
         body = "".join(f"({fac.to_text()})" for fac in wrapped)
         sign = "-" if num < 0 else ""
-        mono = term_text(self.ring, self.ring._pack(prefix_exps), abs(num), den)
+        mono = Polynomial._from_clean(
+            self.ring, {self.ring._pack(prefix_exps): abs(num)}, den).to_text()
         if body:
             if mono == "1":
                 return sign + body

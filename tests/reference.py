@@ -14,15 +14,17 @@ kept here as checks on the code that does.
 * ``poly``: the simple reflections on the x-variables and the simple
   roots, the two halves of the defining relation of a divided difference,
   and the kernels on exponent tuples that the packed-key kernels replaced
-  (product, sum, graded-lex order and text, Chern rewrite), and the
+  (product, sum, graded-lex order and text, Chern rewrite), the
   ``Fraction``-coefficient arithmetic that int numerators over one
-  denominator replaced.
+  denominator replaced, and the text renderer with one memo entry per
+  full monomial key that the split x and y/z memos replaced.
 
 Test modules import it as ``from reference import ...``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -54,6 +56,7 @@ from orbitcalc.formulas import (
 from orbitcalc.orbits import (
     OrbitError,
     OrbitPoset,
+    OrderBits,
     OrderComparison,
     full_closure_order,
     simple_root_indices,
@@ -425,8 +428,13 @@ def set_full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
                     f"{nodes[b].to_text()} vs {nodes[a].to_text()}"
                 )
 
-    full = {nodes[k]: frozenset(nodes[v] for v in down[k]) for k in range(m)}
-    return OrbitPoset(case, nodes, poset.weak_edges, poset.ranks, full)
+    # the sets as bits over the orbits by rank, the form OrbitPoset keeps
+    bit = {k: 1 << j for j, k in enumerate(by_rank)}
+    rank_down = [sum(bit[v] for v in range(m) if tables[v].below(tables[k])) for k in by_rank]
+    bits = OrderBits(tuple(nodes[k] for k in by_rank),
+                     tuple(sum(map(bit.__getitem__, down[k])) for k in by_rank),
+                     tuple(rank_down))
+    return OrbitPoset(case, nodes, poset.weak_edges, poset.ranks, bits)
 
 
 def set_check_conjecture(case_or_poset: CaseId | OrbitPoset) -> OrderComparison:
@@ -622,6 +630,68 @@ def fraction_to_text(ring: Ring, terms: Mapping) -> str:
         else:
             pieces.append((" - " if coeff < 0 else " + ") + body)
     return "".join(pieces)
+
+
+@functools.cache
+def full_key_text(ring: Ring, key: int) -> str:
+    """A monomial as text, e.g. ``x1*y3^2``; ``""`` for 1: the renderer
+    with one memo entry per full key, which the split x and y/z memos
+    replaced."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(ring.names, ring._unpack(key)) if e)
+
+
+def full_key_term_text(ring: Ring, key: int, num: int, den: int = 1) -> str:
+    """One term with a non-negative coefficient ``num/den``, e.g.
+    ``2*x1*y3^2`` or ``1/2*x1``."""
+    if den != 1:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    coeff = num if den == 1 else f"{num}/{den}"
+    mono = full_key_text(ring, key)
+    if not mono:
+        return str(coeff)
+    return mono if coeff == 1 else f"{coeff}*{mono}"
+
+
+def full_key_to_text(f: Polynomial) -> str:
+    """``Polynomial.to_text`` through :func:`full_key_term_text`."""
+    terms = f._terms
+    if not terms:
+        return "0"
+    pieces = []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        pieces.append((" - " if c < 0 else " + ")
+                      + full_key_term_text(f.ring, key, abs(c), f._den))
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def full_key_factored_text(fp: FactoredPoly) -> str:
+    """``FactoredPoly.to_text`` through the full-key renderer."""
+    if fp.scalar == 0:
+        return "0"
+    prefix_exps = [0] * fp.ring.width
+    num, den = fp.scalar, fp.den
+    wrapped: list[Polynomial] = []
+    for fac in fp.factors:
+        if fac.is_zero():
+            return "0"
+        if len(fac._terms) == 1:
+            (key, c), = fac._terms.items()
+            num, den = num * c, den * fac._den
+            prefix_exps = list(map(add, prefix_exps, fp.ring._unpack(key)))
+        else:
+            wrapped.append(fac)
+    body = "".join(f"({full_key_to_text(fac)})" for fac in wrapped)
+    sign = "-" if num < 0 else ""
+    mono = full_key_term_text(fp.ring, fp.ring._pack(prefix_exps), abs(num), den)
+    if body:
+        if mono == "1":
+            return sign + body
+        return sign + mono + body
+    return sign + mono
 
 
 def tuple_chern_substitute(f: Polynomial, blocks) -> Polynomial:

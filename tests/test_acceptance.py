@@ -32,11 +32,8 @@ from orbitcalc.formulas import (
 )
 from orbitcalc.geometry import block_diagonal_matrix, measure_rank_numbers, representative_flag
 from orbitcalc.orbits import check_conjecture, full_closure_order
-from orbitcalc.poly import (
-    Ring,
-    divided_difference,
-    parse_poly,
-)
+from orbitcalc.parse import parse_poly
+from orbitcalc.poly import Ring, divided_difference
 from orbitcalc.weyl import closed_orbit_fixed_points, weyl_elements
 from reference import (
     closed_clans,

@@ -375,20 +375,39 @@ class TestOutputFile:
         assert a.read_bytes().decode("utf-8").endswith("\n")
 
     def test_file_matches_stdout(self, capsys, tmp_path):
-        path = tmp_path / "out.dot"
-        run(capsys, "poset", "--case", "a", "--p", "1", "--q", "1",
-            "--format", "dot", "--output", str(path))
-        _, out, _ = run(capsys, "poset", "--case", "a", "--p", "1", "--q", "1",
-                        "--format", "dot")
-        assert path.read_text(encoding="utf-8") == out
+        path = tmp_path / "out.txt"
+        for argv in (["poset", "--case", "a", "--p", "1", "--q", "1", "--format", "dot"],
+                     # classes text is streamed one line per orbit
+                     ["classes", "--case", "a", "--p", "2", "--q", "2"],
+                     ["classes", "--case", "d-so-gl", "--n", "3"]):
+            code, out, _ = run(capsys, *argv, "--output", str(path))
+            assert code == 0 and out == ""
+            _, out, _ = run(capsys, *argv)
+            assert out.count("\n") > 1
+            assert path.read_bytes() == out.encode("utf-8")
 
     def test_missing_directory_is_io_error(self, capsys, tmp_path):
-        path = tmp_path / "missing" / "out.txt"
-        code, out, err = run(capsys, "enumerate", "--case", "a", "--p", "1",
-                             "--q", "1", "--output", str(path))
-        assert code == 2 and out == ""
-        assert err.startswith("i/o error:") and "Traceback" not in err
-        assert not path.parent.exists()
+        path = tmp_path / "missing" / "x.txt"
+        for argv in (["enumerate", "--case", "a", "--p", "1", "--q", "1"],
+                     ["classes", "--case", "a", "--p", "2", "--q", "2"]):
+            code, out, err = run(capsys, *argv, "--output", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("i/o error:") and "Traceback" not in err
+            assert not path.parent.exists()
+
+    def test_failed_verify_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        bad = LocalizationReport(
+            case=None, closed_points_checked=0, support_pairs_checked=0,
+            support_checked=True, dense_ok=False, failures=("synthetic",),
+        )
+        monkeypatch.setattr(formulas, "verify_localization", lambda case, **kw: bad)
+        argv = ["classes", "--case", "a", "--p", "2", "--q", "2", "--verify"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "verify: synthetic" in err
+        path = tmp_path / "classes.txt"
+        code, out, _ = run(capsys, *argv, "--output", str(path))
+        assert code == 1 and out == "" and not path.exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["poset", "--help"]])
@@ -409,7 +428,7 @@ LOADED_MODULES = (
     "sys.stderr.write('\\nloaded: ' + ' '.join(sorted(sys.modules)))\n"
     "sys.exit(code)\n"
 )
-LAYERS = {"orbits", "weyl", "formulas", "poly", "geometry"}
+LAYERS = {"orbits", "weyl", "formulas", "poly", "parse", "geometry"}
 A11 = ["--case", "a", "--p", "1", "--q", "1"]
 
 
@@ -430,6 +449,33 @@ def test_subcommand_loads_only_the_layers_it_runs(argv, layers):
     assert {"orbitcalc.clans", "orbitcalc.cli"} <= modules
     assert {m for m in LAYERS if f"orbitcalc.{m}" in modules} == layers
     assert "dataclasses" not in modules
+
+
+# a child's ru_maxrss starts at the high-water mark of the process that
+# spawned it, so the calls are spawned from this small parent, not pytest
+PEAK_RSS = (
+    "import os, subprocess, sys\n"
+    "for argv in sys.argv[1:]:\n"
+    "    proc = subprocess.Popen([sys.executable, '-m', 'orbitcalc', *argv.split()],\n"
+    "                            stdout=subprocess.DEVNULL)\n"
+    "    _, status, usage = os.wait4(proc.pid, 0)\n"
+    "    print(status, usage.ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_streamed_classes_peak_memory_stays_near_start_up():
+    # classes a(3,3) holds about 1.3 MB of text; written line by line from
+    # split monomial memos it peaks about 8 MiB above a trivial call
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, "classes --case a --p 3 --q 3",
+         "enumerate --case a --p 1 --q 1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (status, classes_kib), (status2, trivial_kib) = (
+        map(int, line.split()) for line in proc.stdout.splitlines())
+    assert status == status2 == 0
+    assert classes_kib - trivial_kib < 10 * 1024
 
 
 D3 = ["--case", "d-so-gl", "--n", "3"]

@@ -24,8 +24,9 @@ from orbitcalc.formulas import (
     restrict_at,
     verify_localization,
 )
-from orbitcalc.orbits import weak_order_graph
-from orbitcalc.poly import PolyError, Ring, parse_poly
+from orbitcalc.orbits import full_closure_order, weak_order_graph
+from orbitcalc.parse import parse_poly
+from orbitcalc.poly import PolyError, Ring
 from orbitcalc.weyl import (
     ambient_weyl,
     distinguished_representative,
@@ -261,6 +262,12 @@ class TestLocalization:
         assert report.support_checked == (tag != "d-oxo-odd")
         if tag == "d-oxo-odd":
             assert report.support_pairs_checked == 0
+
+    def test_support_check_reads_the_down_set_bits(self):
+        case = desk_case("a")
+        poset = full_closure_order(case)
+        assert verify_localization(case, poset=poset).ok
+        assert "full_order" not in vars(poset)
 
     def test_closed_restriction_product_example(self):
         # at the identity of the determinantal family: weights

@@ -397,6 +397,13 @@ class TestFullClosureOrder:
         assert poset.full_order is not None
         assert g.full_order is None
 
+    def test_down_sets_become_sets_only_when_read(self):
+        poset = full_closure_order(A22)
+        check_conjecture(poset)
+        assert "full_order" not in vars(poset)
+        assert poset.full_order is poset.full_order
+        assert poset.full_order[poset.top] == frozenset(poset.nodes)
+
 
 # ---------------------------------------------------------------------------
 # conjecture comparison

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcalc.clans import DESK_RANKS, case_from_params
-from orbitcalc.formulas import all_classes, delta, formula_ring, restrict_at
+from orbitcalc.formulas import (all_classes, chern_factored, closed_class, delta, formula_ring,
+                                restrict_at)
 from orbitcalc.orbits import weak_order_graph
 from orbitcalc.poly import (
     FactoredPoly,
@@ -20,8 +21,8 @@ from orbitcalc.poly import (
     determinant,
     divided_difference,
     elem_sym,
-    parse_poly,
 )
+from orbitcalc.parse import parse_poly
 from orbitcalc.weyl import closed_orbit_fixed_points
 from reference import (
     fraction_add,
@@ -31,6 +32,8 @@ from reference import (
     fraction_substitute,
     fraction_terms,
     fraction_to_text,
+    full_key_factored_text,
+    full_key_to_text,
     reflect_x,
     simple_root_poly,
     tuple_add,
@@ -979,3 +982,73 @@ def test_factored_scalar_is_in_lowest_terms():
     assert (fp * Fraction(2, 3)).to_text() == "1/3(x1 + y1)"
     assert FactoredPoly(R, 3, [parse_poly("1/6*x1", R), R.x(2) + R.y(1)]).to_text() == \
         "1/2*x1(x2 + y1)"
+
+
+# ---------------------------------------------------------------------------
+# Rendering: the split x and y/z memos against the full-key renderer
+# ---------------------------------------------------------------------------
+
+RENDER_CASES = [case_from_params(*rank) for rank in DESK_RANKS] + [case_from_params("a", 3, 3)]
+
+
+@pytest.mark.parametrize("case", RENDER_CASES, ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
+def test_class_text_matches_full_key_renderer(case):
+    for c, f in all_classes(case).items():
+        assert f.to_text() == full_key_to_text(f), c.to_text()
+
+
+@pytest.mark.parametrize("tag,p,q", DESK_RANKS)
+def test_chern_text_matches_full_key_renderer(tag, p, q):
+    case = case_from_params(tag, p, q)
+    classes = all_classes(case)
+    for c in classes:
+        fp = chern_factored(case, c, classes)
+        assert fp.to_text() == full_key_factored_text(fp), c.to_text()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_halved_closed_classes_match_full_key_renderer(n):
+    case = case_from_params("d-so-gl", n, n)
+    for c in weak_order_graph(case).minima():
+        fp = closed_class(case, c)
+        assert fp.den == 2 ** (n - 1)
+        assert fp.to_text() == full_key_factored_text(fp), c.to_text()
+        f = fp.expand()
+        assert f._den > 1 and f.to_text() == full_key_to_text(f), c.to_text()
+
+
+def test_edge_texts_match_full_key_renderer():
+    S = Ring(2, 2, 1)
+    pinned = {
+        S.zero: "0",
+        S.one: "1",
+        S.const(-3): "-3",
+        S.const(Fraction(-1, 2)): "-1/2",
+        -S.x(1) + S.y(2): "-x1 + y2",
+        S.z(1) * S.y(1) * -2 + S.x(2) ** 2 * 3: "3*x2^2 - 2*y1*z1",
+        Fraction(-3, 4) * S.x(1) * S.z(1) + 2: "-3/4*x1*z1 + 2",
+    }
+    for f, text in pinned.items():
+        assert f.to_text() == full_key_to_text(f) == text
+    for fp in (FactoredPoly(S, 0, [S.x(1)]), FactoredPoly(S, 5, [S.zero]),
+               FactoredPoly(S, -1, [S.x(1), S.x(1) + S.y(1)]),
+               FactoredPoly(S, Fraction(-2, 3), [S.y(2)]), FactoredPoly(S, 1),
+               FactoredPoly(S, -1, [S.x(1) - S.z(1)], den=2)):
+        assert fp.to_text() == full_key_factored_text(fp)
+
+
+def test_memos_hold_one_text_per_masked_part():
+    # at a(3,3) the classes have 17,668 distinct monomials but only 995
+    # x-parts and 64 y-parts; a fresh ring starts with empty memos
+    case = case_from_params("a", 3, 3)
+    classes = all_classes(case).values()
+    ring = formula_ring(case)
+    fresh = Ring(ring.nx, ring.ny, ring.nz)
+    for f in classes:
+        Polynomial._from_clean(fresh, f._terms, f._den).to_text()
+    keys = {key for f in classes for key in f._terms}
+    xmask, yzmask = fresh._masks
+    xtexts, yztexts = fresh._texts
+    assert set(xtexts) == {key & xmask for key in keys}
+    assert set(yztexts) == {key & yzmask for key in keys}
+    assert (len(keys), len(xtexts), len(yztexts)) == (17668, 995, 64)
