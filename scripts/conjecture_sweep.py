@@ -17,7 +17,7 @@ import sys
 import time
 
 from orbitcalc.clans import CASES, case_from_params
-from orbitcalc.orbits import check_conjecture
+from orbitcalc.orbits import check_conjecture, weak_order_graph
 
 COINCIDENCE_FAMILIES = ("b-so", "c-spxsp", "c-sp-gl")
 
@@ -34,7 +34,7 @@ def sweep(tag: str, shapes, max_witnesses: int) -> None:
     for p, q in shapes:
         case = case_from_params(tag, p, q)
         start = time.perf_counter()
-        report = check_conjecture(case)
+        report = check_conjecture(weak_order_graph(case))
         elapsed = time.perf_counter() - start
         if report.coincides:
             verdict = "coincide"

@@ -11,8 +11,9 @@ add ``orbits`` and ``weyl``; ``classes``, ``verify`` and ``chern`` add ``formula
 and ``poly``; only ``oracle`` loads ``geometry``.
 
 Every handler hands ``_emit`` its output as chunks, written as they are
-produced: ``classes`` renders one line per orbit, so its table is never
-held whole in memory.
+produced: ``classes`` renders one line (or one JSON entry) per orbit, so
+its table is never held whole in memory, and ``verify`` writes each case's
+lines once that case is checked.
 """
 
 from __future__ import annotations
@@ -107,14 +108,13 @@ def cmd_classes(args) -> int:
     case = _resolve_case(args)
     poset = weak_order_graph(case)
     _guardrail(args, case, len(poset.nodes))
-    classes = all_classes(case, poset)
+    classes = all_classes(poset)
     if args.verify:
-        report = verify_localization(case, classes=classes, poset=poset)
+        report = verify_localization(poset, classes)
         if not report.ok:
             for line in report.failures:
                 print(f"verify: {line}", file=sys.stderr)
             return VERIFY_ERROR
-    ordered = sorted(poset.nodes, key=lambda c: (poset.ranks[c], c.sort_key()))
 
     def render(c) -> str:
         if args.factored and is_closed_clan(case, c):
@@ -123,45 +123,53 @@ def cmd_classes(args) -> int:
 
     if args.fmt == "json":
         import json
-        data = {
-            "case": {"tag": case.tag, "p": case.p, "q": case.q},
-            "classes": {c.to_text(): render(c) for c in ordered},
-        }
-        _emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
+
+        # the text json.dumps(data, indent=2, sort_keys=True) writes, one entry at a time
+        def entries():
+            head = json.dumps({"tag": case.tag, "p": case.p, "q": case.q},
+                              indent=2, sort_keys=True)
+            yield '{\n  "case": ' + head.replace("\n", "\n  ") + ',\n  "classes": {'
+            sep = "\n"
+            for c in sorted(poset.nodes, key=lambda clan: clan.to_text()):
+                yield f"{sep}    {json.dumps(c.to_text())}: {json.dumps(render(c))}"
+                sep = ",\n"
+            yield "\n  }\n}\n"
+
+        _emit(args, entries())
     else:
-        width = max(len(c.to_text()) for c in ordered)
-        _emit(args, (f"{c.to_text():<{width}}  {render(c)}\n" for c in ordered))
+        width = max(len(c.to_text()) for c in poset.nodes)
+        _emit(args, (f"{c.to_text():<{width}}  {render(c)}\n" for c in poset.nodes))
     return 0
 
 
 def cmd_verify(args) -> int:
-    from .formulas import verify_localization
+    from .formulas import all_classes, verify_localization
     from .orbits import weak_order_graph
     if args.case is None:
         targets = [case_from_params(t, p, q) for t, p, q in DESK_RANKS]
     else:
         targets = [_resolve_case(args)]
-    lines = []
-    failed = False
-    for case in targets:
-        poset = weak_order_graph(case)
-        _guardrail(args, case, len(poset.nodes))
-        report = verify_localization(case, poset=poset)
-        status = "OK" if report.ok else "FAIL"
-        support = (
-            f"support pairs {report.support_pairs_checked}"
-            if report.support_checked
-            else "support skipped (no fixed-point dictionary)"
-        )
-        lines.append(
-            f"{status}  {case.tag} ({case.p},{case.q}): "
-            f"closed points {report.closed_points_checked}, {support}, "
-            f"dense {'ok' if report.dense_ok else 'FAIL'}"
-        )
-        if not report.ok:
-            failed = True
-            lines.extend(f"      {f}" for f in report.failures)
-    _emit(args, (line + "\n" for line in lines))
+    failed = []
+
+    def reports():
+        for case in targets:
+            poset = weak_order_graph(case)
+            _guardrail(args, case, len(poset.nodes))
+            report = verify_localization(poset, all_classes(poset))
+            status = "OK" if report.ok else "FAIL"
+            support = (
+                f"support pairs {report.support_pairs_checked}"
+                if report.support_checked
+                else "support skipped (no fixed-point dictionary)"
+            )
+            yield (f"{status}  {case.tag} ({case.p},{case.q}): "
+                   f"closed points {report.closed_points_checked}, {support}, "
+                   f"dense {'ok' if report.dense_ok else 'FAIL'}\n")
+            if not report.ok:
+                failed.append(case)
+                yield from (f"      {f}\n" for f in report.failures)
+
+    _emit(args, reports())
     return VERIFY_ERROR if failed else 0
 
 

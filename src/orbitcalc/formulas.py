@@ -154,20 +154,17 @@ def closed_class(case: CaseId, c: Clan) -> FactoredPoly:
 # ---------------------------------------------------------------------------
 
 
-def all_classes(
-    case: CaseId, poset: OrbitPoset | None = None
-) -> dict[Clan, Polynomial]:
-    """Classes of every orbit closure, propagated up the weak order."""
-    if poset is None:
-        poset = weak_order_graph(case)
+def all_classes(poset: OrbitPoset) -> dict[Clan, Polynomial]:
+    """Classes of every orbit closure, propagated up the weak order: along
+    ``poset.weak_edges`` in their order, which reaches every source after
+    all the edges into it."""
+    case = poset.case
     ring = formula_ring(case)
     family, n = case.family, case.grank
     classes: dict[Clan, Polynomial] = {
         c: closed_class(case, c).expand() for c in poset.minima()
     }
-    for src, dst, i, deg in sorted(
-        poset.weak_edges, key=lambda e: (poset.ranks[e[0]], e[0].sort_key(), e[2])
-    ):
+    for src, dst, i, deg in poset.weak_edges:
         value = divided_difference(classes[src], family, n, i)
         if deg == 2:
             value = value / 2
@@ -251,9 +248,7 @@ class LocalizationReport(Record):
 
 
 def verify_localization(
-    case: CaseId,
-    classes: Mapping[Clan, Polynomial] | None = None,
-    poset: OrbitPoset | None = None,
+    poset: OrbitPoset, classes: Mapping[Clan, Polynomial]
 ) -> LocalizationReport:
     """Pointwise correctness checks for the computed classes.
 
@@ -264,6 +259,7 @@ def verify_localization(
       fixed points of each orbit not below Q in the full closure order;
     * the dense orbit's class is the constant 1.
 
+    A poset that does not carry ``order_bits`` is saturated first.
     The support check restricts at one fixed point per orbit, the least.
     The closure of Q is stable under K, so for n in N_K(T) the restriction
     at the fixed point n.w is n acting on the y's of the restriction at w,
@@ -273,10 +269,9 @@ def verify_localization(
     S(O x O) pairs.  So the least of them decides for the fibre.  The tests
     check both facts at every desk case.
     """
-    if poset is None or poset.order_bits is None:
-        poset = full_closure_order(poset if poset is not None else case)
-    if classes is None:
-        classes = all_classes(case, poset)
+    if poset.order_bits is None:
+        poset = full_closure_order(poset)
+    case = poset.case
     ring = formula_ring(case)
     failures: list[str] = []
 
@@ -293,14 +288,12 @@ def verify_localization(
     support_pairs = 0
     support_checked = not case.uncovered
     if support_checked:
-        bits = poset.order_bits
-        pos = {c: k for k, c in enumerate(bits.orbits)}
+        pos = {c: k for k, c in enumerate(poset.nodes)}
         least = [(other, 1 << pos[other], min(points))
                  for other, points in fixed_points_by_clan(case).items()]
         images = {w: point_images(case, ring, w) for _, _, w in least}
-        for c in poset.nodes:
+        for c, below in zip(poset.nodes, poset.order_bits.down):
             f = classes[c]
-            below = bits.down[pos[c]]
             for other, bit, w in least:
                 if below & bit:
                     continue
@@ -329,32 +322,21 @@ def chern_blocks(case: CaseId) -> tuple[tuple[int, int], ...]:
     return tuple((block.start, len(block)) for _, block in case.k_blocks if block)
 
 
-def chern_class(
-    case: CaseId,
-    c: Clan,
-    classes: Mapping[Clan, Polynomial] | None = None,
-) -> Polynomial:
+def chern_class(case: CaseId, c: Clan) -> Polynomial:
     """The class with y-variables rewritten as Chern classes (z-variables)."""
     if not in_case_family(case, c):
         raise ClanError(f"{c.to_text()} is not a clan of case {case.tag}")
-    if classes is None:
-        classes = all_classes(case)
+    classes = all_classes(weak_order_graph(case))
     return chern_substitute(classes[c], chern_blocks(case))
 
 
-def chern_factored(
-    case: CaseId,
-    c: Clan,
-    classes: Mapping[Clan, Polynomial] | None = None,
-) -> FactoredPoly:
+def chern_factored(case: CaseId, c: Clan) -> FactoredPoly:
     """Chern-class form, factored when the closed-orbit factorization
     passes through the rewriting (factors are grouped by their x-variable
     support so each group is symmetric in the y-blocks)."""
     blocks = chern_blocks(case)
     if not is_closed_clan(case, c):
-        return FactoredPoly(
-            formula_ring(case), 1, [chern_class(case, c, classes)]
-        )
+        return FactoredPoly(formula_ring(case), 1, [chern_class(case, c)])
     fp = closed_class(case, c)
     nx = fp.ring.nx
     done: list[tuple[tuple[int, ...], int, Polynomial]] = []

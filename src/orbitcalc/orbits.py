@@ -14,19 +14,21 @@ and the CLI checks the clans a user gives.
 The cross action of a simple reflection permutes clan positions; each
 root's ambient permutation is built once per case (``root_permutations``).
 
-Saturation and comparison work on ``int`` bitsets.  The orbits are listed
-by rank (ties in node order) and bit k stands for the k-th of them, so an
-orbit's down-set is one ``int`` and a union is one ``|``.  The rank-number
-order is read off column bitsets: for each entry of the rank table and
-each value it takes, the bitset of orbits whose sign rank there is at
-least that value, or whose crossing rank is at most it.  An orbit's
-rank-number down-set is the AND of one column bitset per entry.
+Saturation and comparison work on ``int`` bitsets over the orbits as the
+weak-order graph lists them, by rank and canonically within a rank (every
+later stage takes that order): bit k stands for ``nodes[k]``, so an orbit's
+down-set is one ``int`` and a union is one ``|``.  The rank-number order is
+read off column bitsets: for each entry of the rank table and each value
+it takes, the bitset of orbits whose sign rank there is at least that
+value, or whose crossing rank is at most it.  An orbit's rank-number
+down-set is the AND of one column bitset per entry.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from itertools import groupby, takewhile
 from typing import Iterable, Mapping, Sequence
 
 from .clans import (CaseId, CheckError, Clan, Record, enumerate_case_clans, in_case_family,
@@ -192,12 +194,11 @@ def cross_reflect(c: Clan, source: tuple[int, ...]) -> Clan:
 
 
 class OrderBits(Record):
-    """A saturated order as bitsets: bit k stands for ``orbits[k]``, the
-    orbits listed by rank.  ``down[k]`` is the down-set of ``orbits[k]`` in
-    the closure order and ``rank_down[k]`` in the rank-number order."""
+    """A saturated order as bitsets over a poset's ``nodes``: bit k stands
+    for ``nodes[k]``.  ``down[k]`` is the down-set of ``nodes[k]`` in the
+    closure order and ``rank_down[k]`` in the rank-number order."""
 
-    __slots__ = _fields = ("orbits", "down", "rank_down")
-    orbits: tuple[Clan, ...]
+    __slots__ = _fields = ("down", "rank_down")
     down: tuple[int, ...]
     rank_down: tuple[int, ...]
 
@@ -211,7 +212,7 @@ class OrbitPoset(Record):
     _defaults = {"order_bits": None}
     __eq__, __hash__ = object.__eq__, object.__hash__
     case: CaseId
-    nodes: tuple[Clan, ...]
+    nodes: tuple[Clan, ...]  # by rank, canonical within a rank
     weak_edges: tuple[tuple[Clan, Clan, int, int], ...]  # (src, dst, root, degree)
     ranks: Mapping[Clan, int]
     order_bits: OrderBits | None  # set by full_closure_order
@@ -223,32 +224,33 @@ class OrbitPoset(Record):
         bits = self.order_bits
         if bits is None:
             return None
-        orbits = bits.orbits
-        return {c: frozenset(map(orbits.__getitem__, _members(down)))
-                for c, down in zip(orbits, bits.down)}
+        nodes = self.nodes
+        return {c: frozenset(map(nodes.__getitem__, _members(down)))
+                for c, down in zip(nodes, bits.down)}
 
     @property
     def top(self) -> Clan:
-        return max(self.nodes, key=lambda c: self.ranks[c])
+        return self.nodes[-1]
 
     @property
     def max_rank(self) -> int:
-        return max(self.ranks.values())
+        return self.ranks[self.top]
 
     def minima(self) -> tuple[Clan, ...]:
-        targets = {dst for _, dst, _, _ in self.weak_edges}
-        return tuple(c for c in self.nodes if c not in targets)
+        """The orbits of rank 0, the closed ones: a prefix of ``nodes``."""
+        return tuple(takewhile(lambda c: not self.ranks[c], self.nodes))
 
 
 def weak_order_graph(case: CaseId) -> OrbitPoset:
     """All orbits of the case with their ascending weak-order edges.  An
     edge along root i has degree 2 exactly when the cross action of s_i
-    fixes its source."""
-    nodes = tuple(enumerate_case_clans(case))
+    fixes its source.  The orbits come by rank, canonical within a rank, and
+    the edges by their source's place among them, then by root."""
+    clans = enumerate_case_clans(case)
     perms = root_permutations(case)
     edges = []
-    below: dict[Clan, list[Clan]] = {c: [] for c in nodes}
-    for c in nodes:
+    below: dict[Clan, list[Clan]] = {c: [] for c in clans}
+    for c in clans:
         for i, source in perms.items():
             dst = weak_move(case, c, i)
             if dst == c:
@@ -265,6 +267,9 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
     except CycleError:
         raise OrbitError("weak-order moves produced a cycle") from None
 
+    nodes = tuple(sorted(clans, key=rank.__getitem__))
+    pos = {c: k for k, c in enumerate(nodes)}
+    edges.sort(key=lambda e: (pos[e[0]], e[2]))
     ranks = {c: rank[c] for c in nodes}
     sources = {src for src, _, _, _ in edges}
     tops = [c for c in nodes if c not in sources]
@@ -295,16 +300,16 @@ def _members(bits: int) -> list[int]:
     return out
 
 
-def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
+def full_closure_order(poset: OrbitPoset) -> OrbitPoset:
     """Saturate the weak order into the full closure order.
 
     Down-sets start at {self}; for every weak edge Q -> Q' along root s, the
     down-set of Q' absorbs, for every V below Q: V itself, the weak move of V
     along s, and the cross action of s on V, each with its own down-set.
 
-    Each down-set is an ``int`` over the orbits in rank order (bit k is
-    ``orbits[k]``), so a pass in that order meets every edge's source, and
-    every image, before it needs their down-sets.  One pass then suffices,
+    Each down-set is an ``int`` over ``poset.nodes`` (bit k is ``nodes[k]``),
+    which come by rank, so a pass in that order meets every edge's source,
+    and every image, before it needs their down-sets.  One pass then suffices,
     as it shows by no down-set having a bit above its own orbit's (and no
     edge being a loop).  Failing that (only a doctored graph fails it),
     passes repeat until stable.  The result is the least family of down-sets closed under the
@@ -315,19 +320,13 @@ def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
     rank-number order.  That order's down-sets come from column bitsets
     (see the module docstring), from one rank table per orbit; both kinds
     of down-set are kept in ``order_bits`` for :func:`check_conjecture`."""
-    poset = (
-        case_or_poset
-        if isinstance(case_or_poset, OrbitPoset)
-        else weak_order_graph(case_or_poset)
-    )
-    case = poset.case
-    orbits = tuple(sorted(poset.nodes, key=poset.ranks.__getitem__))
-    pos = {c: k for k, c in enumerate(orbits)}
-    m = len(orbits)
-    perms = root_permutations(case)
+    nodes = poset.nodes
+    pos = {c: k for k, c in enumerate(nodes)}
+    m = len(nodes)
+    perms = root_permutations(poset.case)
     # a root that does not ascend moves an orbit to itself
     move = {i: list(range(m)) for i in perms}
-    cross = {i: [pos[cross_reflect(c, source)] for c in orbits]
+    cross = {i: [pos[cross_reflect(c, source)] for c in nodes]
              for i, source in perms.items()}
     into: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for src, dst, i, _ in poset.weak_edges:
@@ -358,7 +357,7 @@ def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
 
     # one rank table per orbit; crossing ranks negated, so every column reads "at least"
     flat = [t.plus + t.minus + tuple(-x for row in t.cross for x in row)
-            for t in map(rank_table, orbits)]
+            for t in map(rank_table, nodes)]
     rank_down = [(1 << m) - 1] * m
     for column in set(zip(*flat)):
         at_least: dict[int, int] = {}
@@ -376,8 +375,8 @@ def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
     for k, below in enumerate(down):
         if below in first:
             raise OrbitError(
-                f"saturated order is not antisymmetric: {orbits[first[below]].to_text()} "
-                f"and {orbits[k].to_text()} lie below each other"
+                f"saturated order is not antisymmetric: {nodes[first[below]].to_text()} "
+                f"and {nodes[k].to_text()} lie below each other"
             )
         first[below] = k
     for src, dst, i, _ in poset.weak_edges:
@@ -392,11 +391,11 @@ def full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
             v = (outside & -outside).bit_length() - 1
             raise OrbitError(
                 "saturated order is not contained in the rank-number order: "
-                f"{orbits[v].to_text()} vs {orbits[k].to_text()}"
+                f"{nodes[v].to_text()} vs {nodes[k].to_text()}"
             )
 
-    bits = OrderBits(orbits, tuple(down), tuple(rank_down))
-    return OrbitPoset(case, poset.nodes, poset.weak_edges, poset.ranks, bits)
+    bits = OrderBits(tuple(down), tuple(rank_down))
+    return OrbitPoset(poset.case, nodes, poset.weak_edges, poset.ranks, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +412,15 @@ class OrderComparison(Record):
     witnesses: tuple[tuple[Clan, Clan], ...]  # (lower, upper) induced-only pairs
 
 
-def check_conjecture(case_or_poset: CaseId | OrbitPoset) -> OrderComparison:
+def check_conjecture(poset: OrbitPoset) -> OrderComparison:
     """Compare the closure order with the rank-number order: the witnesses
     are the pairs below only in the latter, ``rank_down & ~down`` per orbit.
     A poset that does not carry ``order_bits`` is saturated first."""
-    poset = (
-        case_or_poset
-        if isinstance(case_or_poset, OrbitPoset) and case_or_poset.order_bits
-        else full_closure_order(case_or_poset)
-    )
-    bits = poset.order_bits
-    orbits = bits.orbits
-    witnesses = [(orbits[a], upper)
-                 for upper, below, ranked in zip(orbits, bits.down, bits.rank_down)
+    if poset.order_bits is None:
+        poset = full_closure_order(poset)
+    bits, nodes = poset.order_bits, poset.nodes
+    witnesses = [(nodes[a], upper)
+                 for upper, below, ranked in zip(nodes, bits.down, bits.rank_down)
                  for a in _members(ranked & ~below)]
     witnesses.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
     return OrderComparison(poset.case, not witnesses, tuple(witnesses))
@@ -437,10 +432,9 @@ def check_conjecture(case_or_poset: CaseId | OrbitPoset) -> OrderComparison:
 
 
 def poset_to_json(poset: OrbitPoset) -> dict:
-    nodes = sorted(poset.nodes, key=lambda c: (poset.ranks[c], c.sort_key()))
     data = {
         "case": {"tag": poset.case.tag, "p": poset.case.p, "q": poset.case.q},
-        "nodes": [{"clan": c.to_text(), "rank": poset.ranks[c]} for c in nodes],
+        "nodes": [{"clan": c.to_text(), "rank": poset.ranks[c]} for c in poset.nodes],
         "weak_edges": [
             {
                 "src": src.to_text(),
@@ -456,7 +450,8 @@ def poset_to_json(poset: OrbitPoset) -> dict:
     }
     full = poset.full_order
     if full is not None:
-        data["full_order"] = {c.to_text(): sorted(v.to_text() for v in full[c]) for c in nodes}
+        data["full_order"] = {c.to_text(): sorted(v.to_text() for v in full[c])
+                              for c in poset.nodes}
     return data
 
 
@@ -467,11 +462,7 @@ def poset_to_dot(poset: OrbitPoset) -> str:
         "  rankdir=BT;",
         '  node [shape=box, fontname="Helvetica"];',
     ]
-    by_rank: dict[int, list[Clan]] = {}
-    for c in poset.nodes:
-        by_rank.setdefault(poset.ranks[c], []).append(c)
-    for r in sorted(by_rank):
-        row = sorted(by_rank[r], key=lambda c: c.sort_key())
+    for _, row in groupby(poset.nodes, key=poset.ranks.__getitem__):
         names = " ".join(f'"{c.to_text()}";' for c in row)
         lines.append(f"  {{ rank=same; {names} }}")
     for src, dst, i, deg in sorted(

@@ -19,7 +19,7 @@ differences, substitution, the Chern rewrite, negation) act on the
 numerators and keep the denominator; ``+`` and ``*`` combine denominators
 and reduce once per result; ``/`` divides exactly by a nonzero ``int``.
 ``fractions`` is imported only where a ``Fraction`` is handed out
-(``terms``, ``sorted_terms``, ``constant_value``).
+(``terms``).
 
 Each monomial is one ``int`` key: in a ring of width W, exponent slot i
 (x1.., y1.., z1..) is the 16-bit digit at bit 16*(W-1-i), and the total
@@ -29,8 +29,8 @@ the keys themselves; the key of a product of monomials is the sum of their
 keys, and divided differences and restrictions move digits with shifts.  No
 digit may overflow, so a total degree above ``MAX_DEGREE`` (65,535) raises
 :class:`PolyError` in the constructors, ``*`` and ``**``.  Exponent tuples
-stay the interface of ``Polynomial(ring, {exps: c})``, ``Ring.monomial``,
-``terms`` and ``sorted_terms``.
+stay the interface of ``Polynomial(ring, {exps: c})``, ``Ring.monomial``
+and ``terms``.
 
 ``to_text`` writes each term inline.  A monomial's text is the text of its
 x-part (``key`` masked to the x digits) and of its y/z-part, each memoised
@@ -196,9 +196,6 @@ class Ring(Record):
     def y(self, i: int) -> "Polynomial":
         return self.var("y", i)
 
-    def z(self, i: int) -> "Polynomial":
-        return self.var("z", i)
-
     def linear(self, bank: str, coeffs: Sequence[int]) -> "Polynomial":
         """The linear form sum of ``coeffs[k-1] * bank_k``, e.g. ``2*y1 - y3``
         from ``("y", (2, 0, -1))``, built as one polynomial."""
@@ -297,12 +294,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return not any(self._terms)  # the key of 1 is 0
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise PolyError("polynomial is not constant")
-        from fractions import Fraction
-        return Fraction(next(iter(self._terms.values()), 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -447,11 +438,6 @@ class Polynomial:
         return Polynomial._from_clean(self.ring, out, self._den)
 
     # -- display ------------------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction | int]]:
-        """The terms in graded-lex order, highest first."""
-        terms, den, unpack = self._terms, self._den, self.ring._unpack
-        return [(unpack(k), _coefficient(terms[k], den)) for k in sorted(terms, reverse=True)]
 
     def to_text(self) -> str:
         """The terms, highest first, e.g. ``x1^2 - 2*x1*y3 + 1/2``; each

@@ -48,7 +48,6 @@ from orbitcalc.formulas import (
     LocalizationReport,
     _pair_factors,
     _sign,
-    all_classes,
     closed_restriction_product,
     formula_ring,
     restrict_at,
@@ -60,7 +59,6 @@ from orbitcalc.orbits import (
     OrderComparison,
     full_closure_order,
     simple_root_indices,
-    weak_order_graph,
 )
 from orbitcalc.poly import (
     FactoredPoly,
@@ -356,18 +354,13 @@ def cross_action_simple(case: CaseId, c: Clan, i: int) -> Clan:
     return cross_action(case, c, simple_reflection(case.family, case.grank, i))
 
 
-def set_full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
+def set_full_closure_order(poset: OrbitPoset) -> OrbitPoset:
     """Saturate the weak order into the full closure order.
 
     Down-sets start at {self}; for every weak edge Q -> Q' along root s, the
     down-set of Q' absorbs, for every V below Q: V itself, the weak move of V
     along s, and the cross action of s on V.  Down-sets are closed under
     transitivity and the whole pass repeats until stable."""
-    poset = (
-        case_or_poset
-        if isinstance(case_or_poset, OrbitPoset)
-        else weak_order_graph(case_or_poset)
-    )
     case = poset.case
     nodes = poset.nodes
     index = {c: k for k, c in enumerate(nodes)}
@@ -428,21 +421,15 @@ def set_full_closure_order(case_or_poset: CaseId | OrbitPoset) -> OrbitPoset:
                     f"{nodes[b].to_text()} vs {nodes[a].to_text()}"
                 )
 
-    # the sets as bits over the orbits by rank, the form OrbitPoset keeps
-    bit = {k: 1 << j for j, k in enumerate(by_rank)}
-    rank_down = [sum(bit[v] for v in range(m) if tables[v].below(tables[k])) for k in by_rank]
-    bits = OrderBits(tuple(nodes[k] for k in by_rank),
-                     tuple(sum(map(bit.__getitem__, down[k])) for k in by_rank),
-                     tuple(rank_down))
+    # the sets as bits over the nodes, bit k for nodes[k], the form OrbitPoset keeps
+    rank_down = [sum(1 << v for v in range(m) if tables[v].below(tables[k])) for k in range(m)]
+    bits = OrderBits(tuple(sum(1 << v for v in down[k]) for k in range(m)), tuple(rank_down))
     return OrbitPoset(case, nodes, poset.weak_edges, poset.ranks, bits)
 
 
-def set_check_conjecture(case_or_poset: CaseId | OrbitPoset) -> OrderComparison:
-    poset = (
-        case_or_poset
-        if isinstance(case_or_poset, OrbitPoset) and case_or_poset.full_order
-        else set_full_closure_order(case_or_poset)
-    )
+def set_check_conjecture(poset: OrbitPoset) -> OrderComparison:
+    if poset.order_bits is None:
+        poset = set_full_closure_order(poset)
     tables = {c: counting_rank_table(c) for c in poset.nodes}
     witnesses = []
     for b in poset.nodes:
@@ -489,14 +476,13 @@ def component_class(case: CaseId, u: Weyl) -> FactoredPoly:
 
 
 def verify_localization_every_point(
-    case: CaseId, classes: Mapping[Clan, Polynomial] | None = None,
+    poset: OrbitPoset, classes: Mapping[Clan, Polynomial]
 ) -> LocalizationReport:
     """``verify_localization`` as it was before the one-point support check:
     the support of each class is checked at every fixed point of every
     orbit not below it, stopping at the first nonzero restriction."""
-    poset = full_closure_order(case)
-    if classes is None:
-        classes = all_classes(case, poset)
+    poset = full_closure_order(poset)
+    case = poset.case
     ring = formula_ring(case)
     failures: list[str] = []
 

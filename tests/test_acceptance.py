@@ -31,7 +31,7 @@ from orbitcalc.formulas import (
     verify_localization,
 )
 from orbitcalc.geometry import block_diagonal_matrix, measure_rank_numbers, representative_flag
-from orbitcalc.orbits import check_conjecture, full_closure_order
+from orbitcalc.orbits import check_conjecture, full_closure_order, weak_order_graph
 from orbitcalc.parse import parse_poly
 from orbitcalc.poly import Ring, divided_difference
 from orbitcalc.weyl import closed_orbit_fixed_points, weyl_elements
@@ -53,7 +53,7 @@ def _check_table(tag: str, p: int, q: int) -> int:
     fixture = json.loads(
         (DATA / f"classes_{tag}_{p}_{q}.json").read_text(encoding="utf-8")
     )["classes"]
-    computed = all_classes(case)
+    computed = all_classes(weak_order_graph(case))
     P, Q = case.ambient_shape
     assert {c.to_text() for c in computed} == set(fixture)
     for text, expr in fixture.items():
@@ -98,8 +98,8 @@ def test_criterion_03_cross_type_tables():
 def test_criterion_04_localization_suite():
     start = time.perf_counter()
     for tag, p, q in DESK_RANKS:
-        case = case_from_params(tag, p, q)
-        report = verify_localization(case)
+        poset = weak_order_graph(case_from_params(tag, p, q))
+        report = verify_localization(poset, all_classes(poset))
         assert report.ok, (tag, report.failures)
         assert report.dense_ok
         assert report.support_checked == (tag != "d-oxo-odd")
@@ -114,7 +114,7 @@ def test_criterion_05_type_a_order_equivalence():
         for p in range(0, n + 1):
             q = n - p
             case = case_from_params("a", p, q)
-            poset = full_closure_order(case)
+            poset = full_closure_order(weak_order_graph(case))
             clans = list(poset.nodes)
             reach = {}
             for c in clans:
@@ -168,10 +168,10 @@ def test_criterion_07_order_comparison_sweep():
     for tag in ("b-so", "c-spxsp"):
         for n in range(2, 5):
             for p in range(1, n):
-                report = check_conjecture(case_from_params(tag, p, n - p))
+                report = check_conjecture(weak_order_graph(case_from_params(tag, p, n - p)))
                 assert report.coincides, (tag, p, n - p)
     for n in range(1, 5):
-        report = check_conjecture(case_from_params("c-sp-gl", n, n))
+        report = check_conjecture(weak_order_graph(case_from_params("c-sp-gl", n, n)))
         assert report.coincides, ("c-sp-gl", n)
 
     pinned = {
@@ -181,7 +181,7 @@ def test_criterion_07_order_comparison_sweep():
     }
     for (tag, p, q), (lo, hi) in pinned.items():
         case = case_from_params(tag, p, q)
-        report = check_conjecture(case)
+        report = check_conjecture(weak_order_graph(case))
         assert not report.coincides, tag
         P, Q = case.ambient_shape
         pair = (parse_clan(lo, P, Q), parse_clan(hi, P, Q))

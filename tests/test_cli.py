@@ -178,11 +178,34 @@ class TestVerify:
             support_checked=True, dense_ok=False, failures=("synthetic",),
         )
         monkeypatch.setattr(formulas, "verify_localization",
-                            lambda case, **kw: bad)
+                            lambda poset, classes: bad)
         code, out, _ = run(capsys, "verify", "--case", "a",
                            "--p", "1", "--q", "1")
         assert code == 1
         assert "FAIL" in out and "synthetic" in out
+
+    def test_each_case_is_written_once_checked(self, capsys, tmp_path, monkeypatch):
+        # a check that fails at the second desk case leaves the first case's
+        # line written, on stdout and in the --output file alike
+        checked, all_classes = [], formulas.all_classes
+
+        def fail_second(poset):
+            checked.append(poset.case)
+            if len(checked) == 2:
+                raise FormulaError("propagation is path dependent")
+            return all_classes(poset)
+
+        monkeypatch.setattr(formulas, "all_classes", fail_second)
+        tag, p, q = DESK_RANKS[0]
+        first = f"OK  {tag} ({p},{q}): "
+        code, out, err = run(capsys, "verify")
+        assert code == 1 and "path dependent" in err
+        assert out.startswith(first) and out.count("\n") == 1
+        path = tmp_path / "verify.txt"
+        checked.clear()
+        code, out, _ = run(capsys, "verify", "--output", str(path))
+        assert code == 1 and out == ""
+        assert path.read_text(encoding="utf-8").startswith(first)
 
 
 class TestOracle:
@@ -340,7 +363,7 @@ class TestUsageErrors:
 
 class TestExitCodes:
     def test_failed_propagation_check_is_verification_failure(self, capsys, monkeypatch):
-        def fail(case, poset=None):
+        def fail(poset):
             raise FormulaError("propagation is path dependent")
         monkeypatch.setattr(formulas, "all_classes", fail)
         code, out, err = run(capsys, "classes", "--case", "a", "--p", "1", "--q", "1")
@@ -400,7 +423,7 @@ class TestOutputFile:
             case=None, closed_points_checked=0, support_pairs_checked=0,
             support_checked=True, dense_ok=False, failures=("synthetic",),
         )
-        monkeypatch.setattr(formulas, "verify_localization", lambda case, **kw: bad)
+        monkeypatch.setattr(formulas, "verify_localization", lambda poset, classes: bad)
         argv = ["classes", "--case", "a", "--p", "2", "--q", "2", "--verify"]
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""

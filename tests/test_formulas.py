@@ -75,7 +75,7 @@ class TestClassTables:
         table = fixture_table(tag)
         assert table["case"] == {"tag": case.tag, "p": case.p, "q": case.q}
         ring = formula_ring(case)
-        classes = {c.to_text(): f for c, f in all_classes(case).items()}
+        classes = {c.to_text(): f for c, f in all_classes(weak_order_graph(case)).items()}
         assert set(classes) == set(table["classes"])
         for text, expr in table["classes"].items():
             assert classes[text] == parse_poly(expr, ring), text
@@ -84,14 +84,14 @@ class TestClassTables:
     def test_degrees_equal_codimension(self, tag):
         case = desk_case(tag)
         g = weak_order_graph(case)
-        classes = all_classes(case, g)
+        classes = all_classes(g)
         for c, f in classes.items():
             assert f.is_homogeneous()
             assert f.degree() == g.max_rank - g.ranks[c]
 
     def test_dense_class_is_one(self):
         case = desk_case("a")
-        classes = all_classes(case)
+        classes = all_classes(weak_order_graph(case))
         ring = formula_ring(case)
         assert classes[pc(case, "1221")] == ring.one
 
@@ -255,7 +255,8 @@ class TestLocalization:
     @pytest.mark.parametrize("tag", sorted(DESK))
     def test_desk_cases_verify(self, tag):
         case = desk_case(tag)
-        report = verify_localization(case)
+        g = weak_order_graph(case)
+        report = verify_localization(g, all_classes(g))
         assert report.ok
         assert report.dense_ok
         assert report.failures == ()
@@ -265,8 +266,8 @@ class TestLocalization:
 
     def test_support_check_reads_the_down_set_bits(self):
         case = desk_case("a")
-        poset = full_closure_order(case)
-        assert verify_localization(case, poset=poset).ok
+        poset = full_closure_order(weak_order_graph(case))
+        assert verify_localization(poset, all_classes(poset)).ok
         assert "full_order" not in vars(poset)
 
     def test_closed_restriction_product_example(self):
@@ -286,7 +287,7 @@ class TestLocalization:
 
     def test_restriction_kills_unrelated_closed_orbit(self):
         case = desk_case("a")
-        classes = all_classes(case)
+        classes = all_classes(weak_order_graph(case))
         f = classes[pc(case, "++--")]
         w = distinguished_representative(case, pc(case, "--++"))
         assert restrict_at(case, f, w).is_zero()
@@ -301,11 +302,12 @@ class TestLocalization:
 
     def test_detects_wrong_class(self):
         case = desk_case("c-sp-gl")
-        classes = dict(all_classes(case))
+        g = weak_order_graph(case)
+        classes = dict(all_classes(g))
         ring = formula_ring(case)
         wrong = dict(classes)
         wrong[pc(case, "++--")] = classes[pc(case, "++--")] + ring.one
-        report = verify_localization(case, classes=wrong)
+        report = verify_localization(g, wrong)
         assert not report.ok
         assert report.failures
 
@@ -348,7 +350,7 @@ class TestOnePointSupport:
         """restrict_at(f, u.w) is u acting on the y's of restrict_at(f, w)."""
         case = desk_case(tag)
         ring = formula_ring(case)
-        classes = all_classes(case)
+        classes = all_classes(weak_order_graph(case))
         group = sorted(k_weyl_group(case))
         for f in classes.values():
             for w in ambient_weyl(case):
@@ -359,17 +361,19 @@ class TestOnePointSupport:
 
     @pytest.mark.parametrize("tag,p,q", DESK_RANKS + (("a", 2, 3),))
     def test_matches_check_at_every_fixed_point(self, tag, p, q):
-        case = case_from_params(tag, p, q)
-        assert verify_localization(case) == verify_localization_every_point(case)
+        g = weak_order_graph(case_from_params(tag, p, q))
+        classes = all_classes(g)
+        assert verify_localization(g, classes) == verify_localization_every_point(g, classes)
 
     def test_wrong_class_reported_alike(self):
         case = desk_case("a")
-        classes = dict(all_classes(case))
+        g = weak_order_graph(case)
+        classes = dict(all_classes(g))
         c = pc(case, "1+-1")
         classes[c] = classes[c] + formula_ring(case).one
-        report = verify_localization(case, classes=classes)
+        report = verify_localization(g, classes)
         assert not report.ok and report.failures
-        assert report == verify_localization_every_point(case, classes)
+        assert report == verify_localization_every_point(g, classes)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -449,11 +453,8 @@ class TestChern:
     def test_factored_equals_expanded(self):
         for tag in sorted(DESK):
             case = desk_case(tag)
-            classes = all_classes(case)
             for c in closed_clans(case):
-                assert chern_factored(case, c).expand() == chern_class(
-                    case, c, classes
-                )
+                assert chern_factored(case, c).expand() == chern_class(case, c)
 
     def test_clan_outside_family_rejected(self):
         case = case_from_params("b-so", 2, 1)
@@ -486,11 +487,11 @@ class TestPropagation:
         in_degree = Counter(dst for _, dst, _, _ in g.weak_edges)
         multi_parent = [c for c in g.nodes if in_degree[c] > 1]
         assert len(multi_parent) >= 5
-        all_classes(case, g)
+        all_classes(g)
 
     def test_divided_difference_drops_degree(self):
         case = desk_case("b-so")
         g = weak_order_graph(case)
-        classes = all_classes(case, g)
+        classes = all_classes(g)
         for src, dst, _, _ in g.weak_edges:
             assert classes[dst].degree() == classes[src].degree() - 1

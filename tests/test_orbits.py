@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcalc import cli, orbits
-from orbitcalc.clans import CASES, CaseId, case_from_params, in_case_family, leq, parse_clan
+from orbitcalc.clans import (CASES, DESK_RANKS, CaseId, case_from_params, enumerate_case_clans,
+                             in_case_family, leq, parse_clan)
 from orbitcalc.orbits import (
     OrbitError,
     check_conjecture,
@@ -156,7 +157,7 @@ class TestCrossAction:
         from orbitcalc.weyl import weyl_elements
 
         for case in (B21, C3_21, C4_2, D5_21, D6_3, D7_12):
-            nodes = weak_order_graph(case).nodes
+            nodes = enumerate_case_clans(case)
             for w in weyl_elements(case.family, case.grank):
                 for c in nodes[:3]:
                     assert in_case_family(case, cross_action(case, c, w))
@@ -359,26 +360,26 @@ class TestFullClosureOrder:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 3), (3, 2)])
     def test_type_a_matches_rank_number_order(self, shape):
         case = case_from_params("a", *shape)
-        poset = full_closure_order(case)
+        poset = full_closure_order(weak_order_graph(case))
         for x in poset.nodes:
             for y in poset.nodes:
                 assert (x in poset.full_order[y]) == leq(x, y)
 
     def test_smallest_type_a_example(self):
         case = case_from_params("a", 1, 1)
-        poset = full_closure_order(case)
+        poset = full_closure_order(weak_order_graph(case))
         top = pc(case, "11")
         assert pc(case, "+-") in poset.full_order[top]
         assert pc(case, "-+") in poset.full_order[top]
         assert top not in poset.full_order[pc(case, "+-")]
 
     def test_crossing_below_nesting(self):
-        poset = full_closure_order(A22)
+        poset = full_closure_order(weak_order_graph(A22))
         assert pc(A22, "1212") in poset.full_order[pc(A22, "1221")]
 
     @pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
     def test_contains_weak_order_and_refines_rank_order(self, case):
-        poset = full_closure_order(case)
+        poset = full_closure_order(weak_order_graph(case))
         for src, dst, _, _ in poset.weak_edges:
             assert src in poset.full_order[dst]
         for b in poset.nodes:
@@ -387,7 +388,7 @@ class TestFullClosureOrder:
 
     @pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
     def test_dense_clan_is_unique_maximum(self, case):
-        poset = full_closure_order(case)
+        poset = full_closure_order(weak_order_graph(case))
         assert poset.full_order[poset.top] == frozenset(poset.nodes)
 
     def test_reuses_precomputed_graph(self):
@@ -398,7 +399,7 @@ class TestFullClosureOrder:
         assert g.full_order is None
 
     def test_down_sets_become_sets_only_when_read(self):
-        poset = full_closure_order(A22)
+        poset = full_closure_order(weak_order_graph(A22))
         check_conjecture(poset)
         assert "full_order" not in vars(poset)
         assert poset.full_order is poset.full_order
@@ -420,37 +421,37 @@ class TestOrderComparison:
         ],
     )
     def test_coincidence_families(self, tag, shape):
-        rep = check_conjecture(case_from_params(tag, *shape))
+        rep = check_conjecture(weak_order_graph(case_from_params(tag, *shape)))
         assert rep.coincides
         assert rep.witnesses == ()
 
     def test_even_orthogonal_pair_witness_at_rank_four(self):
         case = case_from_params("d-oxo-even", 2, 2)
-        rep = check_conjecture(case)
+        rep = check_conjecture(weak_order_graph(case))
         assert not rep.coincides
         assert (pc(case, "+-1122-+"), pc(case, "+-1212-+")) in rep.witnesses
 
     def test_orthogonal_gl_witnesses_at_rank_four(self):
         case = case_from_params("d-so-gl", 4, 4)
-        rep = check_conjecture(case)
+        rep = check_conjecture(weak_order_graph(case))
         assert not rep.coincides
         assert (pc(case, "1+-12+-2"), pc(case, "12341234")) in rep.witnesses
         assert len(rep.witnesses) == 3
 
     def test_odd_orthogonal_pair_witness_at_rank_four(self):
         case = case_from_params("d-oxo-odd", 2, 2)
-        rep = check_conjecture(case)
+        rep = check_conjecture(weak_order_graph(case))
         assert not rep.coincides
         assert (pc(case, "+121323+"), pc(case, "+123123+")) in rep.witnesses
 
     def test_orthogonal_gl_coincides_at_rank_three(self):
-        rep = check_conjecture(D6_3)
+        rep = check_conjecture(weak_order_graph(D6_3))
         assert rep.coincides
 
     def test_orthogonal_pairs_already_strict_at_desk_rank(self):
         # two orbits of equal weak rank can still be comparable for rank
         # numbers, so the induced order is strictly coarser here
-        rep5 = check_conjecture(D5_21)
+        rep5 = check_conjecture(weak_order_graph(D5_21))
         assert [(a.to_text(), b.to_text()) for a, b in rep5.witnesses] == [
             ("+1122+", "+1212+"),
             ("+1122+", "1+21+2"),
@@ -458,7 +459,7 @@ class TestOrderComparison:
         ]
         g = weak_order_graph(D5_21)
         assert g.ranks[pc(D5_21, "+1122+")] == g.ranks[pc(D5_21, "+1212+")]
-        rep7 = check_conjecture(D7_12)
+        rep7 = check_conjecture(weak_order_graph(D7_12))
         assert [(a.to_text(), b.to_text()) for a, b in rep7.witnesses] == [
             ("121323", "123123"),
             ("121323", "123231"),
@@ -494,6 +495,27 @@ def test_bitset_order_matches_set_reference(case):
     assert check_conjecture(poset) == set_check_conjecture(reference)
 
 
+ORDER_CASES = [case_from_params(*rank) for rank in DESK_RANKS] + [case_from_params("a", 3, 3)]
+
+
+@pytest.mark.parametrize("case", ORDER_CASES, ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
+def test_graph_decides_the_orbit_order(case):
+    # the order every later stage takes as given: orbits by rank, canonical
+    # within a rank; edges by source position, then root; bit k is nodes[k]
+    g = weak_order_graph(case)
+    assert list(g.nodes) == sorted(enumerate_case_clans(case),
+                                   key=lambda c: (g.ranks[c], c.sort_key()))
+    pos = {c: k for k, c in enumerate(g.nodes)}
+    assert list(g.weak_edges) == sorted(g.weak_edges, key=lambda e: (pos[e[0]], e[2]))
+    assert g.top is g.nodes[-1]
+    closed = sum(1 for c in g.nodes if g.ranks[c] == 0)
+    assert closed > 0 and g.minima() == g.nodes[:closed]
+    poset = full_closure_order(g)
+    assert poset.nodes is g.nodes
+    assert poset.order_bits == set_full_closure_order(g).order_bits
+    assert all(down >> k & 1 for k, down in enumerate(poset.order_bits.down))
+
+
 def atlas_rows(compare) -> list[dict]:
     """The rank-5 order-comparison atlas: verdict and witnesses at every
     shape ``scripts/conjecture_sweep.py`` sweeps for the four families."""
@@ -503,7 +525,7 @@ def atlas_rows(compare) -> list[dict]:
     rows = []
     for tag in ATLAS_FAMILIES:
         for p, q in sweep.shapes_for(tag, 5):
-            report = compare(case_from_params(tag, p, q))
+            report = compare(weak_order_graph(case_from_params(tag, p, q)))
             rows.append({"tag": tag, "p": p, "q": q, "coincides": report.coincides,
                          "witnesses": [[a.to_text(), b.to_text()]
                                        for a, b in report.witnesses]})
@@ -575,7 +597,7 @@ class TestExports:
         assert poset_to_dot(g) == poset_to_dot(weak_order_graph(B21))
 
     def test_json_round_trip_structure(self):
-        poset = full_closure_order(C4_2)
+        poset = full_closure_order(weak_order_graph(C4_2))
         data = json.loads(poset_json_text(poset))
         assert data["case"] == {"tag": "c-sp-gl", "p": 2, "q": 2}
         assert len(data["nodes"]) == 11
