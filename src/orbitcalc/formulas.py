@@ -9,6 +9,21 @@ pointwise: restriction at each fixed point of each closed orbit must equal
 the product of the tangent weights there, and (where the fixed-point
 dictionary is available) restrictions must vanish away from the closure.
 
+Propagation runs in z-form: in the x-variables and the Chern variables
+z_{a-1+k} = e_k(y_a, ..., y_{a+size-1}) of K's blocks (``chern_blocks``).
+Every class is symmetric in each block's y's, so it lies in that subring,
+and the seeds are built there directly (``closed_class(..., chern=True)``).
+Working there is exact.  The map E sending z_{a-1+k} to e_k of its block
+and fixing x is an injective ring map (the e_k of disjoint blocks are
+algebraically independent), and graded when z_{a-1+k} has degree k.  The
+divided difference d_i acts on the x's alone and is linear over
+polynomials that s_i fixes, which every y and z is; so E(d_i F) = d_i E(F).
+Hence E carries the z-form of each class to the y-form that propagating
+in y would give, equal z-forms mean equal y-forms, and a z-form is
+homogeneous of weighted degree d exactly when its y-form is homogeneous of
+degree d.  ``expand_class`` applies E where y is printed or restricted, one
+class at a time.
+
 Determinantal convention used by the GL-type families: ``delta(ring, m, w)``
 is the m x m determinant ``det(c_{m+1+j-2i})`` where ``c_k`` is the sum of
 the k-th elementary symmetric polynomials of the signed x-variables
@@ -24,11 +39,10 @@ from typing import Mapping
 from .clans import CaseId, CheckError, Clan, ClanError, Record, in_case_family
 from .orbits import OrbitPoset, full_closure_order, weak_order_graph
 from .poly import (
+    ChernExpansion,
     FactoredPoly,
-    PolyError,
     Polynomial,
     Ring,
-    chern_substitute,
     determinant,
     divided_difference,
     elem_sym,
@@ -70,13 +84,35 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _pair_factors(ring: Ring, a: int, j: int) -> list[Polynomial]:
-    """(x_a - y_j)(x_a + y_j) as two factors."""
-    return [ring.x(a) - ring.y(j), ring.x(a) + ring.y(j)]
+def _block_factors(ring: Ring, a: int, block: range, signs: tuple[int, ...],
+                   chern: bool) -> list[Polynomial]:
+    """The product over j in ``block`` and s in ``signs`` of (x_a + s*y_j):
+    as linear factors, or with ``chern`` in z-variables, where the product
+    over j is sum_k s^k e_k(block) x_a^(|block|-k) and e_k(block) is
+    z_{block.start-1+k}.  In z, a one-element block gives one factor per
+    sign, each symmetric in the block already; a larger block gives the
+    product over the signs as one factor."""
+    if not chern:
+        return [ring.x(a) + s * ring.y(j) for j in block for s in signs]
+    size = len(block)
+    if not size:
+        return []
+    x, z = ring.var_index("x", a), ring.var_index("z", block.start) - 1
+    products = [sum((ring.monomial({x: size - k, z + k: 1}, s ** k) for k in range(1, size + 1)),
+                    ring.monomial({x: size}))
+                for s in signs]
+    if size == 1:
+        return products
+    out = ring.one
+    for f in products:
+        out = out * f
+    return [out]
 
 
-def delta(ring: Ring, m: int, w: Weyl, c_zero: int = 2) -> Polynomial:
-    """The m x m determinant det(c_{m+1+j-2i}) described in the module doc."""
+def delta(ring: Ring, m: int, w: Weyl, c_zero: int = 2,
+          chern: bool = False) -> Polynomial:
+    """The m x m determinant det(c_{m+1+j-2i}) described in the module doc;
+    with ``chern``, z_k stands for e_k(y_1..y_n) in its entries."""
     n = ring.nx
     if len(w) != n:
         raise FormulaError("group element length does not match the ring")
@@ -84,7 +120,8 @@ def delta(ring: Ring, m: int, w: Weyl, c_zero: int = 2) -> Polynomial:
     xs = [ring.x(abs(v)) * (1 if v > 0 else -1) for v in winv]
     ys = [ring.y(j) for j in range(1, n + 1)]
     c_cache = {
-        k: elem_sym(ring, k, xs) + elem_sym(ring, k, ys) for k in range(1, n + 1)
+        k: elem_sym(ring, k, xs) + (ring.var("z", k) if chern else elem_sym(ring, k, ys))
+        for k in range(1, n + 1)
     }
 
     def c(k: int) -> Polynomial:
@@ -99,53 +136,45 @@ def delta(ring: Ring, m: int, w: Weyl, c_zero: int = 2) -> Polynomial:
     return determinant(matrix)
 
 
-def closed_class(case: CaseId, c: Clan) -> FactoredPoly:
-    """Factored equivariant class of a closed orbit's closure."""
+def closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly:
+    """Factored equivariant class of a closed orbit's closure.  With
+    ``chern`` it is written in the z-variables of ``chern_blocks``: the
+    seed of propagation, and the factored ``chern`` output."""
     if not is_closed_clan(case, c):
         raise ClanError(f"{c.to_text()} is not a closed-orbit clan of {case.tag}")
     ring = formula_ring(case)
     n, p = case.grank, case.p
     w = distinguished_representative(case, c)
     tag = case.tag
+    block = case.k_blocks[-1][1]  # the factors' y-variables: K's second block
 
     if tag == "a":
         winv = weyl_inverse(w)
         factors = []
         for i in range(1, p + 1):
-            for j in range(p + 1, n + 1):
-                factors.append(ring.x(winv[i - 1]) - ring.y(j))
+            factors += _block_factors(ring, winv[i - 1], block, (-1,), chern)
         return FactoredPoly(ring, _sign(stat_lp(w, p)), factors)
 
-    if tag == "b-so":
+    if tag in ("b-so", "c-spxsp", "d-oxo-even"):
         awinv = weyl_inverse(weyl_abs(w))
-        factors = [ring.x(awinv[i - 1]) for i in range(1, p + 1)]
+        factors = [ring.x(awinv[i - 1]) for i in range(1, p + 1)] if tag == "b-so" else []
         for i in range(1, p + 1):
-            for j in range(p + 1, n + 1):
-                factors += _pair_factors(ring, awinv[i - 1], j)
-        return FactoredPoly(ring, _sign(stat_lp(weyl_abs(w), p)), factors)
-
-    if tag in ("c-spxsp", "d-oxo-even"):
-        awinv = weyl_inverse(weyl_abs(w))
-        factors = []
-        for i in range(1, p + 1):
-            for j in range(p + 1, n + 1):
-                factors += _pair_factors(ring, awinv[i - 1], j)
+            factors += _block_factors(ring, awinv[i - 1], block, (-1, 1), chern)
         return FactoredPoly(ring, _sign(stat_lp(weyl_abs(w), p)), factors)
 
     if tag == "c-sp-gl":
         sign = _sign(stat_psi(w) + stat_sigma(w))
-        return FactoredPoly(ring, sign, [delta(ring, n, w)])
+        return FactoredPoly(ring, sign, [delta(ring, n, w, chern=chern)])
 
     if tag == "d-so-gl":
-        return FactoredPoly(ring, _sign(stat_sigma(w)), [delta(ring, n - 1, w)],
+        return FactoredPoly(ring, _sign(stat_sigma(w)), [delta(ring, n - 1, w, chern=chern)],
                             2 ** (n - 1))
 
     # branched orthogonal pair (odd ranks): the standard representative
     winv = weyl_inverse(w)
     factors = [ring.x(i) for i in range(1, n)]
     for i in range(1, p + 1):
-        for j in range(p + 2, n + 1):
-            factors += _pair_factors(ring, winv[i - 1], j)
+        factors += _block_factors(ring, winv[i - 1], block, (-1, 1), chern)
     return FactoredPoly(ring, _sign(stat_tau(w, p)), factors)
 
 
@@ -154,17 +183,30 @@ def closed_class(case: CaseId, c: Clan) -> FactoredPoly:
 # ---------------------------------------------------------------------------
 
 
-def all_classes(poset: OrbitPoset) -> dict[Clan, Polynomial]:
-    """Classes of every orbit closure, propagated up the weak order: along
-    ``poset.weak_edges`` in their order, which reaches every source after
-    all the edges into it."""
+def all_classes(poset: OrbitPoset, upto: Clan | None = None) -> dict[Clan, Polynomial]:
+    """Classes of the orbit closures in z-form, propagated up the weak order
+    along ``poset.weak_edges`` in their order, which reaches every source
+    after all the edges into it.  With ``upto``, only the orbits of its weak
+    down-set get classes: the edges into it are followed, and compared,
+    from the closed orbits in it.  ``expand_class`` turns a class into
+    y-variables."""
     case = poset.case
     ring = formula_ring(case)
     family, n = case.family, case.grank
+    edges = poset.weak_edges
+    if upto is not None:
+        # an edge goes up one rank and the edges come by source rank, so
+        # backwards each target's membership is settled before its edges
+        down = {upto}
+        for src, dst, _, _ in reversed(edges):
+            if dst in down:
+                down.add(src)
+        edges = [e for e in edges if e[1] in down]
     classes: dict[Clan, Polynomial] = {
-        c: closed_class(case, c).expand() for c in poset.minima()
+        c: closed_class(case, c, chern=True).expand()
+        for c in poset.minima() if upto is None or c in down
     }
-    for src, dst, i, deg in poset.weak_edges:
+    for src, dst, i, deg in edges:
         value = divided_difference(classes[src], family, n, i)
         if deg == 2:
             value = value / 2
@@ -176,16 +218,28 @@ def all_classes(poset: OrbitPoset) -> dict[Clan, Polynomial]:
                 "propagation is path dependent at "
                 f"{dst.to_text()} (via root {i} from {src.to_text()})"
             )
-    if classes[poset.top] != ring.one:
+    if poset.top in classes and classes[poset.top] != ring.one:
         raise FormulaError("the dense orbit's class is not 1")
     codim = poset.max_rank
+    degrees = _expansion(case).degrees
     for c, f in classes.items():
         expected = codim - poset.ranks[c]
-        if f.degree() != expected or not f.is_homogeneous():
+        if degrees(f) != {expected}:
             raise FormulaError(
                 f"class of {c.to_text()} is not homogeneous of degree {expected}"
             )
     return classes
+
+
+@cache
+def _expansion(case: CaseId) -> ChernExpansion:
+    return ChernExpansion(formula_ring(case), chern_blocks(case))
+
+
+def expand_class(case: CaseId, f: Polynomial) -> Polynomial:
+    """A class of ``all_classes`` in the y-variables: each z_{a-1+k} of a
+    block starting at y_a becomes e_k of the block."""
+    return _expansion(case)(f)
 
 
 # ---------------------------------------------------------------------------
@@ -273,41 +327,42 @@ def verify_localization(
         poset = full_closure_order(poset)
     case = poset.case
     ring = formula_ring(case)
-    failures: list[str] = []
-
-    closed_points = 0
-    for c in poset.minima():  # the closed orbits
-        for w in closed_orbit_fixed_points(case, c):
-            closed_points += 1
-            if restrict_at(case, classes[c], w) != closed_restriction_product(case, w):
-                failures.append(
-                    f"closed restriction mismatch at {c.to_text()}, "
-                    f"fixed point {w}"
-                )
-
-    support_pairs = 0
+    closed_failures: list[str] = []
+    support_failures: list[str] = []
+    closed = len(poset.minima())
+    closed_points = support_pairs = 0
     support_checked = not case.uncovered
+    least = []  # (orbit, its bit, its least fixed point) for the support check
     if support_checked:
         pos = {c: k for k, c in enumerate(poset.nodes)}
         least = [(other, 1 << pos[other], min(points))
                  for other, points in fixed_points_by_clan(case).items()]
-        images = {w: point_images(case, ring, w) for _, _, w in least}
-        for c, below in zip(poset.nodes, poset.order_bits.down):
-            f = classes[c]
-            for other, bit, w in least:
-                if below & bit:
-                    continue
-                support_pairs += 1
-                if not restrict_at(case, f, w, images[w]).is_zero():
-                    failures.append(
-                        f"nonzero restriction of {c.to_text()} at a fixed "
-                        f"point {w} of {other.to_text()}"
+    images = {w: point_images(case, ring, w) for _, _, w in least}
+    checked = poset.nodes if support_checked else poset.nodes[:closed]
+    for k, (c, below) in enumerate(zip(checked, poset.order_bits.down)):
+        f = expand_class(case, classes[c])  # once per orbit
+        if k < closed:
+            for w in closed_orbit_fixed_points(case, c):
+                closed_points += 1
+                if restrict_at(case, f, w) != closed_restriction_product(case, w):
+                    closed_failures.append(
+                        f"closed restriction mismatch at {c.to_text()}, "
+                        f"fixed point {w}"
                     )
+        for other, bit, w in least:
+            if below & bit:
+                continue
+            support_pairs += 1
+            if not restrict_at(case, f, w, images[w]).is_zero():
+                support_failures.append(
+                    f"nonzero restriction of {c.to_text()} at a fixed "
+                    f"point {w} of {other.to_text()}"
+                )
 
     dense_ok = classes[poset.top] == ring.one
     return LocalizationReport(
         case, closed_points, support_pairs, support_checked, dense_ok,
-        tuple(failures),
+        tuple(closed_failures + support_failures),
     )
 
 
@@ -323,35 +378,19 @@ def chern_blocks(case: CaseId) -> tuple[tuple[int, int], ...]:
 
 
 def chern_class(case: CaseId, c: Clan) -> Polynomial:
-    """The class with y-variables rewritten as Chern classes (z-variables)."""
+    """The class in Chern-class form (z-variables), propagated through the
+    weak down-set of c alone."""
     if not in_case_family(case, c):
         raise ClanError(f"{c.to_text()} is not a clan of case {case.tag}")
-    classes = all_classes(weak_order_graph(case))
-    return chern_substitute(classes[c], chern_blocks(case))
+    return all_classes(weak_order_graph(case), c)[c]
 
 
 def chern_factored(case: CaseId, c: Clan) -> FactoredPoly:
-    """Chern-class form, factored when the closed-orbit factorization
-    passes through the rewriting (factors are grouped by their x-variable
-    support so each group is symmetric in the y-blocks)."""
-    blocks = chern_blocks(case)
+    """Chern-class form, factored for a closed orbit: the factors of its
+    class in z-variables, ordered by the x-variables they use."""
     if not is_closed_clan(case, c):
         return FactoredPoly(formula_ring(case), 1, [chern_class(case, c)])
-    fp = closed_class(case, c)
+    fp = closed_class(case, c, chern=True)
     nx = fp.ring.nx
-    done: list[tuple[tuple[int, ...], int, Polynomial]] = []
-    pending: dict[frozenset, Polynomial] = {}
-    for pos, fac in enumerate(fp.factors):
-        key = frozenset(v for v in fac.used_vars() if v < nx)
-        try:
-            done.append((tuple(sorted(key)), pos, chern_substitute(fac, blocks)))
-        except PolyError:
-            pending[key] = pending.get(key, fp.ring.one) * fac
-    try:
-        for key, prod in pending.items():
-            done.append((tuple(sorted(key)), len(fp.factors),
-                         chern_substitute(prod, blocks)))
-    except PolyError:
-        return FactoredPoly(fp.ring, 1, [chern_substitute(fp.expand(), blocks)])
-    done.sort(key=lambda t: (t[0], t[1]))
-    return FactoredPoly(fp.ring, fp.scalar, [f for *_, f in done], fp.den)
+    factors = sorted(fp.factors, key=lambda f: sorted(v for v in f.used_vars() if v < nx))
+    return FactoredPoly(fp.ring, fp.scalar, factors, fp.den)

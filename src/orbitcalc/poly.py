@@ -7,8 +7,9 @@ variables).  The module provides substitution of signed variables for
 variables (restriction to a fixed point, the Weyl-group action),
 divided-difference operators for the four classical root types, elementary
 symmetric polynomials, determinants, rewriting of block-symmetric
-polynomials in terms of elementary symmetric generators, and a
-factored-form container used for human-readable output.
+polynomials in terms of elementary symmetric generators and its inverse
+(``ChernExpansion``), and a factored-form container used for
+human-readable output.
 
 Coefficients are exact rationals: a polynomial stores ``int`` numerators
 over one positive ``int`` denominator, in lowest terms (the gcd of the
@@ -300,10 +301,6 @@ class Polynomial:
         if not self._terms:
             return -1
         return max(self._terms) >> self.ring._top
-
-    def is_homogeneous(self) -> bool:
-        terms, top = self._terms, self.ring._top
-        return not terms or max(terms) >> top == min(terms) >> top
 
     def used_vars(self) -> frozenset[int]:
         used = 0
@@ -722,6 +719,60 @@ def chern_substitute(f: Polynomial, blocks: Sequence[tuple[int, int]]) -> Polyno
         spectator = ring.monomial(tuple(stripped))
         current = current - subtrahend * spectator
         result = result + ring.monomial(tuple(image_exps), coeff)
+
+
+class ChernExpansion(dict):
+    """The inverse of ``chern_substitute``: the ring map that sends
+    ``z_{a-1+k}`` to ``e_k(y_a, ..., y_{a+size-1})`` for each block
+    ``(start, size)`` and fixes every x and y.
+
+    It maps term by term.  As a dict it memoises, by z-part (a key masked to
+    its z digits), the image of the z-part as (key offset, coefficient)
+    pairs, built on first lookup as a product of the blocks' elementary
+    symmetric polynomials, with its weighted minus its plain degree: a
+    term's image keys are its key plus each offset.  A z-variable outside
+    every block raises :class:`PolyError`.  ``degrees`` gives the weighted
+    degrees of a polynomial's terms, where ``z_{a-1+k}`` weighs k: the
+    degrees of their images."""
+
+    def __init__(self, ring: Ring, blocks: Sequence[tuple[int, int]]):
+        super().__init__()
+        self.ring = ring
+        self.zmask = (1 << _BITS * ring.nz) - 1
+        self.slots: list[tuple[int, int, Polynomial]] = []  # (shift, weight, e_k)
+        for start, size in blocks:
+            gens = [ring.y(start + t) for t in range(size)]
+            for k in range(1, size + 1):
+                shift = ring._shifts[ring.var_index("z", start - 1 + k)]
+                self.slots.append((shift, k, elem_sym(ring, k, gens)))
+
+    def __missing__(self, zpart: int) -> tuple[tuple[tuple[int, int], ...], int]:
+        ring = self.ring
+        image, extra, left = ring.one, 0, zpart
+        for shift, k, e in self.slots:
+            b = zpart >> shift & _DIGIT
+            if b:
+                image = image * e ** b
+                extra += (k - 1) * b
+                left -= b << shift
+        if left:
+            raise PolyError("a z-variable lies outside every block")
+        zkey = zpart + (sum(ring._unpack(zpart)) << ring._top)
+        got = self[zpart] = (tuple((key - zkey, c) for key, c in image._terms.items()), extra)
+        return got
+
+    def __call__(self, f: Polynomial) -> Polynomial:
+        out: dict[int, int] = {}
+        zmask = self.zmask
+        for key, coeff in f._terms.items():
+            for offset, c in self[key & zmask][0]:
+                k = key + offset
+                out[k] = out.get(k, 0) + coeff * c
+        return Polynomial._from_clean(self.ring, out, f._den)
+
+    def degrees(self, f: Polynomial) -> set[int]:
+        top, zmask = self.ring._top, self.zmask
+        return {(key >> top) + self[key & zmask][1] for key in f._terms}
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ kept here as checks on the code that does.
 * ``weyl``: signed-permutation composition, the statistic phi_p, the
   subgroup W_K with its order, and the closed clans of a case;
 * ``formulas``: the per-component closed-orbit classes of b-so, whose
-  sum is ``closed_class``, and the support check at every fixed point of
-  every orbit, the reference for the one-point check;
+  sum is ``closed_class``, the propagation on y-monomials that the
+  z-form propagation replaced, and the support check at every fixed point
+  of every orbit, the reference for the one-point check;
 * ``poly``: the simple reflections on the x-variables and the simple
   roots, the two halves of the defining relation of a divided difference,
   and the kernels on exponent tuples that the packed-key kernels replaced
@@ -46,9 +47,11 @@ from orbitcalc.clans import (
 from orbitcalc.formulas import (
     FormulaError,
     LocalizationReport,
-    _pair_factors,
+    _block_factors,
     _sign,
+    closed_class,
     closed_restriction_product,
+    expand_class,
     formula_ring,
     restrict_at,
 )
@@ -66,6 +69,7 @@ from orbitcalc.poly import (
     PolyError,
     Ring,
     _check_root_index,
+    divided_difference,
 )
 from orbitcalc.weyl import (
     Weyl,
@@ -469,21 +473,52 @@ def component_class(case: CaseId, u: Weyl) -> FactoredPoly:
         mono_y = mono_y * ring.y(i)
     factors = [mono_x + mono_y]
     for i in range(1, p + 1):
-        a = abs(uinv[i - 1])
-        for j in range(p + 1, n + 1):
-            factors += _pair_factors(ring, a, j)
+        factors += _block_factors(ring, abs(uinv[i - 1]), range(p + 1, n + 1), (-1, 1), False)
     return FactoredPoly(ring, sign * Fraction(1, 2), factors)
+
+
+def y_all_classes(poset: OrbitPoset) -> dict[Clan, Polynomial]:
+    """``all_classes`` as it was before propagation moved to z-form: the
+    closed classes expanded in y, every divided difference on y-monomials,
+    and the plain degree checked."""
+    case = poset.case
+    ring = formula_ring(case)
+    family, n = case.family, case.grank
+    classes = {c: closed_class(case, c).expand() for c in poset.minima()}
+    for src, dst, i, deg in poset.weak_edges:
+        value = divided_difference(classes[src], family, n, i)
+        if deg == 2:
+            value = value / 2
+        known = classes.get(dst)
+        if known is None:
+            classes[dst] = value
+        elif known != value:
+            raise FormulaError(
+                "propagation is path dependent at "
+                f"{dst.to_text()} (via root {i} from {src.to_text()})"
+            )
+    if classes[poset.top] != ring.one:
+        raise FormulaError("the dense orbit's class is not 1")
+    for c, f in classes.items():
+        expected = poset.max_rank - poset.ranks[c]
+        if set(map(sum, f.terms)) != {expected}:
+            raise FormulaError(
+                f"class of {c.to_text()} is not homogeneous of degree {expected}"
+            )
+    return classes
 
 
 def verify_localization_every_point(
     poset: OrbitPoset, classes: Mapping[Clan, Polynomial]
 ) -> LocalizationReport:
     """``verify_localization`` as it was before the one-point support check:
-    the support of each class is checked at every fixed point of every
-    orbit not below it, stopping at the first nonzero restriction."""
+    the support of each class (z-form, as ``all_classes`` gives it) is
+    checked at every fixed point of every orbit not below it, stopping at
+    the first nonzero restriction."""
     poset = full_closure_order(poset)
     case = poset.case
     ring = formula_ring(case)
+    classes = {c: expand_class(case, f) for c, f in classes.items()}
     failures: list[str] = []
 
     closed_points = 0

@@ -20,13 +20,15 @@ from orbitcalc.formulas import (
     closed_class,
     closed_restriction_product,
     delta,
+    expand_class,
     formula_ring,
     restrict_at,
     verify_localization,
 )
-from orbitcalc.orbits import full_closure_order, weak_order_graph
+from orbitcalc import formulas
+from orbitcalc.orbits import OrbitPoset, full_closure_order, weak_order_graph
 from orbitcalc.parse import parse_poly
-from orbitcalc.poly import PolyError, Ring
+from orbitcalc.poly import FactoredPoly, PolyError, Ring, chern_substitute
 from orbitcalc.weyl import (
     ambient_weyl,
     distinguished_representative,
@@ -41,6 +43,7 @@ from reference import (
     verify_localization_every_point,
     weyl_compose,
     wk_member,
+    y_all_classes,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -63,6 +66,11 @@ def pc(case: CaseId, text: str):
     return parse_clan(text, P, Q)
 
 
+def y_classes(poset) -> dict:
+    """The classes of ``all_classes`` expanded in the y-variables."""
+    return {c: expand_class(poset.case, f) for c, f in all_classes(poset).items()}
+
+
 # ---------------------------------------------------------------------------
 # frozen class tables
 # ---------------------------------------------------------------------------
@@ -75,7 +83,7 @@ class TestClassTables:
         table = fixture_table(tag)
         assert table["case"] == {"tag": case.tag, "p": case.p, "q": case.q}
         ring = formula_ring(case)
-        classes = {c.to_text(): f for c, f in all_classes(weak_order_graph(case)).items()}
+        classes = {c.to_text(): f for c, f in y_classes(weak_order_graph(case)).items()}
         assert set(classes) == set(table["classes"])
         for text, expr in table["classes"].items():
             assert classes[text] == parse_poly(expr, ring), text
@@ -84,9 +92,9 @@ class TestClassTables:
     def test_degrees_equal_codimension(self, tag):
         case = desk_case(tag)
         g = weak_order_graph(case)
-        classes = all_classes(g)
+        classes = y_classes(g)
         for c, f in classes.items():
-            assert f.is_homogeneous()
+            assert set(map(sum, f.terms)) == {g.max_rank - g.ranks[c]}
             assert f.degree() == g.max_rank - g.ranks[c]
 
     def test_dense_class_is_one(self):
@@ -287,7 +295,7 @@ class TestLocalization:
 
     def test_restriction_kills_unrelated_closed_orbit(self):
         case = desk_case("a")
-        classes = all_classes(weak_order_graph(case))
+        classes = y_classes(weak_order_graph(case))
         f = classes[pc(case, "++--")]
         w = distinguished_representative(case, pc(case, "--++"))
         assert restrict_at(case, f, w).is_zero()
@@ -350,7 +358,7 @@ class TestOnePointSupport:
         """restrict_at(f, u.w) is u acting on the y's of restrict_at(f, w)."""
         case = desk_case(tag)
         ring = formula_ring(case)
-        classes = all_classes(weak_order_graph(case))
+        classes = y_classes(weak_order_graph(case))
         group = sorted(k_weyl_group(case))
         for f in classes.values():
             for w in ambient_weyl(case):
@@ -492,6 +500,127 @@ class TestPropagation:
     def test_divided_difference_drops_degree(self):
         case = desk_case("b-so")
         g = weak_order_graph(case)
-        classes = all_classes(g)
+        classes = y_classes(g)
         for src, dst, _, _ in g.weak_edges:
             assert classes[dst].degree() == classes[src].degree() - 1
+
+
+# ---------------------------------------------------------------------------
+# z-form propagation against the y-form reference
+# ---------------------------------------------------------------------------
+
+ZFORM_RANKS = DESK_RANKS + (("a", 2, 3), ("a", 3, 3), ("d-so-gl", 4, 4))
+
+
+@pytest.mark.parametrize("tag,p,q", ZFORM_RANKS)
+def test_z_classes_match_the_y_form_reference(tag, p, q):
+    case = case_from_params(tag, p, q)
+    poset = weak_order_graph(case)
+    z, y = all_classes(poset), y_all_classes(poset)
+    assert z.keys() == y.keys()
+    blocks = chern_blocks(case)
+    for c, f in z.items():
+        assert expand_class(case, f) == y[c], c.to_text()
+        assert f == chern_substitute(y[c], blocks), c.to_text()
+
+
+@pytest.mark.parametrize("tag,p,q", ZFORM_RANKS)
+def test_direct_z_seeds_are_the_rewritten_closed_classes(tag, p, q):
+    case = case_from_params(tag, p, q)
+    blocks = chern_blocks(case)
+    for c in weak_order_graph(case).minima():
+        seed = closed_class(case, c, chern=True)
+        assert seed.expand() == chern_substitute(closed_class(case, c).expand(), blocks)
+
+
+def _doctored(poset: OrbitPoset, k: int, **change) -> OrbitPoset:
+    """The poset with its k-th weak edge's target or degree changed."""
+    edges = list(poset.weak_edges)
+    src, dst, i, deg = edges[k]
+    edges[k] = (src, change.get("dst", dst), i, change.get("deg", deg))
+    return OrbitPoset(poset.case, poset.nodes, tuple(edges), poset.ranks)
+
+
+def _weak_down_set(poset: OrbitPoset, c) -> set:
+    down, todo = {c}, [c]
+    while todo:
+        d = todo.pop()
+        for src, dst, _, _ in poset.weak_edges:
+            if dst == d and src not in down:
+                down.add(src)
+                todo.append(src)
+    return down
+
+
+class TestPropagationMutations:
+    """A wrong weak graph or a seed of the wrong weight still fails."""
+
+    @pytest.mark.parametrize("tag", sorted(DESK))
+    def test_wrong_edge_degree_is_path_dependent(self, tag):
+        poset = weak_order_graph(desk_case(tag))
+        in_degree = Counter(dst for _, dst, _, _ in poset.weak_edges)
+        for k, (_, dst, _, deg) in enumerate(poset.weak_edges):
+            if in_degree[dst] > 1:
+                with pytest.raises(FormulaError, match="propagation is path dependent"):
+                    all_classes(_doctored(poset, k, deg=3 - deg))
+                return
+        pytest.fail("no orbit with two incoming edges")
+
+    @pytest.mark.parametrize("tag", sorted(DESK))
+    def test_edge_to_a_wrong_target_is_path_dependent(self, tag):
+        poset = weak_order_graph(desk_case(tag))
+        in_degree = Counter(dst for _, dst, _, _ in poset.weak_edges)
+        for k, (_, dst, _, _) in enumerate(poset.weak_edges):
+            others = [t for t in poset.nodes if t != dst and in_degree[t]
+                      and poset.ranks[t] == poset.ranks[dst]]
+            if in_degree[dst] > 1 and others:
+                with pytest.raises(FormulaError, match="propagation is path dependent"):
+                    all_classes(_doctored(poset, k, dst=others[0]))
+                return
+        pytest.fail("no edge with a target to move")
+
+    def test_term_of_wrong_weight_fails_homogeneity(self, monkeypatch):
+        case = desk_case("a")
+        ring = formula_ring(case)
+        poset = weak_order_graph(case)
+        seeds_only = OrbitPoset(case, poset.nodes, (), poset.ranks)
+        all_classes(seeds_only)
+        closed = closed_class
+        # x1^3*z2 has the seeds' plain degree 4 but weight 5 (z2 = e_2(y1, y2))
+        extra = parse_poly("x1^3*z2", ring)
+
+        def doctored(case, c, chern=False):
+            fp = closed(case, c, chern)
+            return FactoredPoly(ring, 1, [fp.expand() + extra]) if c == poset.nodes[0] else fp
+
+        monkeypatch.setattr(formulas, "closed_class", doctored)
+        assert extra.degree() == 4
+        with pytest.raises(FormulaError, match="not homogeneous of degree 4"):
+            all_classes(seeds_only)
+
+
+class TestChernDownSet:
+    @pytest.mark.parametrize("tag", sorted(DESK))
+    def test_propagates_the_weak_down_set_alone(self, tag):
+        poset = weak_order_graph(desk_case(tag))
+        full = all_classes(poset)
+        for c in poset.nodes:
+            part = all_classes(poset, c)
+            assert part.keys() == _weak_down_set(poset, c)
+            assert all(part[d] == full[d] for d in part)
+
+    def test_failure_outside_the_down_set_is_not_seen(self):
+        case = desk_case("a")
+        poset = weak_order_graph(case)
+        in_degree = Counter(dst for _, dst, _, _ in poset.weak_edges)
+        k, (_, dst, _, deg) = next((k, e) for k, e in enumerate(poset.weak_edges)
+                                   if in_degree[e[1]] > 1)
+        bad = _doctored(poset, k, deg=3 - deg)
+        with pytest.raises(FormulaError, match="propagation is path dependent"):
+            all_classes(bad)
+        outside = next(c for c in poset.nodes if dst not in _weak_down_set(poset, c)
+                       and poset.ranks[c] > 0)
+        assert all_classes(bad, outside)[outside] == all_classes(poset)[outside]
+        inside = next(c for c in poset.nodes if dst in _weak_down_set(poset, c) and c != dst)
+        with pytest.raises(FormulaError, match="propagation is path dependent"):
+            all_classes(bad, inside)

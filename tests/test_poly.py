@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcalc.clans import DESK_RANKS, case_from_params, enumerate_case_clans
-from orbitcalc.formulas import (all_classes, chern_factored, closed_class, delta, formula_ring,
-                                restrict_at)
+from orbitcalc.formulas import (all_classes, chern_factored, closed_class, delta, expand_class,
+                                formula_ring, restrict_at)
 from orbitcalc.orbits import weak_order_graph
 from orbitcalc.poly import (
+    ChernExpansion,
     FactoredPoly,
     Polynomial,
     MAX_DEGREE,
@@ -104,7 +105,9 @@ def test_cross_ring_operations_rejected():
 def test_degree_and_lead():
     f = parse_poly("x1^2 - x1*z3 + z4", R)
     assert f.degree() == 2
-    assert not f.is_homogeneous()
+    assert set(map(sum, f.terms)) == {1, 2}
+    # homogeneous once z3 = e_1(y3, y4) weighs 1 and z4 = e_2(y3, y4) weighs 2
+    assert ChernExpansion(R, BLOCKS_22).degrees(f) == {2}
     exps, coeff = tuple_sorted_terms(f)[0]  # the graded-lex leading term
     assert coeff == 1 and exps[R.var_index("x", 1)] == 2
     assert R.zero.degree() == -1
@@ -271,7 +274,6 @@ def test_term_order_and_text_match_tuple_kernels(drawn):
             e for e, _ in tuple_sorted_terms(h)]
         assert h.to_text() == tuple_to_text(h)
         assert h.degree() == max(map(sum, h.terms), default=-1)
-        assert h.is_homogeneous() == (len(set(map(sum, h.terms))) <= 1)
 
 
 def test_product_cancellation_to_zero():
@@ -401,7 +403,7 @@ def _signed_variable_images(case, ring, w):
 def test_restriction_matches_general_substitution(tag, p, q):
     case = case_from_params(tag, p, q)
     poset = weak_order_graph(case)
-    classes = all_classes(poset)
+    classes = {c: expand_class(case, f) for c, f in all_classes(poset).items()}
     ring = formula_ring(case)
     points = 0
     for c in poset.minima():
@@ -698,6 +700,13 @@ def test_determinant_band_identity():
 # ---------------------------------------------------------------------------
 
 BLOCKS_22 = [(1, 2), (3, 2)]
+# z_{a-1+k} -> e_k of the block of BLOCKS_22 starting at y_a
+Z_IMAGES = {
+    R.var_index("z", 1): R.y(1) + R.y(2),
+    R.var_index("z", 2): R.y(1) * R.y(2),
+    R.var_index("z", 3): R.y(3) + R.y(4),
+    R.var_index("z", 4): R.y(3) * R.y(4),
+}
 
 
 def test_chern_pinned_example():
@@ -755,16 +764,35 @@ def test_chern_on_symmetrized_input(f):
     sym = f + swap(f, y1, y2)
     sym = sym + swap(sym, y3, y4)
     image = chern_substitute(sym, BLOCKS_22)
-    back = reference_substitute(
-        image,
-        {
-            R.var_index("z", 1): R.y(1) + R.y(2),
-            R.var_index("z", 2): R.y(1) * R.y(2),
-            R.var_index("z", 3): R.y(3) + R.y(4),
-            R.var_index("z", 4): R.y(3) * R.y(4),
-        }
-    )
+    back = reference_substitute(image, Z_IMAGES)
     assert back == sym
+
+
+@given(polys(max_terms=4, max_exp=2))
+@settings(max_examples=50, deadline=None)
+def test_chern_expansion_is_the_back_substitution(f):
+    # on polynomials in the x's and z's, ChernExpansion substitutes e_k of
+    # each block for its z's, chern_substitute undoes it, and each term's
+    # weighted degree is the degree of its image
+    f = reference_substitute(f, {R.var_index("y", k): R.one for k in range(1, R.ny + 1)})
+    expand = ChernExpansion(R, BLOCKS_22)
+    got = expand(f)
+    assert got == reference_substitute(f, Z_IMAGES)
+    assert chern_substitute(got, BLOCKS_22) == f
+    for exps in f.terms:
+        term = R.monomial(exps)
+        assert expand.degrees(term) == set(map(sum, expand(term).terms))
+
+
+def test_chern_expansion_examples():
+    expand = ChernExpansion(R, BLOCKS_22)
+    f = parse_poly("x1^2 - x1*z3 + z4", R)
+    assert expand(f) == parse_poly("(x1 - y3)(x1 - y4)", R)
+    assert expand(R.zero) == R.zero and expand(R.one) == R.one
+    assert expand(f / 2) == expand(f) / 2
+    assert expand(parse_poly("z1^2*z2 + x2*y1", R)) == parse_poly("(y1+y2)^2*y1*y2 + x2*y1", R)
+    with pytest.raises(PolyError):
+        ChernExpansion(R, [(1, 2)])(R.var("z", 3))  # z3 lies outside every block
 
 
 # ---------------------------------------------------------------------------
@@ -988,6 +1016,7 @@ RENDER_CASES = [case_from_params(*rank) for rank in DESK_RANKS] + [case_from_par
 @pytest.mark.parametrize("case", RENDER_CASES, ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
 def test_class_text_matches_full_key_renderer(case):
     for c, f in all_classes(weak_order_graph(case)).items():
+        f = expand_class(case, f)
         assert f.to_text() == full_key_to_text(f), c.to_text()
 
 
@@ -1034,7 +1063,7 @@ def test_memos_hold_one_text_per_masked_part():
     # at a(3,3) the classes have 17,668 distinct monomials but only 995
     # x-parts and 64 y-parts; a fresh ring starts with empty memos
     case = case_from_params("a", 3, 3)
-    classes = all_classes(weak_order_graph(case)).values()
+    classes = [expand_class(case, f) for f in all_classes(weak_order_graph(case)).values()]
     ring = formula_ring(case)
     fresh = Ring(ring.nx, ring.ny, ring.nz)
     for f in classes:
