@@ -253,7 +253,8 @@ def cmd_chern(args) -> int:
     if args.clan is None:
         raise ClanError("--clan is required for chern")
     P, Q = case.ambient_shape
-    c = parse_clan(args.clan, P, Q)
+    # argparse drops the value "--" of --clan=--, leaving an empty list
+    c = parse_clan("--" if args.clan == [] else args.clan, P, Q)
     formula = chern_factored(case, c)
     if args.fmt == "json":
         import json

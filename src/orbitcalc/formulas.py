@@ -5,9 +5,12 @@ fixed-point representatives.  Every other orbit's class is propagated along
 the weak order: a weak edge of degree d along simple root alpha_i carries
 [source] to (1/d) * divided_difference_i([source]), and propagation along
 different paths must agree.  Localization then checks the computed classes
-pointwise: restriction at each fixed point of each closed orbit must equal
-the product of the tangent weights there, and (where the fixed-point
-dictionary is available) restrictions must vanish away from the closure.
+pointwise, at one fixed point of each closed orbit, which decides for all of
+that orbit's fixed points (see ``verify_localization``): the restriction of
+a closed class must equal the product of the tangent weights there, and
+(where the fixed-point dictionary is available) restrictions must vanish
+away from the closure.  Each restriction runs on the z-form below, and only
+the restricted polynomial is expanded in y.
 
 Propagation runs in z-form: in the x-variables and the Chern variables
 z_{a-1+k} = e_k(y_a, ..., y_{a+size-1}) of K's blocks (``chern_blocks``).
@@ -51,7 +54,6 @@ from .weyl import (
     Weyl,
     closed_orbit_fixed_points,
     distinguished_representative,
-    fixed_points_by_clan,
     is_closed_clan,
     restriction_weights,
     stat_lp,
@@ -60,6 +62,7 @@ from .weyl import (
     stat_tau,
     weyl_abs,
     weyl_inverse,
+    weyl_order,
 )
 
 
@@ -304,56 +307,77 @@ class LocalizationReport(Record):
 def verify_localization(
     poset: OrbitPoset, classes: Mapping[Clan, Polynomial]
 ) -> LocalizationReport:
-    """Pointwise correctness checks for the computed classes.
+    """Pointwise correctness checks for the computed classes (z-form, as
+    ``all_classes`` gives them).
 
     * at every fixed point of every closed orbit, the restriction of the
       closed class equals the product of the tangent weights there;
     * where the fixed-point dictionary is available (every case except the
       branched odd one), the restriction of [closure of Q] vanishes at the
-      fixed points of each orbit not below Q in the full closure order;
+      fixed points of each closed orbit not below Q in the full closure
+      order (every fixed point lies in a closed orbit);
     * the dense orbit's class is the constant 1.
 
     A poset that does not carry ``order_bits`` is saturated first.
-    The support check restricts at one fixed point per orbit, the least.
-    The closure of Q is stable under K, so for n in N_K(T) the restriction
-    at the fixed point n.w is n acting on the y's of the restriction at w,
-    and one is zero exactly when the other is.  The fixed points of one
-    orbit (a fibre of ``fixed_points_by_clan``) are one orbit of N_K(T)/T:
-    W_K, together with a sign change from K's second component in the
-    S(O x O) pairs.  So the least of them decides for the fibre.  The tests
-    check both facts at every desk case.
+
+    Both pointwise checks run at one fixed point per closed orbit, its
+    ``distinguished_representative``.  The closure of Q is stable under K,
+    so for n in N_K(T) the restriction at the fixed point n.w is n acting on
+    the y's of the restriction at w.  The tangent-weight product at n.w is n
+    acting on the one at w too: it is the Euler class of the normal space,
+    which n carries from w to n.w.  The fixed points of one closed orbit (a
+    fibre of ``fixed_points_by_clan``) are one orbit of N_K(T)/T: W_K,
+    together with a sign change from K's second component in the S(O x O)
+    pairs.  So one point decides for the whole orbit: a restriction is zero,
+    or equals the product, at every point exactly when it does at one.  The
+    tests check these facts at every desk case.  ``closed points`` counts
+    the points the check covers: |W| where every fixed point lies in one of
+    the closed orbits, and each orbit's fixed points in d-oxo-odd.
+
+    Each restriction runs on the z-form, and only its result is expanded.
+    A restriction R sends the x's to signed y's (or 0) and fixes every y and
+    z; the expansion E of ``expand_class`` sends the z's to polynomials in
+    the y's and fixes every x and y.  Both are ring maps, and on each
+    variable E(R(v)) = R(E(v)), so E(R(f)) = R(E(f)) for every f: the
+    restriction of the y-form is the expansion of the restricted z-form,
+    which is far smaller than the class.  No class is expanded whole.
     """
     if poset.order_bits is None:
         poset = full_closure_order(poset)
     case = poset.case
     ring = formula_ring(case)
+    expand = _expansion(case)
     closed_failures: list[str] = []
     support_failures: list[str] = []
-    closed = len(poset.minima())
-    closed_points = support_pairs = 0
+    minima = poset.minima()
+    closed = len(minima)
+    points = {c: distinguished_representative(case, c) for c in minima}
+    images = {w: point_images(case, ring, w) for w in points.values()}
+    support_pairs = 0
     support_checked = not case.uncovered
-    least = []  # (orbit, its bit, its least fixed point) for the support check
+    least = []  # (orbit, its bit, its point) for the support check, by point
     if support_checked:
-        pos = {c: k for k, c in enumerate(poset.nodes)}
-        least = [(other, 1 << pos[other], min(points))
-                 for other, points in fixed_points_by_clan(case).items()]
-    images = {w: point_images(case, ring, w) for _, _, w in least}
-    checked = poset.nodes if support_checked else poset.nodes[:closed]
+        closed_points = weyl_order(case.family, case.grank)
+        least = sorted(((c, 1 << k, points[c]) for k, c in enumerate(minima)),
+                       key=lambda item: item[2])
+    else:
+        closed_points = sum(len(closed_orbit_fixed_points(case, c)) for c in minima)
+    checked = poset.nodes if support_checked else minima
     for k, (c, below) in enumerate(zip(checked, poset.order_bits.down)):
-        f = expand_class(case, classes[c])  # once per orbit
+        f = classes[c]
         if k < closed:
-            for w in closed_orbit_fixed_points(case, c):
-                closed_points += 1
-                if restrict_at(case, f, w) != closed_restriction_product(case, w):
-                    closed_failures.append(
-                        f"closed restriction mismatch at {c.to_text()}, "
-                        f"fixed point {w}"
-                    )
+            w = points[c]
+            got = expand(restrict_at(case, f, w, images[w]))
+            if got != closed_restriction_product(case, w):
+                closed_failures.append(
+                    f"closed restriction mismatch at {c.to_text()}, "
+                    f"fixed point {w}"
+                )
         for other, bit, w in least:
             if below & bit:
                 continue
             support_pairs += 1
-            if not restrict_at(case, f, w, images[w]).is_zero():
+            if not expand(restrict_at(case, f, w, images[w])).is_zero():
                 support_failures.append(
                     f"nonzero restriction of {c.to_text()} at a fixed "
                     f"point {w} of {other.to_text()}"

@@ -9,6 +9,7 @@ negative entries; type D elements have an even number of them.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -70,6 +71,14 @@ def weyl_elements(lie_type: str, n: int) -> tuple[Weyl, ...]:
                 out.append(tuple(s * v for s, v in zip(signs, perm)))
         return tuple(sorted(out))
     raise WeylError(f"unknown Lie type {lie_type!r}")
+
+
+def weyl_order(lie_type: str, n: int) -> int:
+    """The order of ``weyl_elements(lie_type, n)``, without listing them."""
+    if lie_type == "A":
+        return math.factorial(n)
+    order = 2 ** n * math.factorial(n)
+    return order // 2 if lie_type == "D" else order
 
 
 def simple_reflection(lie_type: str, n: int, i: int) -> Weyl:
@@ -238,35 +247,45 @@ def closed_orbit_fixed_points(case: CaseId, c: Clan) -> tuple[Weyl, ...]:
 
 
 def distinguished_representative(case: CaseId, c: Clan) -> Weyl:
-    """Deterministic fixed-point representative of a closed orbit.
+    """Deterministic fixed-point representative of a closed orbit, built
+    from the signs of the first n symbols of its clan.
 
-    Lexicographically least fixed point, except where a coordinate u is
-    uncovered (d-oxo-odd, u = p+1) and the formulas depend on the choice:
-    there the standard representative has no negative entries, w(n) = u,
-    and increasing values within the '+' positions (1..p) and the '-'
-    positions (p+2..n)."""
-    if not case.uncovered:
-        points = closed_orbit_fixed_points(case, c)
-        if not points:
-            raise ClanError(f"no fixed points found for {c.to_text()}")
-        return min(points)
+    Where K's blocks cover every coordinate it is the lexicographically
+    least w with ``fixed_point_to_clan(case, w) == c``, each entry the least
+    that the sign at its position allows:
+
+    * ``none``: the '+' positions get 1..p and the '-' positions p+1..n,
+      in order (a '+' needs w(i) <= p);
+    * mirror: the '+' positions get -p, -(p-1), ... and the '-' positions
+      -n, -(n-1), ... (a '+' needs |w(i)| <= p); in type D with n odd the
+      last entry turns positive, which keeps the number of negative entries
+      even at the least cost;
+    * ``skew``: a '+' position takes the least unused value and a '-'
+      position minus the largest (a '+' needs w(i) > 0); in type D the
+      clan has an even number of '-' signs.
+
+    Where a coordinate u is uncovered (d-oxo-odd, u = p+1) and the formulas
+    depend on the choice, the standard representative has no negative
+    entries, w(n) = u, and increasing values within the '+' positions
+    (1..p) and the '-' positions (p+2..n)."""
     if not is_closed_clan(case, c):
         raise ClanError(f"{c.to_text()} is not a closed-orbit clan for this case")
-    (u,) = case.uncovered
-    n = case.grank
-    vals = [0] * n
-    vals[n - 1] = u
-    next_plus, next_minus = 1, u + 1
-    for i in range(1, n):
-        if c.symbols[i - 1] == "+":
-            vals[i - 1] = next_plus
-            next_plus += 1
-        else:
-            vals[i - 1] = next_minus
-            next_minus += 1
-    w = tuple(vals)
-    assert w in closed_orbit_fixed_points(case, c)
-    return w
+    n, p = case.grank, case.p
+    symmetry = case.row.symmetry
+    if case.uncovered:
+        (u,) = case.uncovered
+        plus, minus = iter(range(1, u)), iter(range(u + 1, n + 1))
+        return tuple(next(plus if s == "+" else minus) for s in c.symbols[:n - 1]) + (u,)
+    if symmetry == "none":
+        plus, minus = iter(range(1, p + 1)), iter(range(p + 1, n + 1))
+    elif symmetry == "mirror":
+        plus, minus = iter(range(-p, 0)), iter(range(-n, -p))
+    else:  # the '+' and '-' positions together use each |value| once
+        plus, minus = iter(range(1, n + 1)), iter(range(-n, 0))
+    w = [next(plus if s == "+" else minus) for s in c.symbols[:n]]
+    if symmetry == "mirror" and case.family == "D" and n % 2:
+        w[-1] = -w[-1]
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------

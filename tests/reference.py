@@ -84,6 +84,7 @@ from orbitcalc.weyl import (
     validate_weyl,
     weyl_abs,
     weyl_inverse,
+    weyl_order,
 )
 
 
@@ -299,17 +300,10 @@ def wk_member(case: CaseId, w: Weyl) -> bool:
     return True
 
 
-def _weyl_order(lie_type: str, k: int) -> int:
-    if lie_type == "A":
-        return math.factorial(k)
-    order = 2 ** k * math.factorial(k)
-    return order // 2 if lie_type == "D" else order
-
-
 def wk_order(case: CaseId) -> int:
     """Order of W_K (the group tested by wk_member): the product of the
     block Weyl-group orders."""
-    return math.prod(_weyl_order(t, len(block)) for t, block in case.k_blocks)
+    return math.prod(weyl_order(t, len(block)) for t, block in case.k_blocks)
 
 
 def closed_clans(case: CaseId) -> list[Clan]:
@@ -511,21 +505,25 @@ def y_all_classes(poset: OrbitPoset) -> dict[Clan, Polynomial]:
 def verify_localization_every_point(
     poset: OrbitPoset, classes: Mapping[Clan, Polynomial]
 ) -> LocalizationReport:
-    """``verify_localization`` as it was before the one-point support check:
-    the support of each class (z-form, as ``all_classes`` gives it) is
-    checked at every fixed point of every orbit not below it, stopping at
-    the first nonzero restriction."""
+    """``verify_localization`` as it was before the one-point checks, for
+    classes in z-form, as ``all_classes`` gives them: each closed class is
+    expanded and checked at every fixed point of its orbit, and the support
+    of each class at every fixed point of every orbit not below it,
+    stopping at the first nonzero restriction.  The support restrictions
+    run on the z-form and expand only the result, which equals restricting
+    the expanded class (``test_restriction_commutes_with_expansion``) and
+    halves the time of this loop."""
     poset = full_closure_order(poset)
     case = poset.case
     ring = formula_ring(case)
-    classes = {c: expand_class(case, f) for c, f in classes.items()}
     failures: list[str] = []
 
     closed_points = 0
     for c in poset.minima():
+        f = expand_class(case, classes[c])
         for w in closed_orbit_fixed_points(case, c):
             closed_points += 1
-            if restrict_at(case, classes[c], w) != closed_restriction_product(case, w):
+            if restrict_at(case, f, w) != closed_restriction_product(case, w):
                 failures.append(
                     f"closed restriction mismatch at {c.to_text()}, "
                     f"fixed point {w}"
@@ -543,7 +541,7 @@ def verify_localization_every_point(
                     continue
                 support_pairs += 1
                 for w in points:
-                    if not restrict_at(case, f, w).is_zero():
+                    if not expand_class(case, restrict_at(case, f, w)).is_zero():
                         failures.append(
                             f"nonzero restriction of {c.to_text()} at a fixed "
                             f"point {w} of {other.to_text()}"

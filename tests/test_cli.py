@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from orbitcalc import cli, formulas, geometry, orbits
-from orbitcalc.clans import DESK_RANKS, case_from_params
+from orbitcalc.clans import DESK_RANKS, CheckError, case_from_params
 from orbitcalc.clans import RankTable
 from orbitcalc.formulas import FormulaError, LocalizationReport
 from orbitcalc.geometry import GeometryError
@@ -53,6 +53,16 @@ class TestChern:
         code, _, err = run(capsys, "chern", "--case", "a", "--p", "2", "--q", "2")
         assert code == 2
         assert "clan" in err
+
+    def test_clan_given_as_two_minus_signs(self, capsys):
+        # argparse hands the value of --clan=-- over as an empty list
+        code, out, err = run(capsys, "chern", "--case", "a", "--p", "0", "--q", "2",
+                             "--clan=--")
+        assert (code, out, err) == (0, "1\n", "")
+        code, out, err = run(capsys, "chern", "--case", "a", "--p", "2", "--q", "2",
+                             "--clan=--")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_clan_outside_family_is_usage_error(self, capsys):
         code, out, err = run(capsys, "chern", "--case", "b-so", "--p", "2",
@@ -359,6 +369,53 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+# one row per subcommand: a call that succeeds, the layer function whose
+# failed check makes that call fail, and a malformed call
+EXIT_CODE_TABLE = [
+    (["enumerate", "--case", "a", "--p", "1", "--q", "1"],
+     (cli, "enumerate_case_clans", CheckError),
+     ["enumerate", "--case", "a", "--p", "1"]),
+    (["poset", "--case", "a", "--p", "1", "--q", "1", "--full"],
+     (orbits, "full_closure_order", OrbitError),
+     ["poset", "--case", "a", "--p", "one", "--q", "1"]),
+    (["classes", "--case", "a", "--p", "1", "--q", "1"],
+     (formulas, "all_classes", FormulaError),
+     ["classes", "--case", "a", "--n", "2"]),
+    (["verify", "--case", "a", "--p", "1", "--q", "1"],
+     (formulas, "all_classes", FormulaError),
+     ["verify", "--case", "d-oxo-odd", "--p", "0", "--q", "3"]),
+    (["oracle", "--max-n", "1", "--measure-max-n", "1"],
+     (geometry, "measure_rank_numbers", GeometryError),
+     ["oracle", "--max-n", "x"]),
+    (["conjecture", "--case", "a", "--p", "1", "--q", "1"],
+     (orbits, "check_conjecture", OrbitError),
+     ["conjecture", "--case", "e", "--p", "1", "--q", "1"]),
+    (["chern", "--case", "a", "--p", "2", "--q", "2", "--clan", "1+-1"],
+     (formulas, "all_classes", FormulaError),
+     ["chern", "--case", "a", "--p", "2", "--q", "2", "--clan=1+x1"]),
+]
+
+
+@pytest.mark.parametrize("ok,check,malformed", EXIT_CODE_TABLE,
+                         ids=[row[0][0] for row in EXIT_CODE_TABLE])
+def test_exit_code_table(capsys, monkeypatch, ok, check, malformed):
+    """0 on success, 1 on a failed check, 2 on malformed input, for every
+    subcommand; a failure writes nothing to stdout, and never a traceback."""
+    code, out, err = run(capsys, *ok)
+    assert code == 0 and out and "Traceback" not in err
+    code, out, err = run(capsys, *malformed)
+    assert code == 2 and out == "" and err and "Traceback" not in err
+    module, name, error = check
+
+    def fail(*args):
+        raise error("synthetic failed check")
+
+    monkeypatch.setattr(module, name, fail)
+    code, out, err = run(capsys, *ok)
+    assert code == 1 and out == ""
+    assert "synthetic failed check" in err and "Traceback" not in err
 
 
 class TestExitCodes:

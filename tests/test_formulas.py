@@ -31,6 +31,7 @@ from orbitcalc.parse import parse_poly
 from orbitcalc.poly import FactoredPoly, PolyError, Ring, chern_substitute
 from orbitcalc.weyl import (
     ambient_weyl,
+    closed_orbit_fixed_points,
     distinguished_representative,
     fixed_points_by_clan,
     weyl_elements,
@@ -367,11 +368,14 @@ class TestOnePointSupport:
                     assert restrict_at(case, f, weyl_compose(u, w)) == at_w.substitute(
                         _act_on_y(ring, u))
 
-    @pytest.mark.parametrize("tag,p,q", DESK_RANKS + (("a", 2, 3),))
+    @pytest.mark.parametrize("tag,p,q", DESK_RANKS + (("a", 2, 3), ("a", 3, 3),
+                                                      ("d-so-gl", 4, 4)))
     def test_matches_check_at_every_fixed_point(self, tag, p, q):
         g = weak_order_graph(case_from_params(tag, p, q))
         classes = all_classes(g)
-        assert verify_localization(g, classes) == verify_localization_every_point(g, classes)
+        report = verify_localization(g, classes)
+        assert report.ok
+        assert report == verify_localization_every_point(g, classes)
 
     def test_wrong_class_reported_alike(self):
         case = desk_case("a")
@@ -382,6 +386,73 @@ class TestOnePointSupport:
         report = verify_localization(g, classes)
         assert not report.ok and report.failures
         assert report == verify_localization_every_point(g, classes)
+
+
+class TestOnePointClosedCheck:
+    """The premises of checking each closed orbit at one fixed point, and of
+    restricting z-forms before expanding them."""
+
+    @pytest.mark.parametrize("tag,p,q", DESK_RANKS + (("d-so-gl", 5, 5),))
+    def test_weight_product_is_k_weyl_equivariant(self, tag, p, q):
+        """closed_restriction_product(u.w) is u acting on the y's of
+        closed_restriction_product(w), and u.w runs over the closed orbit's
+        fixed points."""
+        case = case_from_params(tag, p, q)
+        ring = formula_ring(case)
+        group = sorted(k_weyl_group(case))
+        for c in closed_clans(case):
+            w = distinguished_representative(case, c)
+            product = closed_restriction_product(case, w)
+            assert {weyl_compose(u, w) for u in group} == set(
+                closed_orbit_fixed_points(case, c))
+            for u in group:
+                assert closed_restriction_product(case, weyl_compose(u, w)) == (
+                    product.substitute(_act_on_y(ring, u)))
+
+    @pytest.mark.parametrize("tag", sorted(DESK))
+    def test_restriction_commutes_with_expansion(self, tag):
+        case = desk_case(tag)
+        for f in all_classes(weak_order_graph(case)).values():
+            y_form = expand_class(case, f)
+            for w in ambient_weyl(case):
+                assert expand_class(case, restrict_at(case, f, w)) == restrict_at(case, y_form, w)
+
+    @pytest.mark.parametrize("tag", sorted(DESK))
+    def test_wrong_seed_reported_alike(self, tag, monkeypatch):
+        """A seed plus a term in the z's alone propagates unchanged (every
+        divided difference kills it), so only the closed check and the
+        support of that one closed class see it."""
+        case = desk_case(tag)
+        g = weak_order_graph(case)
+        ring = formula_ring(case)
+        target = g.minima()[-1]
+        seed = closed_class
+
+        def wrong_seed(case, c, chern=False):
+            fp = seed(case, c, chern)
+            if c != target:
+                return fp
+            extra = ring.var("z", 1) ** (g.max_rank - g.ranks[c])
+            return FactoredPoly(ring, 1, [fp.expand() + extra])
+
+        monkeypatch.setattr(formulas, "closed_class", wrong_seed)
+        classes = all_classes(g)
+        report = verify_localization(g, classes)
+        every = verify_localization_every_point(g, classes)
+        # the reference names every failing fixed point of the orbit, the
+        # one-point check its distinguished representative
+        mismatch = f"closed restriction mismatch at {target.to_text()}, fixed point "
+        w = distinguished_representative(case, target)
+        points = closed_orbit_fixed_points(case, target)
+        assert report.failures[0] == mismatch + str(w)
+        assert every.failures[:len(points)] == tuple(mismatch + str(u) for u in points)
+        assert report.failures[1:] == every.failures[len(points):]
+        assert (report.closed_points_checked, report.support_pairs_checked) == (
+            every.closed_points_checked, every.support_pairs_checked)
+        if report.support_checked:
+            assert len(report.failures) == len(g.minima())
+            assert all(f.startswith(f"nonzero restriction of {target.to_text()} ")
+                       for f in report.failures[1:])
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

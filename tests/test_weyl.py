@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from orbitcalc.clans import CASES, CaseId, Clan, ClanError, parse_clan
+from orbitcalc.clans import CASES, CaseId, Clan, ClanError, enumerate_case_clans, parse_clan
 from orbitcalc.formulas import chern_blocks
 from orbitcalc.weyl import (
     WeylError,
@@ -29,6 +29,7 @@ from orbitcalc.weyl import (
     weyl_abs,
     weyl_elements,
     weyl_inverse,
+    weyl_order,
 )
 from reference import (
     closed_clans,
@@ -81,6 +82,12 @@ def test_weyl_group_sizes():
     assert len(weyl_elements("C", 2)) == 8
     assert len(weyl_elements("D", 3)) == 24
     assert len(weyl_elements("D", 4)) == 192
+
+
+@pytest.mark.parametrize("lie_type", ["A", "B", "C", "D"])
+def test_weyl_order_counts_the_elements(lie_type):
+    for n in range(1, 6):
+        assert weyl_order(lie_type, n) == len(weyl_elements(lie_type, n))
 
 
 def test_simple_reflections():
@@ -314,6 +321,44 @@ def test_distinguished_representatives_pinned():
             w = distinguished_representative(case, c)
             assert all(v > 0 for v in w)
             assert w[case.grank - 1] == case.p + 1
+
+
+# the covered cases on which the direct least point is compared with the
+# least fixed point of each closed orbit's fibre
+LEAST_POINT_CASES = [
+    CaseId("a", 2, 2), CaseId("a", 1, 4), CaseId("a", 3, 3),
+    CaseId("a", 0, 2), CaseId("a", 3, 0),
+    CaseId("b-so", 2, 1), CaseId("b-so", 2, 2), CaseId("b-so", 3, 1),
+    CaseId("b-so", 1, 3),
+    CaseId("c-spxsp", 2, 1), CaseId("c-spxsp", 2, 2), CaseId("c-spxsp", 1, 3),
+    CaseId("c-sp-gl", 1, 1), CaseId("c-sp-gl", 2, 2), CaseId("c-sp-gl", 3, 3),
+    CaseId("d-oxo-even", 2, 1), CaseId("d-oxo-even", 2, 2),
+    CaseId("d-oxo-even", 1, 2), CaseId("d-oxo-even", 3, 2),
+    CaseId("d-so-gl", 2, 2), CaseId("d-so-gl", 3, 3), CaseId("d-so-gl", 4, 4),
+    CaseId("d-so-gl", 5, 5),
+]
+
+
+@pytest.mark.parametrize("case", LEAST_POINT_CASES, ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
+def test_distinguished_representative_is_the_least_fixed_point(case):
+    groups = fixed_points_by_clan(case)
+    assert sorted(groups, key=Clan.to_text) == sorted(closed_clans(case), key=Clan.to_text)
+    for c, points in groups.items():
+        assert distinguished_representative(case, c) == min(points)
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 1), (2, 2), (1, 3), (3, 1)])
+def test_standard_representative_lies_in_its_closed_orbit(p, q):
+    case = CaseId("d-oxo-odd", p, q)
+    for c in closed_clans(case):
+        assert distinguished_representative(case, c) in closed_orbit_fixed_points(case, c)
+
+
+@pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
+def test_distinguished_representative_rejects_other_clans(case):
+    c = next(c for c in enumerate_case_clans(case) if not is_closed_clan(case, c))
+    with pytest.raises(ClanError):
+        distinguished_representative(case, c)
 
 
 # ---------------------------------------------------------------------------
