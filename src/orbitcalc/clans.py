@@ -138,6 +138,13 @@ class CheckError(ValueError):
     """Base of the errors raised when a consistency or verification check fails."""
 
 
+def _canonical(symbols) -> tuple:
+    """The symbols with their pair labels renumbered 1, 2, ... by first occurrence."""
+    relabel: dict = {}
+    return tuple([relabel.setdefault(s, len(relabel) + 1) if isinstance(s, int) else s
+                  for s in symbols])
+
+
 def _token_sort_key(sym) -> tuple[int, int]:
     """Sort key for canonical-string ordering: '+' < '-' < pair labels by number."""
     if sym == PLUS:
@@ -178,20 +185,24 @@ class Clan(Record):
             raise ClanError(
                 f"sign counts (+{n_plus}, -{n_minus}) incompatible with shape ({p}, {q})"
             )
-        # Canonical labels: renumber pairs 1, 2, ... by first occurrence.
-        relabel: dict[int, int] = {}
-        canon = []
-        for sym in symbols:
-            if isinstance(sym, int):
-                if sym not in relabel:
-                    relabel[sym] = len(relabel) + 1
-                canon.append(relabel[sym])
-            else:
-                canon.append(sym)
-        object.__setattr__(self, "symbols", tuple(canon))
+        self._fill(symbols, p, q)
+
+    def _fill(self, symbols, p: int, q: int) -> None:
+        symbols = _canonical(symbols)
+        object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_hash", hash((self.symbols, p, q)))
+        object.__setattr__(self, "_hash", hash((symbols, p, q)))
+
+    @classmethod
+    def _image(cls, symbols, p: int, q: int) -> "Clan":
+        """The clan of symbols built to form one of shape (p, q): an
+        enumeration's fill, or the image of a clan under a position
+        permutation or a window move.  Pairs are relabelled; nothing is
+        checked, since such an image is a clan whenever its source is."""
+        c = object.__new__(cls)
+        c._fill(symbols, p, q)
+        return c
 
     def __eq__(self, other):
         if other.__class__ is not Clan:
@@ -236,17 +247,6 @@ class Clan(Record):
     def sort_key(self) -> tuple:
         """Deterministic ordering key: '+' < '-' < pair labels."""
         return tuple(_token_sort_key(sym) for sym in self.symbols)
-
-    # -- structural transforms --------------------------------------------
-
-    def reversed_clan(self) -> "Clan":
-        """The clan read right-to-left (pair structure mirrored)."""
-        return Clan(tuple(reversed(self.symbols)), self.p, self.q)
-
-    def negated_clan(self) -> "Clan":
-        """The clan with '+' and '-' exchanged; shape becomes (q, p)."""
-        flip = {PLUS: MINUS, MINUS: PLUS}
-        return Clan(tuple(flip.get(s, s) for s in self.symbols), self.q, self.p)
 
 
 def make_clan(symbols: Sequence, p: int, q: int) -> Clan:
@@ -391,7 +391,7 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
                     for label, (a, b) in enumerate(matching, start=1):
                         symbols[a - 1] = label
                         symbols[b - 1] = label
-                    out.append(Clan(tuple(symbols), p, q))
+                    out.append(Clan._image(symbols, p, q))
     out.sort(key=Clan.sort_key)
     return tuple(out)
 
@@ -403,14 +403,18 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
 
 def is_symmetric(c: Clan) -> bool:
     """True when the clan equals its own reversal (signs mirror, matching mirrored)."""
-    return c.reversed_clan() == c
+    return _canonical(c.symbols[::-1]) == c.symbols
+
+
+_NEGATE = {PLUS: MINUS, MINUS: PLUS}
 
 
 def is_skew_symmetric(c: Clan) -> bool:
-    """True when the reversal equals the sign-negated clan."""
+    """True when the reversal equals the sign-negated clan: negating signs
+    keeps the pair labels, so the negated reversal, relabelled, is ``c``."""
     if c.p != c.q:
         return False
-    return c.reversed_clan() == c.negated_clan()
+    return _canonical([_NEGATE.get(s, s) for s in reversed(c.symbols)]) == c.symbols
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +494,10 @@ def case_from_params(tag: str, p: int | None = None, q: int | None = None) -> Ca
 
 
 def _has_self_mirror_pair(c: Clan) -> bool:
-    n = c.n
-    return any(a + b == n + 1 for (a, b) in c.pairs())
+    """Whether a pair sits at positions a and N + 1 - a (the middle of an
+    odd-length clan must hold a sign)."""
+    s = c.symbols
+    return any(x == y and isinstance(x, int) for x, y in zip(s, reversed(s)))
 
 
 def in_case_family(case: CaseId, c: Clan) -> bool:
@@ -528,7 +534,7 @@ def _folded_clans(P: int, Q: int, skew: bool) -> Iterator[Clan]:
     middle of an odd-length clan is its own image and holds a sign.
     """
     N = P + Q
-    image = {PLUS: MINUS, MINUS: PLUS} if skew else {PLUS: PLUS, MINUS: MINUS}
+    image = _NEGATE if skew else {PLUS: PLUS, MINUS: MINUS}
     syms: list = [None] * N
 
     def fill(i: int, label: int) -> Iterator[Clan]:
@@ -536,7 +542,7 @@ def _folded_clans(P: int, Q: int, skew: bool) -> Iterator[Clan]:
             i += 1
         if i == N:
             if syms.count(PLUS) - syms.count(MINUS) == P - Q:
-                yield Clan(tuple(syms), P, Q)
+                yield Clan._image(syms, P, Q)
             return
         i_bar = N - 1 - i
         for s in (PLUS, MINUS):

@@ -11,8 +11,12 @@ returned unchanged.  The moves trust their input to be a clan of the case:
 the enumeration vouches for every clan the graph and the saturation pass,
 and the CLI checks the clans a user gives.
 
-The cross action of a simple reflection permutes clan positions; each
-root's ambient permutation is built once per case (``root_permutations``).
+A simple reflection's cross action permutes clan positions.  Each root's
+ambient permutation is written down once per case (``root_permutations``):
+the position pairs it swaps are the windows of its weak move, and the
+weak-order graph tabulates every orbit's cross image once, for the edge
+degrees and for the saturation.  Images under moves and permutations are
+built with ``Clan._image``, which relabels and checks nothing.
 
 Saturation and comparison work on ``int`` bitsets over the orbits as the
 weak-order graph lists them, by rank and canonically within a rank (every
@@ -33,7 +37,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .clans import (CaseId, CheckError, Clan, Record, enumerate_case_clans, in_case_family,
                     rank_table)
-from .weyl import embed_in_ambient, simple_reflection
 
 
 class OrbitError(CheckError):
@@ -118,26 +121,36 @@ def _apply_schedule(symbols: list, windows: Iterable[tuple[int, int]]) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _root_windows(case: CaseId, i: int) -> tuple[tuple[int, int], ...]:
+    """The position pairs (1-based) that the i-th simple reflection swaps
+    in the ambient clan alphabet, whose mirror is j -> N + 1 - j: i and
+    i + 1 (with their mirrors in the folded families); at the middle root n,
+    n and its mirror in types B and C, and in type D n - 1 and n each with
+    the other's mirror."""
+    n, N = case.grank, case.ambient_len
+    if case.family == "A":
+        return ((i, i + 1),)
+    if i < n:
+        return ((i, i + 1), (N - i, N + 1 - i))
+    if case.family == "D":
+        return ((n - 1, N + 1 - n), (n, N + 2 - n))
+    return ((n, N + 1 - n),)
+
+
 def weak_move(case: CaseId, c: Clan, i: int) -> Clan:
     """The weak-order action of the i-th simple root: the clan of s_i . Q.
 
     Returns ``c`` itself when the root does not ascend (including the folded
     situations where the schedule would leave the case's clan family).
-    ``c`` must be a clan of the case."""
+    ``c`` must be a clan of the case.  Outside the middle root of type B,
+    the schedule is the root's windows, in order."""
     if i not in simple_root_indices(case):
         raise OrbitError(f"simple root {i} out of range for case {case.tag}")
     n = case.grank
-    N = case.ambient_len
     symbols = list(c.symbols)
 
-    if case.family == "A":
-        moved = _apply_schedule(symbols, [(i, i + 1)])
-    elif i < n or (case.family == "D" and i == n - 1):
-        moved = _apply_schedule(symbols, [(i, i + 1), (N - i, N + 1 - i)])
-    elif case.family == "C":
-        moved = _apply_schedule(symbols, [(n, n + 1)])
-    elif case.family == "D":
-        moved = _apply_schedule(symbols, [(n - 1, n + 1), (n, n + 2)])
+    if case.family != "B" or i < n:
+        moved = _apply_schedule(symbols, _root_windows(case, i))
     else:  # type B middle root
         middle = symbols[n]  # position n+1, the fixed middle sign
         if symbols[n - 1] in SIGNS:
@@ -153,8 +166,7 @@ def weak_move(case: CaseId, c: Clan, i: int) -> Clan:
 
     if moved == symbols:
         return c
-    P, Q = c.p, c.q
-    result = Clan(tuple(moved), P, Q)
+    result = Clan._image(moved, c.p, c.q)
     if case.family != "A" and not in_case_family(case, result):
         return c
     return result
@@ -168,24 +180,30 @@ def weak_move(case: CaseId, c: Clan, i: int) -> Clan:
 def root_permutations(case: CaseId) -> dict[int, tuple[int, ...]]:
     """For each simple root i, the ambient permutation of s_i as source
     positions: position j of the cross action s_i x c holds c's symbol at
-    position ``source[j]`` (0-based)."""
-    parity = "odd" if case.ambient_len % 2 else "even"
+    position ``source[j]`` (0-based).  The permutation swaps the pairs of
+    :func:`_root_windows`, so it is its own inverse."""
     out = {}
     for i in simple_root_indices(case):
-        sigma = simple_reflection(case.family, case.grank, i)
-        if case.family != "A":
-            sigma = embed_in_ambient(sigma, parity)
-        source = [0] * len(sigma)
-        for j, target in enumerate(sigma):
-            source[target - 1] = j
+        source = list(range(case.ambient_len))
+        for a, b in _root_windows(case, i):
+            source[a - 1], source[b - 1] = b - 1, a - 1
         out[i] = tuple(source)
     return out
 
 
 def cross_reflect(c: Clan, source: tuple[int, ...]) -> Clan:
-    """The cross action on c of the reflection with these source positions."""
-    symbols = c.symbols
-    return Clan(tuple(symbols[j] for j in source), c.p, c.q)
+    """The cross action on c of the reflection with these source positions;
+    ``c`` itself when the permuted symbols are c's."""
+    symbols = tuple(map(c.symbols.__getitem__, source))
+    return c if symbols == c.symbols else Clan._image(symbols, c.p, c.q)
+
+
+def _cross_table(case: CaseId, nodes: Sequence[Clan]) -> dict[int, tuple[int, ...]]:
+    """For each simple root i, the place in ``nodes`` of each node's cross
+    image under s_i.  Nodes share one shape, so their symbols tell them apart."""
+    pos = {c.symbols: k for k, c in enumerate(nodes)}
+    return {i: tuple([pos[cross_reflect(c, source).symbols] for c in nodes])
+            for i, source in root_permutations(case).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +224,18 @@ class OrderBits(Record):
 class OrbitPoset(Record):
     """Weak-order graph of a case, with optional saturated full order; equal only to itself."""
 
-    __slots__ = ("case", "nodes", "weak_edges", "ranks", "order_bits",
+    __slots__ = ("case", "nodes", "weak_edges", "ranks", "order_bits", "cross",
                  "__dict__")  # __dict__ holds full_order once it is read
-    _fields = ("case", "nodes", "weak_edges", "ranks", "order_bits")
-    _defaults = {"order_bits": None}
+    _fields = ("case", "nodes", "weak_edges", "ranks", "order_bits", "cross")
+    _defaults = {"order_bits": None, "cross": None}
     __eq__, __hash__ = object.__eq__, object.__hash__
     case: CaseId
     nodes: tuple[Clan, ...]  # by rank, canonical within a rank
     weak_edges: tuple[tuple[Clan, Clan, int, int], ...]  # (src, dst, root, degree)
     ranks: Mapping[Clan, int]
     order_bits: OrderBits | None  # set by full_closure_order
+    # root -> place in nodes of each node's cross image; set by weak_order_graph
+    cross: Mapping[int, tuple[int, ...]] | None
 
     @cached_property
     def full_order(self) -> dict[Clan, frozenset[Clan]] | None:
@@ -245,18 +265,18 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
     """All orbits of the case with their ascending weak-order edges.  An
     edge along root i has degree 2 exactly when the cross action of s_i
     fixes its source.  The orbits come by rank, canonical within a rank, and
-    the edges by their source's place among them, then by root."""
+    the edges by their source's place among them, then by root.  The cross
+    table the degrees are read from is kept for the saturation."""
     clans = enumerate_case_clans(case)
-    perms = root_permutations(case)
-    edges = []
+    roots = simple_root_indices(case)
+    moves = []
     below: dict[Clan, list[Clan]] = {c: [] for c in clans}
     for c in clans:
-        for i, source in perms.items():
+        for i in roots:
             dst = weak_move(case, c, i)
             if dst == c:
                 continue
-            deg = 2 if cross_reflect(c, source) == c else 1
-            edges.append((c, dst, i, deg))
+            moves.append((c, dst, i))
             below[dst].append(c)
 
     # longest-path rank from the minima
@@ -269,6 +289,9 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
 
     nodes = tuple(sorted(clans, key=rank.__getitem__))
     pos = {c: k for k, c in enumerate(nodes)}
+    cross = _cross_table(case, nodes)
+    edges = [(src, dst, i, 2 if cross[i][pos[src]] == pos[src] else 1)
+             for src, dst, i in moves]
     edges.sort(key=lambda e: (pos[e[0]], e[2]))
     ranks = {c: rank[c] for c in nodes}
     sources = {src for src, _, _, _ in edges}
@@ -281,7 +304,7 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
                 f"weak edge {src.to_text()} -> {dst.to_text()} (root {i}) "
                 "is not graded"
             )
-    return OrbitPoset(case, nodes, tuple(edges), ranks)
+    return OrbitPoset(case, nodes, tuple(edges), ranks, cross=cross)
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +342,24 @@ def full_closure_order(poset: OrbitPoset) -> OrbitPoset:
     down-set), it contains the weak order, and it is contained in the
     rank-number order.  That order's down-sets come from column bitsets
     (see the module docstring), from one rank table per orbit; both kinds
-    of down-set are kept in ``order_bits`` for :func:`check_conjecture`."""
+    of down-set are kept in ``order_bits`` for :func:`check_conjecture`.
+    The cross images are the graph's table; a poset built without one gets
+    it computed here."""
     nodes = poset.nodes
     pos = {c: k for k, c in enumerate(nodes)}
     m = len(nodes)
-    perms = root_permutations(poset.case)
+    cross = poset.cross
+    if cross is None:
+        cross = _cross_table(poset.case, nodes)
     # a root that does not ascend moves an orbit to itself
-    move = {i: list(range(m)) for i in perms}
-    cross = {i: [pos[cross_reflect(c, source)] for c in nodes]
-             for i, source in perms.items()}
+    move = {i: list(range(m)) for i in cross}
     into: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for src, dst, i, _ in poset.weak_edges:
         move[i][pos[src]] = pos[dst]
         into[pos[dst]].append((pos[src], i))
     # the orbits some root moves or crosses elsewhere
     active = {i: sum(1 << v for v in range(m) if move[i][v] != v or cross[i][v] != v)
-              for i in perms}
+              for i in cross}
     loops = any(src == dst for src, dst, _, _ in poset.weak_edges)
 
     down = [1 << k for k in range(m)]
@@ -395,7 +420,7 @@ def full_closure_order(poset: OrbitPoset) -> OrbitPoset:
             )
 
     bits = OrderBits(tuple(down), tuple(rank_down))
-    return OrbitPoset(poset.case, nodes, poset.weak_edges, poset.ranks, bits)
+    return OrbitPoset(poset.case, nodes, poset.weak_edges, poset.ranks, bits, cross)
 
 
 # ---------------------------------------------------------------------------

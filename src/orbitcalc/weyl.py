@@ -81,54 +81,6 @@ def weyl_order(lie_type: str, n: int) -> int:
     return order // 2 if lie_type == "D" else order
 
 
-def simple_reflection(lie_type: str, n: int, i: int) -> Weyl:
-    """The i-th simple reflection as a signed permutation of 1..n."""
-    vals = list(range(1, n + 1))
-    if lie_type == "A":
-        if not 1 <= i <= n - 1:
-            raise WeylError(f"type A rank {n} has simple roots 1..{n - 1}")
-        vals[i - 1], vals[i] = vals[i], vals[i - 1]
-    elif lie_type in ("B", "C"):
-        if not 1 <= i <= n:
-            raise WeylError(f"type {lie_type} rank {n} has simple roots 1..{n}")
-        if i < n:
-            vals[i - 1], vals[i] = vals[i], vals[i - 1]
-        else:
-            vals[n - 1] = -n
-    elif lie_type == "D":
-        if not 1 <= i <= n or n < 2:
-            raise WeylError(f"type D rank {n} has simple roots 1..{n}")
-        if i < n:
-            vals[i - 1], vals[i] = vals[i], vals[i - 1]
-        else:
-            vals[n - 2], vals[n - 1] = -n, -(n - 1)
-    else:
-        raise WeylError(f"unknown Lie type {lie_type!r}")
-    return tuple(vals)
-
-
-def embed_in_ambient(w: Weyl, parity: str) -> tuple[int, ...]:
-    """Embed a signed permutation of n as an honest permutation of
-    {1..2n} (parity='even') or {1..2n+1} (parity='odd')."""
-    w = validate_weyl(w)
-    n = len(w)
-    if parity == "even":
-        big = 2 * n + 1  # sigma(i) + sigma(2n+1-i) = 2n+1
-        total = 2 * n
-    elif parity == "odd":
-        big = 2 * n + 2
-        total = 2 * n + 1
-    else:
-        raise WeylError("parity must be 'even' or 'odd'")
-    sigma = [0] * total
-    for i, v in enumerate(w, start=1):
-        sigma[i - 1] = v if v > 0 else big - (-v)
-        sigma[total - i] = big - sigma[i - 1]
-    if parity == "odd":
-        sigma[n] = n + 1
-    return tuple(sigma)
-
-
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------

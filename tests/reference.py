@@ -1,13 +1,20 @@
 """Reference code the tests share: routines no command of orbitcalc runs,
 kept here as checks on the code that does.
 
-* ``clans``: the inverse of ``rank_table`` and the covering moves, a
-  third description of the rank-number order, and the counting
-  ``rank_table`` that the one-pass table replaced;
-* ``orbits``: the cross action of a whole Weyl element, and the set-based
-  saturation and order comparison that the bitset versions replaced;
-* ``weyl``: signed-permutation composition, the statistic phi_p, the
-  subgroup W_K with its order, and the closed clans of a case;
+* ``clans``: the cases of every family up to a rank, the inverse of
+  ``rank_table`` and the covering moves, a third description of the
+  rank-number order, the counting ``rank_table`` that the one-pass table
+  replaced, and the reversed and negated clans that define the symmetric
+  and skew clans;
+* ``orbits``: the cross action of a whole Weyl element, the set-based
+  saturation and order comparison that the bitset versions replaced, and
+  the weak-order graph that validates every clan it builds: its weak move,
+  cross action and family check, which the trusted images and the
+  symbol-level checks replaced;
+* ``weyl``: signed-permutation composition, the simple reflections and
+  their embedding in the ambient permutations (the source of
+  ``root_permutations``), the statistic phi_p, the subgroup W_K with its
+  order, and the closed clans of a case;
 * ``formulas``: the per-component closed-orbit classes of b-so, whose
   sum is ``closed_class``, the propagation on y-monomials that the
   z-form propagation replaced, and the support check at every fixed point
@@ -29,10 +36,12 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from graphlib import TopologicalSorter
 from operator import add
 from typing import Mapping
 
 from orbitcalc.clans import (
+    CASES,
     MINUS,
     PLUS,
     CaseId,
@@ -40,6 +49,7 @@ from orbitcalc.clans import (
     ClanError,
     RankTable,
     enumerate_case_clans,
+    enumerate_clans,
     in_case_family,
     make_clan,
     rank_table,
@@ -56,10 +66,13 @@ from orbitcalc.formulas import (
     restrict_at,
 )
 from orbitcalc.orbits import (
+    SIGNS,
     OrbitError,
     OrbitPoset,
     OrderBits,
     OrderComparison,
+    _apply_schedule,
+    _fresh_label,
     full_closure_order,
     simple_root_indices,
 )
@@ -76,10 +89,8 @@ from orbitcalc.weyl import (
     WeylError,
     ambient_weyl,
     closed_orbit_fixed_points,
-    embed_in_ambient,
     fixed_points_by_clan,
     is_closed_clan,
-    simple_reflection,
     stat_lp,
     validate_weyl,
     weyl_abs,
@@ -89,8 +100,23 @@ from orbitcalc.weyl import (
 
 
 # ---------------------------------------------------------------------------
-# Clans: the inverse of rank_table and the covering moves
+# Clans: the cases up to a rank, the inverse of rank_table and the covering moves
 # ---------------------------------------------------------------------------
+
+
+def cases_up_to_rank(max_rank: int) -> list[CaseId]:
+    """Every case of every family whose ambient rank is at most ``max_rank``."""
+    out = []
+    for tag in CASES:
+        for p in range(0, max_rank + 1):
+            for q in range(0, max_rank + 1):
+                try:
+                    case = CaseId(tag, p, q)
+                except ClanError:
+                    continue
+                if case.grank <= max_rank:
+                    out.append(case)
+    return out
 
 
 def clan_from_rank_table(t: RankTable) -> Clan:
@@ -262,8 +288,117 @@ def covering_successors(c: Clan) -> frozenset[Clan]:
 
 
 # ---------------------------------------------------------------------------
-# Weyl groups: composition, phi_p, W_K and the closed clans
+# Clans: reversal, negation and the family check built on them
 # ---------------------------------------------------------------------------
+
+
+def reversed_clan(c: Clan) -> Clan:
+    """The clan read right-to-left (pair structure mirrored)."""
+    return Clan(tuple(reversed(c.symbols)), c.p, c.q)
+
+
+def negated_clan(c: Clan) -> Clan:
+    """The clan with '+' and '-' exchanged; shape becomes (q, p)."""
+    flip = {PLUS: MINUS, MINUS: PLUS}
+    return Clan(tuple(flip.get(s, s) for s in c.symbols), c.q, c.p)
+
+
+def clan_is_symmetric(c: Clan) -> bool:
+    return reversed_clan(c) == c
+
+
+def clan_is_skew_symmetric(c: Clan) -> bool:
+    return c.p == c.q and reversed_clan(c) == negated_clan(c)
+
+
+def has_self_mirror_pair(c: Clan) -> bool:
+    return any(a + b == c.n + 1 for a, b in c.pairs())
+
+
+def clan_in_case_family(case: CaseId, c: Clan) -> bool:
+    """``in_case_family`` with the symmetry checks that build clans and the
+    self-mirror test on the list of pairs."""
+    if (c.p, c.q) != case.ambient_shape:
+        return False
+    row = case.row
+    if row.symmetry == "none":
+        return True
+    if row.symmetry == "mirror":
+        return clan_is_symmetric(c) and not (row.family == "C" and has_self_mirror_pair(c))
+    if not clan_is_skew_symmetric(c):
+        return False
+    if row.family == "C":
+        return True
+    if has_self_mirror_pair(c):
+        return False
+    return rank_table(c).minus[case.grank - 1] % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# Weyl groups: simple reflections and their embedding, composition, phi_p,
+# W_K and the closed clans
+# ---------------------------------------------------------------------------
+
+
+def simple_reflection(lie_type: str, n: int, i: int) -> Weyl:
+    """The i-th simple reflection as a signed permutation of 1..n."""
+    vals = list(range(1, n + 1))
+    if lie_type == "A":
+        if not 1 <= i <= n - 1:
+            raise WeylError(f"type A rank {n} has simple roots 1..{n - 1}")
+        vals[i - 1], vals[i] = vals[i], vals[i - 1]
+    elif lie_type in ("B", "C"):
+        if not 1 <= i <= n:
+            raise WeylError(f"type {lie_type} rank {n} has simple roots 1..{n}")
+        if i < n:
+            vals[i - 1], vals[i] = vals[i], vals[i - 1]
+        else:
+            vals[n - 1] = -n
+    elif lie_type == "D":
+        if not 1 <= i <= n or n < 2:
+            raise WeylError(f"type D rank {n} has simple roots 1..{n}")
+        if i < n:
+            vals[i - 1], vals[i] = vals[i], vals[i - 1]
+        else:
+            vals[n - 2], vals[n - 1] = -n, -(n - 1)
+    else:
+        raise WeylError(f"unknown Lie type {lie_type!r}")
+    return tuple(vals)
+
+
+def embed_in_ambient(w: Weyl, parity: str) -> tuple[int, ...]:
+    """Embed a signed permutation of n as an honest permutation of
+    {1..2n} (parity='even') or {1..2n+1} (parity='odd')."""
+    w = validate_weyl(w)
+    n = len(w)
+    if parity == "even":
+        big = 2 * n + 1  # sigma(i) + sigma(2n+1-i) = 2n+1
+        total = 2 * n
+    elif parity == "odd":
+        big = 2 * n + 2
+        total = 2 * n + 1
+    else:
+        raise WeylError("parity must be 'even' or 'odd'")
+    sigma = [0] * total
+    for i, v in enumerate(w, start=1):
+        sigma[i - 1] = v if v > 0 else big - (-v)
+        sigma[total - i] = big - sigma[i - 1]
+    if parity == "odd":
+        sigma[n] = n + 1
+    return tuple(sigma)
+
+
+def ambient_source(case: CaseId, i: int) -> tuple[int, ...]:
+    """The ambient permutation of the i-th simple reflection, embedded, in
+    the source form of ``root_permutations``: 0-based positions with
+    ``source[sigma(j) - 1] = j - 1``."""
+    sigma = simple_reflection(case.family, case.grank, i)
+    if case.family != "A":
+        sigma = embed_in_ambient(sigma, "odd" if case.ambient_len % 2 else "even")
+    source = [0] * len(sigma)
+    for j, target in enumerate(sigma):
+        source[target - 1] = j
+    return tuple(source)
 
 
 def identity_weyl(n: int) -> Weyl:
@@ -350,6 +485,67 @@ def cross_action(case: CaseId, c: Clan, w: Weyl) -> Clan:
 
 def cross_action_simple(case: CaseId, c: Clan, i: int) -> Clan:
     return cross_action(case, c, simple_reflection(case.family, case.grank, i))
+
+
+def clan_weak_move(case: CaseId, c: Clan, i: int) -> Clan:
+    """``weak_move`` with each root's windows written out, its result built
+    as a validated clan and checked by :func:`clan_in_case_family`."""
+    if i not in simple_root_indices(case):
+        raise OrbitError(f"simple root {i} out of range for case {case.tag}")
+    n = case.grank
+    N = case.ambient_len
+    symbols = list(c.symbols)
+    if case.family == "A":
+        moved = _apply_schedule(symbols, [(i, i + 1)])
+    elif i < n:
+        moved = _apply_schedule(symbols, [(i, i + 1), (N - i, N + 1 - i)])
+    elif case.family == "C":
+        moved = _apply_schedule(symbols, [(n, n + 1)])
+    elif case.family == "D":
+        moved = _apply_schedule(symbols, [(n - 1, n + 1), (n, n + 2)])
+    else:  # type B middle root
+        middle = symbols[n]
+        if symbols[n - 1] in SIGNS:
+            if middle in SIGNS and middle != symbols[n - 1]:
+                moved = list(symbols)
+                label = _fresh_label(symbols)
+                moved[n] = moved[n - 1]
+                moved[n - 1] = moved[n + 1] = label
+            else:
+                moved = symbols
+        else:
+            moved = _apply_schedule(symbols, [(n, n + 1), (n + 1, n + 2), (n, n + 1)])
+    if moved == symbols:
+        return c
+    result = Clan(tuple(moved), c.p, c.q)
+    if case.family != "A" and not clan_in_case_family(case, result):
+        return c
+    return result
+
+
+def clan_weak_order_graph(case: CaseId) -> OrbitPoset:
+    """The weak-order graph from validated clans: the clans of the ambient
+    shape that :func:`clan_in_case_family` admits, with
+    :func:`clan_weak_move` edges whose degree is 2 where
+    :func:`cross_action_simple` fixes the source.  Nodes by rank, then
+    canonically; edges by their source's place, then by root."""
+    P, Q = case.ambient_shape
+    clans = [c for c in enumerate_clans(P, Q) if clan_in_case_family(case, c)]
+    edges = []
+    below: dict[Clan, list[Clan]] = {c: [] for c in clans}
+    for c in clans:
+        for i in simple_root_indices(case):
+            dst = clan_weak_move(case, c, i)
+            if dst != c:
+                edges.append((c, dst, i, 2 if cross_action_simple(case, c, i) == c else 1))
+                below[dst].append(c)
+    rank: dict[Clan, int] = {}
+    for c in TopologicalSorter(below).static_order():
+        rank[c] = max((rank[b] + 1 for b in below[c]), default=0)
+    nodes = tuple(sorted(clans, key=lambda c: (rank[c], c.sort_key())))
+    pos = {c: k for k, c in enumerate(nodes)}
+    edges.sort(key=lambda e: (pos[e[0]], e[2]))
+    return OrbitPoset(case, nodes, tuple(edges), {c: rank[c] for c in nodes})
 
 
 def set_full_closure_order(poset: OrbitPoset) -> OrbitPoset:

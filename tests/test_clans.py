@@ -33,7 +33,8 @@ from orbitcalc.clans import (
 )
 from orbitcalc.orbits import full_closure_order, weak_order_graph
 from orbitcalc.poly import Ring
-from reference import (clan_from_rank_table, counting_rank_table, covering_moves,
+from reference import (cases_up_to_rank, clan_from_rank_table, clan_is_skew_symmetric,
+                       clan_is_symmetric, counting_rank_table, covering_moves,
                        covering_successors)
 
 DATA = Path(__file__).parent / "data"
@@ -253,6 +254,20 @@ def test_symmetry_examples():
     assert not is_skew_symmetric(parse_clan("+--+", 2, 2))
 
 
+def test_symbol_level_symmetry_matches_reversed_and_negated_clans():
+    # the checks compare relabelled symbol tuples; the reference builds the
+    # reversed and the negated clan and compares clans
+    seen = {True: 0, False: 0}
+    for n in range(1, 8):
+        for p in range(n + 1):
+            for c in enumerate_clans(p, n - p):
+                assert is_symmetric(c) == clan_is_symmetric(c), c.to_text()
+                assert is_skew_symmetric(c) == clan_is_skew_symmetric(c), c.to_text()
+                seen[is_symmetric(c)] += 1
+                seen[is_skew_symmetric(c)] += 1
+    assert min(seen.values()) > 100
+
+
 def test_symmetric_odd_length_has_middle_sign():
     for c in enumerate_clans(2, 3):
         if is_symmetric(c):
@@ -308,20 +323,6 @@ def reference_enumerate_case_clans(case):
     the definition :func:`enumerate_case_clans` must reproduce, in order."""
     P, Q = case.ambient_shape
     return tuple(c for c in enumerate_clans(P, Q) if in_case_family(case, c))
-
-
-def cases_up_to_rank(max_rank):
-    out = []
-    for tag in CASES:
-        for p in range(0, max_rank + 1):
-            for q in range(0, max_rank + 1):
-                try:
-                    case = CaseId(tag, p, q)
-                except ClanError:
-                    continue
-                if case.grank <= max_rank:
-                    out.append(case)
-    return out
 
 
 RANK4_CASES = cases_up_to_rank(4)

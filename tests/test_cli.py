@@ -514,8 +514,8 @@ A11 = ["--case", "a", "--p", "1", "--q", "1"]
 
 @pytest.mark.parametrize("argv,layers", [
     (["enumerate", *A11, "--format", "json"], set()),
-    (["conjecture", *A11, "--format", "json"], {"orbits", "weyl"}),
-    (["poset", *A11, "--full", "--format", "json"], {"orbits", "weyl"}),
+    (["conjecture", *A11, "--format", "json"], {"orbits"}),
+    (["poset", *A11, "--full", "--format", "json"], {"orbits"}),
     (["classes", *A11, "--format", "json"], {"orbits", "weyl", "formulas", "poly"}),
     (["verify", *A11], {"orbits", "weyl", "formulas", "poly"}),
     (["chern", *A11, "--clan", "+-"], {"orbits", "weyl", "formulas", "poly"}),

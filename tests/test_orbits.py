@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcalc import cli, orbits
-from orbitcalc.clans import (CASES, DESK_RANKS, CaseId, case_from_params, enumerate_case_clans,
-                             in_case_family, leq, parse_clan)
+from orbitcalc.clans import (CASES, DESK_RANKS, CaseId, Clan, case_from_params,
+                             enumerate_case_clans, in_case_family, leq, parse_clan)
 from orbitcalc.orbits import (
     OrbitError,
     check_conjecture,
@@ -27,12 +27,14 @@ from orbitcalc.orbits import (
     weak_move,
     weak_order_graph,
 )
-from reference import (closed_clans, cross_action, cross_action_simple, set_check_conjecture,
+from reference import (ambient_source, cases_up_to_rank, clan_weak_order_graph, closed_clans,
+                       cross_action, cross_action_simple, set_check_conjecture,
                        set_full_closure_order, weyl_compose)
 
 ROOT = Path(__file__).parent.parent
 ATLAS_RANK5 = ROOT / "tests" / "data" / "atlas_rank5.json"
 SWEEP = ROOT / "scripts" / "conjecture_sweep.py"
+STAGE_TIMES = ROOT / "scripts" / "stage_times.py"
 ATLAS_FAMILIES = ("b-so", "c-spxsp", "c-sp-gl", "d-so-gl")
 
 A22 = case_from_params("a", 2, 2)
@@ -539,6 +541,20 @@ def test_rank5_atlas_matches_frozen_record():
     assert atlas_rows(check_conjecture) == recorded
 
 
+def test_stage_times_reports_both_stages_or_timeout(monkeypatch):
+    spec = importlib.util.spec_from_file_location("stage_times", STAGE_TIMES)
+    stage_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage_times)
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    row = stage_times.measure("b-so", 2, 1, cap=60)
+    assert (row["orbits"], row["witnesses"]) == (25, 0)
+    assert all(isinstance(row[k], float) for k in ("weak_s", "saturate_compare_s"))
+    # the weak graph alone takes seconds here
+    stopped = stage_times.measure("c-sp-gl", 7, 7, cap=0.5)
+    assert stopped == {"case": "c-sp-gl", "p": 7, "q": 7,
+                       "weak_s": "timeout", "saturate_compare_s": "timeout"}
+
+
 class TestSaturationChecks:
     """Each check fires on a doctored graph, and names the clans."""
 
@@ -576,6 +592,56 @@ def test_root_permutations_match_reference_cross_action(case):
     for c in weak_order_graph(case).nodes:
         for i, source in perms.items():
             assert orbits.cross_reflect(c, source) == cross_action_simple(case, c, i)
+
+
+def test_root_permutations_are_the_embedded_simple_reflections():
+    cases = cases_up_to_rank(6)
+    # among the folded families only b-so has odd ambient lengths, where the
+    # middle root fixes the middle position (d-oxo-odd's is 2p+1 + 2q-1)
+    assert {c.tag for c in cases if c.family != "A" and c.ambient_len % 2} == {"b-so"}
+    assert {c.tag for c in cases} == set(CASES)
+    for case in cases:
+        expected = {i: ambient_source(case, i) for i in simple_root_indices(case)}
+        assert orbits.root_permutations(case) == expected, case
+
+
+def _case_id(case):
+    return f"{case.tag}({case.p},{case.q})"
+
+
+# the desk ranks, one larger case per family and every d-oxo case at rank <= 4
+DIFFERENTIAL_CASES = tuple(dict.fromkeys([
+    *DESK_CASES, CaseId("a", 3, 3), CaseId("b-so", 2, 2), CaseId("c-sp-gl", 4, 4),
+    CaseId("d-so-gl", 5, 5),
+    *(CaseId(tag, p, n - p) for tag in ("d-oxo-even", "d-oxo-odd")
+      for n in range(2, 5) for p in range(1, n)),
+]))
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES, ids=_case_id)
+def test_graph_and_saturation_match_the_validating_reference(case):
+    # every clan the reference builds is validated, every family check
+    # builds the reversed and negated clans, and its cross images come from
+    # the embedded simple reflections
+    poset = full_closure_order(weak_order_graph(case))
+    ref = set_full_closure_order(clan_weak_order_graph(case))
+    assert poset.nodes == ref.nodes
+    assert poset.weak_edges == ref.weak_edges
+    assert poset.ranks == ref.ranks
+    assert poset.order_bits == ref.order_bits
+    pos = {c: k for k, c in enumerate(poset.nodes)}
+    assert poset.cross == {i: tuple(pos[cross_action_simple(case, c, i)] for c in poset.nodes)
+                           for i in simple_root_indices(case)}
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES, ids=_case_id)
+def test_move_and_cross_images_pass_validation(case):
+    perms = orbits.root_permutations(case)
+    for c in weak_order_graph(case).nodes:
+        assert Clan(c.symbols, c.p, c.q) == c
+        for i, source in perms.items():
+            for image in (weak_move(case, c, i), orbits.cross_reflect(c, source)):
+                assert Clan(image.symbols, image.p, image.q) == image
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,11 @@ from orbitcalc.weyl import (
     apply_weyl_to_root,
     closed_orbit_fixed_points,
     distinguished_representative,
-    embed_in_ambient,
     fixed_point_to_clan,
     fixed_points_by_clan,
     is_closed_clan,
     positive_roots,
     restriction_weights,
-    simple_reflection,
     stat_lp,
     stat_psi,
     stat_sigma,
@@ -32,8 +30,11 @@ from orbitcalc.weyl import (
     weyl_order,
 )
 from reference import (
+    cases_up_to_rank,
     closed_clans,
+    embed_in_ambient,
     identity_weyl,
+    simple_reflection,
     stat_phip,
     weyl_compose,
     wk_member,
@@ -567,21 +568,7 @@ def reference_chern_blocks(case):
     return tuple((start, size) for start, size in blocks if size > 0)
 
 
-def _cases_up_to_rank(max_rank):
-    out = []
-    for tag in CASES:
-        for p in range(0, max_rank + 1):
-            for q in range(0, max_rank + 1):
-                try:
-                    case = CaseId(tag, p, q)
-                except ClanError:
-                    continue
-                if case.grank <= max_rank:
-                    out.append(case)
-    return out
-
-
-RANK4_CASES = _cases_up_to_rank(4)
+RANK4_CASES = cases_up_to_rank(4)
 
 
 def test_rank4_case_list_covers_every_tag():
