@@ -6,12 +6,12 @@ Each row runs in a process of its own and is timed there with
 ``time.process_time``: first ``weak_order_graph`` (its enumeration
 included), then ``full_closure_order`` and ``check_conjecture`` together.
 After each stage the row also reports the process's peak resident set.  A
-row still running after ``--cap`` seconds of wall time is stopped, and each
+row still running after ``CAP_S`` seconds of wall time is stopped, and each
 stage it did not finish reads "timeout".
 
 Usage, from the root of a source checkout::
 
-    PYTHONPATH=src python3 scripts/stage_times.py [--cap 120] [--output FILE]
+    PYTHONPATH=src python3 scripts/stage_times.py [--output FILE]
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import sys
 import time
 
 ROWS = (("b-so", 3, 4), ("c-spxsp", 4, 4), ("a", 4, 4), ("c-sp-gl", 7, 7))
+CAP_S = 120.0  # wall-time cap of one row, in seconds
 
 
 def _peak_rss_mib() -> float:
@@ -67,8 +68,6 @@ def measure(tag: str, p: int, q: int, cap: float) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--cap", type=float, default=120.0,
-                        help="wall-time cap of one row, in seconds")
     parser.add_argument("--output", default="BENCH_stage_times.json")
     parser.add_argument("--row", nargs=3, metavar=("TAG", "P", "Q"), help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -79,11 +78,11 @@ def main() -> int:
 
     rows = []
     for tag, p, q in ROWS:
-        rows.append(measure(tag, p, q, args.cap))
+        rows.append(measure(tag, p, q, CAP_S))
         print(json.dumps(rows[-1]), flush=True)
     data = {
         "clock": "time.process_time, CPU seconds of the row's own process",
-        "cap_s": args.cap,
+        "cap_s": CAP_S,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rows": rows,

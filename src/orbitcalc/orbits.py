@@ -13,10 +13,11 @@ and the CLI checks the clans a user gives.
 
 A simple reflection's cross action permutes clan positions.  Each root's
 ambient permutation is written down once per case (``root_permutations``):
-the position pairs it swaps are the windows of its weak move, and the
-weak-order graph tabulates every orbit's cross image once, for the edge
-degrees and for the saturation.  Images under moves and permutations are
-built with ``Clan._image``, which relabels and checks nothing.
+the position pairs it swaps are the windows of its weak move.  The
+weak-order graph crosses only the sources of its edges, for their degrees;
+the saturation tabulates every orbit's cross image once.  Images under
+moves and permutations are built with ``Clan._image``, which relabels and
+checks nothing.
 
 Saturation and comparison work on ``int`` bitsets over the orbits as the
 weak-order graph lists them, by rank and canonically within a rank (every
@@ -224,18 +225,16 @@ class OrderBits(Record):
 class OrbitPoset(Record):
     """Weak-order graph of a case, with optional saturated full order; equal only to itself."""
 
-    __slots__ = ("case", "nodes", "weak_edges", "ranks", "order_bits", "cross",
+    __slots__ = ("case", "nodes", "weak_edges", "ranks", "order_bits",
                  "__dict__")  # __dict__ holds full_order once it is read
-    _fields = ("case", "nodes", "weak_edges", "ranks", "order_bits", "cross")
-    _defaults = {"order_bits": None, "cross": None}
+    _fields = ("case", "nodes", "weak_edges", "ranks", "order_bits")
+    _defaults = {"order_bits": None}
     __eq__, __hash__ = object.__eq__, object.__hash__
     case: CaseId
     nodes: tuple[Clan, ...]  # by rank, canonical within a rank
     weak_edges: tuple[tuple[Clan, Clan, int, int], ...]  # (src, dst, root, degree)
     ranks: Mapping[Clan, int]
     order_bits: OrderBits | None  # set by full_closure_order
-    # root -> place in nodes of each node's cross image; set by weak_order_graph
-    cross: Mapping[int, tuple[int, ...]] | None
 
     @cached_property
     def full_order(self) -> dict[Clan, frozenset[Clan]] | None:
@@ -265,18 +264,18 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
     """All orbits of the case with their ascending weak-order edges.  An
     edge along root i has degree 2 exactly when the cross action of s_i
     fixes its source.  The orbits come by rank, canonical within a rank, and
-    the edges by their source's place among them, then by root.  The cross
-    table the degrees are read from is kept for the saturation."""
+    the edges by their source's place among them, then by root."""
     clans = enumerate_case_clans(case)
-    roots = simple_root_indices(case)
-    moves = []
+    perms = root_permutations(case)
+    edges = []
     below: dict[Clan, list[Clan]] = {c: [] for c in clans}
     for c in clans:
-        for i in roots:
+        for i, source in perms.items():
             dst = weak_move(case, c, i)
             if dst == c:
                 continue
-            moves.append((c, dst, i))
+            deg = 2 if cross_reflect(c, source) == c else 1
+            edges.append((c, dst, i, deg))
             below[dst].append(c)
 
     # longest-path rank from the minima
@@ -289,9 +288,6 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
 
     nodes = tuple(sorted(clans, key=rank.__getitem__))
     pos = {c: k for k, c in enumerate(nodes)}
-    cross = _cross_table(case, nodes)
-    edges = [(src, dst, i, 2 if cross[i][pos[src]] == pos[src] else 1)
-             for src, dst, i in moves]
     edges.sort(key=lambda e: (pos[e[0]], e[2]))
     ranks = {c: rank[c] for c in nodes}
     sources = {src for src, _, _, _ in edges}
@@ -304,7 +300,7 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
                 f"weak edge {src.to_text()} -> {dst.to_text()} (root {i}) "
                 "is not graded"
             )
-    return OrbitPoset(case, nodes, tuple(edges), ranks, cross=cross)
+    return OrbitPoset(case, nodes, tuple(edges), ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +338,11 @@ def full_closure_order(poset: OrbitPoset) -> OrbitPoset:
     down-set), it contains the weak order, and it is contained in the
     rank-number order.  That order's down-sets come from column bitsets
     (see the module docstring), from one rank table per orbit; both kinds
-    of down-set are kept in ``order_bits`` for :func:`check_conjecture`.
-    The cross images are the graph's table; a poset built without one gets
-    it computed here."""
+    of down-set are kept in ``order_bits`` for :func:`check_conjecture`."""
     nodes = poset.nodes
     pos = {c: k for k, c in enumerate(nodes)}
     m = len(nodes)
-    cross = poset.cross
-    if cross is None:
-        cross = _cross_table(poset.case, nodes)
+    cross = _cross_table(poset.case, nodes)
     # a root that does not ascend moves an orbit to itself
     move = {i: list(range(m)) for i in cross}
     into: list[list[tuple[int, int]]] = [[] for _ in range(m)]
@@ -420,7 +412,7 @@ def full_closure_order(poset: OrbitPoset) -> OrbitPoset:
             )
 
     bits = OrderBits(tuple(down), tuple(rank_down))
-    return OrbitPoset(poset.case, nodes, poset.weak_edges, poset.ranks, bits, cross)
+    return OrbitPoset(poset.case, nodes, poset.weak_edges, poset.ranks, bits)
 
 
 # ---------------------------------------------------------------------------
