@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""CPU time of the weak-order graph and of saturation plus order comparison
-at the stretch ranks, written as JSON to ``BENCH_stage_times.json``.
+"""CPU time of the stages of ``conjecture`` and ``classes`` at the stretch
+ranks, written as JSON to ``BENCH_stage_times.json``.
 
 Each row runs in a process of its own and is timed there with
-``time.process_time``: first ``weak_order_graph`` (its enumeration
-included), then ``full_closure_order`` and ``check_conjecture`` together.
-After each stage the row also reports the process's peak resident set.  A
-row still running after ``CAP_S`` seconds of wall time is stopped, and each
-stage it did not finish reads "timeout".
+``time.process_time``.  An ``order`` row times first ``weak_order_graph``
+(its enumeration included), then ``full_closure_order`` and
+``check_conjecture`` together.  A ``classes`` row builds the weak-order
+graph untimed, then times ``all_classes``, then the text of every class as
+``classes`` writes it.  After each stage the row also reports the process's
+peak resident set.  A row still running after ``CAP_S`` seconds of wall
+time is stopped, and each stage it did not finish reads "timeout".
 
 Usage, from the root of a source checkout::
 
@@ -24,7 +26,9 @@ import subprocess
 import sys
 import time
 
-ROWS = (("b-so", 3, 4), ("c-spxsp", 4, 4), ("a", 4, 4), ("c-sp-gl", 7, 7))
+ROWS = (("order", "b-so", 3, 4), ("order", "c-spxsp", 4, 4), ("order", "a", 4, 4),
+        ("order", "c-sp-gl", 7, 7), ("classes", "a", 3, 4))
+STAGES = {"order": ("weak_s", "saturate_compare_s"), "classes": ("propagate_s", "render_s")}
 CAP_S = 120.0  # wall-time cap of one row, in seconds
 
 
@@ -33,13 +37,12 @@ def _peak_rss_mib() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
-def time_row(tag: str, p: int, q: int) -> None:
-    """Time one row's two stages, printing one JSON line after each."""
-    from orbitcalc.clans import case_from_params
+def time_order(case) -> None:
+    """Time an ``order`` row's two stages, printing one JSON line after each."""
     from orbitcalc.orbits import check_conjecture, full_closure_order, weak_order_graph
 
     start = time.process_time()
-    poset = weak_order_graph(case_from_params(tag, p, q))
+    poset = weak_order_graph(case)
     print(json.dumps({"orbits": len(poset.nodes), "weak_edges": len(poset.weak_edges),
                       "weak_s": round(time.process_time() - start, 3),
                       "peak_rss_mib": _peak_rss_mib()}), flush=True)
@@ -50,10 +53,31 @@ def time_row(tag: str, p: int, q: int) -> None:
                       "peak_rss_mib": _peak_rss_mib()}), flush=True)
 
 
-def measure(tag: str, p: int, q: int, cap: float) -> dict:
-    """One row, run in a child process stopped after ``cap`` seconds."""
-    row = {"case": tag, "p": p, "q": q, "weak_s": "timeout", "saturate_compare_s": "timeout"}
-    argv = [sys.executable, __file__, "--row", tag, str(p), str(q)]
+def time_classes(case) -> None:
+    """Time a ``classes`` row's two stages, printing one JSON line after each."""
+    from orbitcalc.formulas import all_classes, chern_expansion
+    from orbitcalc.orbits import weak_order_graph
+
+    poset = weak_order_graph(case)
+    start = time.process_time()
+    classes = all_classes(poset)
+    print(json.dumps({"orbits": len(poset.nodes),
+                      "z_terms": sum(len(f.terms) for f in classes.values()),
+                      "propagate_s": round(time.process_time() - start, 3),
+                      "peak_rss_mib": _peak_rss_mib()}), flush=True)
+    start = time.process_time()
+    text = chern_expansion(case).text
+    chars = sum(len(text(classes[c])) for c in poset.nodes)
+    print(json.dumps({"render_s": round(time.process_time() - start, 3),
+                      "text_chars": chars,
+                      "peak_rss_mib": _peak_rss_mib()}), flush=True)
+
+
+def measure(tag: str, p: int, q: int, cap: float, command: str = "order") -> dict:
+    """One row of ``command`` (a key of ``STAGES``), run in a child process
+    stopped after ``cap`` seconds."""
+    row = {"case": tag, "p": p, "q": q, **dict.fromkeys(STAGES[command], "timeout")}
+    argv = [sys.executable, __file__, "--row", command, tag, str(p), str(q)]
     try:
         proc = subprocess.run(argv, capture_output=True, timeout=cap)
         if proc.returncode:
@@ -69,16 +93,20 @@ def measure(tag: str, p: int, q: int, cap: float) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--output", default="BENCH_stage_times.json")
-    parser.add_argument("--row", nargs=3, metavar=("TAG", "P", "Q"), help=argparse.SUPPRESS)
+    parser.add_argument("--row", nargs=4, metavar=("COMMAND", "TAG", "P", "Q"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.row:
-        tag, p, q = args.row
-        time_row(tag, int(p), int(q))
+        from orbitcalc.clans import case_from_params
+
+        command, tag, p, q = args.row
+        timer = time_order if command == "order" else time_classes
+        timer(case_from_params(tag, int(p), int(q)))
         return 0
 
     rows = []
-    for tag, p, q in ROWS:
-        rows.append(measure(tag, p, q, CAP_S))
+    for command, tag, p, q in ROWS:
+        rows.append(measure(tag, p, q, CAP_S, command))
         print(json.dumps(rows[-1]), flush=True)
     data = {
         "clock": "time.process_time, CPU seconds of the row's own process",

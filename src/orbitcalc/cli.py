@@ -102,7 +102,7 @@ def cmd_poset(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    from .formulas import all_classes, closed_class, expand_class, verify_localization
+    from .formulas import all_classes, chern_expansion, closed_class, verify_localization
     from .orbits import weak_order_graph
     from .weyl import is_closed_clan
     case = _resolve_case(args)
@@ -119,7 +119,7 @@ def cmd_classes(args) -> int:
     def render(c) -> str:
         if args.factored and is_closed_clan(case, c):
             return closed_class(case, c).to_text()
-        return expand_class(case, classes[c]).to_text()
+        return chern_expansion(case).text(classes[c])
 
     if args.fmt == "json":
         import json

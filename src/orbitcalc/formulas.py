@@ -24,8 +24,9 @@ polynomials that s_i fixes, which every y and z is; so E(d_i F) = d_i E(F).
 Hence E carries the z-form of each class to the y-form that propagating
 in y would give, equal z-forms mean equal y-forms, and a z-form is
 homogeneous of weighted degree d exactly when its y-form is homogeneous of
-degree d.  ``expand_class`` applies E where y is printed or restricted, one
-class at a time.
+degree d.  E is applied only where y is printed or restricted:
+``classes`` writes each class's image as text straight from its z-form
+(``ChernExpansion.text``), and localization expands only restrictions.
 
 Determinantal convention used by the GL-type families: ``delta(ring, m, w)``
 is the m x m determinant ``det(c_{m+1+j-2i})`` where ``c_k`` is the sum of
@@ -191,7 +192,7 @@ def all_classes(poset: OrbitPoset, upto: Clan | None = None) -> dict[Clan, Polyn
     along ``poset.weak_edges`` in their order, which reaches every source
     after all the edges into it.  With ``upto``, only the orbits of its weak
     down-set get classes: the edges into it are followed, and compared,
-    from the closed orbits in it.  ``expand_class`` turns a class into
+    from the closed orbits in it.  ``chern_expansion`` maps a class to the
     y-variables."""
     case = poset.case
     ring = formula_ring(case)
@@ -224,7 +225,7 @@ def all_classes(poset: OrbitPoset, upto: Clan | None = None) -> dict[Clan, Polyn
     if poset.top in classes and classes[poset.top] != ring.one:
         raise FormulaError("the dense orbit's class is not 1")
     codim = poset.max_rank
-    degrees = _expansion(case).degrees
+    degrees = chern_expansion(case).degrees
     for c, f in classes.items():
         expected = codim - poset.ranks[c]
         if degrees(f) != {expected}:
@@ -235,14 +236,11 @@ def all_classes(poset: OrbitPoset, upto: Clan | None = None) -> dict[Clan, Polyn
 
 
 @cache
-def _expansion(case: CaseId) -> ChernExpansion:
+def chern_expansion(case: CaseId) -> ChernExpansion:
+    """The map from the z-form of a class of ``all_classes`` to its y-form:
+    each z_{a-1+k} of a block starting at y_a becomes e_k of the block.
+    One object per case, so that all its classes share its memos."""
     return ChernExpansion(formula_ring(case), chern_blocks(case))
-
-
-def expand_class(case: CaseId, f: Polynomial) -> Polynomial:
-    """A class of ``all_classes`` in the y-variables: each z_{a-1+k} of a
-    block starting at y_a becomes e_k of the block."""
-    return _expansion(case)(f)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,7 @@ def verify_localization(
 
     Each restriction runs on the z-form, and only its result is expanded.
     A restriction R sends the x's to signed y's (or 0) and fixes every y and
-    z; the expansion E of ``expand_class`` sends the z's to polynomials in
+    z; the expansion E of ``chern_expansion`` sends the z's to polynomials in
     the y's and fixes every x and y.  Both are ring maps, and on each
     variable E(R(v)) = R(E(v)), so E(R(f)) = R(E(f)) for every f: the
     restriction of the y-form is the expansion of the restricted z-form,
@@ -346,7 +344,7 @@ def verify_localization(
         poset = full_closure_order(poset)
     case = poset.case
     ring = formula_ring(case)
-    expand = _expansion(case)
+    expand = chern_expansion(case)
     closed_failures: list[str] = []
     support_failures: list[str] = []
     minima = poset.minima()

@@ -16,9 +16,11 @@ kept here as checks on the code that does.
   ``root_permutations``), the statistic phi_p, the subgroup W_K with its
   order, and the closed clans of a case;
 * ``formulas``: the per-component closed-orbit classes of b-so, whose
-  sum is ``closed_class``, the propagation on y-monomials that the
-  z-form propagation replaced, and the support check at every fixed point
-  of every orbit, the reference for the one-point check;
+  sum is ``closed_class``, the expansion of a whole class to y, whose text
+  ``ChernExpansion.text`` writes without building it, the propagation on
+  y-monomials that the z-form propagation replaced, and the support check
+  at every fixed point of every orbit, the reference for the one-point
+  check;
 * ``poly``: the simple reflections on the x-variables and the simple
   roots, the two halves of the defining relation of a divided difference,
   and the kernels on exponent tuples that the packed-key kernels replaced
@@ -59,9 +61,9 @@ from orbitcalc.formulas import (
     LocalizationReport,
     _block_factors,
     _sign,
+    chern_expansion,
     closed_class,
     closed_restriction_product,
-    expand_class,
     formula_ring,
     restrict_at,
 )
@@ -665,6 +667,12 @@ def component_class(case: CaseId, u: Weyl) -> FactoredPoly:
     for i in range(1, p + 1):
         factors += _block_factors(ring, abs(uinv[i - 1]), range(p + 1, n + 1), (-1, 1), False)
     return FactoredPoly(ring, sign * Fraction(1, 2), factors)
+
+
+def expand_class(case: CaseId, f: Polynomial) -> Polynomial:
+    """A class of ``all_classes`` in the y-variables: each z_{a-1+k} of a
+    block starting at y_a becomes e_k of the block."""
+    return chern_expansion(case)(f)
 
 
 def y_all_classes(poset: OrbitPoset) -> dict[Clan, Polynomial]:

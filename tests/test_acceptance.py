@@ -26,7 +26,6 @@ from orbitcalc.formulas import (
     chern_factored,
     closed_class,
     delta,
-    expand_class,
     formula_ring,
     restrict_at,
     verify_localization,
@@ -40,6 +39,7 @@ from reference import (
     closed_clans,
     component_class,
     covering_successors,
+    expand_class,
     reflect_x,
     simple_root_poly,
     weyl_compose,

@@ -545,8 +545,8 @@ PEAK_RSS = (
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_streamed_classes_peak_memory_stays_near_start_up():
-    # classes a(3,3) holds about 1.3 MB of text; written line by line from
-    # split monomial memos it peaks about 8 MiB above a trivial call
+    # classes a(3,3) holds about 1.3 MB of text; written line by line, each
+    # from its class's z-form, it peaks about 4 MiB above a trivial call
     proc = subprocess.run(
         [sys.executable, "-c", PEAK_RSS, "classes --case a --p 3 --q 3",
          "enumerate --case a --p 1 --q 1"],

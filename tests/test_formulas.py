@@ -20,7 +20,6 @@ from orbitcalc.formulas import (
     closed_class,
     closed_restriction_product,
     delta,
-    expand_class,
     formula_ring,
     restrict_at,
     verify_localization,
@@ -39,6 +38,7 @@ from orbitcalc.weyl import (
 from reference import (
     closed_clans,
     component_class,
+    expand_class,
     identity_weyl,
     k_weyl_group,
     verify_localization_every_point,

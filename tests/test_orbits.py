@@ -553,6 +553,14 @@ def test_stage_times_reports_both_stages_or_timeout(monkeypatch):
     stopped = stage_times.measure("c-sp-gl", 7, 7, cap=0.5)
     assert stopped == {"case": "c-sp-gl", "p": 7, "q": 7,
                        "weak_s": "timeout", "saturate_compare_s": "timeout"}
+    # a classes row times propagation, then the text of the classes
+    row = stage_times.measure("a", 2, 2, cap=60, command="classes")
+    assert row["orbits"] == 21 and row["z_terms"] > 0 and row["text_chars"] > 0
+    assert all(isinstance(row[k], float) for k in ("propagate_s", "render_s", "peak_rss_mib"))
+    # propagation alone takes about a second here
+    stopped = stage_times.measure("a", 3, 4, cap=0.5, command="classes")
+    assert stopped == {"case": "a", "p": 3, "q": 4,
+                       "propagate_s": "timeout", "render_s": "timeout"}
 
 
 class TestSaturationChecks:

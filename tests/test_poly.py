@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcalc.clans import DESK_RANKS, case_from_params, enumerate_case_clans
-from orbitcalc.formulas import (all_classes, chern_factored, closed_class, delta, expand_class,
+from orbitcalc.formulas import (all_classes, chern_blocks, chern_factored, closed_class, delta,
                                 formula_ring, restrict_at)
 from orbitcalc.orbits import weak_order_graph
 from orbitcalc.poly import (
@@ -26,6 +26,7 @@ from orbitcalc.poly import (
 from orbitcalc.parse import parse_poly
 from orbitcalc.weyl import closed_orbit_fixed_points
 from reference import (
+    expand_class,
     fraction_add,
     fraction_mul,
     fraction_pow,
@@ -1074,3 +1075,71 @@ def test_memos_hold_one_text_per_masked_part():
     assert set(xtexts) == {key & xmask for key in keys}
     assert set(yztexts) == {key & yzmask for key in keys}
     assert (len(keys), len(xtexts), len(yztexts)) == (17668, 995, 64)
+
+
+# ---------------------------------------------------------------------------
+# ChernExpansion.text: the text of an image, written without building it
+# ---------------------------------------------------------------------------
+
+EXPANSION_TEXT_CASES = RENDER_CASES + [
+    case_from_params("b-so", 2, 2), case_from_params("c-sp-gl", 3, 3),
+    case_from_params("d-so-gl", 4, 4)]
+
+
+@pytest.mark.parametrize("case", EXPANSION_TEXT_CASES, ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
+def test_expansion_text_matches_expanded_text(case):
+    # d-so-gl(4,4) has classes over 1/2^(n-1); a fresh expansion writes
+    # each class twice, from cold and from warm memos
+    expand = ChernExpansion(formula_ring(case), chern_blocks(case))
+    for c, f in all_classes(weak_order_graph(case)).items():
+        y_form = expand_class(case, f)
+        text = y_form.to_text()
+        assert text == full_key_to_text(y_form), c.to_text()
+        assert expand.text(f) == expand.text(f) == text, c.to_text()
+
+
+def test_expansion_text_memo_holds_one_entry_per_group_shape():
+    # at a(3,3) the 16,045 z-terms of the classes fall in 15,010 groups
+    # (one degree and x-part each), written from 210 memoised pieces
+    case = case_from_params("a", 3, 3)
+    classes = all_classes(weak_order_graph(case)).values()
+    expand = ChernExpansion(formula_ring(case), chern_blocks(case))
+    for f in classes:
+        expand.text(f)
+    assert sum(len(f._terms) for f in classes) == 16045
+    assert len(expand.pieces) == 210
+
+
+TEXT_EDGES = {
+    "0": "0",
+    "3": "3",
+    "-1/2": "-1/2",
+    "-x1*z3 + x1^2": "x1^2 - x1*y3 - x1*y4",
+    "1/2*x1*z4 - 3/4*z1^2": "1/2*x1*y3*y4 - 3/4*y1^2 - 3/2*y1*y2 - 3/4*y2^2",
+    "x1^2*x2 - 2*x2": "x1^2*x2 - 2*x2",
+    "z1*z2 - z4": "y1^2*y2 + y1*y2^2 - y3*y4",
+    # the x-part of z1 is 1; z3^2 weighs 2 and is written before z1
+    "z1 + z3^2 + x1": "y3^2 + 2*y3*y4 + y4^2 + x1 + y1 + y2",
+    # one group whose images merge and partly cancel
+    "x1*z1^2 - 2*x1*z2 + x2*z2": "x1*y1^2 + x1*y2^2 + x2*y1*y2",
+    # one group whose images cancel, next to one that survives
+    "y1 + y2 - z1 + x2^2": "x2^2",
+    "y1 + y2 - z1": "0",
+}
+
+
+@pytest.mark.parametrize("z_form", sorted(TEXT_EDGES))
+def test_expansion_text_edge_cases(z_form):
+    expand = ChernExpansion(R, BLOCKS_22)
+    f = parse_poly(z_form, R)
+    y_form = expand(f)
+    assert expand.text(f) == expand.text(f) == y_form.to_text() == TEXT_EDGES[z_form]
+    assert full_key_to_text(y_form) == TEXT_EDGES[z_form]
+
+
+@given(polys(max_terms=8, max_exp=2))
+@settings(max_examples=100, deadline=None)
+def test_expansion_text_is_the_text_of_the_expansion(f):
+    # x-, y- and z-terms of any degrees, over denominators up to 12
+    expand = ChernExpansion(R, BLOCKS_22)
+    assert expand.text(f) == expand(f).to_text() == full_key_to_text(expand(f))
