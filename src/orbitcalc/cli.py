@@ -274,6 +274,13 @@ def cmd_chern(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _cap(text: str) -> int:
+    """A ``--max-nodes`` value: a count of orbits, 0 or more."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count of orbits, 0 or more, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitcalc",
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=None,
                            help="the rank of a GL family (c-sp-gl, d-so-gl)")
         if name not in ("oracle", "chern"):
-            p.add_argument("--max-nodes", type=int, default=5000,
+            p.add_argument("--max-nodes", type=_cap, default=5000,
                            help="warn when the family is larger than this")
         if name not in ("oracle", "verify"):
             formats = ["text", "json", "dot"] if name == "poset" else ["text", "json"]

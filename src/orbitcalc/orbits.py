@@ -1,23 +1,25 @@
 """Weak order moves, cross action, the weak-order graph with edge degrees,
 the full closure order via saturation, and the order-comparison checker.
 
-Simple-root actions on clans are computed in the ambient one-sided clan
-alphabet.  For the folded cases the root acts through a short schedule of
-two-position windows (mirror pairs, a middle window, a middle braid, or the
-two extra windows at the branched end), each of which fires exactly when the
-standard one-sided rule ascends.  If a schedule produces a clan outside the
-case's family, the move is treated as not applicable and the input is
-returned unchanged.  The moves trust their input to be a clan of the case:
-the enumeration vouches for every clan the graph and the saturation pass,
-and the CLI checks the clans a user gives.
+The weak-order graph moves orbits by place.  Each clan of the case is given
+its mate code: its symbols with every sign kept and every pair symbol
+replaced by the 0-based position of its mate.  Mate codes need no
+relabelling, and two clans of one shape are equal exactly when their codes
+are.  A simple root acts on a code through a short schedule of two-position
+windows (the windows a simple reflection swaps: one in type A, a window and
+its mirror in the folded families, a middle window in types B and C and two
+at the branched end of type D, and at the middle root of type B the braid of
+windows around the fixed middle), each of which fires exactly when the
+standard one-sided rule ascends.  A fired window swaps two entries and
+repoints their mates.  A folded image may leave the case's family; it is
+then no node's code, and the move is not applicable.
 
 A simple reflection's cross action permutes clan positions.  Each root's
 ambient permutation is written down once per case (``root_permutations``):
-the position pairs it swaps are the windows of its weak move.  The
-weak-order graph crosses only the sources of its edges, for their degrees;
-the saturation tabulates every orbit's cross image once.  Images under
-moves and permutations are built with ``Clan._image``, which relabels and
-checks nothing.
+the position pairs it swaps are its windows.  On a mate code it is one pass,
+as the permutation is its own inverse.  The weak-order graph crosses only
+the sources of its edges, for their degrees; the saturation tabulates every
+orbit's cross image once, by place.
 
 Saturation and comparison work on ``int`` bitsets over the orbits as the
 weak-order graph lists them, by rank and canonically within a rank (every
@@ -32,19 +34,14 @@ down-set is the AND of one column bitset per entry.
 from __future__ import annotations
 
 from functools import cached_property
-from graphlib import CycleError, TopologicalSorter
 from itertools import groupby, takewhile
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .clans import (CaseId, CheckError, Clan, Record, enumerate_case_clans, in_case_family,
-                    rank_table)
+from .clans import CaseId, CheckError, Clan, Record, enumerate_case_clans, rank_table
 
 
 class OrbitError(CheckError):
     """Raised when graph construction or order saturation detects a bug."""
-
-
-SIGNS = ("+", "-")
 
 
 def simple_root_indices(case: CaseId) -> range:
@@ -54,123 +51,89 @@ def simple_root_indices(case: CaseId) -> range:
 
 
 # ---------------------------------------------------------------------------
-# Window operations (the one-sided two-position rule)
+# Mate codes and the weak move
 # ---------------------------------------------------------------------------
 
 
-def _mate(symbols: Sequence, pos: int) -> int:
-    label = symbols[pos - 1]
-    for j, s in enumerate(symbols, start=1):
-        if j != pos and s == label:
-            return j
-    raise OrbitError(f"symbol at position {pos} has no mate")
-
-
-def _fresh_label(symbols: Sequence) -> int:
-    return max((s for s in symbols if isinstance(s, int)), default=0) + 1
-
-
-def _window_op(symbols: list, a: int, b: int) -> list | None:
-    """Apply the ascending two-position rule to positions a < b.
-
-    Returns the new symbol list if the rule fires, else None:
-      * opposite signs          -> they become a new pair;
-      * sign then pair symbol   -> swap when the pair opens rightward of b;
-      * pair symbol then sign   -> swap when the pair opens leftward of a;
-      * two different pairs     -> swap when a's mate precedes b's mate.
-    """
-    sa, sb = symbols[a - 1], symbols[b - 1]
-    a_sign, b_sign = sa in SIGNS, sb in SIGNS
-    if a_sign and b_sign:
-        if sa == sb:
-            return None
-        out = list(symbols)
-        out[a - 1] = out[b - 1] = _fresh_label(symbols)
-        return out
-    if a_sign:
-        if _mate(symbols, b) > b:
-            out = list(symbols)
-            out[a - 1], out[b - 1] = sb, sa
-            return out
-        return None
-    if b_sign:
-        if _mate(symbols, a) < a:
-            out = list(symbols)
-            out[a - 1], out[b - 1] = sb, sa
-            return out
-        return None
-    if sa == sb:
-        return None
-    if _mate(symbols, a) < _mate(symbols, b):
-        out = list(symbols)
-        out[a - 1], out[b - 1] = sb, sa
-        return out
-    return None
-
-
-def _apply_schedule(symbols: list, windows: Iterable[tuple[int, int]]) -> list:
-    current = symbols
-    for a, b in windows:
-        result = _window_op(current, a, b)
-        if result is not None:
-            current = result
-    return current
-
-
-# ---------------------------------------------------------------------------
-# Weak move
-# ---------------------------------------------------------------------------
+def _mate_code(symbols: Sequence) -> tuple:
+    """The clan's symbols with each pair symbol replaced by the 0-based
+    position of its mate; signs stay."""
+    code = list(symbols)
+    opened: dict[int, int] = {}
+    for j, s in enumerate(symbols):
+        if s.__class__ is int:
+            k = opened.pop(s, None)
+            if k is None:
+                opened[s] = j
+            else:
+                code[j], code[k] = k, j
+    return tuple(code)
 
 
 def _root_windows(case: CaseId, i: int) -> tuple[tuple[int, int], ...]:
-    """The position pairs (1-based) that the i-th simple reflection swaps
-    in the ambient clan alphabet, whose mirror is j -> N + 1 - j: i and
-    i + 1 (with their mirrors in the folded families); at the middle root n,
-    n and its mirror in types B and C, and in type D n - 1 and n each with
-    the other's mirror."""
+    """The position pairs (0-based) that the i-th simple reflection swaps
+    in the ambient clan alphabet, whose mirror is j -> N - 1 - j: i - 1 and
+    i (with their mirrors in the folded families); at the middle root n,
+    n - 1 and its mirror in types B and C, and in type D n - 2 and n - 1
+    each with the other's mirror."""
     n, N = case.grank, case.ambient_len
     if case.family == "A":
-        return ((i, i + 1),)
+        return ((i - 1, i),)
     if i < n:
-        return ((i, i + 1), (N - i, N + 1 - i))
+        return ((i - 1, i), (N - 1 - i, N - i))
     if case.family == "D":
-        return ((n - 1, N + 1 - n), (n, N + 2 - n))
-    return ((n, N + 1 - n),)
+        return ((n - 2, N - n), (n - 1, N + 1 - n))
+    return ((n - 1, N - n),)
 
 
-def weak_move(case: CaseId, c: Clan, i: int) -> Clan:
-    """The weak-order action of the i-th simple root: the clan of s_i . Q.
+def move_schedules(case: CaseId) -> dict[int, tuple[tuple[int, int], ...]]:
+    """For each simple root, the windows :func:`weak_move` applies, in
+    order: the root's windows, except at the middle root n of type B, whose
+    schedule is the braid n - 1, n, n - 1 of ambient windows around the
+    fixed middle n (0-based).  On signs at n - 1 and n + 1 the braid pairs
+    them exactly when the middle differs, and the middle takes their sign."""
+    schedules = {i: _root_windows(case, i) for i in simple_root_indices(case)}
+    if case.family == "B":
+        n = case.grank
+        schedules[n] = ((n - 1, n), (n, n + 1), (n - 1, n))
+    return schedules
 
-    Returns ``c`` itself when the root does not ascend (including the folded
-    situations where the schedule would leave the case's clan family).
-    ``c`` must be a clan of the case.  Outside the middle root of type B,
-    the schedule is the root's windows, in order."""
-    if i not in simple_root_indices(case):
-        raise OrbitError(f"simple root {i} out of range for case {case.tag}")
-    n = case.grank
-    symbols = list(c.symbols)
 
-    if case.family != "B" or i < n:
-        moved = _apply_schedule(symbols, _root_windows(case, i))
-    else:  # type B middle root
-        middle = symbols[n]  # position n+1, the fixed middle sign
-        if symbols[n - 1] in SIGNS:
-            if middle in SIGNS and middle != symbols[n - 1]:
-                moved = list(symbols)
-                label = _fresh_label(symbols)
-                moved[n] = moved[n - 1]
-                moved[n - 1] = moved[n + 1] = label
+def weak_move(m: tuple, windows: Sequence[tuple[int, int]]) -> tuple:
+    """The weak-order action of a simple root on the mate code ``m``, given
+    the root's schedule (:func:`move_schedules`).
+
+    Each window a < b fires when the ascending one-sided rule does:
+      * opposite signs          -> they become a pair;
+      * sign then pair symbol   -> swap when the pair opens rightward of b;
+      * pair symbol then sign   -> swap when the pair opens leftward of a;
+      * two different pairs     -> swap when a's mate precedes b's mate.
+    A swap moves the two entries and repoints their mates.  Returns ``m``
+    itself when no window fires.  The image may lie outside the case's
+    family; the caller decides."""
+    out = list(m)
+    fired = False
+    for a, b in windows:
+        x, y = out[a], out[b]
+        if x.__class__ is str:
+            if y.__class__ is str:
+                if x == y:
+                    continue
+                out[a], out[b] = b, a
+            elif y > b:
+                out[a], out[b], out[y] = y, x, a
             else:
-                moved = symbols
+                continue
+        elif y.__class__ is str:
+            if x > a:
+                continue
+            out[a], out[b], out[x] = y, x, b
+        elif x < y:
+            out[a], out[b], out[x], out[y] = y, x, b, a
         else:
-            moved = _apply_schedule(symbols, [(n, n + 1), (n + 1, n + 2), (n, n + 1)])
-
-    if moved == symbols:
-        return c
-    result = Clan._image(moved, c.p, c.q)
-    if case.family != "A" and not in_case_family(case, result):
-        return c
-    return result
+            continue
+        fired = True
+    return tuple(out) if fired else m
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +150,25 @@ def root_permutations(case: CaseId) -> dict[int, tuple[int, ...]]:
     for i in simple_root_indices(case):
         source = list(range(case.ambient_len))
         for a, b in _root_windows(case, i):
-            source[a - 1], source[b - 1] = b - 1, a - 1
+            source[a], source[b] = b, a
         out[i] = tuple(source)
     return out
 
 
-def cross_reflect(c: Clan, source: tuple[int, ...]) -> Clan:
-    """The cross action on c of the reflection with these source positions;
-    ``c`` itself when the permuted symbols are c's."""
-    symbols = tuple(map(c.symbols.__getitem__, source))
-    return c if symbols == c.symbols else Clan._image(symbols, c.p, c.q)
+def _cross(m: tuple, source: tuple[int, ...]) -> tuple:
+    """The mate code of the cross action by the reflection with these
+    source positions: position j takes the entry at ``source[j]``, a mate
+    moved to its own image, ``source`` being an involution."""
+    return tuple([x if x.__class__ is str else source[x] for x in map(m.__getitem__, source)])
 
 
 def _cross_table(case: CaseId, nodes: Sequence[Clan]) -> dict[int, tuple[int, ...]]:
     """For each simple root i, the place in ``nodes`` of each node's cross
-    image under s_i.  Nodes share one shape, so their symbols tell them apart."""
-    pos = {c.symbols: k for k, c in enumerate(nodes)}
-    return {i: tuple([pos[cross_reflect(c, source).symbols] for c in nodes])
+    image under s_i.  Nodes share one shape, so their mate codes tell them
+    apart."""
+    codes = [_mate_code(c.symbols) for c in nodes]
+    place = {m: k for k, m in enumerate(codes)}
+    return {i: tuple([place[_cross(m, source)] for m in codes])
             for i, source in root_permutations(case).items()}
 
 
@@ -261,46 +226,68 @@ class OrbitPoset(Record):
 
 
 def weak_order_graph(case: CaseId) -> OrbitPoset:
-    """All orbits of the case with their ascending weak-order edges.  An
-    edge along root i has degree 2 exactly when the cross action of s_i
-    fixes its source.  The orbits come by rank, canonical within a rank, and
-    the edges by their source's place among them, then by root."""
+    """All orbits of the case with their ascending weak-order edges.
+
+    Every (orbit, root) makes one :func:`weak_move` call on the orbit's mate
+    code, and the image is looked up among the codes by place.  The lookup
+    is the family check: :func:`enumerate_case_clans` yields exactly the
+    clans of the case, a move keeps the clan's shape, and a code names one
+    clan of that shape, so an image that leaves the family is no node's
+    code and gives no edge.  (In type A every image is a node.)  An edge
+    along root i has degree 2 exactly when the cross action of s_i fixes
+    its source's code.
+
+    Ranks are longest paths from the minima, set in one pass that takes an
+    orbit once every edge into it has been seen; an orbit the pass never
+    takes lies on or above a cycle.  The orbits come by rank, canonical
+    within a rank, and the edges by their source's place among them, then
+    by root."""
     clans = enumerate_case_clans(case)
+    codes = [_mate_code(c.symbols) for c in clans]
+    place = {m: k for k, m in enumerate(codes)}
     perms = root_permutations(case)
-    edges = []
-    below: dict[Clan, list[Clan]] = {c: [] for c in clans}
-    for c in clans:
-        for i, source in perms.items():
-            dst = weak_move(case, c, i)
-            if dst == c:
+    roots = [(i, windows, perms[i]) for i, windows in move_schedules(case).items()]
+    up: list[list[tuple[int, int, int]]] = []  # by source place: (target place, root, degree)
+    indegree = [0] * len(codes)
+    for m in codes:
+        out = []
+        for i, windows, source in roots:
+            image = weak_move(m, windows)
+            if image is m or (dst := place.get(image)) is None:
                 continue
-            deg = 2 if cross_reflect(c, source) == c else 1
-            edges.append((c, dst, i, deg))
-            below[dst].append(c)
+            out.append((dst, i, 2 if _cross(m, source) == m else 1))
+            indegree[dst] += 1
+        up.append(out)
 
-    # longest-path rank from the minima
-    rank: dict[Clan, int] = {}
-    try:
-        for c in TopologicalSorter(below).static_order():
-            rank[c] = max((rank[b] + 1 for b in below[c]), default=0)
-    except CycleError:
-        raise OrbitError("weak-order moves produced a cycle") from None
+    rank = [0] * len(codes)
+    ready = [k for k, d in enumerate(indegree) if not d]
+    for k in ready:  # grows as orbits become ready
+        higher = rank[k] + 1
+        for dst, _, _ in up[k]:
+            if rank[dst] < higher:
+                rank[dst] = higher
+            indegree[dst] -= 1
+            if not indegree[dst]:
+                ready.append(dst)
+    if len(ready) < len(codes):
+        stuck = next(k for k, d in enumerate(indegree) if d)
+        raise OrbitError(f"weak-order moves produced a cycle: {clans[stuck].to_text()} "
+                         "cannot be ranked")
 
-    nodes = tuple(sorted(clans, key=rank.__getitem__))
-    pos = {c: k for k, c in enumerate(nodes)}
-    edges.sort(key=lambda e: (pos[e[0]], e[2]))
-    ranks = {c: rank[c] for c in nodes}
-    sources = {src for src, _, _, _ in edges}
-    tops = [c for c in nodes if c not in sources]
-    if len(tops) != 1:
-        raise OrbitError(f"expected a unique dense clan, found {len(tops)}")
-    for src, dst, i, _ in edges:
-        if ranks[dst] != ranks[src] + 1:
-            raise OrbitError(
-                f"weak edge {src.to_text()} -> {dst.to_text()} (root {i}) "
-                "is not graded"
-            )
-    return OrbitPoset(case, nodes, tuple(edges), ranks)
+    order = sorted(range(len(codes)), key=rank.__getitem__)
+    tops = sum(1 for out in up if not out)
+    if tops != 1:
+        raise OrbitError(f"expected a unique dense clan, found {tops}")
+    edges = []
+    for k in order:
+        src = clans[k]
+        for dst, i, deg in up[k]:
+            if rank[dst] != rank[k] + 1:
+                raise OrbitError(f"weak edge {src.to_text()} -> {clans[dst].to_text()} "
+                                 f"(root {i}) is not graded")
+            edges.append((src, clans[dst], i, deg))
+    nodes = tuple(map(clans.__getitem__, order))
+    return OrbitPoset(case, nodes, tuple(edges), {clans[k]: rank[k] for k in order})
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ kept here as checks on the code that does.
   and skew clans;
 * ``orbits``: the cross action of a whole Weyl element, the set-based
   saturation and order comparison that the bitset versions replaced, and
-  the weak-order graph that validates every clan it builds: its weak move,
-  cross action and family check, which the trusted images and the
-  symbol-level checks replaced;
+  the weak-order graph that validates every clan it builds: its weak move
+  on labelled symbols, with its own window rule, its cross action and its
+  family check, which the moves on mate codes and the lookup by place
+  replaced; and the clan of a mate code;
 * ``weyl``: signed-permutation composition, the simple reflections and
   their embedding in the ambient permutations (the source of
   ``root_permutations``), the statistic phi_p, the subgroup W_K with its
@@ -68,13 +69,10 @@ from orbitcalc.formulas import (
     restrict_at,
 )
 from orbitcalc.orbits import (
-    SIGNS,
     OrbitError,
     OrbitPoset,
     OrderBits,
     OrderComparison,
-    _apply_schedule,
-    _fresh_label,
     full_closure_order,
     simple_root_indices,
 )
@@ -489,6 +487,66 @@ def cross_action_simple(case: CaseId, c: Clan, i: int) -> Clan:
     return cross_action(case, c, simple_reflection(case.family, case.grank, i))
 
 
+SIGNS = (PLUS, MINUS)
+
+
+def clan_from_mates(code, p: int, q: int) -> Clan:
+    """The validated clan of a mate code: its signs, and a pair labelled
+    by first occurrence at each position and its mate."""
+    symbols = list(code)
+    label = 0
+    for j, mate in enumerate(code):
+        if mate not in SIGNS and mate > j:
+            label += 1
+            symbols[j] = symbols[mate] = label
+    return Clan(tuple(symbols), p, q)
+
+
+def _mate(symbols, pos: int) -> int:
+    label = symbols[pos - 1]
+    for j, s in enumerate(symbols, start=1):
+        if j != pos and s == label:
+            return j
+    raise OrbitError(f"symbol at position {pos} has no mate")
+
+
+def _fresh_label(symbols) -> int:
+    return max((s for s in symbols if isinstance(s, int)), default=0) + 1
+
+
+def _window_op(symbols: list, a: int, b: int) -> list | None:
+    """The ascending two-position rule at positions a < b (1-based) on
+    labelled symbols: the new symbol list if it fires, else None."""
+    sa, sb = symbols[a - 1], symbols[b - 1]
+    a_sign, b_sign = sa in SIGNS, sb in SIGNS
+    if a_sign and b_sign:
+        if sa == sb:
+            return None
+        out = list(symbols)
+        out[a - 1] = out[b - 1] = _fresh_label(symbols)
+        return out
+    if a_sign:
+        fires = _mate(symbols, b) > b
+    elif b_sign:
+        fires = _mate(symbols, a) < a
+    else:
+        fires = sa != sb and _mate(symbols, a) < _mate(symbols, b)
+    if not fires:
+        return None
+    out = list(symbols)
+    out[a - 1], out[b - 1] = sb, sa
+    return out
+
+
+def _apply_schedule(symbols: list, windows) -> list:
+    current = symbols
+    for a, b in windows:
+        result = _window_op(current, a, b)
+        if result is not None:
+            current = result
+    return current
+
+
 def clan_weak_move(case: CaseId, c: Clan, i: int) -> Clan:
     """``weak_move`` with each root's windows written out, its result built
     as a validated clan and checked by :func:`clan_in_case_family`."""
@@ -528,18 +586,21 @@ def clan_weak_move(case: CaseId, c: Clan, i: int) -> Clan:
 def clan_weak_order_graph(case: CaseId) -> OrbitPoset:
     """The weak-order graph from validated clans: the clans of the ambient
     shape that :func:`clan_in_case_family` admits, with
-    :func:`clan_weak_move` edges whose degree is 2 where
-    :func:`cross_action_simple` fixes the source.  Nodes by rank, then
+    :func:`clan_weak_move` edges whose degree is 2 where the embedded
+    simple reflection (:func:`ambient_source`, the permutation of
+    :func:`cross_action_simple`) fixes the source.  Nodes by rank, then
     canonically; edges by their source's place, then by root."""
     P, Q = case.ambient_shape
     clans = [c for c in enumerate_clans(P, Q) if clan_in_case_family(case, c)]
+    sources = {i: ambient_source(case, i) for i in simple_root_indices(case)}
     edges = []
     below: dict[Clan, list[Clan]] = {c: [] for c in clans}
     for c in clans:
-        for i in simple_root_indices(case):
+        for i, source in sources.items():
             dst = clan_weak_move(case, c, i)
             if dst != c:
-                edges.append((c, dst, i, 2 if cross_action_simple(case, c, i) == c else 1))
+                crossed = Clan(tuple(c.symbols[j] for j in source), P, Q)
+                edges.append((c, dst, i, 2 if crossed == c else 1))
                 below[dst].append(c)
     rank: dict[Clan, int] = {}
     for c in TopologicalSorter(below).static_order():

@@ -407,6 +407,11 @@ def test_exit_code_table(capsys, monkeypatch, ok, check, malformed):
     assert code == 0 and out and "Traceback" not in err
     code, out, err = run(capsys, *malformed)
     assert code == 2 and out == "" and err and "Traceback" not in err
+    if ok[0] not in ("oracle", "chern"):
+        # a negative cap is malformed, not a cap that every family exceeds
+        code, out, err = run(capsys, *ok, "--max-nodes", "-1")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "argument --max-nodes: expected a count of orbits" in err
     module, name, error = check
 
     def fail(*args):

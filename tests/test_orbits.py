@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from orbitcalc import cli, orbits
 from orbitcalc.clans import (CASES, DESK_RANKS, CaseId, Clan, case_from_params,
-                             enumerate_case_clans, in_case_family, leq, parse_clan)
+                             enumerate_case_clans, in_case_family, leq, make_clan, parse_clan)
 from orbitcalc.orbits import (
     OrbitError,
     check_conjecture,
@@ -27,8 +27,8 @@ from orbitcalc.orbits import (
     weak_move,
     weak_order_graph,
 )
-from reference import (ambient_source, cases_up_to_rank, clan_weak_order_graph, closed_clans,
-                       cross_action, cross_action_simple, set_check_conjecture,
+from reference import (ambient_source, cases_up_to_rank, clan_from_mates, clan_weak_order_graph,
+                       closed_clans, cross_action, cross_action_simple, set_check_conjecture,
                        set_full_closure_order, weyl_compose)
 
 ROOT = Path(__file__).parent.parent
@@ -54,6 +54,27 @@ def pc(case: CaseId, text: str):
     return parse_clan(text, P, Q)
 
 
+def code(c: Clan) -> tuple:
+    return orbits._mate_code(c.symbols)
+
+
+def move(case: CaseId, c: Clan, i: int) -> Clan:
+    """The clan of :func:`weak_move`'s image of ``c`` along root i, which
+    may leave the case's family; ``c`` itself when no window fires."""
+    m = code(c)
+    image = weak_move(m, orbits.move_schedules(case)[i])
+    return c if image is m else clan_from_mates(image, c.p, c.q)
+
+
+def graph_move(case: CaseId, c: Clan, i: int) -> Clan:
+    """The target of the graph's edge out of ``c`` along root i; ``c``
+    itself when the graph has none."""
+    targets = [dst for src, dst, root, _ in weak_order_graph(case).weak_edges
+               if src == c and root == i]
+    assert len(targets) <= 1
+    return targets[0] if targets else c
+
+
 # ---------------------------------------------------------------------------
 # weak_move
 # ---------------------------------------------------------------------------
@@ -61,48 +82,54 @@ def pc(case: CaseId, text: str):
 
 class TestWeakMove:
     def test_two_pairs_swap(self):
-        assert weak_move(A32, pc(A32, "112+2"), 2) == pc(A32, "121+2")
+        assert move(A32, pc(A32, "112+2"), 2) == pc(A32, "121+2")
 
     def test_opposite_signs_become_pair(self):
-        assert weak_move(A32, pc(A32, "1+-1+"), 2) == pc(A32, "1221+")
+        assert move(A32, pc(A32, "1+-1+"), 2) == pc(A32, "1221+")
 
     def test_pair_opening_left_does_not_move(self):
         c = pc(A32, "1+122")
-        assert weak_move(A32, c, 2) == c
+        assert move(A32, c, 2) is c
 
     def test_equal_signs_do_not_move(self):
         c = pc(A22, "++--")
-        assert weak_move(A22, c, 1) == c
+        assert move(A22, c, 1) is c
 
     def test_mirrored_windows_fire_together(self):
         # both windows of root 2 create pairs
-        assert weak_move(C3_21, pc(C3_21, "++--++"), 2) == pc(C3_21, "+1122+")
+        assert move(C3_21, pc(C3_21, "++--++"), 2) == pc(C3_21, "+1122+")
 
     def test_family_escape_returns_input(self):
-        # the swap would create a self-paired clan, which this family forbids
+        # the swap creates a self-mirror pair, which this family forbids: the
+        # image is no node's code, so the graph has no edge
         c = pc(C3_21, "12++12")
-        assert weak_move(C3_21, c, 1) == c
+        assert move(C3_21, c, 1) == pc(C3_21, "12++21")
+        assert not in_case_family(C3_21, move(C3_21, c, 1))
+        assert graph_move(C3_21, c, 1) == c
 
     def test_escape_second_example(self):
         c = pc(C3_21, "+1212+")
-        assert weak_move(C3_21, c, 2) == c
+        assert move(C3_21, c, 2) == pc(C3_21, "+1221+")
+        assert not in_case_family(C3_21, move(C3_21, c, 2))
+        assert graph_move(C3_21, c, 2) == c
 
     def test_same_swap_is_legal_when_family_allows(self):
-        assert weak_move(D5_21, pc(D5_21, "+1212+"), 2) == pc(D5_21, "+1221+")
+        assert move(D5_21, pc(D5_21, "+1212+"), 2) == pc(D5_21, "+1221+")
+        assert graph_move(D5_21, pc(D5_21, "+1212+"), 2) == pc(D5_21, "+1221+")
 
     def test_b_middle_sign_rule(self):
         # opposite middle sign: ends pair up and the middle flips
-        assert weak_move(B21, pc(B21, "+-+-+-+"), 3) == pc(B21, "+-1+1-+")
+        assert move(B21, pc(B21, "+-+-+-+"), 3) == pc(B21, "+-1+1-+")
 
     def test_b_middle_sign_rule_idle(self):
         c = pc(B21, "++---++")
-        assert weak_move(B21, c, 3) == c
+        assert move(B21, c, 3) is c
 
     def test_b_middle_braid(self):
-        assert weak_move(B21, pc(B21, "122+331"), 3) == pc(B21, "123+231")
+        assert move(B21, pc(B21, "122+331"), 3) == pc(B21, "123+231")
 
     def test_d_branch_root(self):
-        assert weak_move(D7_12, pc(D7_12, "122331"), 3) == pc(D7_12, "123321")
+        assert move(D7_12, pc(D7_12, "122331"), 3) == pc(D7_12, "123321")
 
     @pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
     def test_graph_stays_in_the_family(self, case):
@@ -121,17 +148,21 @@ class TestWeakMove:
         assert captured.err.startswith("error:") and "+1221+" in captured.err
 
     def test_root_out_of_range(self):
-        with pytest.raises(OrbitError):
-            weak_move(A22, pc(A22, "1122"), 4)
-        with pytest.raises(OrbitError):
-            weak_move(B21, pc(B21, "123+321"), 4)
+        # a schedule exists for each simple root and no other
+        for case in (A22, B21):
+            schedules = orbits.move_schedules(case)
+            assert 4 not in schedules
+            assert list(schedules) == list(simple_root_indices(case))
 
     @pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
     def test_idempotent(self, case):
+        schedules = orbits.move_schedules(case)
         for c in weak_order_graph(case).nodes:
-            for i in simple_root_indices(case):
-                once = weak_move(case, c, i)
-                assert weak_move(case, once, i) == once
+            for i, windows in schedules.items():
+                once = weak_move(code(c), windows)
+                assert weak_move(once, windows) is once
+                once = graph_move(case, c, i)
+                assert graph_move(case, once, i) == once
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +354,22 @@ class TestWeakOrderGraph:
         preds = {(root, src.to_text()) for src, dst, root, _ in g.weak_edges
                  if dst == top}
         assert preds == {(1, "1212"), (2, "1+-1"), (2, "1-+1")}
-        assert weak_move(C4_2, top, 1) == top
+        assert move(C4_2, top, 1) is top
 
     @staticmethod
     def fake_moves(monkeypatch, case, moves):
-        """Make weak_move follow {(clan, root): clan}; other moves fix."""
-        table = {(pc(case, a), i): pc(case, b) for (a, i), b in moves.items()}
-        monkeypatch.setattr(orbits, "weak_move", lambda _, c, i: table.get((c, i), c))
+        """Make weak_move follow {(clan, root): clan} on mate codes; other
+        moves fix."""
+        root = {windows: i for i, windows in orbits.move_schedules(case).items()}
+        table = {(code(pc(case, a)), i): code(pc(case, b)) for (a, i), b in moves.items()}
+        monkeypatch.setattr(orbits, "weak_move",
+                            lambda m, windows: table.get((m, root[windows]), m))
 
     def test_cycle_is_an_error(self, monkeypatch):
         case = case_from_params("a", 1, 1)
         self.fake_moves(monkeypatch, case, {("+-", 1): "-+", ("-+", 1): "+-"})
-        with pytest.raises(OrbitError, match="weak-order moves produced a cycle"):
+        message = r"weak-order moves produced a cycle: \+- cannot be ranked"
+        with pytest.raises(OrbitError, match=message):
             weak_order_graph(case)
 
     def test_several_tops_are_an_error(self, monkeypatch):
@@ -582,7 +617,7 @@ class TestSaturationChecks:
         low, high = pc(A22, "++--"), pc(A22, "--++")
         assert not leq(low, high) and not leq(high, low)
         # root 1 does not move ++--, so the fake edge adds nothing else below --++
-        assert weak_move(A22, low, 1) == low
+        assert move(A22, low, 1) is low
         doctored = orbits.OrbitPoset(A22, g.nodes, g.weak_edges + ((low, high, 1, 1),),
                                      g.ranks)
         with pytest.raises(OrbitError, match="rank-number order") as err:
@@ -599,7 +634,7 @@ def test_root_permutations_match_reference_cross_action(case):
     assert list(perms) == list(simple_root_indices(case))
     for c in weak_order_graph(case).nodes:
         for i, source in perms.items():
-            assert orbits.cross_reflect(c, source) == cross_action_simple(case, c, i)
+            assert orbits._cross(code(c), source) == code(cross_action_simple(case, c, i))
 
 
 def test_root_permutations_are_the_embedded_simple_reflections():
@@ -643,14 +678,76 @@ def test_graph_and_saturation_match_the_validating_reference(case):
     assert orbits._cross_table(case, poset.nodes) == expected
 
 
+# every case of every family whose clans have at most ten positions
+SMALL_CASES = tuple(case for case in cases_up_to_rank(10) if case.ambient_len <= 10)
+
+
+@pytest.mark.parametrize("case", SMALL_CASES, ids=_case_id)
+def test_graph_and_cross_table_match_the_reference(case):
+    # the moves by place against validated clans: the reference's own window
+    # rule and family check, and cross images of the labelled symbols under
+    # the embedded reflections, found among the nodes by their symbols
+    g, ref = weak_order_graph(case), clan_weak_order_graph(case)
+    assert g.nodes == ref.nodes
+    assert g.weak_edges == ref.weak_edges
+    assert g.ranks == ref.ranks
+    pos = {c: k for k, c in enumerate(g.nodes)}
+    P, Q = case.ambient_shape
+    expected = {}
+    for i in simple_root_indices(case):
+        source = ambient_source(case, i)
+        expected[i] = tuple(pos[Clan._image([c.symbols[j] for j in source], P, Q)]
+                            for c in g.nodes)
+    assert orbits._cross_table(case, g.nodes) == expected
+
+
+def test_small_cases_cover_every_family():
+    assert {case.tag for case in SMALL_CASES} == set(CASES)
+    assert {CaseId("d-oxo-even", 2, 3), CaseId("d-oxo-odd", 3, 2)} <= set(SMALL_CASES)
+    assert max(case.ambient_len for case in SMALL_CASES) == 10
+
+
+@st.composite
+def clans(draw) -> Clan:
+    """A clan of any shape with at most twelve positions."""
+    n = draw(st.integers(1, 12))
+    places = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(0, n // 2))
+    symbols = [None] * n
+    for label in range(pairs):
+        symbols[places[2 * label]] = symbols[places[2 * label + 1]] = label
+    plus = 0
+    for j in places[2 * pairs:]:
+        symbols[j] = draw(st.sampled_from("+-"))
+        plus += symbols[j] == "+"
+    signs = n - 2 * pairs
+    return make_clan(symbols, plus + pairs, signs - plus + pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=clans())
+def test_mate_code_round_trip(c):
+    m = code(c)
+    assert len(m) == c.n
+    for j, x in enumerate(m):
+        if x in ("+", "-"):
+            assert c.symbols[j] == x
+        else:
+            assert x != j and m[x] == j and c.symbols[x] == c.symbols[j]
+    assert clan_from_mates(m, c.p, c.q) == c
+    assert code(clan_from_mates(m, c.p, c.q)) == m
+
+
 @pytest.mark.parametrize("case", DIFFERENTIAL_CASES, ids=_case_id)
 def test_move_and_cross_images_pass_validation(case):
-    perms = orbits.root_permutations(case)
+    # each image is the code of a validated clan of the case's shape
+    perms, schedules = orbits.root_permutations(case), orbits.move_schedules(case)
     for c in weak_order_graph(case).nodes:
         assert Clan(c.symbols, c.p, c.q) == c
+        m = code(c)
         for i, source in perms.items():
-            for image in (weak_move(case, c, i), orbits.cross_reflect(c, source)):
-                assert Clan(image.symbols, image.p, image.q) == image
+            for image in (weak_move(m, schedules[i]), orbits._cross(m, source)):
+                assert code(clan_from_mates(image, c.p, c.q)) == image
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +801,14 @@ def test_weak_move_raises_rank_by_one_or_fixes(case, data):
     g = weak_order_graph(case)
     c = data.draw(st.sampled_from(list(g.nodes)))
     i = data.draw(st.sampled_from(list(simple_root_indices(case))))
-    out = weak_move(case, c, i)
-    if out == c:
+    out = move(case, c, i)
+    if out is c:
         return
-    assert g.ranks[out] == g.ranks[c] + 1
     assert leq(c, out)
+    if out in g.ranks:
+        assert g.ranks[out] == g.ranks[c] + 1
+    else:
+        assert not in_case_family(case, out)
 
 
 @settings(max_examples=60, deadline=None)
