@@ -4,8 +4,8 @@ ranks, written as JSON to ``BENCH_stage_times.json``.
 
 Each row runs in a process of its own and is timed there with
 ``time.process_time``.  An ``order`` row times first ``weak_order_graph``
-(its enumeration included), then ``full_closure_order`` and
-``check_conjecture`` together.  A ``classes`` row builds the weak-order
+(its enumeration included, and timed on its own as ``enumerate_s``), then
+``full_closure_order`` and ``check_conjecture`` together.  A ``classes`` row builds the weak-order
 graph untimed, then times ``all_classes``, then the text of every class as
 ``classes`` writes it.  After each stage the row also reports the process's
 peak resident set.  A row still running after ``CAP_S`` seconds of wall
@@ -39,12 +39,24 @@ def _peak_rss_mib() -> float:
 
 def time_order(case) -> None:
     """Time an ``order`` row's two stages, printing one JSON line after each."""
+    from orbitcalc import orbits
     from orbitcalc.orbits import check_conjecture, full_closure_order, weak_order_graph
 
+    enumerate_s = []
+    enumerate_case_clans = orbits.enumerate_case_clans
+
+    def timed_enumeration(case):
+        start = time.process_time()
+        clans = enumerate_case_clans(case)
+        enumerate_s.append(time.process_time() - start)
+        return clans
+
+    orbits.enumerate_case_clans = timed_enumeration
     start = time.process_time()
     poset = weak_order_graph(case)
+    weak_s = time.process_time() - start
     print(json.dumps({"orbits": len(poset.nodes), "weak_edges": len(poset.weak_edges),
-                      "weak_s": round(time.process_time() - start, 3),
+                      "weak_s": round(weak_s, 3), "enumerate_s": round(sum(enumerate_s), 3),
                       "peak_rss_mib": _peak_rss_mib()}), flush=True)
     start = time.process_time()
     report = check_conjecture(full_closure_order(poset))

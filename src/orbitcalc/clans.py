@@ -3,26 +3,32 @@
 A clan of shape ``(p, q)`` is a string of length ``n = p + q`` whose entries are
 ``'+'``, ``'-'``, or pair labels, each pair label occurring exactly twice, with
 ``#(+) - #(-) = p - q``.  Two clans are equal exactly when their sign positions
-(and signs) agree and their pair labels induce the same matching of positions,
-so every clan is stored in canonical form: pair labels are renumbered
-``1, 2, ...`` in order of first occurrence.
+(and signs) agree and their pair labels induce the same matching of positions.
+
+A clan is stored as its mate code: its symbols with every sign kept and every
+pair symbol replaced by the 0-based position of its mate.  Mate codes need no
+relabelling, and two clans of one shape are equal exactly when their codes
+are.  Labels exist only at the edges: :func:`make_clan` and :func:`parse_clan`
+turn labelled input into a code once, and ``Clan.to_text`` and
+``Clan.sort_key`` number the pairs 1, 2, ... by first occurrence, for output
+and for the canonical-string order.
 
 The module also provides the rank-number tables of a clan and their order,
 enumeration of all clans of a shape, the symmetry predicates, the table
 ``CASES`` of the seven supported symmetric pairs, and ``Record``, the
 immutable base of the package's value classes.
 
-Type A enumerates every clan of its shape.  The six folded families are
-enumerated directly: a walk fills positions left to right, each choice
-together with its image under the fold i -> N + 1 - i, and
-``in_case_family`` then applies the per-family bars to the few mirror or
-skew clans this yields.
+Type A enumerates every clan of its shape.  The six folded families fill
+the codes of their family directly: a walk fills positions left to right,
+each choice together with its image under the fold j -> N - 1 - j, and
+admits only what the family's bars allow.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import sys
 from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
@@ -138,76 +144,24 @@ class CheckError(ValueError):
     """Base of the errors raised when a consistency or verification check fails."""
 
 
-def _canonical(symbols) -> tuple:
-    """The symbols with their pair labels renumbered 1, 2, ... by first occurrence."""
-    relabel: dict = {}
-    return tuple([relabel.setdefault(s, len(relabel) + 1) if isinstance(s, int) else s
-                  for s in symbols])
-
-
-def _token_sort_key(sym) -> tuple[int, int]:
-    """Sort key for canonical-string ordering: '+' < '-' < pair labels by number."""
-    if sym == PLUS:
-        return (0, 0)
-    if sym == MINUS:
-        return (1, 0)
-    return (2, sym)
-
-
 class Clan(Record):
-    """A canonical clan.  Build instances with :func:`make_clan` or :func:`parse_clan`."""
+    """A clan, stored as its mate code ``mates`` (see the module docstring).
+    ``Clan(mates, p, q)`` trusts its code; build a clan from labelled
+    symbols with :func:`make_clan` or :func:`parse_clan`."""
 
-    __slots__ = ("symbols", "p", "q", "_hash")
-    _fields = ("symbols", "p", "q")
+    __slots__ = ("mates", "p", "q", "_hash")
+    _fields = ("mates", "p", "q")
 
-    def __init__(self, symbols: tuple, p: int, q: int) -> None:
-        if p < 0 or q < 0 or p + q < 1:
-            raise ClanError(f"invalid shape ({p}, {q})")
-        if len(symbols) != p + q:
-            raise ClanError(
-                f"clan has {len(symbols)} symbols but shape ({p}, {q}) needs {p + q}"
-            )
-        counts: dict = {}
-        n_plus = n_minus = 0
-        for sym in symbols:
-            if sym == PLUS:
-                n_plus += 1
-            elif sym == MINUS:
-                n_minus += 1
-            elif isinstance(sym, int):
-                counts[sym] = counts.get(sym, 0) + 1
-            else:
-                raise ClanError(f"invalid clan symbol {sym!r}")
-        for label, cnt in counts.items():
-            if cnt != 2:
-                raise ClanError(f"pair label {label} occurs {cnt} times (needs exactly 2)")
-        if n_plus - n_minus != p - q:
-            raise ClanError(
-                f"sign counts (+{n_plus}, -{n_minus}) incompatible with shape ({p}, {q})"
-            )
-        self._fill(symbols, p, q)
-
-    def _fill(self, symbols, p: int, q: int) -> None:
-        symbols = _canonical(symbols)
-        object.__setattr__(self, "symbols", symbols)
+    def __init__(self, mates: tuple, p: int, q: int) -> None:
+        object.__setattr__(self, "mates", mates)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_hash", hash((symbols, p, q)))
-
-    @classmethod
-    def _image(cls, symbols, p: int, q: int) -> "Clan":
-        """The clan of symbols built to form one of shape (p, q): an
-        enumeration's fill, or the image of a clan under a position
-        permutation or a window move.  Pairs are relabelled; nothing is
-        checked, since such an image is a clan whenever its source is."""
-        c = object.__new__(cls)
-        c._fill(symbols, p, q)
-        return c
+        object.__setattr__(self, "_hash", hash((mates, p, q)))
 
     def __eq__(self, other):
         if other.__class__ is not Clan:
             return NotImplemented
-        return self.symbols == other.symbols and self.p == other.p and self.q == other.q
+        return self.mates == other.mates and self.p == other.p and self.q == other.q
 
     def __hash__(self) -> int:
         return self._hash
@@ -220,48 +174,57 @@ class Clan(Record):
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Matched position pairs (a, b) with a < b, 1-based, sorted by a."""
-        first: dict[int, int] = {}
-        out = []
-        for pos, sym in enumerate(self.symbols, start=1):
-            if isinstance(sym, int):
-                if sym in first:
-                    out.append((first[sym], pos))
-                else:
-                    first[sym] = pos
-        return tuple(sorted(out))
+        return tuple((a + 1, b + 1) for a, b in enumerate(self.mates)
+                     if b.__class__ is int and b > a)
+
+    def _labels(self) -> list:
+        """The symbols for output: pairs labelled 1, 2, ... by first occurrence."""
+        out = list(self.mates)
+        label = 0
+        for j, x in enumerate(self.mates):
+            if x.__class__ is int and x > j:
+                label += 1
+                out[j] = out[x] = label
+        return out
 
     def to_text(self) -> str:
-        out = []
-        for sym in self.symbols:
-            if sym == PLUS or sym == MINUS:
-                out.append(sym)
-            elif sym < 10:
-                out.append(str(sym))
-            else:
-                out.append(f"({sym})")
-        return "".join(out)
+        return "".join(s if s.__class__ is str else str(s) if s < 10 else f"({s})"
+                       for s in self._labels())
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.to_text()
 
     def sort_key(self) -> tuple:
-        """Deterministic ordering key: '+' < '-' < pair labels."""
-        return tuple(_token_sort_key(sym) for sym in self.symbols)
+        """Deterministic ordering key, that of the canonical strings:
+        '+' < '-' < pair labels by number."""
+        return tuple([0 if s == PLUS else 1 if s == MINUS else s + 1 for s in self._labels()])
 
 
 def make_clan(symbols: Sequence, p: int, q: int) -> Clan:
-    """Build a clan from a symbol sequence ('+', '-', or hashable pair labels)."""
-    # Accept arbitrary hashable pair labels; map them to ints first.
-    relabel: dict = {}
-    out = []
-    for sym in symbols:
-        if sym == PLUS or sym == MINUS:
-            out.append(sym)
-        else:
-            if sym not in relabel:
-                relabel[sym] = len(relabel) + 1
-            out.append(relabel[sym])
-    return Clan(tuple(out), p, q)
+    """Build a clan from a symbol sequence ('+', '-', or hashable pair
+    labels), checking it against the shape (p, q)."""
+    if p < 0 or q < 0 or p + q < 1:
+        raise ClanError(f"invalid shape ({p}, {q})")
+    if len(symbols) != p + q:
+        raise ClanError(
+            f"clan has {len(symbols)} symbols but shape ({p}, {q}) needs {p + q}"
+        )
+    mates = list(symbols)
+    at: dict = {}  # pair label -> its positions, labels by first occurrence
+    for j, sym in enumerate(symbols):
+        if sym != PLUS and sym != MINUS:
+            at.setdefault(sym, []).append(j)
+    for number, places in enumerate(at.values(), start=1):
+        if len(places) != 2:
+            raise ClanError(f"pair label {number} occurs {len(places)} times (needs exactly 2)")
+        a, b = places
+        mates[a], mates[b] = b, a
+    n_plus, n_minus = mates.count(PLUS), mates.count(MINUS)
+    if n_plus - n_minus != p - q:
+        raise ClanError(
+            f"sign counts (+{n_plus}, -{n_minus}) incompatible with shape ({p}, {q})"
+        )
+    return Clan(tuple(mates), p, q)
 
 
 _TOKEN_RE = re.compile(r"\+|-|[0-9]|\((\d+)\)")
@@ -330,27 +293,26 @@ def rank_table(c: Clan) -> RankTable:
     After position i, ``closes[t]`` is 1 exactly when a pair opened at or
     before i closes at t > i, so crossing row i is the suffix sums of
     ``closes`` beyond each j > i."""
-    symbols = c.symbols
-    n = len(symbols)
-    close_at = {s: t for t, s in enumerate(symbols, start=1) if s.__class__ is int}
-    closes = [0] * (n + 1)
+    mates = c.mates
+    n = len(mates)
+    closes = [0] * n
     plus, minus, cross = [], [], []
     n_plus = n_minus = 0
-    for i, s in enumerate(symbols, start=1):
-        if s == PLUS:
+    for i, x in enumerate(mates):  # 0-based
+        if x == PLUS:
             n_plus += 1
-        elif s == MINUS:
+        elif x == MINUS:
             n_minus += 1
-        elif close_at[s] == i:
+        elif x < i:
             n_plus += 1
             n_minus += 1
         else:
-            closes[close_at[s]] = 1
+            closes[x] = 1
         plus.append(n_plus)
         minus.append(n_minus)
-        if i < n:
-            # closes[n], ..., closes[i + 2] summed: the entries for j = n - 1 .. i + 1
-            row = [0, *itertools.accumulate(closes[n:i + 1:-1])]
+        if i < n - 1:
+            # closes[n - 1], ..., closes[i + 2] summed: the entries for j = n - 2 .. i + 1
+            row = [0, *itertools.accumulate(closes[n - 1:i + 1:-1])]
             row.reverse()
             cross.append(tuple(row))
     return RankTable(tuple(plus), tuple(minus), tuple(cross))
@@ -381,17 +343,17 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
     n = p + q
     out = []
     for m in range(0, min(p, q) + 1):
-        for pair_positions in itertools.combinations(range(1, n + 1), 2 * m):
-            rest = [i for i in range(1, n + 1) if i not in pair_positions]
+        for pair_positions in itertools.combinations(range(n), 2 * m):
+            rest = [i for i in range(n) if i not in pair_positions]
             for matching in _matchings(pair_positions):
+                paired: list = [MINUS] * n
+                for a, b in matching:
+                    paired[a], paired[b] = b, a
                 for plus_positions in itertools.combinations(rest, p - m):
-                    symbols: list = [MINUS] * n
-                    for pos in plus_positions:
-                        symbols[pos - 1] = PLUS
-                    for label, (a, b) in enumerate(matching, start=1):
-                        symbols[a - 1] = label
-                        symbols[b - 1] = label
-                    out.append(Clan._image(symbols, p, q))
+                    mates = paired.copy()
+                    for j in plus_positions:
+                        mates[j] = PLUS
+                    out.append(Clan(tuple(mates), p, q))
     out.sort(key=Clan.sort_key)
     return tuple(out)
 
@@ -401,20 +363,26 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
 # ---------------------------------------------------------------------------
 
 
-def is_symmetric(c: Clan) -> bool:
-    """True when the clan equals its own reversal (signs mirror, matching mirrored)."""
-    return _canonical(c.symbols[::-1]) == c.symbols
-
-
+_SAME = {PLUS: PLUS, MINUS: MINUS}
 _NEGATE = {PLUS: MINUS, MINUS: PLUS}
 
 
+def _fold_fixes(mates: Sequence, signs: dict) -> bool:
+    """Whether the fold j -> N - 1 - j fixes the code, the fold taking each
+    sign to its image in ``signs`` and a pair (a, b) to (N - 1 - b, N - 1 - a)."""
+    last = len(mates) - 1
+    return all(y == (signs[x] if x.__class__ is str else last - x)
+               for x, y in zip(mates, reversed(mates)))
+
+
+def is_symmetric(c: Clan) -> bool:
+    """True when the clan equals its own reversal (signs mirror, matching mirrored)."""
+    return _fold_fixes(c.mates, _SAME)
+
+
 def is_skew_symmetric(c: Clan) -> bool:
-    """True when the reversal equals the sign-negated clan: negating signs
-    keeps the pair labels, so the negated reversal, relabelled, is ``c``."""
-    if c.p != c.q:
-        return False
-    return _canonical([_NEGATE.get(s, s) for s in reversed(c.symbols)]) == c.symbols
+    """True when the reversal equals the sign-negated clan."""
+    return c.p == c.q and _fold_fixes(c.mates, _NEGATE)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +421,8 @@ class CaseId(Record):
         # grank: the rank of the ambient group (the number of x/y variables),
         # which is the clan length, halved for the folded families
         P, Q = row.shape(p, q)
+        if P + Q > sys.maxsize:
+            raise ClanError(f"rank {max(p, q)} is too large for case {self.tag}")
         n = P + Q if row.symmetry == "none" else (P + Q) // 2
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "ambient_shape", (P, Q))
@@ -494,17 +464,23 @@ def case_from_params(tag: str, p: int | None = None, q: int | None = None) -> Ca
 
 
 def _has_self_mirror_pair(c: Clan) -> bool:
-    """Whether a pair sits at positions a and N + 1 - a (the middle of an
-    odd-length clan must hold a sign)."""
-    s = c.symbols
-    return any(x == y and isinstance(x, int) for x, y in zip(s, reversed(s)))
+    """Whether a pair sits at positions a and N - 1 - a (0-based)."""
+    last = c.n - 1
+    return any(x == last - j for j, x in enumerate(c.mates))
+
+
+def _middle_minus_rank(mates: Sequence, n: int) -> int:
+    """The minus rank at position n, ``rank_table(c).minus[n - 1]``: the
+    minus signs and the closed pairs among the first n positions."""
+    return sum(x == MINUS if x.__class__ is str else x < j for j, x in enumerate(mates[:n]))
 
 
 def in_case_family(case: CaseId, c: Clan) -> bool:
     """Whether the clan labels an orbit of the given case.
 
     A self-mirror pair (positions a + b = N + 1, N the clan length) is barred
-    for mirror clans in type C and for skew clans in type D."""
+    for mirror clans in type C and for skew clans in type D, and a type-D
+    skew clan has an even minus rank at the middle."""
     if (c.p, c.q) != case.ambient_shape:
         return False
     row = case.row
@@ -516,69 +492,76 @@ def in_case_family(case: CaseId, c: Clan) -> bool:
         return False
     if row.family == "C":
         return True
-    if _has_self_mirror_pair(c):
-        return False
-    # the minus rank at the middle, rank_table(c).minus[n - 1], is even
-    n = case.grank
-    closed = sum(1 for _, b in c.pairs() if b <= n)
-    return (c.symbols[:n].count(MINUS) + closed) % 2 == 0
+    return not _has_self_mirror_pair(c) and _middle_minus_rank(c.mates, case.grank) % 2 == 0
 
 
-def _folded_clans(P: int, Q: int, skew: bool) -> Iterator[Clan]:
-    """Every clan of shape (P, Q) fixed by the fold i -> N + 1 - i, N = P + Q.
+def _folded_clans(case: CaseId) -> Iterator[tuple]:
+    """The mate code of every clan of a folded case's family.
 
-    The fold keeps a sign of a mirror clan and flips a sign of a skew clan,
-    and sends a pair (a, b) to the pair (N + 1 - b, N + 1 - a).  Positions are
-    filled left to right, each choice together with its image, so the open
-    positions always lie between the leftmost open one and its image.  The
-    middle of an odd-length clan is its own image and holds a sign.
+    These are the clans of the case's shape fixed by the fold
+    j -> N - 1 - j (0-based, N the clan length), which keeps a sign of a
+    mirror clan and flips a sign of a skew clan, and sends a pair (a, b) to
+    the pair (N - 1 - b, N - 1 - a).  Positions are filled left to right,
+    each choice together with its image, so the open positions always lie
+    between the leftmost open one and its image.  The middle of an
+    odd-length clan is its own image and holds a sign.  The walk admits
+    what :func:`in_case_family` does: a self-mirror pair only where the
+    family allows one, a partial code only while its open positions can
+    still balance its signs, and in a type-D skew family a full code only
+    when its minus rank at the middle is even.
     """
+    P, Q = case.ambient_shape
     N = P + Q
-    image = _NEGATE if skew else {PLUS: PLUS, MINUS: MINUS}
-    syms: list = [None] * N
+    skew = case.row.symmetry == "skew"
+    image = _NEGATE if skew else _SAME
+    self_mirror = (case.family, skew) not in (("C", False), ("D", True))
+    even_middle = skew and case.family == "D"
+    mates: list = [None] * N
 
-    def fill(i: int, label: int) -> Iterator[Clan]:
-        while i < N and syms[i] is not None:
-            i += 1
-        if i == N:
-            if syms.count(PLUS) - syms.count(MINUS) == P - Q:
-                yield Clan._image(syms, P, Q)
+    def fill(i: int, balance: int, left: int) -> Iterator[tuple]:
+        # balance: '+' signs less '-' signs so far; left: the open positions
+        if abs(P - Q - balance) > left:
             return
+        if not left:
+            if not (even_middle and _middle_minus_rank(mates, case.grank) % 2):
+                yield tuple(mates)
+            return
+        while mates[i] is not None:
+            i += 1
         i_bar = N - 1 - i
-        for s in (PLUS, MINUS):
-            syms[i_bar] = image[s]
-            syms[i] = s
-            yield from fill(i + 1, label)
-        syms[i] = syms[i_bar] = None
+        width = 1 if i == i_bar else 2
+        step = 0 if skew else width
+        for s, change in ((PLUS, step), (MINUS, -step)):
+            mates[i_bar] = image[s]
+            mates[i] = s
+            yield from fill(i + 1, balance + change, left - width)
+        mates[i] = mates[i_bar] = None
         for j in range(i + 1, i_bar + 1):
             j_bar = N - 1 - j
-            if syms[j] is not None or j == j_bar:  # j == j_bar: the middle
+            # j == j_bar: the middle; j == i_bar: a self-mirror pair
+            if mates[j] is not None or j == j_bar or (j == i_bar and not self_mirror):
                 continue
-            syms[i] = syms[j] = label
-            if j == i_bar:  # a self-mirror pair
-                yield from fill(i + 1, label + 1)
+            mates[i], mates[j] = j, i
+            if j == i_bar:
+                yield from fill(i + 1, balance, left - 2)
             else:
-                syms[j_bar] = syms[i_bar] = label + 1
-                yield from fill(i + 1, label + 2)
-                syms[j_bar] = syms[i_bar] = None
-            syms[i] = syms[j] = None
+                mates[j_bar], mates[i_bar] = i_bar, j_bar
+                yield from fill(i + 1, balance, left - 4)
+                mates[j_bar] = mates[i_bar] = None
+            mates[i] = mates[j] = None
 
-    return fill(0, 1)
+    return fill(0, 0, N)
 
 
 def enumerate_case_clans(case: CaseId) -> tuple[Clan, ...]:
     """All clans of the case's family, in canonical-string order.
 
-    Type A takes every clan of its shape.  The folded families build the
-    mirror or skew clans of their shape directly and keep those
-    :func:`in_case_family` admits."""
+    Type A takes every clan of its shape; the folded families take the
+    codes :func:`_folded_clans` fills."""
     P, Q = case.ambient_shape
     if case.row.symmetry == "none":
         return enumerate_clans(P, Q)
-    found = [c for c in _folded_clans(P, Q, case.row.symmetry == "skew")
-             if in_case_family(case, c)]
-    found.sort(key=Clan.sort_key)
-    return tuple(found)
+    return tuple(sorted((Clan(m, P, Q) for m in _folded_clans(case)), key=Clan.sort_key))
 
 
 # ---------------------------------------------------------------------------

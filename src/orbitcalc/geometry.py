@@ -120,33 +120,28 @@ def representative_flag(c: Clan) -> Flag:
     opening position and -e_a + e_b at its closing position."""
     n = c.n
     p = c.p
-    mate = {}
-    for a, b in c.pairs():
-        mate[a], mate[b] = b, a
     next_plus = 1
     next_minus = p + 1
-    slot = [0] * (n + 1)
-    for i, s in enumerate(c.symbols, start=1):
-        if s == "+" or mate.get(i, 0) > i:
-            slot[i] = next_plus
+    slot = []  # by 0-based position
+    for i, j in enumerate(c.mates):
+        if j == "+" or (j.__class__ is int and j > i):
+            slot.append(next_plus)
             next_plus += 1
         else:
-            slot[i] = next_minus
+            slot.append(next_minus)
             next_minus += 1
     vectors: list[Vector] = []
-    for i, s in enumerate(c.symbols, start=1):
-        if s in ("+", "-"):
+    for i, j in enumerate(c.mates):
+        if j.__class__ is str:
             vectors.append(_basis_vector(n, slot[i]))
+        elif j > i:
+            ea = _basis_vector(n, slot[i])
+            eb = _basis_vector(n, slot[j])
+            vectors.append(tuple(a + b for a, b in zip(ea, eb)))
         else:
-            j = mate[i]
-            if j > i:
-                ea = _basis_vector(n, slot[i])
-                eb = _basis_vector(n, slot[j])
-                vectors.append(tuple(a + b for a, b in zip(ea, eb)))
-            else:
-                ea = _basis_vector(n, slot[j])
-                eb = _basis_vector(n, slot[i])
-                vectors.append(tuple(b - a for a, b in zip(ea, eb)))
+            ea = _basis_vector(n, slot[j])
+            eb = _basis_vector(n, slot[i])
+            vectors.append(tuple(b - a for a, b in zip(ea, eb)))
     return Flag(tuple(vectors))
 
 

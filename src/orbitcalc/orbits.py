@@ -1,16 +1,14 @@
 """Weak order moves, cross action, the weak-order graph with edge degrees,
 the full closure order via saturation, and the order-comparison checker.
 
-The weak-order graph moves orbits by place.  Each clan of the case is given
-its mate code: its symbols with every sign kept and every pair symbol
-replaced by the 0-based position of its mate.  Mate codes need no
-relabelling, and two clans of one shape are equal exactly when their codes
-are.  A simple root acts on a code through a short schedule of two-position
-windows (the windows a simple reflection swaps: one in type A, a window and
-its mirror in the folded families, a middle window in types B and C and two
-at the branched end of type D, and at the middle root of type B the braid of
-windows around the fixed middle), each of which fires exactly when the
-standard one-sided rule ascends.  A fired window swaps two entries and
+The weak-order graph moves orbits by place, on their mate codes (a clan's
+``mates``, described in :mod:`orbitcalc.clans`).  A simple root acts on a
+code through a short schedule of two-position windows (the windows a
+simple reflection swaps: one in type A, a window and its mirror in the
+folded families, a middle window in types B and C and two at the branched
+end of type D, and at the middle root of type B the braid of windows
+around the fixed middle), each of which fires exactly when the standard
+one-sided rule ascends.  A fired window swaps two entries and
 repoints their mates.  A folded image may leave the case's family; it is
 then no node's code, and the move is not applicable.
 
@@ -51,23 +49,8 @@ def simple_root_indices(case: CaseId) -> range:
 
 
 # ---------------------------------------------------------------------------
-# Mate codes and the weak move
+# The weak move
 # ---------------------------------------------------------------------------
-
-
-def _mate_code(symbols: Sequence) -> tuple:
-    """The clan's symbols with each pair symbol replaced by the 0-based
-    position of its mate; signs stay."""
-    code = list(symbols)
-    opened: dict[int, int] = {}
-    for j, s in enumerate(symbols):
-        if s.__class__ is int:
-            k = opened.pop(s, None)
-            if k is None:
-                opened[s] = j
-            else:
-                code[j], code[k] = k, j
-    return tuple(code)
 
 
 def _root_windows(case: CaseId, i: int) -> tuple[tuple[int, int], ...]:
@@ -166,7 +149,7 @@ def _cross_table(case: CaseId, nodes: Sequence[Clan]) -> dict[int, tuple[int, ..
     """For each simple root i, the place in ``nodes`` of each node's cross
     image under s_i.  Nodes share one shape, so their mate codes tell them
     apart."""
-    codes = [_mate_code(c.symbols) for c in nodes]
+    codes = [c.mates for c in nodes]
     place = {m: k for k, m in enumerate(codes)}
     return {i: tuple([place[_cross(m, source)] for m in codes])
             for i, source in root_permutations(case).items()}
@@ -243,7 +226,7 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
     within a rank, and the edges by their source's place among them, then
     by root."""
     clans = enumerate_case_clans(case)
-    codes = [_mate_code(c.symbols) for c in clans]
+    codes = [c.mates for c in clans]
     place = {m: k for k, m in enumerate(codes)}
     perms = root_permutations(case)
     roots = [(i, windows, perms[i]) for i, windows in move_schedules(case).items()]

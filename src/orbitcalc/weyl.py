@@ -191,7 +191,7 @@ def closed_orbit_fixed_points(case: CaseId, c: Clan) -> tuple[Weyl, ...]:
         if abs(w[n - 1]) != u:
             continue
         ok = all(
-            (abs(w[i - 1]) < u) == (c.symbols[i - 1] == "+") for i in range(1, n)
+            (abs(w[i - 1]) < u) == (c.mates[i - 1] == "+") for i in range(1, n)
         )
         if ok:
             out.append(w)
@@ -227,14 +227,14 @@ def distinguished_representative(case: CaseId, c: Clan) -> Weyl:
     if case.uncovered:
         (u,) = case.uncovered
         plus, minus = iter(range(1, u)), iter(range(u + 1, n + 1))
-        return tuple(next(plus if s == "+" else minus) for s in c.symbols[:n - 1]) + (u,)
+        return tuple(next(plus if s == "+" else minus) for s in c.mates[:n - 1]) + (u,)
     if symmetry == "none":
         plus, minus = iter(range(1, p + 1)), iter(range(p + 1, n + 1))
     elif symmetry == "mirror":
         plus, minus = iter(range(-p, 0)), iter(range(-n, -p))
     else:  # the '+' and '-' positions together use each |value| once
         plus, minus = iter(range(1, n + 1)), iter(range(-n, 0))
-    w = [next(plus if s == "+" else minus) for s in c.symbols[:n]]
+    w = [next(plus if s == "+" else minus) for s in c.mates[:n]]
     if symmetry == "mirror" and case.family == "D" and n % 2:
         w[-1] = -w[-1]
     return tuple(w)

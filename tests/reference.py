@@ -1,11 +1,14 @@
 """Reference code the tests share: routines no command of orbitcalc runs,
 kept here as checks on the code that does.
 
-* ``clans``: the cases of every family up to a rank, the inverse of
-  ``rank_table`` and the covering moves, a third description of the
-  rank-number order, the counting ``rank_table`` that the one-pass table
-  replaced, and the reversed and negated clans that define the symmetric
-  and skew clans;
+* ``clans``: clans as canonical labelled symbols, the representation that
+  mate codes replaced, with its text, sort key, symmetry predicates,
+  family check and enumerations (type A and the folded walk), the
+  differential reference for the code-level ones; the cases of every
+  family up to a rank, the inverse of ``rank_table`` and the covering
+  moves, a third description of the rank-number order, the counting
+  ``rank_table`` that the one-pass table replaced, and the reversed and
+  negated clans that define the symmetric and skew clans;
 * ``orbits``: the cross action of a whole Weyl element, the set-based
   saturation and order comparison that the bitset versions replaced, and
   the weak-order graph that validates every clan it builds: its weak move
@@ -41,7 +44,7 @@ import math
 from fractions import Fraction
 from graphlib import TopologicalSorter
 from operator import add
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from orbitcalc.clans import (
     CASES,
@@ -52,7 +55,6 @@ from orbitcalc.clans import (
     ClanError,
     RankTable,
     enumerate_case_clans,
-    enumerate_clans,
     in_case_family,
     make_clan,
     rank_table,
@@ -97,6 +99,180 @@ from orbitcalc.weyl import (
     weyl_inverse,
     weyl_order,
 )
+
+
+# ---------------------------------------------------------------------------
+# Clans as canonical labelled symbols
+# ---------------------------------------------------------------------------
+
+SIGNS = (PLUS, MINUS)
+
+
+def canonical(symbols) -> tuple:
+    """The symbols with their pair labels renumbered 1, 2, ... by first occurrence."""
+    relabel: dict = {}
+    return tuple([s if s in SIGNS else relabel.setdefault(s, len(relabel) + 1)
+                  for s in symbols])
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def clan_symbols(c: Clan) -> tuple:
+    """The canonical symbols of a clan: each pair labelled by the position
+    of its left end, then renumbered by first occurrence."""
+    return canonical([s if s in SIGNS else min(j, s) for j, s in enumerate(c.mates)])
+
+
+def mate_code(symbols) -> tuple:
+    """The mate code of labelled symbols, each mate found by a search."""
+    return tuple(s if s in SIGNS else next(k for k, t in enumerate(symbols) if t == s and k != j)
+                 for j, s in enumerate(symbols))
+
+
+def symbols_text(symbols) -> str:
+    """The text of canonical symbols: labels above 9 in parentheses."""
+    return "".join(s if s in SIGNS else str(s) if s < 10 else f"({s})" for s in symbols)
+
+
+def _token_sort_key(sym) -> tuple[int, int]:
+    if sym == PLUS:
+        return (0, 0)
+    if sym == MINUS:
+        return (1, 0)
+    return (2, sym)
+
+
+def symbols_sort_key(symbols) -> tuple:
+    """Canonical-string order: '+' < '-' < pair labels by number."""
+    return tuple(_token_sort_key(s) for s in symbols)
+
+
+def label_pairs(symbols) -> tuple[tuple[int, int], ...]:
+    """Matched position pairs (a, b), a < b, 1-based, sorted by a."""
+    first: dict = {}
+    out = []
+    for pos, sym in enumerate(symbols, start=1):
+        if sym not in SIGNS:
+            if sym in first:
+                out.append((first[sym], pos))
+            else:
+                first[sym] = pos
+    return tuple(sorted(out))
+
+
+def _matchings(positions: tuple[int, ...]):
+    """All perfect matchings of an even-size position tuple."""
+    if not positions:
+        yield ()
+        return
+    first, rest = positions[0], positions[1:]
+    for k, other in enumerate(rest):
+        for sub in _matchings(rest[:k] + rest[k + 1:]):
+            yield ((first, other),) + sub
+
+
+def label_enumerate_clans(p: int, q: int) -> list[tuple]:
+    """The canonical symbols of every clan of shape (p, q), in
+    canonical-string order."""
+    n = p + q
+    out = []
+    for m in range(0, min(p, q) + 1):
+        for pair_positions in itertools.combinations(range(1, n + 1), 2 * m):
+            rest = [i for i in range(1, n + 1) if i not in pair_positions]
+            for matching in _matchings(pair_positions):
+                for plus_positions in itertools.combinations(rest, p - m):
+                    symbols: list = [MINUS] * n
+                    for pos in plus_positions:
+                        symbols[pos - 1] = PLUS
+                    for label, (a, b) in enumerate(matching, start=1):
+                        symbols[a - 1] = symbols[b - 1] = label
+                    out.append(canonical(symbols))
+    out.sort(key=symbols_sort_key)
+    return out
+
+
+_NEGATE = {PLUS: MINUS, MINUS: PLUS}
+
+
+def label_is_symmetric(symbols: tuple) -> bool:
+    return canonical(symbols[::-1]) == symbols
+
+
+def label_is_skew_symmetric(symbols: tuple, p: int, q: int) -> bool:
+    return p == q and canonical([_NEGATE.get(s, s) for s in reversed(symbols)]) == symbols
+
+
+def label_has_self_mirror_pair(symbols: tuple) -> bool:
+    return any(x == y and x not in SIGNS for x, y in zip(symbols, reversed(symbols)))
+
+
+def label_in_case_family(case: CaseId, symbols: tuple, p: int, q: int) -> bool:
+    """``in_case_family`` on canonical symbols of shape (p, q)."""
+    if (p, q) != case.ambient_shape:
+        return False
+    row = case.row
+    if row.symmetry == "none":
+        return True
+    if row.symmetry == "mirror":
+        return label_is_symmetric(symbols) and not (
+            row.family == "C" and label_has_self_mirror_pair(symbols))
+    if not label_is_skew_symmetric(symbols, p, q):
+        return False
+    if row.family == "C":
+        return True
+    if label_has_self_mirror_pair(symbols):
+        return False
+    n = case.grank
+    closed = sum(1 for _, b in label_pairs(symbols) if b <= n)
+    return (symbols[:n].count(MINUS) + closed) % 2 == 0
+
+
+def label_folded_clans(P: int, Q: int, skew: bool) -> Iterator[tuple]:
+    """The canonical symbols of every clan of shape (P, Q) fixed by the fold
+    i -> N + 1 - i, filled left to right with each choice's image."""
+    N = P + Q
+    image = _NEGATE if skew else {PLUS: PLUS, MINUS: MINUS}
+    syms: list = [None] * N
+
+    def fill(i: int, label: int) -> Iterator[tuple]:
+        while i < N and syms[i] is not None:
+            i += 1
+        if i == N:
+            if syms.count(PLUS) - syms.count(MINUS) == P - Q:
+                yield canonical(syms)
+            return
+        i_bar = N - 1 - i
+        for s in SIGNS:
+            syms[i_bar] = image[s]
+            syms[i] = s
+            yield from fill(i + 1, label)
+        syms[i] = syms[i_bar] = None
+        for j in range(i + 1, i_bar + 1):
+            j_bar = N - 1 - j
+            if syms[j] is not None or j == j_bar:
+                continue
+            syms[i] = syms[j] = label
+            if j == i_bar:
+                yield from fill(i + 1, label + 1)
+            else:
+                syms[j_bar] = syms[i_bar] = label + 1
+                yield from fill(i + 1, label + 2)
+                syms[j_bar] = syms[i_bar] = None
+            syms[i] = syms[j] = None
+
+    return fill(0, 1)
+
+
+def label_enumerate_case_clans(case: CaseId) -> list[tuple]:
+    """The canonical symbols of the case's family in canonical-string
+    order: every clan of the shape in type A, else the fold-fixed clans
+    that :func:`label_in_case_family` admits."""
+    P, Q = case.ambient_shape
+    if case.row.symmetry == "none":
+        return label_enumerate_clans(P, Q)
+    found = [s for s in label_folded_clans(P, Q, case.row.symmetry == "skew")
+             if label_in_case_family(case, s, P, Q)]
+    found.sort(key=symbols_sort_key)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +343,7 @@ def clan_from_rank_table(t: RankTable) -> Clan:
         raise ClanError("rank table leaves unmatched pair openings")
     p = t.plus[-1]
     q = t.minus[-1]
-    clan = Clan(tuple(symbols), p, q)
+    clan = make_clan(symbols, p, q)
     if rank_table(clan) != t:
         raise ClanError("rank table is not realized by any clan")
     return clan
@@ -176,12 +352,13 @@ def clan_from_rank_table(t: RankTable) -> Clan:
 def counting_rank_table(c: Clan) -> RankTable:
     """The rank-number table, each entry counted from scratch."""
     n = c.n
-    pairs = c.pairs()
+    symbols = clan_symbols(c)
+    pairs = label_pairs(symbols)
     plus = []
     minus = []
     for i in range(1, n + 1):
-        np_ = sum(1 for s in c.symbols[:i] if s == PLUS)
-        nm = sum(1 for s in c.symbols[:i] if s == MINUS)
+        np_ = sum(1 for s in symbols[:i] if s == PLUS)
+        nm = sum(1 for s in symbols[:i] if s == MINUS)
         complete = sum(1 for (a, b) in pairs if b <= i)
         plus.append(np_ + complete)
         minus.append(nm + complete)
@@ -210,8 +387,8 @@ def covering_moves(c: Clan) -> tuple[tuple[str, tuple[int, ...], Clan], ...]:
     - ``crossing-to-nesting`` (a, b, cpos, d): pairs (a,cpos),(b,d), a<b<cpos<d -> (a,d),(b,cpos).
     """
     n = c.n
-    syms = c.symbols
-    pairs = c.pairs()
+    syms = clan_symbols(c)
+    pairs = label_pairs(syms)
     out = []
 
     def build(new_syms: list) -> Clan:
@@ -294,13 +471,12 @@ def covering_successors(c: Clan) -> frozenset[Clan]:
 
 def reversed_clan(c: Clan) -> Clan:
     """The clan read right-to-left (pair structure mirrored)."""
-    return Clan(tuple(reversed(c.symbols)), c.p, c.q)
+    return make_clan(clan_symbols(c)[::-1], c.p, c.q)
 
 
 def negated_clan(c: Clan) -> Clan:
     """The clan with '+' and '-' exchanged; shape becomes (q, p)."""
-    flip = {PLUS: MINUS, MINUS: PLUS}
-    return Clan(tuple(flip.get(s, s) for s in c.symbols), c.q, c.p)
+    return make_clan([_NEGATE.get(s, s) for s in clan_symbols(c)], c.q, c.p)
 
 
 def clan_is_symmetric(c: Clan) -> bool:
@@ -312,7 +488,7 @@ def clan_is_skew_symmetric(c: Clan) -> bool:
 
 
 def has_self_mirror_pair(c: Clan) -> bool:
-    return any(a + b == c.n + 1 for a, b in c.pairs())
+    return any(a + b == c.n + 1 for a, b in label_pairs(clan_symbols(c)))
 
 
 def clan_in_case_family(case: CaseId, c: Clan) -> bool:
@@ -476,18 +652,15 @@ def cross_action(case: CaseId, c: Clan, w: Weyl) -> Clan:
         sigma = embed_in_ambient(sigma, "odd" if case.ambient_len % 2 else "even")
     if len(sigma) != case.ambient_len:
         raise OrbitError("permutation length does not match the ambient clan length")
-    old = c.symbols
+    old = clan_symbols(c)
     new = [None] * len(old)
     for j, target in enumerate(sigma, start=1):
         new[target - 1] = old[j - 1]
-    return Clan(tuple(new), c.p, c.q)
+    return make_clan(new, c.p, c.q)
 
 
 def cross_action_simple(case: CaseId, c: Clan, i: int) -> Clan:
     return cross_action(case, c, simple_reflection(case.family, case.grank, i))
-
-
-SIGNS = (PLUS, MINUS)
 
 
 def clan_from_mates(code, p: int, q: int) -> Clan:
@@ -499,7 +672,7 @@ def clan_from_mates(code, p: int, q: int) -> Clan:
         if mate not in SIGNS and mate > j:
             label += 1
             symbols[j] = symbols[mate] = label
-    return Clan(tuple(symbols), p, q)
+    return make_clan(symbols, p, q)
 
 
 def _mate(symbols, pos: int) -> int:
@@ -554,7 +727,7 @@ def clan_weak_move(case: CaseId, c: Clan, i: int) -> Clan:
         raise OrbitError(f"simple root {i} out of range for case {case.tag}")
     n = case.grank
     N = case.ambient_len
-    symbols = list(c.symbols)
+    symbols = list(clan_symbols(c))
     if case.family == "A":
         moved = _apply_schedule(symbols, [(i, i + 1)])
     elif i < n:
@@ -577,21 +750,21 @@ def clan_weak_move(case: CaseId, c: Clan, i: int) -> Clan:
             moved = _apply_schedule(symbols, [(n, n + 1), (n + 1, n + 2), (n, n + 1)])
     if moved == symbols:
         return c
-    result = Clan(tuple(moved), c.p, c.q)
+    result = make_clan(moved, c.p, c.q)
     if case.family != "A" and not clan_in_case_family(case, result):
         return c
     return result
 
 
 def clan_weak_order_graph(case: CaseId) -> OrbitPoset:
-    """The weak-order graph from validated clans: the clans of the ambient
-    shape that :func:`clan_in_case_family` admits, with
-    :func:`clan_weak_move` edges whose degree is 2 where the embedded
-    simple reflection (:func:`ambient_source`, the permutation of
-    :func:`cross_action_simple`) fixes the source.  Nodes by rank, then
-    canonically; edges by their source's place, then by root."""
+    """The weak-order graph from validated clans: the clans of
+    :func:`label_enumerate_case_clans`, with :func:`clan_weak_move` edges
+    whose degree is 2 where the embedded simple reflection
+    (:func:`ambient_source`, the permutation of :func:`cross_action_simple`)
+    fixes the source.  Nodes by rank, then canonically; edges by their
+    source's place, then by root."""
     P, Q = case.ambient_shape
-    clans = [c for c in enumerate_clans(P, Q) if clan_in_case_family(case, c)]
+    clans = [make_clan(s, P, Q) for s in label_enumerate_case_clans(case)]
     sources = {i: ambient_source(case, i) for i in simple_root_indices(case)}
     edges = []
     below: dict[Clan, list[Clan]] = {c: [] for c in clans}
@@ -599,7 +772,8 @@ def clan_weak_order_graph(case: CaseId) -> OrbitPoset:
         for i, source in sources.items():
             dst = clan_weak_move(case, c, i)
             if dst != c:
-                crossed = Clan(tuple(c.symbols[j] for j in source), P, Q)
+                symbols = clan_symbols(c)
+                crossed = make_clan([symbols[j] for j in source], P, Q)
                 edges.append((c, dst, i, 2 if crossed == c else 1))
                 below[dst].append(c)
     rank: dict[Clan, int] = {}

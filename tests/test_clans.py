@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from orbitcalc.clans import (
     CASES,
+    MINUS,
     PLUS,
     CaseId,
     Clan,
     ClanError,
     RankTable,
+    _has_self_mirror_pair,
     enumerate_case_clans,
     enumerate_clans,
     in_case_family,
@@ -33,9 +35,13 @@ from orbitcalc.clans import (
 )
 from orbitcalc.orbits import full_closure_order, weak_order_graph
 from orbitcalc.poly import Ring
-from reference import (cases_up_to_rank, clan_from_rank_table, clan_is_skew_symmetric,
-                       clan_is_symmetric, counting_rank_table, covering_moves,
-                       covering_successors)
+from reference import (cases_up_to_rank, clan_from_mates, clan_from_rank_table,
+                       clan_in_case_family, clan_is_skew_symmetric, clan_is_symmetric,
+                       clan_symbols, counting_rank_table, covering_moves, covering_successors,
+                       has_self_mirror_pair, label_enumerate_case_clans, label_enumerate_clans,
+                       label_has_self_mirror_pair, label_in_case_family,
+                       label_is_skew_symmetric, label_is_symmetric, label_pairs, mate_code,
+                       symbols_text)
 
 DATA = Path(__file__).parent / "data"
 CENSUS_RANK5 = DATA / "census_folded_rank5.json"
@@ -148,7 +154,7 @@ def test_orbit_poset_equality_is_identity():
 
 
 def test_clan_repr():
-    assert repr(parse_clan("1+1", 2, 1)) == "Clan(symbols=(1, '+', 1), p=2, q=1)"
+    assert repr(parse_clan("1+1", 2, 1)) == "Clan(mates=(2, '+', 0), p=2, q=1)"
     assert repr(rank_table(parse_clan("+-", 1, 1))) == (
         "RankTable(plus=(1, 1), minus=(0, 1), cross=((0,),))")
 
@@ -255,8 +261,8 @@ def test_symmetry_examples():
 
 
 def test_symbol_level_symmetry_matches_reversed_and_negated_clans():
-    # the checks compare relabelled symbol tuples; the reference builds the
-    # reversed and the negated clan and compares clans
+    # the checks read mate codes; the reference builds the reversed and the
+    # negated clan and compares clans
     seen = {True: 0, False: 0}
     for n in range(1, 8):
         for p in range(n + 1):
@@ -271,7 +277,7 @@ def test_symbol_level_symmetry_matches_reversed_and_negated_clans():
 def test_symmetric_odd_length_has_middle_sign():
     for c in enumerate_clans(2, 3):
         if is_symmetric(c):
-            assert c.symbols[2] in ("+", "-")
+            assert c.mates[2] in ("+", "-")
 
 
 def test_case_family_counts():
@@ -358,6 +364,66 @@ def test_folded_rank5_census_matches_fixture():
 
 
 # ---------------------------------------------------------------------------
+# Mate codes against the labelled-symbol reference
+# ---------------------------------------------------------------------------
+
+# every case of every family with at most twelve positions; type A stops at
+# ten, as a(6,6) alone has 845,691 clans
+CODE_CASES = tuple(case for case in cases_up_to_rank(12)
+                   if case.ambient_len <= (10 if case.row.symmetry == "none" else 12))
+
+
+def test_code_cases_cover_every_family():
+    assert {case.tag for case in CODE_CASES} == set(CASES)
+    assert sum(case.row.symmetry != "none" for case in CODE_CASES) == 66
+    assert max(case.ambient_len for case in CODE_CASES) == 12
+
+
+@pytest.mark.parametrize("case", CODE_CASES, ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
+def test_enumeration_matches_the_label_reference(case):
+    # the codes filled directly, in order, against canonical labelled
+    # symbols enumerated, relabelled and sorted as strings
+    clans = enumerate_case_clans(case)
+    ref = label_enumerate_case_clans(case)
+    assert [clan_symbols(c) for c in clans] == ref
+    assert [c.mates for c in clans] == [mate_code(s) for s in ref]
+    assert [c.to_text() for c in clans] == [symbols_text(s) for s in ref]
+
+
+def test_code_predicates_match_the_label_reference():
+    # every clan of every shape with at most eight positions, inside and
+    # outside each family of that shape
+    by_shape: dict = {}
+    for case in cases_up_to_rank(8):
+        by_shape.setdefault(case.ambient_shape, []).append(case)
+    members = {True: 0, False: 0}
+    for n in range(1, 9):
+        for p in range(n + 1):
+            q = n - p
+            clans, ref = enumerate_clans(p, q), label_enumerate_clans(p, q)
+            assert [clan_symbols(c) for c in clans] == ref
+            other_shape = CaseId("a", p + 1, q)
+            for c, symbols in zip(clans, ref):
+                text = c.to_text()
+                assert c.mates == mate_code(symbols) and text == symbols_text(symbols)
+                assert c.pairs() == label_pairs(symbols), text
+                assert is_symmetric(c) == label_is_symmetric(symbols), text
+                assert is_skew_symmetric(c) == label_is_skew_symmetric(symbols, p, q), text
+                assert _has_self_mirror_pair(c) == has_self_mirror_pair(c), text
+                if label_is_symmetric(symbols) or label_is_skew_symmetric(symbols, p, q):
+                    # the labelled test reads a pair symbol at the middle as a pair
+                    assert _has_self_mirror_pair(c) == label_has_self_mirror_pair(symbols)
+                assert rank_table(c) == counting_rank_table(c), text
+                assert not in_case_family(other_shape, c)
+                for case in by_shape.get((p, q), ()):
+                    member = in_case_family(case, c)
+                    assert member == label_in_case_family(case, symbols, p, q), (case, text)
+                    assert member == clan_in_case_family(case, c), (case, text)
+                    members[member] += 1
+    assert min(members.values()) > 10_000
+
+
+# ---------------------------------------------------------------------------
 # Partial order
 # ---------------------------------------------------------------------------
 
@@ -425,7 +491,7 @@ def _expected_deltas(kind, pos, src):
 
     if kind == "signs-to-pair":
         a, b = pos
-        target = dplus if src.symbols[a - 1] == "+" else dminus
+        target = dplus if src.mates[a - 1] == "+" else dminus
         for i in range(a, b):
             target[i] -= 1
         add_cross(range(a, b), range(a + 1, b))
@@ -549,7 +615,7 @@ def random_clans(draw):
     plus_rest = rest[: p - m]
     for pos in rest:
         symbols[pos - 1] = "+" if pos in plus_rest else "-"
-    return Clan(tuple(symbols), p, q)
+    return make_clan(symbols, p, q)
 
 
 @given(random_clans())
@@ -561,18 +627,57 @@ def test_text_round_trip(c):
 @given(random_clans(), st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=100, deadline=None)
 def test_relabeling_invariance(c, seed):
-    labels = sorted({s for s in c.symbols if isinstance(s, int)})
+    symbols = clan_symbols(c)
+    labels = sorted({s for s in symbols if isinstance(s, int)})
     rng = random.Random(seed)
     shuffled = labels[:]
     rng.shuffle(shuffled)
     mapping = dict(zip(labels, shuffled))
     relabeled = make_clan(
-        [mapping.get(s, s) if isinstance(s, int) else s for s in c.symbols], c.p, c.q
+        [mapping.get(s, s) if isinstance(s, int) else s for s in symbols], c.p, c.q
     )
     assert relabeled == c
     assert is_symmetric(relabeled) == is_symmetric(c)
     assert is_skew_symmetric(relabeled) == is_skew_symmetric(c)
     assert rank_table(relabeled) == rank_table(c)
+
+
+# any hashable pair label but the two signs
+LABELS = st.one_of(
+    st.integers(),
+    st.text(min_size=1).filter(lambda t: t not in (PLUS, MINUS)),
+    st.tuples(st.integers(), st.booleans()),
+    st.frozensets(st.integers(), max_size=2),
+)
+
+
+@st.composite
+def labelled_symbols(draw):
+    """Symbols of a clan with at most twelve positions, its pairs under
+    distinct hashable labels in any order, with the clan's shape."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.integers(0, n // 2))
+    labels = draw(st.lists(LABELS, min_size=pairs, max_size=pairs, unique=True))
+    signs = draw(st.lists(st.sampled_from((PLUS, MINUS)), min_size=n - 2 * pairs,
+                          max_size=n - 2 * pairs))
+    symbols = draw(st.permutations(signs + labels + labels))
+    plus = signs.count(PLUS)
+    return symbols, plus + pairs, len(signs) - plus + pairs
+
+
+@given(labelled_symbols(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_labelled_input_round_trip(drawn, rng):
+    symbols, p, q = drawn
+    c = make_clan(symbols, p, q)
+    assert c.mates == mate_code(symbols) and clan_from_mates(c.mates, p, q) == c
+    back = parse_clan(c.to_text(), p, q)
+    assert back == c and hash(back) == hash(c) and back.mates == c.mates
+    labels = list(dict.fromkeys(s for s in symbols if s not in (PLUS, MINUS)))
+    for new in (rng.sample(labels, len(labels)), [f"pair {k}" for k in range(len(labels))]):
+        relabel = dict(zip(labels, new))
+        other = make_clan([relabel.get(s, s) for s in symbols], p, q)
+        assert other == c and hash(other) == hash(c) and other.to_text() == c.to_text()
 
 
 @given(random_clans())

@@ -24,6 +24,10 @@ from orbitcalc.orbits import OrbitError, weak_order_graph
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 
 
+# a rank whose clans would have more positions than a sequence can index
+HUGE_RANK = "99999999999999999999"
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -347,6 +351,10 @@ class TestUsageErrors:
          "case a needs p, q >= 0"),
         (["verify", "--case", "d-oxo-odd", "--p", "0", "--q", "3"],
          "case d-oxo-odd needs p, q >= 1"),
+        (["conjecture", "--case", "b-so", "--p", HUGE_RANK, "--q", "1"],
+         f"rank {HUGE_RANK} is too large for case b-so"),
+        (["enumerate", "--case", "d-so-gl", "--n", HUGE_RANK],
+         f"rank {HUGE_RANK} is too large for case d-so-gl"),
     ])
     def test_malformed_clan_or_shape_is_usage_error(self, capsys, argv, reason):
         code, out, err = run(capsys, *argv)
@@ -412,6 +420,12 @@ def test_exit_code_table(capsys, monkeypatch, ok, check, malformed):
         code, out, err = run(capsys, *ok, "--max-nodes", "-1")
         assert code == 2 and out == "" and "Traceback" not in err
         assert "argument --max-nodes: expected a count of orbits" in err
+    if ok[0] != "oracle":
+        # a rank too large to index a clan is malformed, not a crash
+        huge = [HUGE_RANK if flag == "--p" else arg for flag, arg in zip(["", *ok], ok)]
+        code, out, err = run(capsys, *huge)
+        assert code == 2 and out == ""
+        assert err == f"error: rank {HUGE_RANK} is too large for case a\n"
     module, name, error = check
 
     def fail(*args):

@@ -5,6 +5,7 @@ re-records ``tests/data/atlas_rank5.json`` from the set-based reference
 :func:`set_check_conjecture`.
 """
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -27,9 +28,10 @@ from orbitcalc.orbits import (
     weak_move,
     weak_order_graph,
 )
-from reference import (ambient_source, cases_up_to_rank, clan_from_mates, clan_weak_order_graph,
-                       closed_clans, cross_action, cross_action_simple, set_check_conjecture,
-                       set_full_closure_order, weyl_compose)
+from reference import (ambient_source, canonical, cases_up_to_rank, clan_from_mates,
+                       clan_symbols, clan_weak_order_graph, closed_clans, cross_action,
+                       cross_action_simple, set_check_conjecture, set_full_closure_order,
+                       weyl_compose)
 
 ROOT = Path(__file__).parent.parent
 ATLAS_RANK5 = ROOT / "tests" / "data" / "atlas_rank5.json"
@@ -54,14 +56,10 @@ def pc(case: CaseId, text: str):
     return parse_clan(text, P, Q)
 
 
-def code(c: Clan) -> tuple:
-    return orbits._mate_code(c.symbols)
-
-
 def move(case: CaseId, c: Clan, i: int) -> Clan:
     """The clan of :func:`weak_move`'s image of ``c`` along root i, which
     may leave the case's family; ``c`` itself when no window fires."""
-    m = code(c)
+    m = c.mates
     image = weak_move(m, orbits.move_schedules(case)[i])
     return c if image is m else clan_from_mates(image, c.p, c.q)
 
@@ -159,7 +157,7 @@ class TestWeakMove:
         schedules = orbits.move_schedules(case)
         for c in weak_order_graph(case).nodes:
             for i, windows in schedules.items():
-                once = weak_move(code(c), windows)
+                once = weak_move(c.mates, windows)
                 assert weak_move(once, windows) is once
                 once = graph_move(case, c, i)
                 assert graph_move(case, once, i) == once
@@ -361,7 +359,7 @@ class TestWeakOrderGraph:
         """Make weak_move follow {(clan, root): clan} on mate codes; other
         moves fix."""
         root = {windows: i for i, windows in orbits.move_schedules(case).items()}
-        table = {(code(pc(case, a)), i): code(pc(case, b)) for (a, i), b in moves.items()}
+        table = {(pc(case, a).mates, i): pc(case, b).mates for (a, i), b in moves.items()}
         monkeypatch.setattr(orbits, "weak_move",
                             lambda m, windows: table.get((m, root[windows]), m))
 
@@ -584,6 +582,7 @@ def test_stage_times_reports_both_stages_or_timeout(monkeypatch):
     row = stage_times.measure("b-so", 2, 1, cap=60)
     assert (row["orbits"], row["witnesses"]) == (25, 0)
     assert all(isinstance(row[k], float) for k in ("weak_s", "saturate_compare_s"))
+    assert isinstance(row["enumerate_s"], float) and row["enumerate_s"] <= row["weak_s"]
     # the weak graph alone takes seconds here
     stopped = stage_times.measure("c-sp-gl", 7, 7, cap=0.5)
     assert stopped == {"case": "c-sp-gl", "p": 7, "q": 7,
@@ -634,7 +633,7 @@ def test_root_permutations_match_reference_cross_action(case):
     assert list(perms) == list(simple_root_indices(case))
     for c in weak_order_graph(case).nodes:
         for i, source in perms.items():
-            assert orbits._cross(code(c), source) == code(cross_action_simple(case, c, i))
+            assert orbits._cross(c.mates, source) == cross_action_simple(case, c, i).mates
 
 
 def test_root_permutations_are_the_embedded_simple_reflections():
@@ -678,33 +677,52 @@ def test_graph_and_saturation_match_the_validating_reference(case):
     assert orbits._cross_table(case, poset.nodes) == expected
 
 
-# every case of every family whose clans have at most ten positions
-SMALL_CASES = tuple(case for case in cases_up_to_rank(10) if case.ambient_len <= 10)
+# every case of every family whose clans have at most twelve positions;
+# type A stops at ten, as a(6,6) alone has 845,691 clans
+SMALL_CASES = tuple(case for case in cases_up_to_rank(12)
+                    if case.ambient_len <= (10 if case.row.symmetry == "none" else 12))
 
 
 @pytest.mark.parametrize("case", SMALL_CASES, ids=_case_id)
 def test_graph_and_cross_table_match_the_reference(case):
-    # the moves by place against validated clans: the reference's own window
-    # rule and family check, and cross images of the labelled symbols under
-    # the embedded reflections, found among the nodes by their symbols
+    # the moves by place against validated clans: the labelled-symbol
+    # enumeration, the reference's own window rule and family check, and
+    # cross images of the labelled symbols under the embedded reflections,
+    # found among the nodes
     g, ref = weak_order_graph(case), clan_weak_order_graph(case)
     assert g.nodes == ref.nodes
     assert g.weak_edges == ref.weak_edges
     assert g.ranks == ref.ranks
-    pos = {c: k for k, c in enumerate(g.nodes)}
-    P, Q = case.ambient_shape
+    symbols = [clan_symbols(c) for c in g.nodes]
+    place = {s: k for k, s in enumerate(symbols)}
     expected = {}
     for i in simple_root_indices(case):
         source = ambient_source(case, i)
-        expected[i] = tuple(pos[Clan._image([c.symbols[j] for j in source], P, Q)]
-                            for c in g.nodes)
+        expected[i] = tuple(place[canonical([s[j] for j in source])] for s in symbols)
     assert orbits._cross_table(case, g.nodes) == expected
 
 
 def test_small_cases_cover_every_family():
     assert {case.tag for case in SMALL_CASES} == set(CASES)
     assert {CaseId("d-oxo-even", 2, 3), CaseId("d-oxo-odd", 3, 2)} <= set(SMALL_CASES)
-    assert max(case.ambient_len for case in SMALL_CASES) == 10
+    assert max(case.ambient_len for case in SMALL_CASES) == 12
+    assert max(case.ambient_len for case in SMALL_CASES if case.tag == "a") == 10
+
+
+# count and SHA-256 of the lines "rank text" of the nodes, in order, as the
+# weak-order graph gave them when clans were stored as labelled symbols
+NODE_HASHES = {
+    ("b-so", 3, 4): (8393, "baa2fe934e921f24d54dd4214c31e8461a56e2a4dfcf88e69667a0c03b876f43"),
+    ("c-spxsp", 4, 4): (14630, "7443c8f1414adcf39c3a099f250bf4e06cd80cbbeb0c438a4a4558e046cfe4b1"),
+    ("a", 4, 4): (2835, "92e7d5a241ea19b30d15be4206bdafe5622f2b36a2b691ff06936b499a04a0a7"),
+}
+
+
+@pytest.mark.parametrize("key", NODE_HASHES, ids=lambda key: "{}({},{})".format(*key))
+def test_node_lists_hash_as_recorded(key):
+    g = weak_order_graph(case_from_params(*key))
+    text = "".join(f"{g.ranks[c]} {c.to_text()}\n" for c in g.nodes)
+    assert (len(g.nodes), hashlib.sha256(text.encode("utf-8")).hexdigest()) == NODE_HASHES[key]
 
 
 @st.composite
@@ -727,15 +745,15 @@ def clans(draw) -> Clan:
 @settings(max_examples=200, deadline=None)
 @given(c=clans())
 def test_mate_code_round_trip(c):
-    m = code(c)
+    m, symbols = c.mates, clan_symbols(c)
     assert len(m) == c.n
     for j, x in enumerate(m):
         if x in ("+", "-"):
-            assert c.symbols[j] == x
+            assert symbols[j] == x
         else:
-            assert x != j and m[x] == j and c.symbols[x] == c.symbols[j]
+            assert x != j and m[x] == j and symbols[x] == symbols[j]
     assert clan_from_mates(m, c.p, c.q) == c
-    assert code(clan_from_mates(m, c.p, c.q)) == m
+    assert clan_from_mates(m, c.p, c.q).mates == m
 
 
 @pytest.mark.parametrize("case", DIFFERENTIAL_CASES, ids=_case_id)
@@ -743,11 +761,11 @@ def test_move_and_cross_images_pass_validation(case):
     # each image is the code of a validated clan of the case's shape
     perms, schedules = orbits.root_permutations(case), orbits.move_schedules(case)
     for c in weak_order_graph(case).nodes:
-        assert Clan(c.symbols, c.p, c.q) == c
-        m = code(c)
+        assert make_clan(clan_symbols(c), c.p, c.q) == c
+        m = c.mates
         for i, source in perms.items():
             for image in (weak_move(m, schedules[i]), orbits._cross(m, source)):
-                assert code(clan_from_mates(image, c.p, c.q)) == image
+                assert clan_from_mates(image, c.p, c.q).mates == image
 
 
 # ---------------------------------------------------------------------------
