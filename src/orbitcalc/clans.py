@@ -341,9 +341,13 @@ def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
     if p < 0 or q < 0 or p + q < 1:
         raise ClanError(f"invalid shape ({p}, {q})")
     n = p + q
+    try:
+        positions = tuple(range(n))  # the pool every combination below draws from
+    except MemoryError:
+        raise ClanError(f"rank {n} is too large for shape ({p}, {q})") from None
     out = []
     for m in range(0, min(p, q) + 1):
-        for pair_positions in itertools.combinations(range(n), 2 * m):
+        for pair_positions in itertools.combinations(positions, 2 * m):
             rest = [i for i in range(n) if i not in pair_positions]
             for matching in _matchings(pair_positions):
                 paired: list = [MINUS] * n
@@ -516,7 +520,10 @@ def _folded_clans(case: CaseId) -> Iterator[tuple]:
     image = _NEGATE if skew else _SAME
     self_mirror = (case.family, skew) not in (("C", False), ("D", True))
     even_middle = skew and case.family == "D"
-    mates: list = [None] * N
+    try:
+        mates: list = [None] * N
+    except MemoryError:
+        raise ClanError(f"rank {case.grank} is too large for case {case.tag}") from None
 
     def fill(i: int, balance: int, left: int) -> Iterator[tuple]:
         # balance: '+' signs less '-' signs so far; left: the open positions

@@ -7,8 +7,8 @@ oracle check, or an internal consistency check), 2 usage or i/o error.
 A handler imports the layers it calls, and ``json`` only where it writes JSON:
 every call is a fresh process, and start-up was about 3/4 of a ``conjecture``
 call's CPU time.  ``enumerate`` loads ``clans`` alone; ``conjecture`` and ``poset``
-add ``orbits`` and ``weyl``; ``classes``, ``verify`` and ``chern`` add ``formulas``
-and ``poly``; only ``oracle`` loads ``geometry``.
+add ``orbits``; ``classes``, ``verify`` and ``chern`` add ``orbits``, ``weyl``,
+``formulas`` and ``poly``; only ``oracle`` loads ``geometry``.
 
 Every handler hands ``_emit`` its output as chunks, written as they are
 produced: ``classes`` renders one line (or one JSON entry) per orbit, so

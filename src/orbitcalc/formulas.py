@@ -37,6 +37,7 @@ and ``c_k = 0`` for k < 0 or k > n.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import Mapping
 
@@ -53,14 +54,12 @@ from .poly import (
 )
 from .weyl import (
     Weyl,
-    closed_orbit_fixed_points,
     distinguished_representative,
     is_closed_clan,
     restriction_weights,
     stat_lp,
     stat_psi,
     stat_sigma,
-    stat_tau,
     weyl_abs,
     weyl_inverse,
     weyl_order,
@@ -113,8 +112,7 @@ def _block_factors(ring: Ring, a: int, block: range, signs: tuple[int, ...],
     return [out]
 
 
-def delta(ring: Ring, m: int, w: Weyl, c_zero: int = 2,
-          chern: bool = False) -> Polynomial:
+def delta(ring: Ring, m: int, w: Weyl, chern: bool = False) -> Polynomial:
     """The m x m determinant det(c_{m+1+j-2i}) described in the module doc;
     with ``chern``, z_k stands for e_k(y_1..y_n) in its entries."""
     n = ring.nx
@@ -130,7 +128,7 @@ def delta(ring: Ring, m: int, w: Weyl, c_zero: int = 2,
 
     def c(k: int) -> Polynomial:
         if k == 0:
-            return ring.const(c_zero)
+            return ring.const(2)
         if 0 < k <= n:
             return c_cache[k]
         return ring.zero
@@ -141,45 +139,41 @@ def delta(ring: Ring, m: int, w: Weyl, c_zero: int = 2,
 
 
 def closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly:
-    """Factored equivariant class of a closed orbit's closure.  With
+    """Factored equivariant class of a closed orbit's closure, read off the
+    case table at the orbit's ``distinguished_representative`` w.  With
     ``chern`` it is written in the z-variables of ``chern_blocks``: the
-    seed of propagation, and the factored ``chern`` output."""
+    seed of propagation, and the factored ``chern`` output.
+
+    The skew (GL) pairs give a determinant ``delta``.  Otherwise, with
+    awinv the inverse of |w|, the class is a product over i <= p of
+    (x_awinv(i) - y_j), and of (x_awinv(i) + y_j) too outside type A, for
+    y_j in K's second block; times x_1..x_{n-1} where a coordinate is
+    uncovered, or x_awinv(i) for i <= p in type B."""
     if not is_closed_clan(case, c):
         raise ClanError(f"{c.to_text()} is not a closed-orbit clan of {case.tag}")
     ring = formula_ring(case)
     n, p = case.grank, case.p
     w = distinguished_representative(case, c)
-    tag = case.tag
-    block = case.k_blocks[-1][1]  # the factors' y-variables: K's second block
-
-    if tag == "a":
-        winv = weyl_inverse(w)
-        factors = []
-        for i in range(1, p + 1):
-            factors += _block_factors(ring, winv[i - 1], block, (-1,), chern)
-        return FactoredPoly(ring, _sign(stat_lp(w, p)), factors)
-
-    if tag in ("b-so", "c-spxsp", "d-oxo-even"):
-        awinv = weyl_inverse(weyl_abs(w))
-        factors = [ring.x(awinv[i - 1]) for i in range(1, p + 1)] if tag == "b-so" else []
-        for i in range(1, p + 1):
-            factors += _block_factors(ring, awinv[i - 1], block, (-1, 1), chern)
-        return FactoredPoly(ring, _sign(stat_lp(weyl_abs(w), p)), factors)
-
-    if tag == "c-sp-gl":
-        sign = _sign(stat_psi(w) + stat_sigma(w))
-        return FactoredPoly(ring, sign, [delta(ring, n, w, chern=chern)])
-
-    if tag == "d-so-gl":
+    symmetry = case.row.symmetry
+    if symmetry == "skew":
+        if case.family == "C":
+            return FactoredPoly(ring, _sign(stat_psi(w) + stat_sigma(w)),
+                                [delta(ring, n, w, chern=chern)])
         return FactoredPoly(ring, _sign(stat_sigma(w)), [delta(ring, n - 1, w, chern=chern)],
                             2 ** (n - 1))
-
-    # branched orthogonal pair (odd ranks): the standard representative
-    winv = weyl_inverse(w)
-    factors = [ring.x(i) for i in range(1, n)]
-    for i in range(1, p + 1):
-        factors += _block_factors(ring, winv[i - 1], block, (-1, 1), chern)
-    return FactoredPoly(ring, _sign(stat_tau(w, p)), factors)
+    aw = weyl_abs(w)
+    firsts = weyl_inverse(aw)[:p]
+    if case.uncovered:
+        factors = [ring.x(i) for i in range(1, n)]
+    elif case.family == "B":
+        factors = [ring.x(a) for a in firsts]
+    else:
+        factors = []
+    signs = (-1,) if symmetry == "none" else (-1, 1)
+    block = case.k_blocks[-1][1]
+    for a in firsts:
+        factors += _block_factors(ring, a, block, signs, chern)
+    return FactoredPoly(ring, _sign(stat_lp(aw, p)), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +324,12 @@ def verify_localization(
     or equals the product, at every point exactly when it does at one.  The
     tests check these facts at every desk case.  ``closed points`` counts
     the points the check covers: |W| where every fixed point lies in one of
-    the closed orbits, and each orbit's fixed points in d-oxo-odd.
+    the closed orbits.  In d-oxo-odd, where they do not, it is |W_K| =
+    (u-1)! (n-u)! 2^(n-1) per closed orbit, u = p+1: there N_K(T)/T is W_K,
+    with each odd sign change of a block paired with the sign change of the
+    uncovered coordinate u, which keeps the type-D parity.  It acts freely
+    on the fixed points of each closed orbit (the w with |w(n)| = u and the
+    values below u at the clan's '+' positions) and has as many elements.
 
     Each restriction runs on the z-form, and only its result is expanded.
     A restriction R sends the x's to signed y's (or 0) and fixes every y and
@@ -358,8 +357,8 @@ def verify_localization(
         closed_points = weyl_order(case.family, case.grank)
         least = sorted(((c, 1 << k, points[c]) for k, c in enumerate(minima)),
                        key=lambda item: item[2])
-    else:
-        closed_points = sum(len(closed_orbit_fixed_points(case, c)) for c in minima)
+    else:  # |W_K| = (u-1)! (n-u)! 2^(n-1) points per closed orbit, u = p+1
+        closed_points = closed * math.prod(weyl_order(t, len(b)) for t, b in case.k_blocks)
     checked = poset.nodes if support_checked else minima
     for k, (c, below) in enumerate(zip(checked, poset.order_bits.down)):
         f = classes[c]

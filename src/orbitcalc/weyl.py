@@ -109,16 +109,6 @@ def stat_sigma(w: Weyl) -> int:
     return sum(n - i for i, v in enumerate(w, start=1) if v < 0)
 
 
-def stat_tau(w: Weyl, p: int) -> int:
-    """Sum over i <= n-1 with w(i) > p+1 of #{j : i < j <= n-1, w(j) <= p}."""
-    n = len(w)
-    total = 0
-    for i in range(1, n):
-        if w[i - 1] > p + 1:
-            total += sum(1 for j in range(i + 1, n) if w[j - 1] <= p)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Per-case groups and the fixed-point dictionary
 # ---------------------------------------------------------------------------
@@ -245,71 +235,23 @@ def distinguished_representative(case: CaseId, c: Clan) -> Weyl:
 # ---------------------------------------------------------------------------
 
 
-def _unit(n: int, i: int, coeff: int = 1) -> Root:
-    vec = [0] * n
-    vec[i - 1] = coeff
-    return tuple(vec)
+def _roots(lie_type: str, coords: range, n: int, positive: bool) -> list[Root]:
+    """The roots of type ``lie_type`` on the coordinates ``coords``, as
+    vectors of length n: e_i - e_j (and e_i + e_j outside type A) for i < j,
+    and e_i in type B or 2e_i in type C; with their negatives unless
+    ``positive``."""
+    def vec(*entries: tuple[int, int]) -> Root:
+        out = [0] * n
+        for i, coeff in entries:
+            out[i - 1] = coeff
+        return tuple(out)
 
-
-def _pair_root(n: int, i: int, j: int, sign: int) -> Root:
-    vec = [0] * n
-    vec[i - 1] = 1
-    vec[j - 1] = sign
-    return tuple(vec)
-
-
-@lru_cache(maxsize=None)
-def positive_roots(case: CaseId) -> tuple[Root, ...]:
-    """Positive roots of the ambient group, as coefficient vectors."""
-    n = case.grank
-    fam = case.family
-    roots: list[Root] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            roots.append(_pair_root(n, i, j, -1))
-            if fam != "A":
-                roots.append(_pair_root(n, i, j, +1))
-    if fam == "B":
-        roots.extend(_unit(n, i) for i in range(1, n + 1))
-    elif fam == "C":
-        roots.extend(_unit(n, i, 2) for i in range(1, n + 1))
-    return tuple(roots)
-
-
-def _full_pair_system(n: int, block: range, with_short: bool,
-                      short_coeff: int = 1) -> list[Root]:
-    """All +/- pair roots within a block, optionally with +/- short roots."""
-    roots: list[Root] = []
-    members = list(block)
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            i, j = members[a], members[b]
-            for si in (1, -1):
-                for sj in (1, -1):
-                    vec = [0] * n
-                    vec[i - 1] = si
-                    vec[j - 1] = sj
-                    roots.append(tuple(vec))
-    if with_short:
-        for i in members:
-            roots.append(_unit(n, i, short_coeff))
-            roots.append(_unit(n, i, -short_coeff))
-    return roots
-
-
-@lru_cache(maxsize=None)
-def subgroup_roots(case: CaseId) -> tuple[Root, ...]:
-    """The full (positive and negative) root list of the symmetric subgroup:
-    the root systems of K's blocks."""
-    n = case.grank
-    roots: list[Root] = []
-    for lie_type, block in case.k_blocks:
-        if lie_type == "A":
-            roots += [_pair_root(n, i, j, -1) for i in block for j in block if i != j]
-        else:
-            roots += _full_pair_system(n, block, with_short=lie_type != "D",
-                                       short_coeff=2 if lie_type == "C" else 1)
-    return tuple(roots)
+    signs = (-1,) if lie_type == "A" else (-1, 1)
+    roots = [vec((i, 1), (j, s)) for i, j in itertools.combinations(coords, 2) for s in signs]
+    short = {"B": 1, "C": 2}.get(lie_type)
+    if short:
+        roots += [vec((i, short)) for i in coords]
+    return roots if positive else roots + [tuple(-a for a in r) for r in roots]
 
 
 def apply_weyl_to_root(w: Weyl, root: Root) -> Root:
@@ -324,17 +266,19 @@ def apply_weyl_to_root(w: Weyl, root: Root) -> Root:
 
 def restriction_weights(case: CaseId, w: Weyl) -> tuple[Root, ...]:
     """Multiset of torus weights of the closed orbit's normal-ish directions:
-    the images of the positive roots under w (with every uncovered coordinate
-    zeroed), with one occurrence of every subgroup root removed.
-    Sorted for determinism."""
+    the images of G's positive roots under w (with every uncovered
+    coordinate zeroed), with one occurrence of every root of K's blocks
+    removed.  Sorted for determinism."""
     w = validate_weyl(w, case.family)
-    images = [apply_weyl_to_root(w, r) for r in positive_roots(case)]
+    n = case.grank
+    images = [apply_weyl_to_root(w, r) for r in _roots(case.family, range(1, n + 1), n, True)]
     for u in case.uncovered:  # zero out the uncovered coordinate
         images = [r[:u - 1] + (0,) + r[u:] for r in images]
     counts = Counter(images)
-    for beta in subgroup_roots(case):
-        if counts.get(beta, 0) > 0:
-            counts[beta] -= 1
+    for lie_type, block in case.k_blocks:
+        for beta in _roots(lie_type, block, n, False):
+            if counts.get(beta, 0) > 0:
+                counts[beta] -= 1
     out: list[Root] = []
     for root, k in counts.items():
         out.extend([root] * k)

@@ -17,10 +17,12 @@ kept here as checks on the code that does.
   replaced; and the clan of a mate code;
 * ``weyl``: signed-permutation composition, the simple reflections and
   their embedding in the ambient permutations (the source of
-  ``root_permutations``), the statistic phi_p, the subgroup W_K with its
-  order, and the closed clans of a case;
-* ``formulas``: the per-component closed-orbit classes of b-so, whose
-  sum is ``closed_class``, the expansion of a whole class to y, whose text
+  ``root_permutations``), the statistics phi_p and tau, the root lists of
+  G and K built per family and per block, which ``weyl._roots`` replaced,
+  the subgroup W_K with its order, and the closed clans of a case;
+* ``formulas``: the closed-orbit classes by tag, which the case-table
+  ``closed_class`` replaced, the per-component closed-orbit classes of
+  b-so, whose sum is ``closed_class``, the expansion of a whole class to y, whose text
   ``ChernExpansion.text`` writes without building it, the propagation on
   y-monomials that the z-form propagation replaced, and the support check
   at every fixed point of every orbit, the reference for the one-point
@@ -67,6 +69,7 @@ from orbitcalc.formulas import (
     chern_expansion,
     closed_class,
     closed_restriction_product,
+    delta,
     formula_ring,
     restrict_at,
 )
@@ -87,13 +90,17 @@ from orbitcalc.poly import (
     divided_difference,
 )
 from orbitcalc.weyl import (
+    Root,
     Weyl,
     WeylError,
     ambient_weyl,
     closed_orbit_fixed_points,
+    distinguished_representative,
     fixed_points_by_clan,
     is_closed_clan,
     stat_lp,
+    stat_psi,
+    stat_sigma,
     validate_weyl,
     weyl_abs,
     weyl_inverse,
@@ -511,8 +518,8 @@ def clan_in_case_family(case: CaseId, c: Clan) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Weyl groups: simple reflections and their embedding, composition, phi_p,
-# W_K and the closed clans
+# Weyl groups: simple reflections and their embedding, composition, phi_p
+# and tau, the root lists per family and block, W_K and the closed clans
 # ---------------------------------------------------------------------------
 
 
@@ -595,6 +602,85 @@ def weyl_compose(u: Weyl, w: Weyl) -> Weyl:
 def stat_phip(w: Weyl, p: int) -> int:
     """#{i : w(i) < 0 and |w(i)| <= p}."""
     return sum(1 for v in w if v < 0 and -v <= p)
+
+
+def stat_tau(w: Weyl, p: int) -> int:
+    """Sum over i <= n-1 with w(i) > p+1 of #{j : i < j <= n-1, w(j) <= p}:
+    the sign statistic of d-oxo-odd's closed classes before ``stat_lp``
+    took its place."""
+    n = len(w)
+    total = 0
+    for i in range(1, n):
+        if w[i - 1] > p + 1:
+            total += sum(1 for j in range(i + 1, n) if w[j - 1] <= p)
+    return total
+
+
+def _unit(n: int, i: int, coeff: int = 1) -> Root:
+    vec = [0] * n
+    vec[i - 1] = coeff
+    return tuple(vec)
+
+
+def _pair_root(n: int, i: int, j: int, sign: int) -> Root:
+    vec = [0] * n
+    vec[i - 1] = 1
+    vec[j - 1] = sign
+    return tuple(vec)
+
+
+def block_positive_roots(case: CaseId) -> tuple[Root, ...]:
+    """Positive roots of the ambient group, as coefficient vectors, listed
+    by family: the lister that ``weyl._roots`` replaced."""
+    n = case.grank
+    fam = case.family
+    roots: list[Root] = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            roots.append(_pair_root(n, i, j, -1))
+            if fam != "A":
+                roots.append(_pair_root(n, i, j, +1))
+    if fam == "B":
+        roots.extend(_unit(n, i) for i in range(1, n + 1))
+    elif fam == "C":
+        roots.extend(_unit(n, i, 2) for i in range(1, n + 1))
+    return tuple(roots)
+
+
+def _full_pair_system(n: int, block: range, with_short: bool,
+                      short_coeff: int = 1) -> list[Root]:
+    """All +/- pair roots within a block, optionally with +/- short roots."""
+    roots: list[Root] = []
+    members = list(block)
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            i, j = members[a], members[b]
+            for si in (1, -1):
+                for sj in (1, -1):
+                    vec = [0] * n
+                    vec[i - 1] = si
+                    vec[j - 1] = sj
+                    roots.append(tuple(vec))
+    if with_short:
+        for i in members:
+            roots.append(_unit(n, i, short_coeff))
+            roots.append(_unit(n, i, -short_coeff))
+    return roots
+
+
+def block_subgroup_roots(case: CaseId) -> tuple[Root, ...]:
+    """The full (positive and negative) root list of the symmetric subgroup,
+    the root systems of K's blocks: the lister that ``weyl._roots``
+    replaced."""
+    n = case.grank
+    roots: list[Root] = []
+    for lie_type, block in case.k_blocks:
+        if lie_type == "A":
+            roots += [_pair_root(n, i, j, -1) for i in block for j in block if i != j]
+        else:
+            roots += _full_pair_system(n, block, with_short=lie_type != "D",
+                                       short_coeff=2 if lie_type == "C" else 1)
+    return tuple(roots)
 
 
 def wk_member(case: CaseId, w: Weyl) -> bool:
@@ -875,8 +961,49 @@ def set_check_conjecture(poset: OrbitPoset) -> OrderComparison:
 
 
 # ---------------------------------------------------------------------------
-# Formulas: per-component classes in b-so
+# Formulas: closed classes by tag, per-component classes in b-so
 # ---------------------------------------------------------------------------
+
+
+def tag_closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly:
+    """``closed_class`` as it was before it read the case table: one branch
+    per tag, and ``stat_tau`` for the sign in d-oxo-odd."""
+    if not is_closed_clan(case, c):
+        raise ClanError(f"{c.to_text()} is not a closed-orbit clan of {case.tag}")
+    ring = formula_ring(case)
+    n, p = case.grank, case.p
+    w = distinguished_representative(case, c)
+    tag = case.tag
+    block = case.k_blocks[-1][1]  # the factors' y-variables: K's second block
+
+    if tag == "a":
+        winv = weyl_inverse(w)
+        factors = []
+        for i in range(1, p + 1):
+            factors += _block_factors(ring, winv[i - 1], block, (-1,), chern)
+        return FactoredPoly(ring, _sign(stat_lp(w, p)), factors)
+
+    if tag in ("b-so", "c-spxsp", "d-oxo-even"):
+        awinv = weyl_inverse(weyl_abs(w))
+        factors = [ring.x(awinv[i - 1]) for i in range(1, p + 1)] if tag == "b-so" else []
+        for i in range(1, p + 1):
+            factors += _block_factors(ring, awinv[i - 1], block, (-1, 1), chern)
+        return FactoredPoly(ring, _sign(stat_lp(weyl_abs(w), p)), factors)
+
+    if tag == "c-sp-gl":
+        sign = _sign(stat_psi(w) + stat_sigma(w))
+        return FactoredPoly(ring, sign, [delta(ring, n, w, chern=chern)])
+
+    if tag == "d-so-gl":
+        return FactoredPoly(ring, _sign(stat_sigma(w)), [delta(ring, n - 1, w, chern=chern)],
+                            2 ** (n - 1))
+
+    # branched orthogonal pair (odd ranks): the standard representative
+    winv = weyl_inverse(w)
+    factors = [ring.x(i) for i in range(1, n)]
+    for i in range(1, p + 1):
+        factors += _block_factors(ring, winv[i - 1], block, (-1, 1), chern)
+    return FactoredPoly(ring, _sign(stat_tau(w, p)), factors)
 
 
 def component_class(case: CaseId, u: Weyl) -> FactoredPoly:

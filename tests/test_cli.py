@@ -26,6 +26,15 @@ GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 
 # a rank whose clans would have more positions than a sequence can index
 HUGE_RANK = "99999999999999999999"
+# ranks small enough to index a clan but too large to enumerate, with the
+# error line: each fails at once, in its first allocation, so the test
+# allocates nothing
+TOO_LARGE_TO_ENUMERATE = [
+    (["enumerate", "--case", "d-so-gl", "--n", "1000000000000000000"],
+     "rank 1000000000000000000 is too large for case d-so-gl"),
+    (["enumerate", "--case", "a", "--p", "4611686018427387904", "--q", "1"],
+     "rank 4611686018427387905 is too large for shape (4611686018427387904, 1)"),
+]
 
 
 def run(capsys, *argv):
@@ -426,6 +435,10 @@ def test_exit_code_table(capsys, monkeypatch, ok, check, malformed):
         code, out, err = run(capsys, *huge)
         assert code == 2 and out == ""
         assert err == f"error: rank {HUGE_RANK} is too large for case a\n"
+    if ok[0] == "enumerate":
+        for argv, line in TOO_LARGE_TO_ENUMERATE:
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {line}\n")
     module, name, error = check
 
     def fail(*args):

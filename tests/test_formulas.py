@@ -27,7 +27,7 @@ from orbitcalc.formulas import (
 from orbitcalc import formulas
 from orbitcalc.orbits import OrbitPoset, full_closure_order, weak_order_graph
 from orbitcalc.parse import parse_poly
-from orbitcalc.poly import FactoredPoly, PolyError, Ring, chern_substitute
+from orbitcalc.poly import FactoredPoly, PolyError, Ring, chern_substitute, determinant, elem_sym
 from orbitcalc.weyl import (
     ambient_weyl,
     closed_orbit_fixed_points,
@@ -36,11 +36,13 @@ from orbitcalc.weyl import (
     weyl_elements,
 )
 from reference import (
+    cases_up_to_rank,
     closed_clans,
     component_class,
     expand_class,
     identity_weyl,
     k_weyl_group,
+    tag_closed_class,
     verify_localization_every_point,
     weyl_compose,
     wk_member,
@@ -146,6 +148,17 @@ class TestClosedClass:
             closed_class(case, pc(case, "1122"))
 
 
+@pytest.mark.parametrize("case", cases_up_to_rank(5), ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
+def test_closed_classes_match_the_tag_reference(case):
+    """The case-table ``closed_class`` writes and expands every closed class
+    as the per-tag one did, in y and in z."""
+    for c in closed_clans(case):
+        for chern in (False, True):
+            got, want = closed_class(case, c, chern), tag_closed_class(case, c, chern)
+            assert got.to_text() == want.to_text(), (c.to_text(), chern)
+            assert got.expand() == want.expand(), (c.to_text(), chern)
+
+
 # ---------------------------------------------------------------------------
 # the determinant
 # ---------------------------------------------------------------------------
@@ -212,9 +225,12 @@ class TestDelta:
             assert d.substitute(y_images) == d
 
     def test_c_zero_switch(self):
+        # delta's c_0 is 2; det(c_{3+j-2i}) with c_0 = 1 differs by c_3 = e3
         ring = Ring(3, 3, 0)
         with_two = delta(ring, 2, (1, 2, 3))
-        with_one = delta(ring, 2, (1, 2, 3), c_zero=1)
+        xs, ys = [ring.x(i) for i in (1, 2, 3)], [ring.y(i) for i in (1, 2, 3)]
+        c = {k: elem_sym(ring, k, xs) + elem_sym(ring, k, ys) for k in (1, 2, 3)}
+        with_one = determinant([[c[2], c[3]], [ring.const(1), c[1]]])
         e3 = parse_poly("x1*x2*x3+y1*y2*y3", ring)
         assert with_two == with_one - e3
 
@@ -391,6 +407,22 @@ class TestOnePointSupport:
 class TestOnePointClosedCheck:
     """The premises of checking each closed orbit at one fixed point, and of
     restricting z-forms before expanding them."""
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (1, 3), (3, 1), (2, 3), (1, 4)])
+    def test_d_oxo_odd_closed_points_by_formula(self, p, q):
+        """``verify_localization`` counts the closed points of d-oxo-odd by
+        formula; it equals the listed fixed points of the closed orbits.
+        Only the closed and dense classes are read there (the support is not
+        checked), so the seeds stand in for propagation, which is path
+        dependent at (1,3), (2,3) and (1,4)."""
+        case = CaseId("d-oxo-odd", p, q)
+        g = weak_order_graph(case)
+        classes = {c: closed_class(case, c, chern=True).expand() for c in g.minima()}
+        classes[g.top] = formula_ring(case).one
+        report = verify_localization(g, classes)
+        assert report.ok and not report.support_checked
+        assert report.closed_points_checked == sum(
+            len(closed_orbit_fixed_points(case, c)) for c in g.minima())
 
     @pytest.mark.parametrize("tag,p,q", DESK_RANKS + (("d-so-gl", 5, 5),))
     def test_weight_product_is_k_weyl_equivariant(self, tag, p, q):

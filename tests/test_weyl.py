@@ -9,6 +9,7 @@ from orbitcalc.clans import CASES, CaseId, Clan, ClanError, enumerate_case_clans
 from orbitcalc.formulas import chern_blocks
 from orbitcalc.weyl import (
     WeylError,
+    _roots,
     ambient_weyl,
     apply_weyl_to_root,
     closed_orbit_fixed_points,
@@ -16,13 +17,10 @@ from orbitcalc.weyl import (
     fixed_point_to_clan,
     fixed_points_by_clan,
     is_closed_clan,
-    positive_roots,
     restriction_weights,
     stat_lp,
     stat_psi,
     stat_sigma,
-    stat_tau,
-    subgroup_roots,
     validate_weyl,
     weyl_abs,
     weyl_elements,
@@ -30,12 +28,15 @@ from orbitcalc.weyl import (
     weyl_order,
 )
 from reference import (
+    block_positive_roots,
+    block_subgroup_roots,
     cases_up_to_rank,
     closed_clans,
     embed_in_ambient,
     identity_weyl,
     simple_reflection,
     stat_phip,
+    stat_tau,
     weyl_compose,
     wk_member,
     wk_order,
@@ -367,6 +368,18 @@ def test_distinguished_representative_rejects_other_clans(case):
 # ---------------------------------------------------------------------------
 
 
+def positive_roots(case):
+    """G's positive roots, as ``restriction_weights`` builds them."""
+    n = case.grank
+    return _roots(case.family, range(1, n + 1), n, True)
+
+
+def subgroup_roots(case):
+    """The roots of K's blocks, positive and negative, as
+    ``restriction_weights`` builds them."""
+    return [r for t, block in case.k_blocks for r in _roots(t, block, case.grank, False)]
+
+
 def test_positive_root_counts():
     assert len(positive_roots(CaseId("a", 2, 2))) == 6
     assert len(positive_roots(CaseId("b-so", 2, 1))) == 9
@@ -386,6 +399,24 @@ def test_subgroup_root_counts():
     assert len(subgroup_roots(CaseId("d-so-gl", 3, 3))) == 6
     assert len(subgroup_roots(CaseId("d-oxo-odd", 1, 2))) == 4
     assert len(subgroup_roots(CaseId("d-oxo-odd", 2, 2))) == 10
+
+
+@pytest.mark.parametrize("case", cases_up_to_rank(5), ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
+def test_roots_match_the_block_reference(case):
+    assert Counter(positive_roots(case)) == Counter(block_positive_roots(case))
+    assert Counter(subgroup_roots(case)) == Counter(block_subgroup_roots(case))
+    assert len(set(positive_roots(case))) == len(positive_roots(case))
+
+
+@pytest.mark.parametrize("case", [c for c in cases_up_to_rank(6) if c.tag == "d-oxo-odd"],
+                         ids=lambda c: f"{c.p}-{c.q}")
+def test_stat_lp_is_stat_tau_on_the_standard_representatives(case):
+    # d-oxo-odd's standard representative has w(n) = p+1, so no inversion
+    # counted by stat_lp involves position n, and stat_lp is stat_tau there
+    for c in closed_clans(case):
+        w = distinguished_representative(case, c)
+        assert w[-1] == case.p + 1
+        assert stat_lp(w, case.p) == stat_tau(w, case.p)
 
 
 def test_apply_weyl_to_root():
@@ -579,7 +610,7 @@ def test_rank4_case_list_covers_every_tag():
 @pytest.mark.parametrize("case", RANK4_CASES, ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
 def test_block_rules_match_per_tag_reference(case):
     assert wk_order(case) == reference_wk_order(case)
-    assert subgroup_roots(case) == reference_subgroup_roots(case)
+    assert Counter(subgroup_roots(case)) == Counter(reference_subgroup_roots(case))
     assert chern_blocks(case) == reference_chern_blocks(case)
     expected_uncovered = (case.p + 1,) if case.tag == "d-oxo-odd" else ()
     assert case.uncovered == expected_uncovered
