@@ -12,8 +12,6 @@ from .clans import (  # noqa: F401
     enumerate_case_clans,
     enumerate_clans,
     in_case_family,
-    is_skew_symmetric,
-    is_symmetric,
     leq,
     make_clan,
     parse_clan,

@@ -14,14 +14,15 @@ turn labelled input into a code once, and ``Clan.to_text`` and
 and for the canonical-string order.
 
 The module also provides the rank-number tables of a clan and their order,
-enumeration of all clans of a shape, the symmetry predicates, the table
-``CASES`` of the seven supported symmetric pairs, and ``Record``, the
+the table ``CASES`` of the seven supported symmetric pairs with the fold
+rules and family check read off it, enumeration, and ``Record``, the
 immutable base of the package's value classes.
 
-Type A enumerates every clan of its shape.  The six folded families fill
-the codes of their family directly: a walk fills positions left to right,
-each choice together with its image under the fold j -> N - 1 - j, and
-admits only what the family's bars allow.
+One walk enumerates every family, filling codes in canonical-string order,
+so nothing is sorted.  It decides positions left to right, each trying its
+symbols in that order.  Type A is the walk without a fold.  The six folded
+families walk with the fold j -> N - 1 - j, each choice left of the middle
+setting its image too, and admit only what the case's fold rules allow.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 import re
 import sys
 from operator import attrgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 PLUS = "+"
 MINUS = "-"
@@ -319,77 +320,6 @@ def rank_table(c: Clan) -> RankTable:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
-# ---------------------------------------------------------------------------
-
-
-def _matchings(positions: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of an even-size position tuple, deterministically."""
-    if not positions:
-        yield ()
-        return
-    first = positions[0]
-    rest = positions[1:]
-    for k, other in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1:]
-        for sub in _matchings(remaining):
-            yield ((first, other),) + sub
-
-
-def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
-    """All clans of shape (p, q), sorted by canonical string ('+' < '-' < pair labels)."""
-    if p < 0 or q < 0 or p + q < 1:
-        raise ClanError(f"invalid shape ({p}, {q})")
-    n = p + q
-    try:
-        positions = tuple(range(n))  # the pool every combination below draws from
-    except MemoryError:
-        raise ClanError(f"rank {n} is too large for shape ({p}, {q})") from None
-    out = []
-    for m in range(0, min(p, q) + 1):
-        for pair_positions in itertools.combinations(positions, 2 * m):
-            rest = [i for i in range(n) if i not in pair_positions]
-            for matching in _matchings(pair_positions):
-                paired: list = [MINUS] * n
-                for a, b in matching:
-                    paired[a], paired[b] = b, a
-                for plus_positions in itertools.combinations(rest, p - m):
-                    mates = paired.copy()
-                    for j in plus_positions:
-                        mates[j] = PLUS
-                    out.append(Clan(tuple(mates), p, q))
-    out.sort(key=Clan.sort_key)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Symmetry predicates
-# ---------------------------------------------------------------------------
-
-
-_SAME = {PLUS: PLUS, MINUS: MINUS}
-_NEGATE = {PLUS: MINUS, MINUS: PLUS}
-
-
-def _fold_fixes(mates: Sequence, signs: dict) -> bool:
-    """Whether the fold j -> N - 1 - j fixes the code, the fold taking each
-    sign to its image in ``signs`` and a pair (a, b) to (N - 1 - b, N - 1 - a)."""
-    last = len(mates) - 1
-    return all(y == (signs[x] if x.__class__ is str else last - x)
-               for x, y in zip(mates, reversed(mates)))
-
-
-def is_symmetric(c: Clan) -> bool:
-    """True when the clan equals its own reversal (signs mirror, matching mirrored)."""
-    return _fold_fixes(c.mates, _SAME)
-
-
-def is_skew_symmetric(c: Clan) -> bool:
-    """True when the reversal equals the sign-negated clan."""
-    return c.p == c.q and _fold_fixes(c.mates, _NEGATE)
-
-
-# ---------------------------------------------------------------------------
 # Case identifiers and per-case clan families
 # ---------------------------------------------------------------------------
 
@@ -467,6 +397,32 @@ def case_from_params(tag: str, p: int | None = None, q: int | None = None) -> Ca
     return CaseId(tag, p, q)
 
 
+#: The sign map of the fold j -> N - 1 - j for each symmetry (type A has no fold).
+_FOLD_SIGNS = {"none": None, "mirror": {PLUS: PLUS, MINUS: MINUS},
+               "skew": {PLUS: MINUS, MINUS: PLUS}}
+
+
+def _fold_rules(row: CaseRow) -> tuple[dict | None, bool, bool]:
+    """The three fold rules of a case: the fold's sign map (None for type A),
+    whether a self-mirror pair (positions a + b = N + 1, N the clan length) is
+    allowed, and whether the minus rank at the middle must be even.
+
+    Self-mirror pairs are barred for mirror clans in type C and for skew
+    clans in type D, and a type-D skew clan has an even minus rank at the
+    middle."""
+    skew = row.symmetry == "skew"
+    return (_FOLD_SIGNS[row.symmetry], (row.family, skew) not in (("C", False), ("D", True)),
+            skew and row.family == "D")
+
+
+def _fold_fixes(mates: Sequence, signs: dict) -> bool:
+    """Whether the fold j -> N - 1 - j fixes the code, the fold taking each
+    sign to its image in ``signs`` and a pair (a, b) to (N - 1 - b, N - 1 - a)."""
+    last = len(mates) - 1
+    return all(y == (signs[x] if x.__class__ is str else last - x)
+               for x, y in zip(mates, reversed(mates)))
+
+
 def _has_self_mirror_pair(c: Clan) -> bool:
     """Whether a pair sits at positions a and N - 1 - a (0-based)."""
     last = c.n - 1
@@ -475,100 +431,127 @@ def _has_self_mirror_pair(c: Clan) -> bool:
 
 def _middle_minus_rank(mates: Sequence, n: int) -> int:
     """The minus rank at position n, ``rank_table(c).minus[n - 1]``: the
-    minus signs and the closed pairs among the first n positions."""
-    return sum(x == MINUS if x.__class__ is str else x < j for j, x in enumerate(mates[:n]))
+    minus signs and the closed pairs among the first n positions.  A
+    partial code may hold None at a pair still open."""
+    return sum(x == MINUS or x.__class__ is int and x < j for j, x in enumerate(mates[:n]))
 
 
 def in_case_family(case: CaseId, c: Clan) -> bool:
-    """Whether the clan labels an orbit of the given case.
-
-    A self-mirror pair (positions a + b = N + 1, N the clan length) is barred
-    for mirror clans in type C and for skew clans in type D, and a type-D
-    skew clan has an even minus rank at the middle."""
+    """Whether the clan labels an orbit of the given case: it has the case's
+    shape, the case's fold fixes its code, and the bars of
+    :func:`_fold_rules` hold."""
     if (c.p, c.q) != case.ambient_shape:
         return False
-    row = case.row
-    if row.symmetry == "none":
-        return True
-    if row.symmetry == "mirror":
-        return is_symmetric(c) and not (row.family == "C" and _has_self_mirror_pair(c))
-    if not is_skew_symmetric(c):
-        return False
-    if row.family == "C":
-        return True
-    return not _has_self_mirror_pair(c) and _middle_minus_rank(c.mates, case.grank) % 2 == 0
+    signs, self_mirror, even_middle = _fold_rules(case.row)
+    return ((signs is None or _fold_fixes(c.mates, signs))
+            and (self_mirror or not _has_self_mirror_pair(c))
+            and not (even_middle and _middle_minus_rank(c.mates, case.grank) % 2))
 
 
-def _folded_clans(case: CaseId) -> Iterator[tuple]:
-    """The mate code of every clan of a folded case's family.
+# ---------------------------------------------------------------------------
+# Enumeration
+# ---------------------------------------------------------------------------
 
-    These are the clans of the case's shape fixed by the fold
-    j -> N - 1 - j (0-based, N the clan length), which keeps a sign of a
-    mirror clan and flips a sign of a skew clan, and sends a pair (a, b) to
-    the pair (N - 1 - b, N - 1 - a).  Positions are filled left to right,
-    each choice together with its image, so the open positions always lie
-    between the leftmost open one and its image.  The middle of an
-    odd-length clan is its own image and holds a sign.  The walk admits
-    what :func:`in_case_family` does: a self-mirror pair only where the
-    family allows one, a partial code only while its open positions can
-    still balance its signs, and in a type-D skew family a full code only
-    when its minus rank at the middle is even.
+
+def _walk(P: int, Q: int, signs: dict | None, self_mirror: bool, even_middle: bool,
+          too_large: str) -> tuple[Clan, ...]:
+    """The clans of shape (P, Q) that the fold with sign map ``signs`` fixes
+    and the two bars of :func:`_fold_rules` admit, in canonical-string
+    order; with no fold (``signs`` None), every clan of the shape.
+
+    The walk decides positions left to right.  Each tries its symbols in
+    canonical order: '+', '-', the close of an open pair (earliest opened
+    first), a new pair.  A pair's mate is set when the pair closes.  A '+'
+    takes one of P, a '-' one of Q and a pair one of each, and a choice is
+    made only while what is left of (P, Q) allows it.  With a fold
+    j -> N - 1 - j (N = P + Q), a position left of the middle also sets its
+    image: a sign's image under ``signs``, or the image (N - 1 - b, N - 1 - a)
+    of a pair (a, b).  The middle of an odd-length code holds a sign.  Once
+    the left half is decided, the middle is checked: pairs open across it
+    close in mirrored couples, so their number is even where self-mirror
+    pairs are barred, and the minus rank there is even where
+    ``even_middle`` asks.  A position right of the middle is either set
+    already or closes a pair open across the middle, together with that
+    pair's image.  ``too_large`` is the usage error for a code too long to
+    hold.
     """
-    P, Q = case.ambient_shape
     N = P + Q
-    skew = case.row.symmetry == "skew"
-    image = _NEGATE if skew else _SAME
-    self_mirror = (case.family, skew) not in (("C", False), ("D", True))
-    even_middle = skew and case.family == "D"
     try:
         mates: list = [None] * N
     except MemoryError:
-        raise ClanError(f"rank {case.grank} is too large for case {case.tag}") from None
+        raise ClanError(too_large) from None
+    half = N // 2 if signs else -1  # where the middle is checked
+    # the signs a position tries: each with its image and what the two take from (P, Q)
+    lone = ((PLUS, None, 1, 0), (MINUS, None, 0, 1))
+    paired = tuple((s, t, (s == PLUS) + (t == PLUS), (s == MINUS) + (t == MINUS))
+                   for s, t in signs.items()) if signs else lone
+    out: list = []
 
-    def fill(i: int, balance: int, left: int) -> Iterator[tuple]:
-        # balance: '+' signs less '-' signs so far; left: the open positions
-        if abs(P - Q - balance) > left:
+    def fill(i: int, p: int, q: int, opened: tuple) -> None:
+        # p, q: what is left of (P, Q); opened: the open pairs' first positions
+        if i == half and (not self_mirror and len(opened) % 2
+                          or even_middle and _middle_minus_rank(mates, half) % 2):
             return
-        if not left:
-            if not (even_middle and _middle_minus_rank(mates, case.grank) % 2):
-                yield tuple(mates)
-            return
-        while mates[i] is not None:
+        while i < N and mates[i] is not None:
             i += 1
+        if i == N:
+            out.append(Clan(tuple(mates), P, Q))
+            return
         i_bar = N - 1 - i
-        width = 1 if i == i_bar else 2
-        step = 0 if skew else width
-        for s, change in ((PLUS, step), (MINUS, -step)):
-            mates[i_bar] = image[s]
-            mates[i] = s
-            yield from fill(i + 1, balance + change, left - width)
-        mates[i] = mates[i_bar] = None
-        for j in range(i + 1, i_bar + 1):
-            j_bar = N - 1 - j
-            # j == j_bar: the middle; j == i_bar: a self-mirror pair
-            if mates[j] is not None or j == j_bar or (j == i_bar and not self_mirror):
-                continue
-            mates[i], mates[j] = j, i
-            if j == i_bar:
-                yield from fill(i + 1, balance, left - 2)
-            else:
-                mates[j_bar], mates[i_bar] = i_bar, j_bar
-                yield from fill(i + 1, balance, left - 4)
-                mates[j_bar] = mates[i_bar] = None
-            mates[i] = mates[j] = None
+        if signs and i > i_bar:  # right of the middle
+            for a in opened:
+                if self_mirror or a != i_bar:
+                    a_bar = N - 1 - a
+                    mates[a], mates[i], mates[i_bar], mates[a_bar] = i, a, a_bar, i_bar
+                    fill(i + 1, p, q, tuple(x for x in opened if x != a and x != i_bar))
+                    mates[a] = mates[i] = mates[i_bar] = mates[a_bar] = None
+            return
+        image = signs and i < i_bar
+        for s, t, dp, dq in paired if image else lone:
+            if dp <= p and dq <= q:
+                mates[i] = s
+                if image:
+                    mates[i_bar] = t
+                fill(i + 1, p - dp, q - dq, opened)
+        mates[i] = None
+        if image:
+            mates[i_bar] = None
+        elif signs:
+            return  # the middle holds a sign
+        d = 1 if image else 0  # a close with its image opens the image pair
+        if p >= d and q >= d:
+            for k, a in enumerate(opened):
+                mates[a], mates[i] = i, a
+                if image:
+                    a_bar = N - 1 - a
+                    mates[i_bar], mates[a_bar] = a_bar, i_bar
+                fill(i + 1, p - d, q - d, opened[:k] + opened[k + 1:])
+                mates[a] = mates[i] = None
+                if image:
+                    mates[i_bar] = mates[a_bar] = None
+        if p and q:
+            fill(i + 1, p - 1, q - 1, opened + (i,))
 
-    return fill(0, 0, N)
+    fill(0, P, Q, ())
+    return tuple(out)
+
+
+def enumerate_clans(p: int, q: int) -> tuple[Clan, ...]:
+    """All clans of shape (p, q), in canonical-string order ('+' < '-' <
+    pair labels): the walk with no fold."""
+    if p < 0 or q < 0 or p + q < 1:
+        raise ClanError(f"invalid shape ({p}, {q})")
+    return _walk(p, q, None, True, False, f"rank {p + q} is too large for shape ({p}, {q})")
 
 
 def enumerate_case_clans(case: CaseId) -> tuple[Clan, ...]:
-    """All clans of the case's family, in canonical-string order.
-
-    Type A takes every clan of its shape; the folded families take the
-    codes :func:`_folded_clans` fills."""
+    """All clans of the case's family, in canonical-string order: every clan
+    of its shape in type A, else the walk with the case's fold rules."""
     P, Q = case.ambient_shape
     if case.row.symmetry == "none":
         return enumerate_clans(P, Q)
-    return tuple(sorted((Clan(m, P, Q) for m in _folded_clans(case)), key=Clan.sort_key))
+    return _walk(P, Q, *_fold_rules(case.row),
+                 f"rank {case.grank} is too large for case {case.tag}")
 
 
 # ---------------------------------------------------------------------------

@@ -862,20 +862,6 @@ class FactoredPoly:
             total = total * fac
         return total
 
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return FactoredPoly(self.ring, self.scalar, self.factors + (other,), self.den)
-        if isinstance(other, FactoredPoly):
-            return FactoredPoly(self.ring, self.scalar * other.scalar,
-                                self.factors + other.factors, self.den * other.den)
-        try:
-            num, den = _ratio(other)
-        except PolyError:
-            return NotImplemented
-        return FactoredPoly(self.ring, self.scalar * num, self.factors, self.den * den)
-
-    __rmul__ = __mul__
-
     def to_text(self) -> str:
         if self.scalar == 0:
             return "0"

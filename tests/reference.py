@@ -7,8 +7,10 @@ kept here as checks on the code that does.
   differential reference for the code-level ones; the cases of every
   family up to a rank, the inverse of ``rank_table`` and the covering
   moves, a third description of the rank-number order, the counting
-  ``rank_table`` that the one-pass table replaced, and the reversed and
-  negated clans that define the symmetric and skew clans;
+  ``rank_table`` that the one-pass table replaced, the reversed and
+  negated clans that define the symmetric and skew clans, and the
+  symmetric and skew checks on mate codes, which no command needs since
+  ``in_case_family`` reads the fold rules;
 * ``orbits``: the cross action of a whole Weyl element, the set-based
   saturation and order comparison that the bitset versions replaced, and
   the weak-order graph that validates every clan it builds: its weak move
@@ -56,6 +58,8 @@ from orbitcalc.clans import (
     Clan,
     ClanError,
     RankTable,
+    _FOLD_SIGNS,
+    _fold_fixes,
     enumerate_case_clans,
     in_case_family,
     make_clan,
@@ -472,7 +476,7 @@ def covering_successors(c: Clan) -> frozenset[Clan]:
 
 
 # ---------------------------------------------------------------------------
-# Clans: reversal, negation and the family check built on them
+# Clans: reversal, negation, the symmetry predicates and the family check
 # ---------------------------------------------------------------------------
 
 
@@ -492,6 +496,18 @@ def clan_is_symmetric(c: Clan) -> bool:
 
 def clan_is_skew_symmetric(c: Clan) -> bool:
     return c.p == c.q and reversed_clan(c) == negated_clan(c)
+
+
+def is_symmetric(c: Clan) -> bool:
+    """True when the clan equals its own reversal, read on the mate code by
+    the fold check ``in_case_family`` uses."""
+    return _fold_fixes(c.mates, _FOLD_SIGNS["mirror"])
+
+
+def is_skew_symmetric(c: Clan) -> bool:
+    """True when the reversal equals the sign-negated clan, read on the mate
+    code by the fold check ``in_case_family`` uses."""
+    return c.p == c.q and _fold_fixes(c.mates, _FOLD_SIGNS["skew"])
 
 
 def has_self_mirror_pair(c: Clan) -> bool:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitcalc.clans import (
     CASES,
+    DESK_RANKS,
     MINUS,
     PLUS,
     CaseId,
@@ -26,8 +27,6 @@ from orbitcalc.clans import (
     enumerate_case_clans,
     enumerate_clans,
     in_case_family,
-    is_skew_symmetric,
-    is_symmetric,
     leq,
     make_clan,
     parse_clan,
@@ -38,7 +37,8 @@ from orbitcalc.poly import Ring
 from reference import (cases_up_to_rank, clan_from_mates, clan_from_rank_table,
                        clan_in_case_family, clan_is_skew_symmetric, clan_is_symmetric,
                        clan_symbols, counting_rank_table, covering_moves, covering_successors,
-                       has_self_mirror_pair, label_enumerate_case_clans, label_enumerate_clans,
+                       has_self_mirror_pair, is_skew_symmetric, is_symmetric,
+                       label_enumerate_case_clans, label_enumerate_clans,
                        label_has_self_mirror_pair, label_in_case_family,
                        label_is_skew_symmetric, label_is_symmetric, label_pairs, mate_code,
                        symbols_text)
@@ -388,6 +388,18 @@ def test_enumeration_matches_the_label_reference(case):
     assert [clan_symbols(c) for c in clans] == ref
     assert [c.mates for c in clans] == [mate_code(s) for s in ref]
     assert [c.to_text() for c in clans] == [symbols_text(s) for s in ref]
+
+
+def test_enumeration_reads_no_sort_key(monkeypatch):
+    # the walk fills codes in canonical-string order, so no sort may creep back
+    def sort_key(self):
+        raise AssertionError(f"enumeration sorted by sort_key at {self.to_text()}")
+
+    monkeypatch.setattr(Clan, "sort_key", sort_key)
+    for case in [CaseId(*rank) for rank in DESK_RANKS] + [CaseId("a", 3, 3)]:
+        clans = enumerate_case_clans(case)
+        assert [clan_symbols(c) for c in clans] == label_enumerate_case_clans(case), case
+    assert [clan_symbols(c) for c in enumerate_clans(2, 3)] == label_enumerate_clans(2, 3)
 
 
 def test_code_predicates_match_the_label_reference():
