@@ -2,14 +2,17 @@
 """CPU time of the stages of ``conjecture`` and ``classes`` at the stretch
 ranks, written as JSON to ``BENCH_stage_times.json``.
 
-Each row runs in a process of its own and is timed there with
-``time.process_time``.  An ``order`` row times first ``weak_order_graph``
-(its enumeration included, and timed on its own as ``enumerate_s``), then
-``full_closure_order`` and ``check_conjecture`` together.  A ``classes`` row builds the weak-order
-graph untimed, then times ``all_classes``, then the text of every class as
-``classes`` writes it.  After each stage the row also reports the process's
-peak resident set.  A row still running after ``CAP_S`` seconds of wall
-time is stopped, and each stage it did not finish reads "timeout".
+Each row runs ``RUNS`` times, each run in a process of its own, timed there
+with ``time.process_time``; the row reports the median of each figure.  An
+``order`` row times first ``weak_order_graph`` (its enumeration included,
+and timed on its own as ``enumerate_s``), then ``full_closure_order`` and
+``check_conjecture`` together.  A ``classes`` row builds the weak-order
+graph untimed, then times ``all_classes`` (the clock is read before its
+terms are counted), then the text of every class as ``classes`` writes it.
+After each stage the row also reports the process's peak resident set.  A
+run still going after ``CAP_S`` seconds of wall time is stopped, each stage
+it did not finish reads "timeout", and the row is that run: it is not run
+again.
 
 Usage, from the root of a source checkout::
 
@@ -22,6 +25,7 @@ import argparse
 import json
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -29,7 +33,8 @@ import time
 ROWS = (("order", "b-so", 3, 4), ("order", "c-spxsp", 4, 4), ("order", "a", 4, 4),
         ("order", "c-sp-gl", 7, 7), ("classes", "a", 3, 4))
 STAGES = {"order": ("weak_s", "saturate_compare_s"), "classes": ("propagate_s", "render_s")}
-CAP_S = 120.0  # wall-time cap of one row, in seconds
+CAP_S = 120.0  # wall-time cap of one run of a row, in seconds
+RUNS = 3  # runs of a row; each figure is their median
 
 
 def _peak_rss_mib() -> float:
@@ -73,9 +78,10 @@ def time_classes(case) -> None:
     poset = weak_order_graph(case)
     start = time.process_time()
     classes = all_classes(poset)
+    propagate_s = time.process_time() - start
     print(json.dumps({"orbits": len(poset.nodes),
                       "z_terms": sum(len(f.terms) for f in classes.values()),
-                      "propagate_s": round(time.process_time() - start, 3),
+                      "propagate_s": round(propagate_s, 3),
                       "peak_rss_mib": _peak_rss_mib()}), flush=True)
     start = time.process_time()
     text = chern_expansion(case).text
@@ -85,9 +91,9 @@ def time_classes(case) -> None:
                       "peak_rss_mib": _peak_rss_mib()}), flush=True)
 
 
-def measure(tag: str, p: int, q: int, cap: float, command: str = "order") -> dict:
-    """One row of ``command`` (a key of ``STAGES``), run in a child process
-    stopped after ``cap`` seconds."""
+def run_row(tag: str, p: int, q: int, cap: float, command: str) -> dict:
+    """One run of a row of ``command`` (a key of ``STAGES``), in a child
+    process stopped after ``cap`` seconds."""
     row = {"case": tag, "p": p, "q": q, **dict.fromkeys(STAGES[command], "timeout")}
     argv = [sys.executable, __file__, "--row", command, tag, str(p), str(q)]
     try:
@@ -100,6 +106,18 @@ def measure(tag: str, p: int, q: int, cap: float, command: str = "order") -> dic
     for line in out.decode().splitlines():
         row.update(json.loads(line))
     return row
+
+
+def measure(tag: str, p: int, q: int, cap: float, command: str = "order") -> dict:
+    """A row of ``command``: the median of each timing and peak over
+    ``RUNS`` runs, or the first run that times out."""
+    runs = []
+    for _ in range(RUNS):
+        runs.append(run_row(tag, p, q, cap, command))
+        if "timeout" in runs[-1].values():
+            return runs[-1]
+    return {key: statistics.median(run[key] for run in runs) if isinstance(value, float)
+            else value for key, value in runs[0].items()}
 
 
 def main() -> int:
@@ -123,6 +141,7 @@ def main() -> int:
     data = {
         "clock": "time.process_time, CPU seconds of the row's own process",
         "cap_s": CAP_S,
+        "runs": RUNS,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rows": rows,

@@ -9,9 +9,8 @@ A clan is stored as its mate code: its symbols with every sign kept and every
 pair symbol replaced by the 0-based position of its mate.  Mate codes need no
 relabelling, and two clans of one shape are equal exactly when their codes
 are.  Labels exist only at the edges: :func:`make_clan` and :func:`parse_clan`
-turn labelled input into a code once, and ``Clan.to_text`` and
-``Clan.sort_key`` number the pairs 1, 2, ... by first occurrence, for output
-and for the canonical-string order.
+turn labelled input into a code once, and ``Clan.to_text`` numbers the pairs
+1, 2, ... by first occurrence, for output.
 
 The module also provides the rank-number tables of a clan and their order,
 the table ``CASES`` of the seven supported symmetric pairs with the fold
@@ -194,11 +193,6 @@ class Clan(Record):
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.to_text()
-
-    def sort_key(self) -> tuple:
-        """Deterministic ordering key, that of the canonical strings:
-        '+' < '-' < pair labels by number."""
-        return tuple([0 if s == PLUS else 1 if s == MINUS else s + 1 for s in self._labels()])
 
 
 def make_clan(symbols: Sequence, p: int, q: int) -> Clan:

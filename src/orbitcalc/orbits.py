@@ -181,7 +181,7 @@ class OrbitPoset(Record):
     case: CaseId
     nodes: tuple[Clan, ...]  # by rank, canonical within a rank
     weak_edges: tuple[tuple[Clan, Clan, int, int], ...]  # (src, dst, root, degree)
-    ranks: Mapping[Clan, int]
+    ranks: Mapping[Clan, int]  # in enumeration order, the canonical one
     order_bits: OrderBits | None  # set by full_closure_order
 
     @cached_property
@@ -270,7 +270,7 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
                                  f"(root {i}) is not graded")
             edges.append((src, clans[dst], i, deg))
     nodes = tuple(map(clans.__getitem__, order))
-    return OrbitPoset(case, nodes, tuple(edges), {clans[k]: rank[k] for k in order})
+    return OrbitPoset(case, nodes, tuple(edges), dict(zip(clans, rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +401,30 @@ class OrderComparison(Record):
 
 def check_conjecture(poset: OrbitPoset) -> OrderComparison:
     """Compare the closure order with the rank-number order: the witnesses
-    are the pairs below only in the latter, ``rank_down & ~down`` per orbit.
-    A poset that does not carry ``order_bits`` is saturated first."""
+    are the pairs below only in the latter, ``rank_down & ~down`` per orbit,
+    sorted by the canonical places of (lower, upper).  A poset that does not
+    carry ``order_bits`` is saturated first."""
     if poset.order_bits is None:
         poset = full_closure_order(poset)
     bits, nodes = poset.order_bits, poset.nodes
     witnesses = [(nodes[a], upper)
                  for upper, below, ranked in zip(nodes, bits.down, bits.rank_down)
                  for a in _members(ranked & ~below)]
-    witnesses.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
+    place = {c: k for k, c in enumerate(poset.ranks)}
+    witnesses.sort(key=lambda pair: (place[pair[0]], place[pair[1]]))
     return OrderComparison(poset.case, not witnesses, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
+
+
+def _canonical_edges(poset: OrbitPoset) -> list[tuple[Clan, Clan, int, int]]:
+    """The weak edges by their source's place in the canonical order (that of
+    ``poset.ranks``), then by root: a source and a root have one target."""
+    place = {c: k for k, c in enumerate(poset.ranks)}
+    return sorted(poset.weak_edges, key=lambda e: (place[e[0]], e[2]))
 
 
 def poset_to_json(poset: OrbitPoset) -> dict:
@@ -429,10 +438,7 @@ def poset_to_json(poset: OrbitPoset) -> dict:
                 "root": i,
                 "degree": deg,
             }
-            for src, dst, i, deg in sorted(
-                poset.weak_edges,
-                key=lambda e: (e[0].sort_key(), e[2], e[1].sort_key()),
-            )
+            for src, dst, i, deg in _canonical_edges(poset)
         ],
     }
     full = poset.full_order
@@ -452,9 +458,7 @@ def poset_to_dot(poset: OrbitPoset) -> str:
     for _, row in groupby(poset.nodes, key=poset.ranks.__getitem__):
         names = " ".join(f'"{c.to_text()}";' for c in row)
         lines.append(f"  {{ rank=same; {names} }}")
-    for src, dst, i, deg in sorted(
-        poset.weak_edges, key=lambda e: (e[0].sort_key(), e[2], e[1].sort_key())
-    ):
+    for src, dst, i, deg in _canonical_edges(poset):
         attrs = [f'label="{i}"']
         if deg == 2:
             attrs.append("color=blue")

@@ -5,7 +5,9 @@ Polynomials live in a fixed :class:`Ring` with three banks of variables:
 the symmetric subgroup / bundle roots), and ``z1..z_nz`` (Chern-class
 variables).  The module provides substitution of signed variables for
 variables (restriction to a fixed point, the Weyl-group action),
-divided-difference operators for the four classical root types, elementary
+divided-difference operators for the four classical root types (one pair
+kernel serves x_i - x_{i+1} and, as the swap conjugated by x_n -> -x_n,
+type D's branch root x_{n-1} + x_n), elementary
 symmetric polynomials, determinants, rewriting of block-symmetric
 polynomials in terms of elementary symmetric generators and its inverse
 (``ChernExpansion``), and a factored-form container used for
@@ -330,17 +332,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check(other)
-        den, oden = self._den, other._den
-        if den == oden:
-            out = dict(self._terms)
-            for key, c in other._terms.items():
-                out[key] = out.get(key, 0) + c
-        else:
-            den = lcm(den, oden)
-            scale, oscale = den // self._den, den // oden
-            out = {key: c * scale for key, c in self._terms.items()}
-            for key, c in other._terms.items():
-                out[key] = out.get(key, 0) + c * oscale
+        den = lcm(self._den, other._den)
+        scale, oscale = den // self._den, den // other._den  # both 1 when the dens agree
+        out = {key: c * scale for key, c in self._terms.items()}
+        for key, c in other._terms.items():
+            out[key] = out.get(key, 0) + c * oscale
         return Polynomial._from_clean(self.ring, out, den)
 
     __radd__ = __add__
@@ -524,24 +520,19 @@ def _signed_remap(
 # ---------------------------------------------------------------------------
 
 
-def _check_root_index(lie_type: str, rank: int, i: int) -> None:
-    if lie_type == "A":
-        if not 1 <= i <= rank - 1:
-            raise PolyError(f"type A rank {rank} has simple roots 1..{rank - 1}")
-    elif lie_type in ("B", "C", "D"):
-        if not 1 <= i <= rank:
-            raise PolyError(f"type {lie_type} rank {rank} has simple roots 1..{rank}")
-        if lie_type == "D" and rank < 2:
-            raise PolyError("type D needs rank >= 2")
-    else:
-        raise PolyError(f"unknown Lie type {lie_type!r}")
-
-
-def _dd_swap(f: Polynomial, sa: int, sb: int) -> Polynomial:
-    """Divided difference for alpha = x_a - x_b (``sa``, ``sb``: the bit
-    offsets of their digits).  x_a^i x_b^j maps to the sum of
+def _dd_pair(f: Polynomial, sa: int, sb: int, sign: int) -> Polynomial:
+    """Divided difference for alpha = x_a - sign*x_b (``sa``, ``sb``: the bit
+    offsets of their digits).  For sign 1, x_a^i x_b^j maps to the sum of
     x_a^t x_b^(i+j-1-t), j <= t < i, negated when i < j: the keys step by
-    x_a / x_b."""
+    x_a / x_b.  For sign -1 (type D's branch root x_a + x_b) each of these
+    terms also gets the factor (-1)^(i-1-t), so the signs alternate.
+
+    Proof for sign -1: let tau be x_b -> -x_b.  Then tau s tau is the
+    reflection in x_a + x_b (x_a -> -x_b, x_b -> -x_a), and
+    tau(x_a - x_b) = x_a + x_b, so the operator is tau o (the sign-1
+    operator) o tau.  The inner tau gives x_a^i x_b^j the factor (-1)^j,
+    the outer one gives x_a^t x_b^(i+j-1-t) the factor (-1)^(i+j-1-t):
+    together (-1)^(i-1-t)."""
     step = (1 << sa) - (1 << sb)
     drop = (1 << f.ring._top) + (1 << sb)  # one degree and one x_b
     out: dict[int, int] = {}
@@ -552,61 +543,52 @@ def _dd_swap(f: Polynomial, sa: int, sb: int) -> Polynomial:
         key -= drop
         if d > 0:
             key -= d * step
-        else:
-            d, coeff = -d, -coeff
-        for _ in range(d):
-            out[key] = out.get(key, 0) + coeff
-            key += step
-    return Polynomial._from_clean(f.ring, out, f._den)
-
-
-def _dd_single(f: Polynomial, sa: int, alpha_coeff: int) -> Polynomial:
-    """Divided difference for alpha = alpha_coeff * x_a (type B: 1, type C: 2)."""
-    scale = 2 // alpha_coeff
-    odd = 1 << sa
-    drop = (1 << f.ring._top) + odd
-    return Polynomial._from_clean(
-        f.ring, {key - drop: scale * c for key, c in f._terms.items() if key & odd}, f._den)
-
-
-def _dd_sum(f: Polynomial, sa: int, sb: int) -> Polynomial:
-    """Divided difference for alpha = x_a + x_b (type D branch node): the
-    keys of the alternating terms step by x_b / x_a."""
-    step = (1 << sb) - (1 << sa)
-    drop = (1 << f.ring._top) + (1 << sa)  # one degree and one x_a
-    out: dict[int, int] = {}
-    for key, coeff in f._terms.items():
-        d = (key >> sa & _DIGIT) - (key >> sb & _DIGIT)
-        if not d:
-            continue
-        key -= drop
-        if d < 0:
-            d = -d
-            key -= d * step
-            if not d & 1:
+            if sign < 0 and not d & 1:  # the first term's (-1)^(i-1-t), t = j
                 coeff = -coeff
-        for _ in range(d):
-            out[key] = out.get(key, 0) + coeff
-            key += step
-            coeff = -coeff
+        elif sign > 0:
+            d, coeff = -d, -coeff
+        else:  # the negation and the first term's (-1)^(i-1-t), t = i, cancel
+            d = -d
+        if sign > 0:
+            for _ in range(d):
+                out[key] = out.get(key, 0) + coeff
+                key += step
+        else:
+            for _ in range(d):
+                out[key] = out.get(key, 0) + coeff
+                key += step
+                coeff = -coeff
     return Polynomial._from_clean(f.ring, out, f._den)
 
 
 def divided_difference(f: Polynomial, lie_type: str, rank: int, i: int) -> Polynomial:
-    """The operator f -> (f - s_i f) / alpha_i for the given root system."""
+    """The operator f -> (f - s_i f) / alpha_i for the given root system.
+
+    The simple roots are x_i - x_{i+1} for i < rank, and in types B, C and D
+    a last root x_rank, 2*x_rank and x_{rank-1} + x_rank (type D needs rank
+    at least 2).  Any other root, or one whose variables lie outside f's
+    ring, raises :class:`PolyError`.  Types B and C send x_rank^k to
+    (2 / c) x_rank^(k-1) for odd k (alpha = c*x_rank) and to 0 for even k."""
+    if lie_type not in ("A", "B", "C", "D"):
+        raise PolyError(f"unknown Lie type {lie_type!r}")
+    last = rank - 1 if lie_type == "A" else rank
+    if not 1 <= i <= last:
+        raise PolyError(f"type {lie_type} rank {rank} has simple roots 1..{last}")
+    if lie_type == "D" and rank < 2:
+        raise PolyError("type D needs rank >= 2")
     ring = f.ring
-    _check_root_index(lie_type, rank, i)
 
     def x(k: int) -> int:
         return ring._shifts[ring.var_index("x", k)]
 
     if lie_type == "A" or i < rank:
-        return _dd_swap(f, x(i), x(i + 1))
-    if lie_type == "B":
-        return _dd_single(f, x(rank), 1)
-    if lie_type == "C":
-        return _dd_single(f, x(rank), 2)
-    return _dd_sum(f, x(rank - 1), x(rank))
+        return _dd_pair(f, x(i), x(i + 1), 1)
+    if lie_type == "D":
+        return _dd_pair(f, x(rank - 1), x(rank), -1)
+    scale, odd = 2 if lie_type == "B" else 1, 1 << x(rank)
+    drop = (1 << ring._top) + odd
+    return Polynomial._from_clean(
+        ring, {key - drop: scale * c for key, c in f._terms.items() if key & odd}, f._den)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,6 @@ from orbitcalc.poly import (
     Polynomial,
     PolyError,
     Ring,
-    _check_root_index,
     divided_difference,
 )
 from orbitcalc.weyl import (
@@ -864,7 +863,7 @@ def clan_weak_order_graph(case: CaseId) -> OrbitPoset:
     whose degree is 2 where the embedded simple reflection
     (:func:`ambient_source`, the permutation of :func:`cross_action_simple`)
     fixes the source.  Nodes by rank, then canonically; edges by their
-    source's place, then by root."""
+    source's place, then by root; ranks in canonical order."""
     P, Q = case.ambient_shape
     clans = [make_clan(s, P, Q) for s in label_enumerate_case_clans(case)]
     sources = {i: ambient_source(case, i) for i in simple_root_indices(case)}
@@ -881,10 +880,10 @@ def clan_weak_order_graph(case: CaseId) -> OrbitPoset:
     rank: dict[Clan, int] = {}
     for c in TopologicalSorter(below).static_order():
         rank[c] = max((rank[b] + 1 for b in below[c]), default=0)
-    nodes = tuple(sorted(clans, key=lambda c: (rank[c], c.sort_key())))
+    nodes = tuple(sorted(clans, key=lambda c: (rank[c], symbols_sort_key(clan_symbols(c)))))
     pos = {c: k for k, c in enumerate(nodes)}
     edges.sort(key=lambda e: (pos[e[0]], e[2]))
-    return OrbitPoset(case, nodes, tuple(edges), {c: rank[c] for c in nodes})
+    return OrbitPoset(case, nodes, tuple(edges), {c: rank[c] for c in clans})
 
 
 def set_full_closure_order(poset: OrbitPoset) -> OrbitPoset:
@@ -972,7 +971,8 @@ def set_check_conjecture(poset: OrbitPoset) -> OrderComparison:
                 continue
             if a not in downs and tables[a].below(tables[b]):
                 witnesses.append((a, b))
-    witnesses.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
+    witnesses.sort(key=lambda pair: (symbols_sort_key(clan_symbols(pair[0])),
+                                     symbols_sort_key(clan_symbols(pair[1]))))
     return OrderComparison(poset.case, not witnesses, tuple(witnesses))
 
 
@@ -1140,6 +1140,19 @@ def verify_localization_every_point(
 # ---------------------------------------------------------------------------
 # Polynomials: simple reflections and simple roots
 # ---------------------------------------------------------------------------
+
+
+def _check_root_index(lie_type: str, rank: int, i: int) -> None:
+    if lie_type == "A":
+        if not 1 <= i <= rank - 1:
+            raise PolyError(f"type A rank {rank} has simple roots 1..{rank - 1}")
+    elif lie_type in ("B", "C", "D"):
+        if not 1 <= i <= rank:
+            raise PolyError(f"type {lie_type} rank {rank} has simple roots 1..{rank}")
+        if lie_type == "D" and rank < 2:
+            raise PolyError("type D needs rank >= 2")
+    else:
+        raise PolyError(f"unknown Lie type {lie_type!r}")
 
 
 def reflect_x(f: Polynomial, lie_type: str, rank: int, i: int) -> Polynomial:

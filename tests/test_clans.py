@@ -41,7 +41,7 @@ from reference import (cases_up_to_rank, clan_from_mates, clan_from_rank_table,
                        label_enumerate_case_clans, label_enumerate_clans,
                        label_has_self_mirror_pair, label_in_case_family,
                        label_is_skew_symmetric, label_is_symmetric, label_pairs, mate_code,
-                       symbols_text)
+                       symbols_sort_key, symbols_text)
 
 DATA = Path(__file__).parent / "data"
 CENSUS_RANK5 = DATA / "census_folded_rank5.json"
@@ -240,7 +240,7 @@ def test_census_2_2_matches_fixture():
 
 def test_enumeration_sorted_and_unique():
     cs = enumerate_clans(2, 3)
-    keys = [c.sort_key() for c in cs]
+    keys = [symbols_sort_key(clan_symbols(c)) for c in cs]
     assert keys == sorted(keys)
     assert len(set(cs)) == len(cs)
 
@@ -391,11 +391,12 @@ def test_enumeration_matches_the_label_reference(case):
 
 
 def test_enumeration_reads_no_sort_key(monkeypatch):
-    # the walk fills codes in canonical-string order, so no sort may creep back
-    def sort_key(self):
-        raise AssertionError(f"enumeration sorted by sort_key at {self.to_text()}")
+    # the walk fills codes in canonical-string order, so no sort by labels may
+    # creep back
+    def labels(self):
+        raise AssertionError(f"enumeration read the labels of {self.mates}")
 
-    monkeypatch.setattr(Clan, "sort_key", sort_key)
+    monkeypatch.setattr(Clan, "_labels", labels)
     for case in [CaseId(*rank) for rank in DESK_RANKS] + [CaseId("a", 3, 3)]:
         clans = enumerate_case_clans(case)
         assert [clan_symbols(c) for c in clans] == label_enumerate_case_clans(case), case

@@ -22,6 +22,14 @@ from orbitcalc.geometry import GeometryError
 from orbitcalc.orbits import OrbitError, weak_order_graph
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
+SRC = Path(__file__).parent.parent / "src"
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a spawned child: this process's, with the
+    checkout's ``src`` at the front of ``PYTHONPATH``, and ``extra``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 # a rank whose clans would have more positions than a sequence can index
@@ -278,8 +286,7 @@ class TestOracle:
             proc = subprocess.run(
                 [sys.executable, "-m", "orbitcalc", "oracle", "--max-n", "3",
                  "--measure-max-n", "3"],
-                capture_output=True, timeout=120,
-                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True, timeout=120, env=child_env(PYTHONHASHSEED=seed),
             )
             assert proc.returncode == 0
             outs.append(proc.stdout)
@@ -555,7 +562,7 @@ A11 = ["--case", "a", "--p", "1", "--q", "1"]
 ])
 def test_subcommand_loads_only_the_layers_it_runs(argv, layers):
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stderr.rpartition("loaded: ")[2].split())
     assert {"orbitcalc.clans", "orbitcalc.cli"} <= modules
@@ -582,7 +589,7 @@ def test_streamed_classes_peak_memory_stays_near_start_up():
     proc = subprocess.run(
         [sys.executable, "-c", PEAK_RSS, "classes --case a --p 3 --q 3",
          "enumerate --case a --p 1 --q 1"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=child_env())
     assert proc.returncode == 0, proc.stderr
     (status, classes_kib), (status2, trivial_kib) = (
         map(int, line.split()) for line in proc.stdout.splitlines())
@@ -607,7 +614,7 @@ def test_subcommand_does_not_load_fractions(argv):
     # d-so-gl classes have denominators 2^(n-1) and b-so has degree-2 edges:
     # both run on int numerators over one denominator
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stderr.rpartition("loaded: ")[2].split())
     assert "orbitcalc.cli" in modules
@@ -626,7 +633,7 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
     for seed in ("0", "1"):
         proc = subprocess.run(
             [sys.executable, "-m", "orbitcalc", *argv], capture_output=True,
-            timeout=120, env={**os.environ, "PYTHONHASHSEED": seed})
+            timeout=120, env=child_env(PYTHONHASHSEED=seed))
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1] and outs[0]
@@ -636,7 +643,7 @@ def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "orbitcalc", "chern", "--case", "a",
          "--p", "2", "--q", "2", "--clan", "++--"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(x1^2 - x1*z3 + z4)(x2^2 - x2*z3 + z4)"

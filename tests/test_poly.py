@@ -566,10 +566,12 @@ def test_divided_difference_examples():
     assert divided_difference(R.x(4), "D", 4, 4) == R.one
     assert divided_difference(R.x(3) * R.x(4), "D", 4, 4).is_zero()
     assert divided_difference(R.y(1), "A", 4, 1).is_zero()
-    with pytest.raises(PolyError):
-        divided_difference(R.x(1), "A", 4, 4)
-    with pytest.raises(PolyError):
-        divided_difference(R.x(1), "E", 4, 1)
+    # roots that do not exist; at ("A", 5, 4), x5 lies outside R (nx = 4),
+    # so its slot must not be read as the y digit after x4's
+    for lie_type, rank, i in [("A", 4, 4), ("E", 4, 1), ("A", 4, 0), ("B", 3, 4),
+                              ("D", 1, 1), ("A", 5, 4)]:
+        with pytest.raises(PolyError):
+            divided_difference(R.x(1), lie_type, rank, i)
 
 
 # ---------------------------------------------------------------------------
