@@ -31,7 +31,7 @@ import sys
 import time
 
 ROWS = (("order", "b-so", 3, 4), ("order", "c-spxsp", 4, 4), ("order", "a", 4, 4),
-        ("order", "c-sp-gl", 7, 7), ("classes", "a", 3, 4))
+        ("order", "c-sp-gl", 7, 7), ("classes", "a", 3, 4), ("classes", "d-so-gl", 5, 5))
 STAGES = {"order": ("weak_s", "saturate_compare_s"), "classes": ("propagate_s", "render_s")}
 CAP_S = 120.0  # wall-time cap of one run of a row, in seconds
 RUNS = 3  # runs of a row; each figure is their median

@@ -129,9 +129,6 @@ CASES = {
                          _pair_blocks("B", "B", gap=1)),
 }
 
-#: Tags for the seven supported symmetric pairs.
-CASE_TAGS = tuple(CASES)
-
 #: The shipped rank of each family: (tag, p, q), checked end to end.
 DESK_RANKS = tuple((tag, *row.desk) for tag, row in CASES.items())
 

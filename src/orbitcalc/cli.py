@@ -22,7 +22,7 @@ import argparse
 import sys
 from collections.abc import Iterable
 
-from .clans import (CASE_TAGS, CASES, DESK_RANKS, CaseId, CheckError, ClanError,
+from .clans import (CASES, DESK_RANKS, CaseId, CheckError, ClanError,
                     case_from_params, enumerate_case_clans, enumerate_clans, parse_clan,
                     rank_table)
 
@@ -38,6 +38,14 @@ def _emit(args, chunks: Iterable[str]) -> None:
             out.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
+
+
+def _emit_json(args, case: CaseId, **fields) -> None:
+    """Write ``fields`` and the case's tag, p and q under ``"case"`` as one
+    JSON document."""
+    import json
+    data = {"case": {"tag": case.tag, "p": case.p, "q": case.q}, **fields}
+    _emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
 
 
 def _resolve_case(args) -> CaseId:
@@ -75,13 +83,7 @@ def cmd_enumerate(args) -> int:
     clans = enumerate_case_clans(case)
     _guardrail(args, case, len(clans))
     if args.fmt == "json":
-        import json
-        data = {
-            "case": {"tag": case.tag, "p": case.p, "q": case.q},
-            "count": len(clans),
-            "clans": [c.to_text() for c in clans],
-        }
-        _emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
+        _emit_json(args, case, count=len(clans), clans=[c.to_text() for c in clans])
     else:
         _emit(args, (c.to_text() + "\n" for c in clans))
     return 0
@@ -219,15 +221,8 @@ def cmd_conjecture(args) -> int:
     _guardrail(args, case, len(poset.nodes))
     report = check_conjecture(poset)
     if args.fmt == "json":
-        import json
-        data = {
-            "case": {"tag": case.tag, "p": case.p, "q": case.q},
-            "coincides": report.coincides,
-            "witnesses": [
-                [a.to_text(), b.to_text()] for a, b in report.witnesses
-            ],
-        }
-        _emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
+        _emit_json(args, case, coincides=report.coincides,
+                   witnesses=[[a.to_text(), b.to_text()] for a, b in report.witnesses])
         return 0
     if report.coincides:
         _emit(args, [
@@ -257,13 +252,7 @@ def cmd_chern(args) -> int:
     c = parse_clan("--" if args.clan == [] else args.clan, P, Q)
     formula = chern_factored(case, c)
     if args.fmt == "json":
-        import json
-        data = {
-            "case": {"tag": case.tag, "p": case.p, "q": case.q},
-            "clan": c.to_text(),
-            "chern": formula.to_text(),
-        }
-        _emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
+        _emit_json(args, case, clan=c.to_text(), chern=formula.to_text())
     else:
         _emit(args, [formula.to_text() + "\n"])
     return 0
@@ -304,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in commands.items():
         if name != "oracle":
-            p.add_argument("--case", choices=sorted(CASE_TAGS), default=None,
+            p.add_argument("--case", choices=sorted(CASES), default=None,
                            help="orbit family selector")
             p.add_argument("--p", type=int, default=None)
             p.add_argument("--q", type=int, default=None)

@@ -28,11 +28,14 @@ degree d.  E is applied only where y is printed or restricted:
 ``classes`` writes each class's image as text straight from its z-form
 (``ChernExpansion.text``), and localization expands only restrictions.
 
-Determinantal convention used by the GL-type families: ``delta(ring, m, w)``
-is the m x m determinant ``det(c_{m+1+j-2i})`` where ``c_k`` is the sum of
-the k-th elementary symmetric polynomials of the signed x-variables
+Determinantal convention used by the GL-type families: the closed class at
+a representative w has the m x m determinant ``det(c_{m+1+j-2i})``, m = n for
+c-sp-gl and n-1 for d-so-gl, where ``c_k`` is the sum of the k-th elementary
+symmetric polynomials of the signed x-variables
 ``sgn(w^{-1}(i)) * x_{|w^{-1}(i)|}`` and of all y-variables, ``c_0 = 2``,
-and ``c_k = 0`` for k < 0 or k > n.
+and ``c_k = 0`` for k < 0 or k > n.  It depends on w only through w's
+signs, so ``delta`` builds it once per case, at the identity, and
+``closed_class`` flips the signs of x-variables in it.
 """
 
 from __future__ import annotations
@@ -112,30 +115,22 @@ def _block_factors(ring: Ring, a: int, block: range, signs: tuple[int, ...],
     return [out]
 
 
-def delta(ring: Ring, m: int, w: Weyl, chern: bool = False) -> Polynomial:
-    """The m x m determinant det(c_{m+1+j-2i}) described in the module doc;
-    with ``chern``, z_k stands for e_k(y_1..y_n) in its entries."""
-    n = ring.nx
-    if len(w) != n:
-        raise FormulaError("group element length does not match the ring")
-    winv = weyl_inverse(w)
-    xs = [ring.x(abs(v)) * (1 if v > 0 else -1) for v in winv]
+@cache
+def delta(case: CaseId, chern: bool = False) -> Polynomial:
+    """The determinant det(c_{m+1+j-2i}) of the module doc at the identity,
+    m = n for c-sp-gl and n-1 for d-so-gl; with ``chern``, z_k stands for
+    e_k(y_1..y_n) in its entries.  One object per case and form."""
+    ring = formula_ring(case)
+    n = case.grank
+    m = n if case.family == "C" else n - 1
+    xs = [ring.x(i) for i in range(1, n + 1)]
     ys = [ring.y(j) for j in range(1, n + 1)]
-    c_cache = {
-        k: elem_sym(ring, k, xs) + (ring.var("z", k) if chern else elem_sym(ring, k, ys))
+    c = [ring.const(2)] + [
+        elem_sym(ring, k, xs) + (ring.var("z", k) if chern else elem_sym(ring, k, ys))
         for k in range(1, n + 1)
-    }
-
-    def c(k: int) -> Polynomial:
-        if k == 0:
-            return ring.const(2)
-        if 0 < k <= n:
-            return c_cache[k]
-        return ring.zero
-
-    matrix = [[c(m + 1 + j - 2 * i) for j in range(1, m + 1)]
-              for i in range(1, m + 1)]
-    return determinant(matrix)
+    ]
+    entries = [[m + 1 + j - 2 * i for j in range(1, m + 1)] for i in range(1, m + 1)]
+    return determinant([[c[k] if 0 <= k <= n else ring.zero for k in row] for row in entries])
 
 
 def closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly:
@@ -144,7 +139,11 @@ def closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly:
     ``chern`` it is written in the z-variables of ``chern_blocks``: the
     seed of propagation, and the factored ``chern`` output.
 
-    The skew (GL) pairs give a determinant ``delta``.  Otherwise, with
+    The skew (GL) pairs give the case's determinant ``delta`` with x_j
+    negated wherever w(j) < 0.  That is the determinant at w itself: its
+    signed x's are sgn(w^{-1}(i)) x_{|w^{-1}(i)|}, and w^{-1}(|w(j)|) =
+    sgn w(j) j, so they are {sgn w(j) x_j}, and each e_k of them is e_k(x)
+    with those signs flipped.  Otherwise, with
     awinv the inverse of |w|, the class is a product over i <= p of
     (x_awinv(i) - y_j), and of (x_awinv(i) + y_j) too outside type A, for
     y_j in K's second block; times x_1..x_{n-1} where a coordinate is
@@ -156,11 +155,11 @@ def closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly:
     w = distinguished_representative(case, c)
     symmetry = case.row.symmetry
     if symmetry == "skew":
+        flips = {ring.var_index("x", j): -ring.x(j) for j, v in enumerate(w, start=1) if v < 0}
+        factor = delta(case, chern).substitute(flips)
         if case.family == "C":
-            return FactoredPoly(ring, _sign(stat_psi(w) + stat_sigma(w)),
-                                [delta(ring, n, w, chern=chern)])
-        return FactoredPoly(ring, _sign(stat_sigma(w)), [delta(ring, n - 1, w, chern=chern)],
-                            2 ** (n - 1))
+            return FactoredPoly(ring, _sign(stat_psi(w) + stat_sigma(w)), [factor])
+        return FactoredPoly(ring, _sign(stat_sigma(w)), [factor], 2 ** (n - 1))
     aw = weyl_abs(w)
     firsts = weyl_inverse(aw)[:p]
     if case.uncovered:

@@ -73,8 +73,8 @@ from orbitcalc.formulas import (
     chern_expansion,
     closed_class,
     closed_restriction_product,
-    delta,
     formula_ring,
+    point_images,
     restrict_at,
 )
 from orbitcalc.orbits import (
@@ -90,7 +90,9 @@ from orbitcalc.poly import (
     Polynomial,
     PolyError,
     Ring,
+    determinant,
     divided_difference,
+    elem_sym,
 )
 from orbitcalc.weyl import (
     Root,
@@ -981,9 +983,39 @@ def set_check_conjecture(poset: OrbitPoset) -> OrderComparison:
 # ---------------------------------------------------------------------------
 
 
+def orbit_delta(ring: Ring, m: int, w: Weyl, chern: bool = False) -> Polynomial:
+    """``formulas.delta`` as it was before it was built once per case: the
+    m x m determinant det(c_{m+1+j-2i}) at the group element w, from the
+    signed x-variables sgn(w^{-1}(i)) * x_{|w^{-1}(i)|}; with ``chern``,
+    z_k stands for e_k(y_1..y_n) in its entries."""
+    n = ring.nx
+    if len(w) != n:
+        raise FormulaError("group element length does not match the ring")
+    winv = weyl_inverse(w)
+    xs = [ring.x(abs(v)) * (1 if v > 0 else -1) for v in winv]
+    ys = [ring.y(j) for j in range(1, n + 1)]
+    c_cache = {
+        k: elem_sym(ring, k, xs) + (ring.var("z", k) if chern else elem_sym(ring, k, ys))
+        for k in range(1, n + 1)
+    }
+
+    def c(k: int) -> Polynomial:
+        if k == 0:
+            return ring.const(2)
+        if 0 < k <= n:
+            return c_cache[k]
+        return ring.zero
+
+    matrix = [[c(m + 1 + j - 2 * i) for j in range(1, m + 1)]
+              for i in range(1, m + 1)]
+    return determinant(matrix)
+
+
 def tag_closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly:
     """``closed_class`` as it was before it read the case table: one branch
-    per tag, and ``stat_tau`` for the sign in d-oxo-odd."""
+    per tag, and ``stat_tau`` for the sign in d-oxo-odd; and for the GL
+    pairs, a determinant built at each orbit's representative
+    (``orbit_delta``)."""
     if not is_closed_clan(case, c):
         raise ClanError(f"{c.to_text()} is not a closed-orbit clan of {case.tag}")
     ring = formula_ring(case)
@@ -1008,10 +1040,10 @@ def tag_closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly
 
     if tag == "c-sp-gl":
         sign = _sign(stat_psi(w) + stat_sigma(w))
-        return FactoredPoly(ring, sign, [delta(ring, n, w, chern=chern)])
+        return FactoredPoly(ring, sign, [orbit_delta(ring, n, w, chern=chern)])
 
     if tag == "d-so-gl":
-        return FactoredPoly(ring, _sign(stat_sigma(w)), [delta(ring, n - 1, w, chern=chern)],
+        return FactoredPoly(ring, _sign(stat_sigma(w)), [orbit_delta(ring, n - 1, w, chern=chern)],
                             2 ** (n - 1))
 
     # branched orthogonal pair (odd ranks): the standard representative
@@ -1094,18 +1126,25 @@ def verify_localization_every_point(
     stopping at the first nonzero restriction.  The support restrictions
     run on the z-form and expand only the result, which equals restricting
     the expanded class (``test_restriction_commutes_with_expansion``) and
-    halves the time of this loop."""
+    halves the time of this loop.  Each fixed point's images are built
+    once, on first use, and serve every restriction there."""
     poset = full_closure_order(poset)
     case = poset.case
     ring = formula_ring(case)
     failures: list[str] = []
+    images: dict[Weyl, dict[int, Polynomial]] = {}
+
+    def restrict(f: Polynomial, w: Weyl) -> Polynomial:
+        if w not in images:
+            images[w] = point_images(case, ring, w)
+        return restrict_at(case, f, w, images[w])
 
     closed_points = 0
     for c in poset.minima():
         f = expand_class(case, classes[c])
         for w in closed_orbit_fixed_points(case, c):
             closed_points += 1
-            if restrict_at(case, f, w) != closed_restriction_product(case, w):
+            if restrict(f, w) != closed_restriction_product(case, w):
                 failures.append(
                     f"closed restriction mismatch at {c.to_text()}, "
                     f"fixed point {w}"
@@ -1123,7 +1162,7 @@ def verify_localization_every_point(
                     continue
                 support_pairs += 1
                 for w in points:
-                    if not expand_class(case, restrict_at(case, f, w)).is_zero():
+                    if not expand_class(case, restrict(f, w)).is_zero():
                         failures.append(
                             f"nonzero restriction of {c.to_text()} at a fixed "
                             f"point {w} of {other.to_text()}"

@@ -40,6 +40,7 @@ from reference import (
     component_class,
     covering_successors,
     expand_class,
+    orbit_delta,
     reflect_x,
     simple_root_poly,
     weyl_compose,
@@ -246,15 +247,16 @@ def test_criterion_09_property_suites():
         )
         assert restrict_at(case, ring.one, w) == ring.one
 
-    # determinant: symmetric in x and in y, and the sign-substitution law
+    # determinant: symmetric in x and in y (the per-orbit reference at any
+    # size), and the sign-substitution law (the case's determinant)
     for _ in range(samples):
         n = rng.randint(1, 4)
         m = rng.randint(1, n)
         ring = Ring(n, n, 0)
         w = list(range(1, n + 1))
         rng.shuffle(w)
-        d = delta(ring, m, tuple(w))
-        assert d == delta(ring, m, tuple(range(1, n + 1)))
+        d = orbit_delta(ring, m, tuple(w))
+        assert d == orbit_delta(ring, m, tuple(range(1, n + 1)))
         sigma = list(range(1, n + 1))
         rng.shuffle(sigma)
         x_images = {
@@ -266,7 +268,9 @@ def test_criterion_09_property_suites():
         assert d.substitute(x_images) == d
         assert d.substitute(y_images) == d
 
-        full = delta(ring, n, tuple(w))
+        case = case_from_params("c-sp-gl", n, n)
+        ring = formula_ring(case)
+        full = delta(case)
         eps = [rng.choice([1, -1]) for _ in range(n)]
         images = {
             ring.var_index("x", i): ring.y(i) * eps[i - 1]

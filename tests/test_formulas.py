@@ -16,6 +16,7 @@ from orbitcalc.formulas import (
     all_classes,
     chern_blocks,
     chern_class,
+    chern_expansion,
     chern_factored,
     closed_class,
     closed_restriction_product,
@@ -42,6 +43,7 @@ from reference import (
     expand_class,
     identity_weyl,
     k_weyl_group,
+    orbit_delta,
     tag_closed_class,
     verify_localization_every_point,
     weyl_compose,
@@ -151,7 +153,8 @@ class TestClosedClass:
 @pytest.mark.parametrize("case", cases_up_to_rank(5), ids=lambda c: f"{c.tag}-{c.p}-{c.q}")
 def test_closed_classes_match_the_tag_reference(case):
     """The case-table ``closed_class`` writes and expands every closed class
-    as the per-tag one did, in y and in z."""
+    as the per-tag one did, in y and in z; for the GL pairs, the reference
+    builds each orbit's determinant at its representative."""
     for c in closed_clans(case):
         for chern in (False, True):
             got, want = closed_class(case, c, chern), tag_closed_class(case, c, chern)
@@ -164,24 +167,29 @@ def test_closed_classes_match_the_tag_reference(case):
 # ---------------------------------------------------------------------------
 
 
+def gl_case(tag: str, n: int) -> CaseId:
+    return case_from_params(tag, n, n)
+
+
 class TestDelta:
     def test_size_one(self):
-        ring = Ring(1, 1, 0)
-        assert delta(ring, 1, (1,)) == parse_poly("x1+y1", ring)
+        case = gl_case("c-sp-gl", 1)
+        assert delta(case) == parse_poly("x1+y1", formula_ring(case))
 
     def test_size_two_identity(self):
-        ring = Ring(2, 2, 0)
-        assert delta(ring, 2, (1, 2)) == parse_poly(
-            "(x1*x2+y1*y2)(x1+x2+y1+y2)", ring
+        case = gl_case("c-sp-gl", 2)
+        assert delta(case) == parse_poly(
+            "(x1*x2+y1*y2)(x1+x2+y1+y2)", formula_ring(case)
         )
 
     def test_smaller_determinant_uses_c_zero(self):
-        ring = Ring(3, 3, 0)
-        got = delta(ring, 2, (1, 2, 3))
+        # d-so-gl(3,3): size n-1 = 2, entries in all three variables
+        case = gl_case("d-so-gl", 3)
+        got = delta(case)
         want = parse_poly(
             "(x1+x2+x3+y1+y2+y3)(x1*x2+x1*x3+x2*x3+y1*y2+y1*y3+y2*y3)"
             " - 2*(x1*x2*x3+y1*y2*y3)",
-            ring,
+            formula_ring(case),
         )
         assert got == want
 
@@ -189,8 +197,9 @@ class TestDelta:
     def test_sign_substitution_vanishing(self, n):
         # substituting x_i = eps_i * y_i kills the determinant unless every
         # eps_i is +1, where it gives 2^n y_1...y_n prod_{i<j}(y_i + y_j)
-        ring = Ring(n, n, 0)
-        d = delta(ring, n, identity_weyl(n))
+        case = gl_case("c-sp-gl", n)
+        ring = formula_ring(case)
+        d = delta(case)
         for eps in itertools.product([1, -1], repeat=n):
             images = {
                 ring.var_index("x", i): ring.y(i) * eps[i - 1]
@@ -210,8 +219,9 @@ class TestDelta:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_invariant_under_x_and_y_permutations(self, n):
-        ring = Ring(n, n, 0)
-        d = delta(ring, n, identity_weyl(n))
+        case = gl_case("c-sp-gl", n)
+        ring = formula_ring(case)
+        d = delta(case)
         for sigma in itertools.permutations(range(1, n + 1)):
             x_images = {
                 ring.var_index("x", i): ring.x(sigma[i - 1])
@@ -226,13 +236,46 @@ class TestDelta:
 
     def test_c_zero_switch(self):
         # delta's c_0 is 2; det(c_{3+j-2i}) with c_0 = 1 differs by c_3 = e3
-        ring = Ring(3, 3, 0)
-        with_two = delta(ring, 2, (1, 2, 3))
+        case = gl_case("d-so-gl", 3)
+        ring = formula_ring(case)
+        with_two = delta(case)
         xs, ys = [ring.x(i) for i in (1, 2, 3)], [ring.y(i) for i in (1, 2, 3)]
         c = {k: elem_sym(ring, k, xs) + elem_sym(ring, k, ys) for k in (1, 2, 3)}
         with_one = determinant([[c[2], c[3]], [ring.const(1), c[1]]])
         e3 = parse_poly("x1*x2*x3+y1*y2*y3", ring)
         assert with_two == with_one - e3
+
+    @pytest.mark.parametrize("tag,n", [("c-sp-gl", 1), ("c-sp-gl", 4), ("d-so-gl", 2),
+                                       ("d-so-gl", 5)])
+    def test_one_object_per_case_and_form_at_the_identity(self, tag, n):
+        """``delta`` is the per-orbit reference at the identity, of size n
+        for c-sp-gl and n-1 for d-so-gl, built once per case and form; its
+        z-form expands to its y-form."""
+        case = gl_case(tag, n)
+        ring = formula_ring(case)
+        m = n if tag == "c-sp-gl" else n - 1
+        for chern in (False, True):
+            assert delta(case, chern) == orbit_delta(ring, m, identity_weyl(n), chern)
+            assert delta(case, chern) is delta(case, chern)
+        assert chern_expansion(case)(delta(case, True)) == delta(case)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_orbit_delta_depends_on_the_signs_alone(data):
+    """The reference determinant at any signed permutation w is the one at
+    the identity with x_i negated wherever w(i) < 0: the premise on which
+    ``closed_class`` flips the signs of ``delta``."""
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, n))
+    chern = data.draw(st.booleans())
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    w = tuple(s * v for s, v in zip(signs, perm))
+    ring = Ring(n, n, n)
+    flips = {ring.var_index("x", i): -ring.x(i) for i, v in enumerate(w, start=1) if v < 0}
+    assert orbit_delta(ring, m, w, chern) == (
+        orbit_delta(ring, m, identity_weyl(n), chern).substitute(flips))
 
 
 # ---------------------------------------------------------------------------

@@ -622,8 +622,9 @@ def test_divided_difference_matches_sympy(lie_type, rank):
 
 @pytest.mark.parametrize("tag,p,q", [("c-sp-gl", 2, 2), ("d-so-gl", 3, 3)])
 def test_delta_matches_sympy(tag, p, q):
-    """delta(ring, m, w) against the module docstring's definition of
-    det(c_{m+1+j-2i}), at a fixed point of a closed orbit with a sign."""
+    """delta(case) with x_j negated where w(j) < 0, as ``closed_class``
+    takes it, against the module docstring's definition of
+    det(c_{m+1+j-2i}) at w, a fixed point of a closed orbit with a sign."""
     sympy = pytest.importorskip("sympy")
     case = case_from_params(tag, p, q)
     ring = formula_ring(case)
@@ -650,7 +651,8 @@ def test_delta_matches_sympy(tag, p, q):
         return elem(k, xs) + elem(k, ys) if 0 < k <= n else 0
 
     matrix = sympy.Matrix(m, m, lambda i, j: c(m + 1 + (j + 1) - 2 * (i + 1)))
-    got, _ = _to_sympy(sympy, delta(ring, m, w))
+    flips = {ring.var_index("x", j): -ring.x(j) for j, v in enumerate(w, start=1) if v < 0}
+    got, _ = _to_sympy(sympy, delta(case).substitute(flips))
     assert sympy.expand(matrix.det() - got) == 0
 
 
