@@ -14,8 +14,9 @@ turn labelled input into a code once, and ``Clan.to_text`` numbers the pairs
 
 The module also provides the rank-number tables of a clan and their order,
 the table ``CASES`` of the seven supported symmetric pairs with the fold
-rules and family check read off it, enumeration, and ``Record``, the
-immutable base of the package's value classes.
+rules, the family check and the closed-orbit check read off it,
+enumeration, and ``Record``, the immutable base of the package's value
+classes.
 
 One walk enumerates every family, filling codes in canonical-string order,
 so nothing is sorted.  It decides positions left to right, each trying its
@@ -437,6 +438,18 @@ def in_case_family(case: CaseId, c: Clan) -> bool:
     return ((signs is None or _fold_fixes(c.mates, signs))
             and (self_mirror or not _has_self_mirror_pair(c))
             and not (even_middle and _middle_minus_rank(c.mates, case.grank) % 2))
+
+
+def is_closed_clan(case: CaseId, c: Clan) -> bool:
+    """Closed orbits carry sign-only clans; where a coordinate is uncovered
+    (d-oxo-odd), clans whose single pair sits at the two middle positions
+    with signs elsewhere."""
+    if not in_case_family(case, c):
+        return False
+    if not case.uncovered:
+        return not c.pairs()
+    n = case.grank
+    return c.pairs() == ((n, n + 1),)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ oracle check, or an internal consistency check), 2 usage or i/o error.
 A handler imports the layers it calls, and ``json`` only where it writes JSON:
 every call is a fresh process, and start-up was about 3/4 of a ``conjecture``
 call's CPU time.  ``enumerate`` loads ``clans`` alone; ``conjecture`` and ``poset``
-add ``orbits``; ``classes``, ``verify`` and ``chern`` add ``orbits``, ``weyl``,
-``formulas`` and ``poly``; only ``oracle`` loads ``geometry``.
+add ``orbits``; ``classes`` and ``chern`` add ``orbits``, ``formulas`` and
+``poly``; ``verify`` and ``classes --verify`` add ``weyl`` too, which only
+localization needs; only ``oracle`` loads ``geometry``.
 
 Every handler hands ``_emit`` its output as chunks, written as they are
 produced: ``classes`` renders one line (or one JSON entry) per orbit, so
@@ -23,8 +24,8 @@ import sys
 from collections.abc import Iterable
 
 from .clans import (CASES, DESK_RANKS, CaseId, CheckError, ClanError,
-                    case_from_params, enumerate_case_clans, enumerate_clans, parse_clan,
-                    rank_table)
+                    case_from_params, enumerate_case_clans, enumerate_clans, is_closed_clan,
+                    parse_clan, rank_table)
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -106,7 +107,6 @@ def cmd_poset(args) -> int:
 def cmd_classes(args) -> int:
     from .formulas import all_classes, chern_expansion, closed_class, verify_localization
     from .orbits import weak_order_graph
-    from .weyl import is_closed_clan
     case = _resolve_case(args)
     poset = weak_order_graph(case)
     _guardrail(args, case, len(poset.nodes))
@@ -263,11 +263,13 @@ def cmd_chern(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cap(text: str) -> int:
-    """A ``--max-nodes`` value: a count of orbits, 0 or more."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a count of orbits, 0 or more, not {text!r}")
-    return int(text)
+def _count(what: str):
+    """The argparse type of an option that takes ``what``, 0 or more."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal():
+            raise argparse.ArgumentTypeError(f"expected {what}, 0 or more, not {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=None,
                            help="the rank of a GL family (c-sp-gl, d-so-gl)")
         if name not in ("oracle", "chern"):
-            p.add_argument("--max-nodes", type=_cap, default=5000,
+            p.add_argument("--max-nodes", type=_count("a count of orbits"), default=5000,
                            help="warn when the family is larger than this")
         if name not in ("oracle", "verify"):
             formats = ["text", "json", "dot"] if name == "poset" else ["text", "json"]
@@ -315,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run localization checks before emitting")
     commands["chern"].add_argument("--clan", default=None)
     commands["oracle"].add_argument(
-        "--max-n", type=int, default=4, metavar="N",
+        "--max-n", type=_count("a bound on p+q"), default=4, metavar="N",
         help="move each representative flag with p+q <= N by a random "
         "block-diagonal k in GL(p) x GL(q) and measure it again")
     commands["oracle"].add_argument(
-        "--measure-max-n", type=int, default=5, metavar="N",
+        "--measure-max-n", type=_count("a bound on p+q"), default=5, metavar="N",
         help="measure each representative flag with p+q <= N")
     return parser
 

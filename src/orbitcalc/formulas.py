@@ -1,10 +1,11 @@
 """Equivariant classes of orbit closures and their verification.
 
-Closed orbits get explicit factored formulas built from their distinguished
-fixed-point representatives.  Every other orbit's class is propagated along
-the weak order: a weak edge of degree d along simple root alpha_i carries
-[source] to (1/d) * divided_difference_i([source]), and propagation along
-different paths must agree.  Localization then checks the computed classes
+Closed orbits get explicit factored formulas, read off the case table and
+their clans' signs (``closed_class``); only localization imports ``weyl``.
+Every other orbit's class is propagated along the weak order: a weak edge
+of degree d along simple root alpha_i carries [source] to (1/d) *
+divided_difference_i([source]), and propagation along different paths
+must agree.  Localization then checks the computed classes
 pointwise, at one fixed point of each closed orbit, which decides for all of
 that orbit's fixed points (see ``verify_localization``): the restriction of
 a closed class must equal the product of the tangent weights there, and
@@ -35,16 +36,18 @@ symmetric polynomials of the signed x-variables
 ``sgn(w^{-1}(i)) * x_{|w^{-1}(i)|}`` and of all y-variables, ``c_0 = 2``,
 and ``c_k = 0`` for k < 0 or k > n.  It depends on w only through w's
 signs, so ``delta`` builds it once per case, at the identity, and
-``closed_class`` flips the signs of x-variables in it.
+``closed_class`` flips in it the signs of the x-variables at the clan's
+'-' positions.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .clans import CaseId, CheckError, Clan, ClanError, Record, in_case_family
+from .clans import (MINUS, PLUS, CaseId, CheckError, Clan, ClanError, Record, in_case_family,
+                    is_closed_clan)
 from .orbits import OrbitPoset, full_closure_order, weak_order_graph
 from .poly import (
     ChernExpansion,
@@ -55,18 +58,9 @@ from .poly import (
     divided_difference,
     elem_sym,
 )
-from .weyl import (
-    Weyl,
-    distinguished_representative,
-    is_closed_clan,
-    restriction_weights,
-    stat_lp,
-    stat_psi,
-    stat_sigma,
-    weyl_abs,
-    weyl_inverse,
-    weyl_order,
-)
+
+if TYPE_CHECKING:
+    from .weyl import Weyl
 
 
 class FormulaError(CheckError):
@@ -135,33 +129,42 @@ def delta(case: CaseId, chern: bool = False) -> Polynomial:
 
 def closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly:
     """Factored equivariant class of a closed orbit's closure, read off the
-    case table at the orbit's ``distinguished_representative`` w.  With
+    case table and the signs s_1..s_n of its clan's first n symbols.  With
     ``chern`` it is written in the z-variables of ``chern_blocks``: the
     seed of propagation, and the factored ``chern`` output.
 
-    The skew (GL) pairs give the case's determinant ``delta`` with x_j
-    negated wherever w(j) < 0.  That is the determinant at w itself: its
-    signed x's are sgn(w^{-1}(i)) x_{|w^{-1}(i)|}, and w^{-1}(|w(j)|) =
-    sgn w(j) j, so they are {sgn w(j) x_j}, and each e_k of them is e_k(x)
-    with those signs flipped.  Otherwise, with
-    awinv the inverse of |w|, the class is a product over i <= p of
-    (x_awinv(i) - y_j), and of (x_awinv(i) + y_j) too outside type A, for
-    y_j in K's second block; times x_1..x_{n-1} where a coordinate is
-    uncovered, or x_awinv(i) for i <= p in type B."""
+    The paper states the class through l_p(|w|), psi(w), sigma(w) and
+    |w|^{-1}(1..p) at a fixed point w.  At the orbit's
+    ``distinguished_representative``, built from the signs, each is read
+    off them.  Skew (GL) pairs: w(j) < 0 exactly where s_j is '-', so psi
+    counts the '-' signs and sigma sums n - j over their positions.  The
+    class is (-1)^(psi+sigma) D in c-sp-gl and (-1)^sigma D / 2^(n-1) in
+    d-so-gl, D the case's ``delta`` with x_j negated at those j.  That is
+    the determinant at w itself: its signed x's sgn(w^{-1}(i)) x_{|w^{-1}(i)|}
+    are {sgn w(j) x_j}, as w^{-1}(|w(j)|) = sgn w(j) j.  Other families:
+    |w(j)| <= p exactly where s_j is '+' (position n of d-oxo-odd holds
+    u = p+1), so l_p(|w|) counts the pairs of a non-'+' before a '+'.  The
+    '+' positions take 1..p in order, but -p..-1 for mirror clans outside
+    d-oxo-odd, so ``firsts`` = |w|^{-1}(1..p) lists them ascending, or for
+    those clans descending.  The class is (-1)^l_p times a product over a
+    in ``firsts`` of (x_a - y_j), and of (x_a + y_j) too outside type A,
+    for y_j in K's second block; times x_1..x_{n-1} where a coordinate is
+    uncovered, or x_a for a in ``firsts`` in type B."""
     if not is_closed_clan(case, c):
         raise ClanError(f"{c.to_text()} is not a closed-orbit clan of {case.tag}")
     ring = formula_ring(case)
-    n, p = case.grank, case.p
-    w = distinguished_representative(case, c)
+    n = case.grank
     symmetry = case.row.symmetry
     if symmetry == "skew":
-        flips = {ring.var_index("x", j): -ring.x(j) for j, v in enumerate(w, start=1) if v < 0}
-        factor = delta(case, chern).substitute(flips)
+        minus = [j for j in range(1, n + 1) if c.mates[j - 1] == MINUS]
+        factor = delta(case, chern).substitute({ring.var_index("x", j): -ring.x(j) for j in minus})
+        sigma = sum(n - j for j in minus)
         if case.family == "C":
-            return FactoredPoly(ring, _sign(stat_psi(w) + stat_sigma(w)), [factor])
-        return FactoredPoly(ring, _sign(stat_sigma(w)), [factor], 2 ** (n - 1))
-    aw = weyl_abs(w)
-    firsts = weyl_inverse(aw)[:p]
+            return FactoredPoly(ring, _sign(len(minus) + sigma), [factor])
+        return FactoredPoly(ring, _sign(sigma), [factor], 2 ** (n - 1))
+    plus = [j for j in range(1, n + 1) if c.mates[j - 1] == PLUS]
+    l_p = sum(j - 1 - k for k, j in enumerate(plus))  # j - 1 - k non-'+' before the k-th '+'
+    firsts = plus[::-1] if symmetry == "mirror" and not case.uncovered else plus
     if case.uncovered:
         factors = [ring.x(i) for i in range(1, n)]
     elif case.family == "B":
@@ -172,7 +175,7 @@ def closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly:
     block = case.k_blocks[-1][1]
     for a in firsts:
         factors += _block_factors(ring, a, block, signs, chern)
-    return FactoredPoly(ring, _sign(stat_lp(aw, p)), factors)
+    return FactoredPoly(ring, _sign(l_p), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +276,7 @@ def closed_restriction_product(case: CaseId, w: Weyl) -> Polynomial:
     """Product of the predicted tangent weights at a closed-orbit fixed
     point, as a polynomial in the y-variables: each weight is one linear
     form in the y's."""
+    from .weyl import restriction_weights
     ring = formula_ring(case)
     out = ring.one
     for weights in restriction_weights(case, w):
@@ -338,6 +342,7 @@ def verify_localization(
     restriction of the y-form is the expansion of the restricted z-form,
     which is far smaller than the class.  No class is expanded whole.
     """
+    from .weyl import distinguished_representative, weyl_order
     if poset.order_bits is None:
         poset = full_closure_order(poset)
     case = poset.case

@@ -31,9 +31,10 @@ degree sits above them at bit 16*W.  Integer order is then graded-lex order
 the keys themselves; the key of a product of monomials is the sum of their
 keys, and divided differences and restrictions move digits with shifts.  No
 digit may overflow, so a total degree above ``MAX_DEGREE`` (65,535) raises
-:class:`PolyError` in the constructors, ``*`` and ``**``.  Exponent tuples
-stay the interface of ``Polynomial(ring, {exps: c})``, ``Ring.monomial``
-and ``terms``.
+:class:`PolyError` in the constructors, ``*``, ``**`` and
+``FactoredPoly.to_text`` (whose monomial prefix is the sum of the keys of
+its single-term factors).  Exponent tuples stay the interface of
+``Polynomial(ring, {exps: c})``, ``Ring.monomial`` and ``terms``.
 
 ``to_text`` writes each term from the texts of its x-part (``key`` masked
 to the x digits) and of its y/z-part, each memoised once per ring.
@@ -51,7 +52,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from math import gcd, lcm
-from operator import add
 from typing import TYPE_CHECKING
 
 from .clans import Record
@@ -847,7 +847,7 @@ class FactoredPoly:
     def to_text(self) -> str:
         if self.scalar == 0:
             return "0"
-        prefix_exps = [0] * self.ring.width
+        prefix = 0  # the key of the product of the single-term factors
         num, den = self.scalar, self.den
         wrapped: list[Polynomial] = []
         for fac in self.factors:
@@ -856,13 +856,13 @@ class FactoredPoly:
             if len(fac._terms) == 1:
                 (key, c), = fac._terms.items()
                 num, den = num * c, den * fac._den
-                prefix_exps = list(map(add, prefix_exps, self.ring._unpack(key)))
+                prefix += key
             else:
                 wrapped.append(fac)
         body = "".join(f"({fac.to_text()})" for fac in wrapped)
         sign = "-" if num < 0 else ""
-        mono = Polynomial._from_clean(
-            self.ring, {self.ring._pack(prefix_exps): abs(num)}, den).to_text()
+        _check_degree(prefix >> self.ring._top)
+        mono = Polynomial._from_clean(self.ring, {prefix: abs(num)}, den).to_text()
         if body:
             if mono == "1":
                 return sign + body

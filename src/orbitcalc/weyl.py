@@ -1,9 +1,11 @@
 """Signed permutations, fixed-point dictionaries, closed-orbit
-representatives, statistics, and root data for the seven cases.
+representatives, and root data for the seven cases.
 
 A Weyl-group element is a plain tuple of signed integers ``w`` with
 ``w[i-1] = w(i)`` and ``{|w(i)|} = {1..n}``.  Type A elements have no
 negative entries; type D elements have an even number of them.
+Only localization loads this module; ``formulas.closed_class`` reads its
+representatives' statistics off the clans' signs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from .clans import CaseId, Clan, ClanError, in_case_family
+from .clans import CaseId, Clan, ClanError, is_closed_clan
 
 Weyl = tuple[int, ...]
 Root = tuple[int, ...]
@@ -43,20 +45,6 @@ def validate_weyl(w, lie_type: str | None = None) -> Weyl:
     return w
 
 
-def weyl_abs(w: Weyl) -> Weyl:
-    return tuple(abs(v) for v in w)
-
-
-def weyl_inverse(w: Weyl) -> Weyl:
-    inv = [0] * len(w)
-    for i, v in enumerate(w, start=1):
-        if v > 0:
-            inv[v - 1] = i
-        else:
-            inv[-v - 1] = -i
-    return tuple(inv)
-
-
 @lru_cache(maxsize=None)
 def weyl_elements(lie_type: str, n: int) -> tuple[Weyl, ...]:
     """All elements of the Weyl group of the given classical type and rank."""
@@ -79,34 +67,6 @@ def weyl_order(lie_type: str, n: int) -> int:
         return math.factorial(n)
     order = 2 ** n * math.factorial(n)
     return order // 2 if lie_type == "D" else order
-
-
-# ---------------------------------------------------------------------------
-# Statistics
-# ---------------------------------------------------------------------------
-
-
-def stat_lp(w: Weyl, p: int) -> int:
-    """#{(i, j) : i < j <= n, w(j) <= p < w(i)} for an unsigned permutation."""
-    if any(v < 0 for v in w):
-        raise WeylError("stat_lp is defined for unsigned permutations")
-    n = len(w)
-    return sum(
-        1
-        for i in range(n)
-        for j in range(i + 1, n)
-        if w[j] <= p < w[i]
-    )
-
-
-def stat_psi(w: Weyl) -> int:
-    return sum(1 for v in w if v < 0)
-
-
-def stat_sigma(w: Weyl) -> int:
-    """Sum of (n - i) over the positions i whose entry is negative."""
-    n = len(w)
-    return sum(n - i for i, v in enumerate(w, start=1) if v < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +116,6 @@ def fixed_points_by_clan(case: CaseId) -> dict[Clan, tuple[Weyl, ...]]:
     return {c: tuple(ws) for c, ws in groups.items()}
 
 
-def is_closed_clan(case: CaseId, c: Clan) -> bool:
-    """Closed orbits carry sign-only clans; where a coordinate is uncovered
-    (d-oxo-odd), clans whose single pair sits at the two middle positions
-    with signs elsewhere."""
-    if not in_case_family(case, c):
-        return False
-    if not case.uncovered:
-        return not c.pairs()
-    n = case.grank
-    return c.pairs() == ((n, n + 1),)
-
-
 def closed_orbit_fixed_points(case: CaseId, c: Clan) -> tuple[Weyl, ...]:
     """All coordinate-flag fixed points lying in the given closed orbit."""
     if not is_closed_clan(case, c):
@@ -206,10 +154,11 @@ def distinguished_representative(case: CaseId, c: Clan) -> Weyl:
       position minus the largest (a '+' needs w(i) > 0); in type D the
       clan has an even number of '-' signs.
 
-    Where a coordinate u is uncovered (d-oxo-odd, u = p+1) and the formulas
-    depend on the choice, the standard representative has no negative
-    entries, w(n) = u, and increasing values within the '+' positions
-    (1..p) and the '-' positions (p+2..n)."""
+    Where a coordinate u is uncovered (d-oxo-odd, u = p+1), the standard
+    representative has no negative entries, w(n) = u, and increasing
+    values within the '+' positions (1..p) and the '-' positions
+    (p+2..n).  It is the one point of each closed orbit at which
+    ``formulas.verify_localization`` checks the classes."""
     if not is_closed_clan(case, c):
         raise ClanError(f"{c.to_text()} is not a closed-orbit clan for this case")
     n, p = case.grank, case.p

@@ -17,9 +17,11 @@ kept here as checks on the code that does.
   on labelled symbols, with its own window rule, its cross action and its
   family check, which the moves on mate codes and the lookup by place
   replaced; and the clan of a mate code;
-* ``weyl``: signed-permutation composition, the simple reflections and
-  their embedding in the ambient permutations (the source of
-  ``root_permutations``), the statistics phi_p and tau, the root lists of
+* ``weyl``: signed-permutation composition, absolute value and inverse,
+  the simple reflections and their embedding in the ambient permutations
+  (the source of ``root_permutations``), the statistics l_p, psi, sigma,
+  phi_p and tau (``closed_class`` reads the first three off the clan's
+  signs; ``tag_closed_class`` evaluates them at w), the root lists of
   G and K built per family and per block, which ``weyl._roots`` replaced,
   the subgroup W_K with its order, and the closed clans of a case;
 * ``formulas``: the closed-orbit classes by tag, which the case-table
@@ -62,6 +64,7 @@ from orbitcalc.clans import (
     _fold_fixes,
     enumerate_case_clans,
     in_case_family,
+    is_closed_clan,
     make_clan,
     rank_table,
 )
@@ -102,13 +105,7 @@ from orbitcalc.weyl import (
     closed_orbit_fixed_points,
     distinguished_representative,
     fixed_points_by_clan,
-    is_closed_clan,
-    stat_lp,
-    stat_psi,
-    stat_sigma,
     validate_weyl,
-    weyl_abs,
-    weyl_inverse,
     weyl_order,
 )
 
@@ -616,6 +613,43 @@ def weyl_compose(u: Weyl, w: Weyl) -> Weyl:
     return tuple(out)
 
 
+def weyl_abs(w: Weyl) -> Weyl:
+    return tuple(abs(v) for v in w)
+
+
+def weyl_inverse(w: Weyl) -> Weyl:
+    inv = [0] * len(w)
+    for i, v in enumerate(w, start=1):
+        if v > 0:
+            inv[v - 1] = i
+        else:
+            inv[-v - 1] = -i
+    return tuple(inv)
+
+
+def stat_lp(w: Weyl, p: int) -> int:
+    """#{(i, j) : i < j <= n, w(j) <= p < w(i)} for an unsigned permutation."""
+    if any(v < 0 for v in w):
+        raise WeylError("stat_lp is defined for unsigned permutations")
+    n = len(w)
+    return sum(
+        1
+        for i in range(n)
+        for j in range(i + 1, n)
+        if w[j] <= p < w[i]
+    )
+
+
+def stat_psi(w: Weyl) -> int:
+    return sum(1 for v in w if v < 0)
+
+
+def stat_sigma(w: Weyl) -> int:
+    """Sum of (n - i) over the positions i whose entry is negative."""
+    n = len(w)
+    return sum(n - i for i, v in enumerate(w, start=1) if v < 0)
+
+
 def stat_phip(w: Weyl, p: int) -> int:
     """#{i : w(i) < 0 and |w(i)| <= p}."""
     return sum(1 for v in w if v < 0 and -v <= p)
@@ -1013,9 +1047,10 @@ def orbit_delta(ring: Ring, m: int, w: Weyl, chern: bool = False) -> Polynomial:
 
 def tag_closed_class(case: CaseId, c: Clan, chern: bool = False) -> FactoredPoly:
     """``closed_class`` as it was before it read the case table: one branch
-    per tag, and ``stat_tau`` for the sign in d-oxo-odd; and for the GL
-    pairs, a determinant built at each orbit's representative
-    (``orbit_delta``)."""
+    per tag, the paper's statistics evaluated at the orbit's
+    ``distinguished_representative`` w (``stat_tau`` for the sign in
+    d-oxo-odd), and the linear factors at |w|^{-1}(1..p); and for the GL
+    pairs, a determinant built at w (``orbit_delta``)."""
     if not is_closed_clan(case, c):
         raise ClanError(f"{c.to_text()} is not a closed-orbit clan of {case.tag}")
     ring = formula_ring(case)

@@ -11,14 +11,48 @@ ROOT = Path(__file__).parent.parent
 ALLOWED = {"parse_poly"}
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, *_COMPREHENSIONS)
+
+
+def _own_names(scope: ast.AST) -> set[str]:
+    """The parameters of a function or lambda and the variables its body
+    assigns, or the targets of a comprehension; not those of the scopes
+    nested in it.  A name bound by an import is not one of them: it names
+    the definition it imports."""
+    names = set()
+    if not isinstance(scope, _COMPREHENSIONS):
+        args = scope.args
+        names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if a}
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def _references(tree: ast.AST) -> list[tuple[str, int]]:
-    """Each name the code reads, as a variable or an attribute, with its line."""
+    """Each name the code reads, as a variable or an attribute, with its line.
+    A function's own parameters and variables (``_own_names``), and those of
+    the scopes around it, are not references: ``terms.items()`` on a
+    parameter ``terms`` does not reach a method ``terms``."""
     out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+
+    def visit(node: ast.AST, local: frozenset) -> None:
+        if isinstance(node, _SCOPES):
+            local = local | _own_names(node)
+        if isinstance(node, ast.Name) and node.id not in local:
             out.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             out.append((node.attr, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
     return out
 
 

@@ -436,6 +436,12 @@ def test_exit_code_table(capsys, monkeypatch, ok, check, malformed):
         code, out, err = run(capsys, *ok, "--max-nodes", "-1")
         assert code == 2 and out == "" and "Traceback" not in err
         assert "argument --max-nodes: expected a count of orbits" in err
+    if ok[0] == "oracle":
+        # a negative bound is malformed, not an empty range of ranks
+        for bounds in (["--max-n", "-1", "--measure-max-n", "-3"], ["--measure-max-n", "-3"]):
+            code, out, err = run(capsys, "oracle", *bounds)
+            assert code == 2 and out == "" and "Traceback" not in err
+            assert f"argument {bounds[0]}: expected a bound on p+q, 0 or more" in err
     if ok[0] != "oracle":
         # a rank too large to index a clan is malformed, not a crash
         huge = [HUGE_RANK if flag == "--p" else arg for flag, arg in zip(["", *ok], ok)]
@@ -555,9 +561,10 @@ A11 = ["--case", "a", "--p", "1", "--q", "1"]
     (["enumerate", *A11, "--format", "json"], set()),
     (["conjecture", *A11, "--format", "json"], {"orbits"}),
     (["poset", *A11, "--full", "--format", "json"], {"orbits"}),
-    (["classes", *A11, "--format", "json"], {"orbits", "weyl", "formulas", "poly"}),
+    (["classes", *A11, "--format", "json"], {"orbits", "formulas", "poly"}),
+    (["classes", *A11, "--verify"], {"orbits", "weyl", "formulas", "poly"}),
     (["verify", *A11], {"orbits", "weyl", "formulas", "poly"}),
-    (["chern", *A11, "--clan", "+-"], {"orbits", "weyl", "formulas", "poly"}),
+    (["chern", *A11, "--clan", "+-"], {"orbits", "formulas", "poly"}),
     (["oracle", "--max-n", "2", "--measure-max-n", "2"], {"geometry"}),
 ])
 def test_subcommand_loads_only_the_layers_it_runs(argv, layers):

@@ -18,13 +18,8 @@ from orbitcalc.weyl import (
     fixed_points_by_clan,
     is_closed_clan,
     restriction_weights,
-    stat_lp,
-    stat_psi,
-    stat_sigma,
     validate_weyl,
-    weyl_abs,
     weyl_elements,
-    weyl_inverse,
     weyl_order,
 )
 from reference import (
@@ -35,9 +30,14 @@ from reference import (
     embed_in_ambient,
     identity_weyl,
     simple_reflection,
+    stat_lp,
     stat_phip,
+    stat_psi,
+    stat_sigma,
     stat_tau,
+    weyl_abs,
     weyl_compose,
+    weyl_inverse,
     wk_member,
     wk_order,
 )
