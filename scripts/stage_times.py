@@ -14,6 +14,13 @@ run still going after ``CAP_S`` seconds of wall time is stopped, each stage
 it did not finish reads "timeout", and the row is that run: it is not run
 again.
 
+The first row, ``startup``, is what a call pays before orbitcalc computes
+anything: the median CPU time (user plus system, from ``os.wait4``) of
+``STARTUP_SPAWNS`` fresh spawns each of ``python -c pass`` and of the
+trivial call ``python -m orbitcalc enumerate --case a --p 1 --q 1``, spawned
+alternately, and whether ``PYTHONDONTWRITEBYTECODE`` was set (then every
+call compiles the sources again).
+
 Usage, from the root of a source checkout::
 
     PYTHONPATH=src python3 scripts/stage_times.py [--output FILE]
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import resource
 import statistics
@@ -35,6 +43,10 @@ ROWS = (("order", "b-so", 3, 4), ("order", "c-spxsp", 4, 4), ("order", "a", 4, 4
 STAGES = {"order": ("weak_s", "saturate_compare_s"), "classes": ("propagate_s", "render_s")}
 CAP_S = 120.0  # wall-time cap of one run of a row, in seconds
 RUNS = 3  # runs of a row; each figure is their median
+STARTUP_SPAWNS = 15  # spawns of each start-up command; the row reports their medians
+STARTUP = {"python_pass_s": ("-c", "pass"),
+           "orbitcalc_trivial_s": ("-m", "orbitcalc", "enumerate", "--case", "a", "--p", "1",
+                                   "--q", "1")}
 
 
 def _peak_rss_mib() -> float:
@@ -120,6 +132,22 @@ def measure(tag: str, p: int, q: int, cap: float, command: str = "order") -> dic
             else value for key, value in runs[0].items()}
 
 
+def measure_startup() -> dict:
+    """The ``startup`` row: the median CPU time of each ``STARTUP`` command,
+    the commands spawned in turn ``STARTUP_SPAWNS`` times."""
+    times = {key: [] for key in STARTUP}
+    for _ in range(STARTUP_SPAWNS):
+        for key, args in STARTUP.items():
+            proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            if status:
+                raise SystemExit(f"{' '.join(args)} exited with status {status}")
+            times[key].append(usage.ru_utime + usage.ru_stime)
+    return {"row": "startup", "spawns": STARTUP_SPAWNS,
+            **{key: round(statistics.median(t), 4) for key, t in times.items()},
+            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--output", default="BENCH_stage_times.json")
@@ -134,12 +162,14 @@ def main() -> int:
         timer(case_from_params(tag, int(p), int(q)))
         return 0
 
-    rows = []
+    rows = [measure_startup()]
+    print(json.dumps(rows[-1]), flush=True)
     for command, tag, p, q in ROWS:
         rows.append(measure(tag, p, q, CAP_S, command))
         print(json.dumps(rows[-1]), flush=True)
     data = {
-        "clock": "time.process_time, CPU seconds of the row's own process",
+        "clock": "time.process_time, CPU seconds of the row's own process; startup: "
+                 "user plus system time of each spawn, from os.wait4",
         "cap_s": CAP_S,
         "runs": RUNS,
         "python": platform.python_version(),

@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 verification failure (a failed localization or
 oracle check, or an internal consistency check), 2 usage or i/o error.
 
 A handler imports the layers it calls, and ``json`` only where it writes JSON:
-every call is a fresh process, and start-up was about 3/4 of a ``conjecture``
-call's CPU time.  ``enumerate`` loads ``clans`` alone; ``conjecture`` and ``poset``
+every call is a fresh process, and start-up is about 9/10 of a ``conjecture``
+call's CPU time (``setup_s`` against the mean job of ``cpu_s`` on the ``order``
+benchmark).  For the same reason ``parse_args`` reads the command line from the
+table ``COMMANDS``, not with argparse, whose import and parsers took about 5 ms
+a call.  ``enumerate`` loads ``clans`` alone; ``conjecture`` and ``poset``
 add ``orbits``; ``classes`` and ``chern`` add ``orbits``, ``formulas`` and
 ``poly``; ``verify`` and ``classes --verify`` add ``weyl`` too, which only
 localization needs; only ``oracle`` loads ``geometry``.
@@ -19,9 +22,10 @@ lines once that case is checked.
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from collections.abc import Iterable
+from types import SimpleNamespace
 
 from .clans import (CASES, DESK_RANKS, CaseId, CheckError, ClanError,
                     case_from_params, enumerate_case_clans, enumerate_clans, is_closed_clan,
@@ -248,8 +252,7 @@ def cmd_chern(args) -> int:
     if args.clan is None:
         raise ClanError("--clan is required for chern")
     P, Q = case.ambient_shape
-    # argparse drops the value "--" of --clan=--, leaving an empty list
-    c = parse_clan("--" if args.clan == [] else args.clan, P, Q)
+    c = parse_clan(args.clan, P, Q)
     formula = chern_factored(case, c)
     if args.fmt == "json":
         _emit_json(args, case, clan=c.to_text(), chern=formula.to_text())
@@ -259,82 +262,184 @@ def cmd_chern(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: COMMANDS declares each command's options once, for the
+# parser and the help; parse_args reads the words as argparse read them
 # ---------------------------------------------------------------------------
 
 
+class UsageError(Exception):
+    """A malformed call, raised as ``UsageError(command, message)``: ``main``
+    writes the usage of ``command`` (None: of orbitcalc) and exits 2."""
+
+
 def _count(what: str):
-    """The argparse type of an option that takes ``what``, 0 or more."""
+    """The type of an option that takes ``what``, 0 or more."""
     def parse(text: str) -> int:
         if not text.strip().isdecimal():
-            raise argparse.ArgumentTypeError(f"expected {what}, 0 or more, not {text!r}")
+            raise UsageError(None, f"expected {what}, 0 or more, not {text!r}")
         return int(text)
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orbitcalc",
-        description="Exact computation of orbit posets and equivariant "
-        "classes for two-block flag-variety orbit families.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, fn in [
-        ("enumerate", cmd_enumerate),
-        ("poset", cmd_poset),
-        ("classes", cmd_classes),
-        ("verify", cmd_verify),
-        ("oracle", cmd_oracle),
-        ("conjecture", cmd_conjecture),
-        ("chern", cmd_chern),
-    ]:
-        p = commands[name] = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        p.add_argument("--output", default=None, help="write to file")
+# an option is (flag, dest, type, default, help); its type is a callable, a
+# tuple of choices, or None for a switch, which sets True
+_OUTPUT = ("--output", "output", str, None, "write to file")
+_CASE = (("--case", "case", tuple(sorted(CASES)), None, "orbit family selector"),
+         ("--p", "p", int, None, "rank of the first block"),
+         ("--q", "q", int, None, "rank of the second block"),
+         ("--n", "n", int, None, "the rank of a GL family (c-sp-gl, d-so-gl)"))
+_MAX_NODES = ("--max-nodes", "max_nodes", _count("a count of orbits"), 5000,
+              "warn when the family is larger than this")
+_FORMAT = ("--format", "fmt", ("text", "json"), "text", "output format")
+_BOUND = _count("a bound on p+q")
+COMMANDS = {
+    "enumerate": (cmd_enumerate, (_OUTPUT, *_CASE, _MAX_NODES, _FORMAT)),
+    "poset": (cmd_poset, (
+        _OUTPUT, *_CASE, _MAX_NODES,
+        ("--format", "fmt", ("text", "json", "dot"), "text", "output format"),
+        ("--full", "full", None, False, "saturate and include the full closure order"))),
+    "classes": (cmd_classes, (
+        _OUTPUT, *_CASE, _MAX_NODES, _FORMAT,
+        ("--factored", "factored", None, False, "write closed orbits' classes as products"),
+        ("--verify", "verify", None, False, "run localization checks before emitting"))),
+    "verify": (cmd_verify, (_OUTPUT, *_CASE, _MAX_NODES)),
+    "oracle": (cmd_oracle, (
+        _OUTPUT,
+        ("--max-n", "max_n", _BOUND, 4, "move each representative flag with p+q <= MAX_N "
+         "by a random block-diagonal k in GL(p) x GL(q) and measure it again"),
+        ("--measure-max-n", "measure_max_n", _BOUND, 5,
+         "measure each representative flag with p+q <= MEASURE_MAX_N"))),
+    "conjecture": (cmd_conjecture, (_OUTPUT, *_CASE, _MAX_NODES, _FORMAT)),
+    "chern": (cmd_chern, (_OUTPUT, *_CASE, _FORMAT, ("--clan", "clan", str, None, "the clan"))),
+}
+_HELP = ("-h", "--help")
 
-    for name, p in commands.items():
-        if name != "oracle":
-            p.add_argument("--case", choices=sorted(CASES), default=None,
-                           help="orbit family selector")
-            p.add_argument("--p", type=int, default=None)
-            p.add_argument("--q", type=int, default=None)
-            p.add_argument("--n", type=int, default=None,
-                           help="the rank of a GL family (c-sp-gl, d-so-gl)")
-        if name not in ("oracle", "chern"):
-            p.add_argument("--max-nodes", type=_count("a count of orbits"), default=5000,
-                           help="warn when the family is larger than this")
-        if name not in ("oracle", "verify"):
-            formats = ["text", "json", "dot"] if name == "poset" else ["text", "json"]
-            p.add_argument("--format", dest="fmt", default="text", choices=formats)
 
-    commands["poset"].add_argument(
-        "--full", action="store_true",
-        help="saturate and include the full closure order")
-    commands["classes"].add_argument("--factored", action="store_true")
-    commands["classes"].add_argument(
-        "--verify", action="store_true",
-        help="run localization checks before emitting")
-    commands["chern"].add_argument("--clan", default=None)
-    commands["oracle"].add_argument(
-        "--max-n", type=_count("a bound on p+q"), default=4, metavar="N",
-        help="move each representative flag with p+q <= N by a random "
-        "block-diagonal k in GL(p) x GL(q) and measure it again")
-    commands["oracle"].add_argument(
-        "--measure-max-n", type=_count("a bound on p+q"), default=5, metavar="N",
-        help="measure each representative flag with p+q <= N")
-    return parser
+def _read(command: str | None, word: str, flags: tuple[str, ...]):
+    """``(flag, text after '=' or None)`` if ``word`` is one of ``flags`` or
+    a unique prefix of a long one, ``("", None)`` if it is another option,
+    None if it is a value: not led by '-', '-' or '--', a negative number,
+    or a word with a space."""
+    if word[:1] != "-" or word in ("-", "--"):
+        return None
+    name, eq, text = word.partition("=")
+    if word in flags or eq and name in flags:
+        return name, text if eq else None
+    hits = [flag for flag in flags if flag.startswith(name)] if word[1] == "-" else []
+    if len(hits) > 1:
+        raise UsageError(command, f"ambiguous option: {word} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], text if eq else None
+    if word.startswith("-h"):  # the rest is read as -h's value
+        return "-h", word[2:]
+    if re.match(r"-\d+$|-\d*\.\d+$", word) or " " in word:
+        return None
+    return "", None
+
+
+def _convert(command: str, flag: str, kind, text: str):
+    """``text`` as the value of ``flag``: one of the choices ``kind``, or ``kind(text)``."""
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        why = f"invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})"
+    else:
+        try:
+            return kind(text)
+        except UsageError as exc:
+            why = exc.args[1]
+        except ValueError:
+            why = f"invalid {kind.__name__} value: {text!r}"
+    raise UsageError(command, f"argument {flag}: {why}")
+
+
+def _spelled(flag: str, dest: str, kind) -> str:
+    """An option as argparse's usage line spells it."""
+    if kind is None:
+        return flag
+    return f"{flag} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"{flag} {dest.upper()}"
+
+
+def _usage(command: str | None) -> str:
+    """argparse's usage line of ``command`` (None: of orbitcalc), unwrapped."""
+    if command is None:
+        return f"usage: orbitcalc [-h] {{{','.join(COMMANDS)}}} ..."
+    options = (f"[{_spelled(flag, dest, kind)}]" for flag, dest, kind, _, _ in COMMANDS[command][1])
+    return " ".join([f"usage: orbitcalc {command} [-h]", *options])
+
+
+def _help(command: str | None, text: str | None) -> None:
+    """Write the help of ``command`` (None: of orbitcalc) to stdout."""
+    if text is not None:
+        raise UsageError(command, f"argument -h/--help: ignored explicit argument {text!r}")
+    print(_usage(command))
+    if command is None:
+        print("Exact computation of orbit posets and equivariant classes for two-block "
+              f"flag-variety orbit families.\ncommands: {', '.join(COMMANDS)}")
+    else:
+        for flag, dest, kind, default, about in COMMANDS[command][1]:
+            shown = "" if default in (None, False) else f" (default: {default})"
+            print(f"  {_spelled(flag, dest, kind)}  {about}{shown}")
+
+
+def parse_args(argv) -> SimpleNamespace | None:
+    """The options of a call, with its ``command`` and that command's
+    handler ``fn``; None once ``-h`` has written the help.  A malformed call
+    raises UsageError."""
+    extras = []  # unknown words, reported once every word is read
+    for at, word in enumerate(argv):
+        read = _read(None, word, _HELP)
+        if read is None:
+            break
+        if read[0]:
+            return _help(None, read[1])
+        extras.append(word)
+    else:
+        raise UsageError(None, "the following arguments are required: command")
+    command, words = argv[at], argv[at + 1:]
+    if command not in COMMANDS:
+        raise UsageError(None, f"argument command: invalid choice: {command!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
+    fn, options = COMMANDS[command]
+    table = {flag: (dest, kind) for flag, dest, kind, _, _ in options}
+    args = SimpleNamespace(command=command, fn=fn,
+                           **{dest: default for _, dest, _, default, _ in options})
+    end = words.index("--") if "--" in words else len(words)  # no option after a --
+    reads = [_read(command, word, (*_HELP, *table)) for word in words[:end]]
+    at = 0
+    while at < end:
+        read, at = reads[at], at + 1
+        if read is None or not read[0]:
+            extras.append(words[at - 1])
+            continue
+        flag, text = read
+        if flag in _HELP:
+            return _help(command, text)
+        dest, kind = table[flag]
+        if kind is None:  # a switch
+            if text is not None:
+                raise UsageError(command, f"argument {flag}: ignored explicit argument {text!r}")
+            text = True
+        elif text is None:
+            if at == end or reads[at] is not None:
+                raise UsageError(command, f"argument {flag}: expected one argument")
+            text, at = words[at], at + 1
+        setattr(args, dest, text if kind is None else _convert(command, flag, kind, text))
+    extras += words[end:]
+    if extras:
+        raise UsageError(None, f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already
-        return int(exc.code or 0)
-    try:
-        return args.fn(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else args.fn(args)  # None: -h wrote the help
+    except UsageError as exc:
+        command, message = exc.args
+        prog = "orbitcalc" if command is None else f"orbitcalc {command}"
+        print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+        return USAGE_ERROR
     except ClanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

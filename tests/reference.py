@@ -37,13 +37,17 @@ kept here as checks on the code that does.
   (product, sum, graded-lex order and text, Chern rewrite), the
   ``Fraction``-coefficient arithmetic that int numerators over one
   denominator replaced, and the text renderer with one memo entry per
-  full monomial key that the split x and y/z memos replaced.
+  full monomial key that the split x and y/z memos replaced;
+* ``cli``: the argparse parser that ``cli.COMMANDS`` and ``cli.parse_args``
+  replaced, the reference the differential parser test reads every call
+  with.
 
 Test modules import it as ``from reference import ...``.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 import math
@@ -67,6 +71,15 @@ from orbitcalc.clans import (
     is_closed_clan,
     make_clan,
     rank_table,
+)
+from orbitcalc.cli import (
+    cmd_chern,
+    cmd_classes,
+    cmd_conjecture,
+    cmd_enumerate,
+    cmd_oracle,
+    cmd_poset,
+    cmd_verify,
 )
 from orbitcalc.formulas import (
     FormulaError,
@@ -1499,3 +1512,71 @@ def fraction_substitute(a: Mapping, images: Mapping) -> dict[tuple[int, ...], Fr
                 c *= sign ** exps[s]
         pairs.append((tuple(new), c))
     return _fraction_collect(pairs)
+
+
+# ---------------------------------------------------------------------------
+# The argparse parser that the option table replaced
+# ---------------------------------------------------------------------------
+
+
+def _count(what: str):
+    """The argparse type of an option that takes ``what``, 0 or more."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal():
+            raise argparse.ArgumentTypeError(f"expected {what}, 0 or more, not {text!r}")
+        return int(text)
+    return parse
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="orbitcalc",
+        description="Exact computation of orbit posets and equivariant "
+        "classes for two-block flag-variety orbit families.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, fn in [
+        ("enumerate", cmd_enumerate),
+        ("poset", cmd_poset),
+        ("classes", cmd_classes),
+        ("verify", cmd_verify),
+        ("oracle", cmd_oracle),
+        ("conjecture", cmd_conjecture),
+        ("chern", cmd_chern),
+    ]:
+        p = commands[name] = sub.add_parser(name)
+        p.set_defaults(fn=fn)
+        p.add_argument("--output", default=None, help="write to file")
+
+    for name, p in commands.items():
+        if name != "oracle":
+            p.add_argument("--case", choices=sorted(CASES), default=None,
+                           help="orbit family selector")
+            p.add_argument("--p", type=int, default=None)
+            p.add_argument("--q", type=int, default=None)
+            p.add_argument("--n", type=int, default=None,
+                           help="the rank of a GL family (c-sp-gl, d-so-gl)")
+        if name not in ("oracle", "chern"):
+            p.add_argument("--max-nodes", type=_count("a count of orbits"), default=5000,
+                           help="warn when the family is larger than this")
+        if name not in ("oracle", "verify"):
+            formats = ["text", "json", "dot"] if name == "poset" else ["text", "json"]
+            p.add_argument("--format", dest="fmt", default="text", choices=formats)
+
+    commands["poset"].add_argument(
+        "--full", action="store_true",
+        help="saturate and include the full closure order")
+    commands["classes"].add_argument("--factored", action="store_true")
+    commands["classes"].add_argument(
+        "--verify", action="store_true",
+        help="run localization checks before emitting")
+    commands["chern"].add_argument("--clan", default=None)
+    commands["oracle"].add_argument(
+        "--max-n", type=_count("a bound on p+q"), default=4, metavar="N",
+        help="move each representative flag with p+q <= N by a random "
+        "block-diagonal k in GL(p) x GL(q) and measure it again")
+    commands["oracle"].add_argument(
+        "--measure-max-n", type=_count("a bound on p+q"), default=5, metavar="N",
+        help="measure each representative flag with p+q <= N")
+    return parser

@@ -20,6 +20,7 @@ from orbitcalc.clans import RankTable
 from orbitcalc.formulas import FormulaError, LocalizationReport
 from orbitcalc.geometry import GeometryError
 from orbitcalc.orbits import OrbitError, weak_order_graph
+from reference import build_parser
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 SRC = Path(__file__).parent.parent / "src"
@@ -76,7 +77,7 @@ class TestChern:
         assert "clan" in err
 
     def test_clan_given_as_two_minus_signs(self, capsys):
-        # argparse hands the value of --clan=-- over as an empty list
+        # after '=' the text -- is the value, the all-minus clan
         code, out, err = run(capsys, "chern", "--case", "a", "--p", "0", "--q", "2",
                              "--clan=--")
         assert (code, out, err) == (0, "1\n", "")
@@ -535,10 +536,17 @@ class TestOutputFile:
         assert code == 1 and out == "" and not path.exists()
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["poset", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["poset", "--help"], *(
+    [command, "--help"] for command in cli.COMMANDS if command != "poset")])
 def test_help_exits_zero(capsys, argv):
-    assert cli.main(argv) == 0
-    assert "orbitcalc" in capsys.readouterr().out
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and "orbitcalc" in out
+    if argv == ["--help"]:
+        assert all(command in out for command in cli.COMMANDS) and len(cli.COMMANDS) == 7
+    else:
+        # one line per option of the command's row, led by its flag
+        named = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        assert named == [flag for flag, *_ in cli.COMMANDS[argv[0]][1]]
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +583,98 @@ def test_subcommand_loads_only_the_layers_it_runs(argv, layers):
     assert {"orbitcalc.clans", "orbitcalc.cli"} <= modules
     assert {m for m in LAYERS if f"orbitcalc.{m}" in modules} == layers
     assert "dataclasses" not in modules
+    assert not {"argparse", "gettext", "locale"} & modules
+
+
+# ---------------------------------------------------------------------------
+# the option table's parser against the argparse parser it replaced: where
+# argparse read a call, the options are equal; where it exited, the parser
+# exits with the same code and the same error line
+# ---------------------------------------------------------------------------
+
+CHERN22 = ["chern", "--case", "a", "--p", "2", "--q", "2"]
+MALFORMED_CALLS = [
+    ["verify", "--threads", "2"],  # an unknown option
+    ["enumerate", *A11, "--full"],  # an option of another subcommand
+    [*CHERN22, "--clan"],  # a missing value at the end
+    ["enumerate", "--case", "a", "--p", "--q", "1"],
+    ["chern", "--case=a", "--p=2", "--q", "2", "--clan=++--"],  # both forms
+    [*CHERN22, "--clan", "++--", "--format=json"],
+    ["classes", "--case", "a", "--p", "-1", "--q", "2"],  # negative numbers are values
+    ["classes", "--case", "a", "--p", "-0.5", "--q", "2"],
+    ["enumerate", *A11, "--max-nodes", "-1"],
+    ["enumerate", *A11, "--max-nodes=-1"],
+    ["oracle", "--max-n", "-1", "--measure-max-n", "-3"],
+    [*CHERN22, "--clan", "-+"],  # a word led by '-' that is no number is an option
+    [*CHERN22, "--clan", "-1+-"],
+    [*CHERN22, "--clan", "- +-+"],  # unless it holds a space
+    ["enumerate", *A11, "--form", "json"],  # a unique prefix
+    ["poset", *A11, "--fu", "--form=dot", "--out=x.dot"],
+    ["oracle", "--m", "2"],  # an ambiguous prefix
+    ["oracle", "--help", "--m", "2"],
+    ["enumerate", *A11, "--case", "b-so", "--p", "2"],  # the last one wins
+    ["enumerate", *A11, "--", "--p", "1"],
+    ["enumerate", *A11, "--full=yes"],
+    ["poset", *A11, "--full=yes"],
+    ["-h"],
+    ["enumerate", "-h"],
+    ["enumerate", "--help", "--p", "x"],
+    ["enumerate", "--p", "x", "--help"],
+    ["enumerate", "-hx"],
+    [],  # no command at all
+    ["--case", "a"],
+    ["--threads", "enumerate", *A11],
+    ["frobnicate", *A11],
+]
+
+
+def argparse_reading(argv: list[str]) -> tuple[dict | None, int | None, str]:
+    """The options ``reference.build_parser`` reads from ``argv``, or the
+    code it exits with and its stderr."""
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            return vars(build_parser().parse_args(argv)), None, ""
+    except SystemExit as exc:
+        return None, exc.code, err.getvalue()
+
+
+def assert_read_as_argparse_did(capsys, argv: list[str]) -> None:
+    options, code, reference_err = argparse_reading(argv)
+    if options is not None:
+        assert vars(cli.parse_args(argv)) == options
+        return
+    new_code, out, err = run(capsys, *argv)
+    assert new_code == code
+    if code == 0:
+        assert out.startswith("usage: orbitcalc") and err == ""
+    else:
+        assert code == 2 and out == "" and err.startswith("usage: orbitcalc")
+        assert err.splitlines()[-1] == reference_err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_CALLS)
+def test_parser_reads_malformed_calls_as_argparse_did(capsys, argv):
+    assert_read_as_argparse_did(capsys, argv)
+
+
+def test_parser_reads_every_golden_call_as_argparse_did(capsys):
+    for argv in golden_calls():
+        assert_read_as_argparse_did(capsys, argv)
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["enumerate", "--case=--", "--p", "1", "--q", "1"],
+     "argument --case: invalid choice: '--' (choose from"),
+    (["enumerate", "--case", "a", "--p=--", "--q", "1"], "argument --p: invalid int value: '--'"),
+    (["enumerate", *A11, "--max-nodes=--"],
+     "argument --max-nodes: expected a count of orbits, 0 or more, not '--'"),
+    (["oracle", "--max-n=--"], "argument --max-n: expected a bound on p+q, 0 or more, not '--'"),
+])
+def test_double_minus_after_equals_is_the_value(capsys, argv, line):
+    # argparse handed it over as an empty list, which each handler met as a value
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and line in err and "Traceback" not in err
 
 
 # a child's ru_maxrss starts at the high-water mark of the process that
