@@ -17,9 +17,12 @@ again.
 The first row, ``startup``, is what a call pays before orbitcalc computes
 anything: the median CPU time (user plus system, from ``os.wait4``) of
 ``STARTUP_SPAWNS`` fresh spawns each of ``python -c pass`` and of the
-trivial call ``python -m orbitcalc enumerate --case a --p 1 --q 1``, spawned
-alternately, and whether ``PYTHONDONTWRITEBYTECODE`` was set (then every
-call compiles the sources again).
+trivial calls ``python -m orbitcalc enumerate --case a --p 1 --q 1`` and
+``python -m orbitcalc conjecture --case a --p 1 --q 1``, spawned in turn,
+and whether ``PYTHONDONTWRITEBYTECODE`` was set (then every call compiles
+the sources again).  For each orbitcalc call it also reports
+``compiled_nodes``: the number of AST nodes of the orbitcalc sources the
+call loaded, which is what it compiles when no bytecode is cached.
 
 Usage, from the root of a source checkout::
 
@@ -29,6 +32,7 @@ Usage, from the root of a source checkout::
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -37,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 ROWS = (("order", "b-so", 3, 4), ("order", "c-spxsp", 4, 4), ("order", "a", 4, 4),
         ("order", "c-sp-gl", 7, 7), ("classes", "a", 3, 4), ("classes", "d-so-gl", 5, 5))
@@ -44,9 +49,22 @@ STAGES = {"order": ("weak_s", "saturate_compare_s"), "classes": ("propagate_s", 
 CAP_S = 120.0  # wall-time cap of one run of a row, in seconds
 RUNS = 3  # runs of a row; each figure is their median
 STARTUP_SPAWNS = 15  # spawns of each start-up command; the row reports their medians
+A11 = ("--case", "a", "--p", "1", "--q", "1")
 STARTUP = {"python_pass_s": ("-c", "pass"),
-           "orbitcalc_trivial_s": ("-m", "orbitcalc", "enumerate", "--case", "a", "--p", "1",
-                                   "--q", "1")}
+           "orbitcalc_trivial_s": ("-m", "orbitcalc", "enumerate", *A11),
+           "orbitcalc_conjecture_s": ("-m", "orbitcalc", "conjecture", *A11)}
+# runs ``cli.main`` on its arguments, then prints the source of every
+# orbitcalc module loaded, one a line
+LOADED_SOURCES = (
+    "import io, sys\n"
+    "from contextlib import redirect_stdout\n"
+    "from orbitcalc import cli\n"
+    "with redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(*(m.__file__ for name, m in sys.modules.items()\n"
+    "        if name.partition('.')[0] == 'orbitcalc'), sep='\\n')\n"
+    "sys.exit(code)\n"
+)
 
 
 def _peak_rss_mib() -> float:
@@ -132,9 +150,18 @@ def measure(tag: str, p: int, q: int, cap: float, command: str = "order") -> dic
             else value for key, value in runs[0].items()}
 
 
+def compiled_nodes(argv) -> int:
+    """The AST nodes of the orbitcalc sources that the call ``argv`` loads."""
+    proc = subprocess.run([sys.executable, "-c", LOADED_SOURCES, *argv],
+                          capture_output=True, text=True, check=True)
+    sources = (Path(path).read_text(encoding="utf-8") for path in proc.stdout.splitlines())
+    return sum(sum(1 for _ in ast.walk(ast.parse(source))) for source in sources)
+
+
 def measure_startup() -> dict:
     """The ``startup`` row: the median CPU time of each ``STARTUP`` command,
-    the commands spawned in turn ``STARTUP_SPAWNS`` times."""
+    the commands spawned in turn ``STARTUP_SPAWNS`` times, and the
+    ``compiled_nodes`` of each orbitcalc call."""
     times = {key: [] for key in STARTUP}
     for _ in range(STARTUP_SPAWNS):
         for key, args in STARTUP.items():
@@ -143,8 +170,11 @@ def measure_startup() -> dict:
             if status:
                 raise SystemExit(f"{' '.join(args)} exited with status {status}")
             times[key].append(usage.ru_utime + usage.ru_stime)
+    nodes = {key: compiled_nodes(args[2:]) for key, args in STARTUP.items()
+             if args[0] == "-m"}
     return {"row": "startup", "spawns": STARTUP_SPAWNS,
             **{key: round(statistics.median(t), 4) for key, t in times.items()},
+            "compiled_nodes": {key.removesuffix("_s"): n for key, n in nodes.items()},
             "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 

@@ -8,8 +8,9 @@ A clan of shape ``(p, q)`` is a string of length ``n = p + q`` whose entries are
 A clan is stored as its mate code: its symbols with every sign kept and every
 pair symbol replaced by the 0-based position of its mate.  Mate codes need no
 relabelling, and two clans of one shape are equal exactly when their codes
-are.  Labels exist only at the edges: :func:`make_clan` and :func:`parse_clan`
-turn labelled input into a code once, and ``Clan.to_text`` numbers the pairs
+are.  Labels exist only at the edges: ``make_clan`` and ``parse_clan`` in
+:mod:`orbitcalc.cmd_chern`, the one subcommand that reads clan text, turn
+labelled input into a code once, and ``Clan.to_text`` numbers the pairs
 1, 2, ... by first occurrence, for output.
 
 The module also provides the rank-number tables of a clan and their order,
@@ -28,7 +29,6 @@ setting its image too, and admit only what the case's fold rules allow.
 from __future__ import annotations
 
 import itertools
-import re
 import sys
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -145,7 +145,7 @@ class CheckError(ValueError):
 class Clan(Record):
     """A clan, stored as its mate code ``mates`` (see the module docstring).
     ``Clan(mates, p, q)`` trusts its code; build a clan from labelled
-    symbols with :func:`make_clan` or :func:`parse_clan`."""
+    symbols with ``cmd_chern.make_clan`` or ``cmd_chern.parse_clan``."""
 
     __slots__ = ("mates", "p", "q", "_hash")
     _fields = ("mates", "p", "q")
@@ -191,56 +191,6 @@ class Clan(Record):
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.to_text()
-
-
-def make_clan(symbols: Sequence, p: int, q: int) -> Clan:
-    """Build a clan from a symbol sequence ('+', '-', or hashable pair
-    labels), checking it against the shape (p, q)."""
-    if p < 0 or q < 0 or p + q < 1:
-        raise ClanError(f"invalid shape ({p}, {q})")
-    if len(symbols) != p + q:
-        raise ClanError(
-            f"clan has {len(symbols)} symbols but shape ({p}, {q}) needs {p + q}"
-        )
-    mates = list(symbols)
-    at: dict = {}  # pair label -> its positions, labels by first occurrence
-    for j, sym in enumerate(symbols):
-        if sym != PLUS and sym != MINUS:
-            at.setdefault(sym, []).append(j)
-    for number, places in enumerate(at.values(), start=1):
-        if len(places) != 2:
-            raise ClanError(f"pair label {number} occurs {len(places)} times (needs exactly 2)")
-        a, b = places
-        mates[a], mates[b] = b, a
-    n_plus, n_minus = mates.count(PLUS), mates.count(MINUS)
-    if n_plus - n_minus != p - q:
-        raise ClanError(
-            f"sign counts (+{n_plus}, -{n_minus}) incompatible with shape ({p}, {q})"
-        )
-    return Clan(tuple(mates), p, q)
-
-
-_TOKEN_RE = re.compile(r"\+|-|[0-9]|\((\d+)\)")
-
-
-def parse_clan(text: str, p: int, q: int) -> Clan:
-    """Parse a clan string such as ``'1+-1'`` or ``'(10)+(10)-'`` into a clan of shape (p, q)."""
-    text = text.strip().replace("−", "-").replace("–", "-")
-    symbols: list = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ClanError(f"unrecognized clan token at {text[pos:]!r}")
-        tok = m.group(0)
-        if tok == PLUS or tok == MINUS:
-            symbols.append(tok)
-        elif tok.startswith("("):
-            symbols.append(int(m.group(1)))
-        else:
-            symbols.append(int(tok))
-        pos = m.end()
-    return make_clan(symbols, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +427,7 @@ def _walk(P: int, Q: int, signs: dict | None, self_mirror: bool, even_middle: bo
     ``even_middle`` asks.  A position right of the middle is either set
     already or closes a pair open across the middle, together with that
     pair's image.  ``too_large`` is the usage error for a code too long to
-    hold.
+    hold, or too long for the walk's one call per position to nest.
     """
     N = P + Q
     try:
@@ -536,7 +486,10 @@ def _walk(P: int, Q: int, signs: dict | None, self_mirror: bool, even_middle: bo
         if p and q:
             fill(i + 1, p - 1, q - 1, opened + (i,))
 
-    fill(0, P, Q, ())
+    try:
+        fill(0, P, Q, ())
+    except RecursionError:
+        raise ClanError(too_large) from None
     return tuple(out)
 
 

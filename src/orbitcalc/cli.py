@@ -1,20 +1,27 @@
-"""Command-line interface.
+"""Command-line interface: the option table, the parser, the help and ``main``.
 
 Subcommands: enumerate, poset, classes, verify, oracle, conjecture, chern.
 Exit codes: 0 success, 1 verification failure (a failed localization or
 oracle check, or an internal consistency check), 2 usage or i/o error.
 
-A handler imports the layers it calls, and ``json`` only where it writes JSON:
-every call is a fresh process, and start-up is about 9/10 of a ``conjecture``
-call's CPU time (``setup_s`` against the mean job of ``cpu_s`` on the ``order``
-benchmark).  For the same reason ``parse_args`` reads the command line from the
-table ``COMMANDS``, not with argparse, whose import and parsers took about 5 ms
-a call.  ``enumerate`` loads ``clans`` alone; ``conjecture`` and ``poset``
-add ``orbits``; ``classes`` and ``chern`` add ``orbits``, ``formulas`` and
-``poly``; ``verify`` and ``classes --verify`` add ``weyl`` too, which only
-localization needs; only ``oracle`` loads ``geometry``.
+Every call is a fresh process, which compiles each source it loads when no
+bytecode is cached, and start-up is about 9/10 of a ``conjecture`` call's CPU
+time (``setup_s`` 0.048 s against a mean ``order`` job of 0.053 s of ``cpu_s``
+on the benchmark).  So each subcommand's handler is the module
+``cmd_<subcommand>``, which ``main`` imports when it dispatches, with the code
+only it runs: ``cmd_poset`` holds the DOT and JSON writers, and ``cmd_chern``
+the reader of clan text.  A handler imports the layer functions it calls
+when it runs, so it calls whatever the benchmark's tracer or a test has put in
+their place, and ``json`` only where it writes JSON.  For the same reason as
+the modules, ``parse_args`` reads the command line from the table
+``COMMANDS``, not with argparse, whose import and parsers took about 5 ms a
+call.  Besides ``cli`` and its own
+``cmd_<subcommand>``, ``enumerate`` loads ``clans`` alone; ``conjecture``
+and ``poset`` add ``orbits``; ``classes`` and ``chern`` add ``orbits``,
+``formulas`` and ``poly``; ``verify`` and ``classes --verify`` add ``weyl``
+too, which only localization needs; only ``oracle`` loads ``geometry``.
 
-Every handler hands ``_emit`` its output as chunks, written as they are
+Every handler hands ``emit`` its output as chunks, written as they are
 produced: ``classes`` renders one line (or one JSON entry) per orbit, so
 its table is never held whole in memory, and ``verify`` writes each case's
 lines once that case is checked.
@@ -25,17 +32,16 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable
+from importlib import import_module
 from types import SimpleNamespace
 
-from .clans import (CASES, DESK_RANKS, CaseId, CheckError, ClanError,
-                    case_from_params, enumerate_case_clans, enumerate_clans, is_closed_clan,
-                    parse_clan, rank_table)
+from .clans import CASES, CaseId, CheckError, ClanError, case_from_params
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-def _emit(args, chunks: Iterable[str]) -> None:
+def emit(args, chunks: Iterable[str]) -> None:
     """Write each chunk of text as it is produced, to ``--output`` (opened
     once) or to stdout, so no command holds its whole output at once."""
     if args.output:
@@ -45,15 +51,16 @@ def _emit(args, chunks: Iterable[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _emit_json(args, case: CaseId, **fields) -> None:
+def emit_json(args, case: CaseId, **fields) -> None:
     """Write ``fields`` and the case's tag, p and q under ``"case"`` as one
     JSON document."""
     import json
     data = {"case": {"tag": case.tag, "p": case.p, "q": case.q}, **fields}
-    _emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
+    emit(args, [json.dumps(data, indent=2, sort_keys=True) + "\n"])
 
 
-def _resolve_case(args) -> CaseId:
+def resolve_case(args) -> CaseId:
+    """The case that ``--case`` and ``--p``/``--q`` or ``--n`` name."""
     if args.case is None:
         raise ClanError("--case is required")
     if args.n is not None:
@@ -69,7 +76,8 @@ def _resolve_case(args) -> CaseId:
     return case_from_params(args.case, p, q)
 
 
-def _guardrail(args, case: CaseId, count: int) -> None:
+def guardrail(args, case: CaseId, count: int) -> None:
+    """Warn on stderr when the family has more orbits than ``--max-nodes``."""
     if count > args.max_nodes:
         print(
             f"warning: case {case.tag} ({case.p},{case.q}) has {count} orbits, "
@@ -79,191 +87,9 @@ def _guardrail(args, case: CaseId, count: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
-def cmd_enumerate(args) -> int:
-    case = _resolve_case(args)
-    clans = enumerate_case_clans(case)
-    _guardrail(args, case, len(clans))
-    if args.fmt == "json":
-        _emit_json(args, case, count=len(clans), clans=[c.to_text() for c in clans])
-    else:
-        _emit(args, (c.to_text() + "\n" for c in clans))
-    return 0
-
-
-def cmd_poset(args) -> int:
-    from .orbits import full_closure_order, poset_json_text, poset_to_dot, weak_order_graph
-    case = _resolve_case(args)
-    poset = weak_order_graph(case)
-    _guardrail(args, case, len(poset.nodes))
-    if args.full:
-        poset = full_closure_order(poset)
-    if args.fmt == "dot":
-        _emit(args, [poset_to_dot(poset)])
-    else:
-        _emit(args, [poset_json_text(poset)])
-    return 0
-
-
-def cmd_classes(args) -> int:
-    from .formulas import all_classes, chern_expansion, closed_class, verify_localization
-    from .orbits import weak_order_graph
-    case = _resolve_case(args)
-    poset = weak_order_graph(case)
-    _guardrail(args, case, len(poset.nodes))
-    classes = all_classes(poset)
-    if args.verify:
-        report = verify_localization(poset, classes)
-        if not report.ok:
-            for line in report.failures:
-                print(f"verify: {line}", file=sys.stderr)
-            return VERIFY_ERROR
-
-    def render(c) -> str:
-        if args.factored and is_closed_clan(case, c):
-            return closed_class(case, c).to_text()
-        return chern_expansion(case).text(classes[c])
-
-    if args.fmt == "json":
-        import json
-
-        # the text json.dumps(data, indent=2, sort_keys=True) writes, one entry at a time
-        def entries():
-            head = json.dumps({"tag": case.tag, "p": case.p, "q": case.q},
-                              indent=2, sort_keys=True)
-            yield '{\n  "case": ' + head.replace("\n", "\n  ") + ',\n  "classes": {'
-            sep = "\n"
-            for c in sorted(poset.nodes, key=lambda clan: clan.to_text()):
-                yield f"{sep}    {json.dumps(c.to_text())}: {json.dumps(render(c))}"
-                sep = ",\n"
-            yield "\n  }\n}\n"
-
-        _emit(args, entries())
-    else:
-        width = max(len(c.to_text()) for c in poset.nodes)
-        _emit(args, (f"{c.to_text():<{width}}  {render(c)}\n" for c in poset.nodes))
-    return 0
-
-
-def cmd_verify(args) -> int:
-    from .formulas import all_classes, verify_localization
-    from .orbits import weak_order_graph
-    if args.case is None:
-        targets = [case_from_params(t, p, q) for t, p, q in DESK_RANKS]
-    else:
-        targets = [_resolve_case(args)]
-    failed = []
-
-    def reports():
-        for case in targets:
-            poset = weak_order_graph(case)
-            _guardrail(args, case, len(poset.nodes))
-            report = verify_localization(poset, all_classes(poset))
-            status = "OK" if report.ok else "FAIL"
-            support = (
-                f"support pairs {report.support_pairs_checked}"
-                if report.support_checked
-                else "support skipped (no fixed-point dictionary)"
-            )
-            yield (f"{status}  {case.tag} ({case.p},{case.q}): "
-                   f"closed points {report.closed_points_checked}, {support}, "
-                   f"dense {'ok' if report.dense_ok else 'FAIL'}\n")
-            if not report.ok:
-                failed.append(case)
-                yield from (f"      {f}\n" for f in report.failures)
-
-    _emit(args, reports())
-    return VERIFY_ERROR if failed else 0
-
-
-def cmd_oracle(args) -> int:
-    import random
-
-    from .geometry import (GeometryError, block_diagonal_matrix, measure_rank_numbers,
-                           representative_flag)
-    move_max = args.max_n
-    measure_max = args.measure_max_n
-    rng = random.Random("oracle")  # a str seed does not depend on PYTHONHASHSEED
-    mismatches = []
-    measured = 0
-    moved = 0
-    for n in range(1, max(measure_max, move_max) + 1):
-        for p in range(0, n + 1):
-            q = n - p
-            for c in enumerate_clans(p, q):
-                at = f"at {c.to_text()} ({p},{q})"
-                try:
-                    flag, table = representative_flag(c), rank_table(c)
-                    if n <= measure_max:
-                        measured += 1
-                        if measure_rank_numbers(flag, p, q) != table:
-                            mismatches.append(f"measure mismatch {at}")
-                    if n <= move_max:
-                        moved += 1
-                        k = block_diagonal_matrix(rng, p, q)
-                        if measure_rank_numbers(flag.transformed(k), p, q) != table:
-                            mismatches.append(f"K-invariance mismatch {at}")
-                except GeometryError as exc:
-                    raise GeometryError(f"{exc} {at}") from exc
-    status = "OK" if not mismatches else "FAIL"
-    out = [
-        f"{status}  measured {measured} representative flags (p+q <= {measure_max}), "
-        f"moved {moved} by a block-diagonal k (p+q <= {move_max})"
-    ]
-    out.extend("      " + m for m in mismatches)
-    _emit(args, (line + "\n" for line in out))
-    return VERIFY_ERROR if mismatches else 0
-
-
-def cmd_conjecture(args) -> int:
-    from .orbits import check_conjecture, weak_order_graph
-    case = _resolve_case(args)
-    poset = weak_order_graph(case)
-    _guardrail(args, case, len(poset.nodes))
-    report = check_conjecture(poset)
-    if args.fmt == "json":
-        _emit_json(args, case, coincides=report.coincides,
-                   witnesses=[[a.to_text(), b.to_text()] for a, b in report.witnesses])
-        return 0
-    if report.coincides:
-        _emit(args, [
-            f"case {case.tag} ({case.p},{case.q}): computed closure order "
-            "coincides with the rank-number order\n",
-        ])
-    else:
-        lines = [
-            f"case {case.tag} ({case.p},{case.q}): computed closure order is "
-            f"strictly finer; {len(report.witnesses)} induced-only pairs:"
-        ]
-        lines.extend(
-            f"  {a.to_text()} < {b.to_text()} only for rank numbers"
-            for a, b in report.witnesses
-        )
-        _emit(args, (line + "\n" for line in lines))
-    return 0
-
-
-def cmd_chern(args) -> int:
-    from .formulas import chern_factored
-    case = _resolve_case(args)
-    if args.clan is None:
-        raise ClanError("--clan is required for chern")
-    P, Q = case.ambient_shape
-    c = parse_clan(args.clan, P, Q)
-    formula = chern_factored(case, c)
-    if args.fmt == "json":
-        _emit_json(args, case, clan=c.to_text(), chern=formula.to_text())
-    else:
-        _emit(args, [formula.to_text() + "\n"])
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# argument parsing: COMMANDS declares each command's options once, for the
-# parser and the help; parse_args reads the words as argparse read them
+# argument parsing: COMMANDS names each command's module, which main imports
+# to run it, and declares its options once, for the parser and the help;
+# parse_args reads the words as argparse read them
 # ---------------------------------------------------------------------------
 
 
@@ -275,9 +101,13 @@ class UsageError(Exception):
 def _count(what: str):
     """The type of an option that takes ``what``, 0 or more."""
     def parse(text: str) -> int:
-        if not text.strip().isdecimal():
+        digits = text.strip()
+        if not digits.isdecimal():
             raise UsageError(None, f"expected {what}, 0 or more, not {text!r}")
-        return int(text)
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            raise UsageError(None, f"{what} of {len(digits)} digits is too long to read") from None
     return parse
 
 
@@ -293,24 +123,24 @@ _MAX_NODES = ("--max-nodes", "max_nodes", _count("a count of orbits"), 5000,
 _FORMAT = ("--format", "fmt", ("text", "json"), "text", "output format")
 _BOUND = _count("a bound on p+q")
 COMMANDS = {
-    "enumerate": (cmd_enumerate, (_OUTPUT, *_CASE, _MAX_NODES, _FORMAT)),
-    "poset": (cmd_poset, (
+    "enumerate": ("cmd_enumerate", (_OUTPUT, *_CASE, _MAX_NODES, _FORMAT)),
+    "poset": ("cmd_poset", (
         _OUTPUT, *_CASE, _MAX_NODES,
         ("--format", "fmt", ("text", "json", "dot"), "text", "output format"),
         ("--full", "full", None, False, "saturate and include the full closure order"))),
-    "classes": (cmd_classes, (
+    "classes": ("cmd_classes", (
         _OUTPUT, *_CASE, _MAX_NODES, _FORMAT,
         ("--factored", "factored", None, False, "write closed orbits' classes as products"),
         ("--verify", "verify", None, False, "run localization checks before emitting"))),
-    "verify": (cmd_verify, (_OUTPUT, *_CASE, _MAX_NODES)),
-    "oracle": (cmd_oracle, (
+    "verify": ("cmd_verify", (_OUTPUT, *_CASE, _MAX_NODES)),
+    "oracle": ("cmd_oracle", (
         _OUTPUT,
         ("--max-n", "max_n", _BOUND, 4, "move each representative flag with p+q <= MAX_N "
          "by a random block-diagonal k in GL(p) x GL(q) and measure it again"),
         ("--measure-max-n", "measure_max_n", _BOUND, 5,
          "measure each representative flag with p+q <= MEASURE_MAX_N"))),
-    "conjecture": (cmd_conjecture, (_OUTPUT, *_CASE, _MAX_NODES, _FORMAT)),
-    "chern": (cmd_chern, (_OUTPUT, *_CASE, _FORMAT, ("--clan", "clan", str, None, "the clan"))),
+    "conjecture": ("cmd_conjecture", (_OUTPUT, *_CASE, _MAX_NODES, _FORMAT)),
+    "chern": ("cmd_chern", (_OUTPUT, *_CASE, _FORMAT, ("--clan", "clan", str, None, "the clan"))),
 }
 _HELP = ("-h", "--help")
 
@@ -383,9 +213,8 @@ def _help(command: str | None, text: str | None) -> None:
 
 
 def parse_args(argv) -> SimpleNamespace | None:
-    """The options of a call, with its ``command`` and that command's
-    handler ``fn``; None once ``-h`` has written the help.  A malformed call
-    raises UsageError."""
+    """The options of a call, with its ``command``; None once ``-h`` has
+    written the help.  A malformed call raises UsageError."""
     extras = []  # unknown words, reported once every word is read
     for at, word in enumerate(argv):
         read = _read(None, word, _HELP)
@@ -400,10 +229,9 @@ def parse_args(argv) -> SimpleNamespace | None:
     if command not in COMMANDS:
         raise UsageError(None, f"argument command: invalid choice: {command!r} "
                          f"(choose from {', '.join(map(repr, COMMANDS))})")
-    fn, options = COMMANDS[command]
+    options = COMMANDS[command][1]
     table = {flag: (dest, kind) for flag, dest, kind, _, _ in options}
-    args = SimpleNamespace(command=command, fn=fn,
-                           **{dest: default for _, dest, _, default, _ in options})
+    args = SimpleNamespace(command=command, **{dest: default for _, dest, _, default, _ in options})
     end = words.index("--") if "--" in words else len(words)  # no option after a --
     reads = [_read(command, word, (*_HELP, *table)) for word in words[:end]]
     at = 0
@@ -434,7 +262,9 @@ def parse_args(argv) -> SimpleNamespace | None:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        return 0 if args is None else args.fn(args)  # None: -h wrote the help
+        if args is None:  # -h wrote the help
+            return 0
+        return import_module(f".{COMMANDS[args.command][0]}", __package__).run(args)
     except UsageError as exc:
         command, message = exc.args
         prog = "orbitcalc" if command is None else f"orbitcalc {command}"

@@ -32,7 +32,7 @@ down-set is the AND of one column bitset per entry.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import groupby, takewhile
+from itertools import takewhile
 from typing import Mapping, Sequence
 
 from .clans import CaseId, CheckError, Clan, Record, enumerate_case_clans, rank_table
@@ -413,62 +413,3 @@ def check_conjecture(poset: OrbitPoset) -> OrderComparison:
     place = {c: k for k, c in enumerate(poset.ranks)}
     witnesses.sort(key=lambda pair: (place[pair[0]], place[pair[1]]))
     return OrderComparison(poset.case, not witnesses, tuple(witnesses))
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def _canonical_edges(poset: OrbitPoset) -> list[tuple[Clan, Clan, int, int]]:
-    """The weak edges by their source's place in the canonical order (that of
-    ``poset.ranks``), then by root: a source and a root have one target."""
-    place = {c: k for k, c in enumerate(poset.ranks)}
-    return sorted(poset.weak_edges, key=lambda e: (place[e[0]], e[2]))
-
-
-def poset_to_json(poset: OrbitPoset) -> dict:
-    data = {
-        "case": {"tag": poset.case.tag, "p": poset.case.p, "q": poset.case.q},
-        "nodes": [{"clan": c.to_text(), "rank": poset.ranks[c]} for c in poset.nodes],
-        "weak_edges": [
-            {
-                "src": src.to_text(),
-                "dst": dst.to_text(),
-                "root": i,
-                "degree": deg,
-            }
-            for src, dst, i, deg in _canonical_edges(poset)
-        ],
-    }
-    full = poset.full_order
-    if full is not None:
-        data["full_order"] = {c.to_text(): sorted(v.to_text() for v in full[c])
-                              for c in poset.nodes}
-    return data
-
-
-def poset_to_dot(poset: OrbitPoset) -> str:
-    """Graphviz rendering of the weak order; degree-2 edges are blue."""
-    lines = [
-        "digraph weak_order {",
-        "  rankdir=BT;",
-        '  node [shape=box, fontname="Helvetica"];',
-    ]
-    for _, row in groupby(poset.nodes, key=poset.ranks.__getitem__):
-        names = " ".join(f'"{c.to_text()}";' for c in row)
-        lines.append(f"  {{ rank=same; {names} }}")
-    for src, dst, i, deg in _canonical_edges(poset):
-        attrs = [f'label="{i}"']
-        if deg == 2:
-            attrs.append("color=blue")
-        lines.append(
-            f'  "{src.to_text()}" -> "{dst.to_text()}" [{", ".join(attrs)}];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def poset_json_text(poset: OrbitPoset) -> str:
-    import json
-    return json.dumps(poset_to_json(poset), indent=2, sort_keys=True) + "\n"

@@ -69,18 +69,9 @@ from orbitcalc.clans import (
     enumerate_case_clans,
     in_case_family,
     is_closed_clan,
-    make_clan,
     rank_table,
 )
-from orbitcalc.cli import (
-    cmd_chern,
-    cmd_classes,
-    cmd_conjecture,
-    cmd_enumerate,
-    cmd_oracle,
-    cmd_poset,
-    cmd_verify,
-)
+from orbitcalc.cmd_chern import make_clan
 from orbitcalc.formulas import (
     FormulaError,
     LocalizationReport,
@@ -1536,17 +1527,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, fn in [
-        ("enumerate", cmd_enumerate),
-        ("poset", cmd_poset),
-        ("classes", cmd_classes),
-        ("verify", cmd_verify),
-        ("oracle", cmd_oracle),
-        ("conjecture", cmd_conjecture),
-        ("chern", cmd_chern),
-    ]:
+    for name in ["enumerate", "poset", "classes", "verify", "oracle", "conjecture", "chern"]:
         p = commands[name] = sub.add_parser(name)
-        p.set_defaults(fn=fn)
         p.add_argument("--output", default=None, help="write to file")
 
     for name, p in commands.items():

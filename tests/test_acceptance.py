@@ -18,9 +18,9 @@ from orbitcalc.clans import (
     case_from_params,
     enumerate_clans,
     leq,
-    parse_clan,
     rank_table,
 )
+from orbitcalc.cmd_chern import parse_clan
 from orbitcalc.formulas import (
     all_classes,
     chern_factored,

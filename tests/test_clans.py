@@ -28,10 +28,9 @@ from orbitcalc.clans import (
     enumerate_clans,
     in_case_family,
     leq,
-    make_clan,
-    parse_clan,
     rank_table,
 )
+from orbitcalc.cmd_chern import make_clan, parse_clan
 from orbitcalc.orbits import full_closure_order, weak_order_graph
 from orbitcalc.poly import Ring
 from reference import (cases_up_to_rank, clan_from_mates, clan_from_rank_table,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitcalc import cli, formulas, geometry, orbits
+from orbitcalc import clans, cli, formulas, geometry, orbits
 from orbitcalc.clans import DESK_RANKS, CheckError, case_from_params
 from orbitcalc.clans import RankTable
 from orbitcalc.formulas import FormulaError, LocalizationReport
@@ -43,6 +43,9 @@ TOO_LARGE_TO_ENUMERATE = [
      "rank 1000000000000000000 is too large for case d-so-gl"),
     (["enumerate", "--case", "a", "--p", "4611686018427387904", "--q", "1"],
      "rank 4611686018427387905 is too large for shape (4611686018427387904, 1)"),
+    # too many positions for the walk's one call per position to nest
+    (["enumerate", "--case", "a", "--p", "500", "--q", "500"],
+     "rank 1000 is too large for shape (500, 500)"),
 ]
 
 
@@ -400,7 +403,7 @@ class TestUsageErrors:
 # failed check makes that call fail, and a malformed call
 EXIT_CODE_TABLE = [
     (["enumerate", "--case", "a", "--p", "1", "--q", "1"],
-     (cli, "enumerate_case_clans", CheckError),
+     (clans, "enumerate_case_clans", CheckError),
      ["enumerate", "--case", "a", "--p", "1"]),
     (["poset", "--case", "a", "--p", "1", "--q", "1", "--full"],
      (orbits, "full_closure_order", OrbitError),
@@ -484,7 +487,7 @@ class TestExitCodes:
     def test_other_errors_are_not_usage_errors(self, monkeypatch):
         def fail(case):
             raise ValueError("a bug")
-        monkeypatch.setattr(cli, "enumerate_case_clans", fail)
+        monkeypatch.setattr(clans, "enumerate_case_clans", fail)
         with pytest.raises(ValueError, match="a bug"):
             cli.main(["enumerate", "--case", "a", "--p", "1", "--q", "1"])
 
@@ -562,6 +565,7 @@ LOADED_MODULES = (
     "sys.exit(code)\n"
 )
 LAYERS = {"orbits", "weyl", "formulas", "poly", "parse", "geometry"}
+HANDLERS = {module for module, _ in cli.COMMANDS.values()}
 A11 = ["--case", "a", "--p", "1", "--q", "1"]
 
 
@@ -582,6 +586,9 @@ def test_subcommand_loads_only_the_layers_it_runs(argv, layers):
     modules = set(proc.stderr.rpartition("loaded: ")[2].split())
     assert {"orbitcalc.clans", "orbitcalc.cli"} <= modules
     assert {m for m in LAYERS if f"orbitcalc.{m}" in modules} == layers
+    # each call loads its own subcommand's module and no other one, so only
+    # chern compiles the clan-text parser
+    assert {m for m in HANDLERS if f"orbitcalc.{m}" in modules} == {f"cmd_{argv[0]}"}
     assert "dataclasses" not in modules
     assert not {"argparse", "gettext", "locale"} & modules
 
@@ -661,6 +668,21 @@ def test_parser_reads_malformed_calls_as_argparse_did(capsys, argv):
 def test_parser_reads_every_golden_call_as_argparse_did(capsys):
     for argv in golden_calls():
         assert_read_as_argparse_did(capsys, argv)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() reads any number of digits")
+@pytest.mark.parametrize("flag,what", [("--max-nodes", "a count of orbits"),
+                                       ("--max-n", "a bound on p+q")])
+def test_count_too_long_for_int_is_usage_error(capsys, flag, what):
+    # int() refuses more than 4300 digits; argparse reported that as an
+    # invalid value of the type function, by its name, so this call is
+    # outside the differential list
+    argv = ["oracle"] if flag == "--max-n" else ["enumerate", *A11]
+    code, out, err = run(capsys, *argv, flag, "1" * 4301)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"orbitcalc {argv[0]}: error: argument {flag}: {what} of 4301 digits is too long to read")
 
 
 @pytest.mark.parametrize("argv,line", [

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcalc.clans import DESK_RANKS, CaseId, ClanError, case_from_params, parse_clan
+from orbitcalc.clans import DESK_RANKS, CaseId, ClanError, case_from_params
+from orbitcalc.cmd_chern import parse_clan
 from orbitcalc.formulas import (
     FormulaError,
     all_classes,

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbitcalc.clans import enumerate_clans, leq, parse_clan, rank_table
+from orbitcalc.clans import enumerate_clans, leq, rank_table
+from orbitcalc.cmd_chern import parse_clan
 from orbitcalc.geometry import (
     Flag,
     GeometryError,

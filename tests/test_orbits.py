@@ -16,14 +16,13 @@ from hypothesis import strategies as st
 
 from orbitcalc import cli, orbits
 from orbitcalc.clans import (CASES, DESK_RANKS, CaseId, Clan, case_from_params,
-                             enumerate_case_clans, in_case_family, leq, make_clan, parse_clan)
+                             enumerate_case_clans, in_case_family, leq)
+from orbitcalc.cmd_chern import make_clan, parse_clan
+from orbitcalc.cmd_poset import poset_json_text, poset_to_dot, poset_to_json
 from orbitcalc.orbits import (
     OrbitError,
     check_conjecture,
     full_closure_order,
-    poset_json_text,
-    poset_to_dot,
-    poset_to_json,
     simple_root_indices,
     weak_move,
     weak_order_graph,

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from orbitcalc.clans import CASES, CaseId, Clan, ClanError, enumerate_case_clans, parse_clan
+from orbitcalc.clans import CASES, CaseId, Clan, ClanError, enumerate_case_clans
+from orbitcalc.cmd_chern import parse_clan
 from orbitcalc.formulas import chern_blocks
 from orbitcalc.weyl import (
     WeylError,
