@@ -16,8 +16,10 @@ again.
 
 The first row, ``startup``, is what a call pays before orbitcalc computes
 anything: the median CPU time (user plus system, from ``os.wait4``) of
-``STARTUP_SPAWNS`` fresh spawns each of ``python -c pass`` and of the
-trivial calls ``python -m orbitcalc enumerate --case a --p 1 --q 1`` and
+``STARTUP_SPAWNS`` fresh spawns each of ``python -c pass``, of
+``python -c "import gc; gc.freeze()"`` (the interpreter's floor when it
+exits with its heap frozen, as an orbitcalc call does) and of the trivial
+calls ``python -m orbitcalc enumerate --case a --p 1 --q 1`` and
 ``python -m orbitcalc conjecture --case a --p 1 --q 1``, spawned in turn,
 and whether ``PYTHONDONTWRITEBYTECODE`` was set (then every call compiles
 the sources again).  For each orbitcalc call it also reports
@@ -51,6 +53,7 @@ RUNS = 3  # runs of a row; each figure is their median
 STARTUP_SPAWNS = 15  # spawns of each start-up command; the row reports their medians
 A11 = ("--case", "a", "--p", "1", "--q", "1")
 STARTUP = {"python_pass_s": ("-c", "pass"),
+           "python_frozen_exit_s": ("-c", "import gc; gc.freeze()"),
            "orbitcalc_trivial_s": ("-m", "orbitcalc", "enumerate", *A11),
            "orbitcalc_conjecture_s": ("-m", "orbitcalc", "conjecture", *A11)}
 # runs ``cli.main`` on its arguments, then prints the source of every

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -776,6 +777,63 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(x1^2 - x1*z3 + z4)(x2^2 - x2*z3 + z4)"
+
+
+A11 = ["enumerate", "--case", "a", "--p", "1", "--q", "1"]
+
+
+def test_in_process_main_does_not_freeze_the_collector(capsys):
+    frozen = gc.get_freeze_count()
+    code, out, _ = run(capsys, *A11)
+    assert code == 0 and out == "+-\n-+\n11\n"
+    assert gc.get_freeze_count() == frozen
+
+
+def test_profiler_prints_after_the_call_ends():
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "orbitcalc", *A11],
+                          capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("+-\n-+\n11\n")
+    assert "function calls" in proc.stdout
+
+
+def test_atexit_handlers_run():
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(print, 'atexit ran')\n"
+              "sys.argv = ['orbitcalc', *sys.argv[1:]]\n"
+              "runpy.run_module('orbitcalc', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", script, *A11],
+                          capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "+-\n-+\n11\natexit ran\n"
+
+
+def assert_io_error(proc: subprocess.CompletedProcess, reason: str) -> None:
+    assert proc.returncode == 2
+    assert proc.stderr == f"i/o error: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [A11, ["poset", "--help"],
+                                  # larger than stdout's buffer: fails mid-write
+                                  ["classes", "--case", "a", "--p", "3", "--q", "3"]])
+def test_full_stdout_is_io_error(argv):
+    # buffered, stdout fails only at the last flush of a small output
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "orbitcalc", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    assert_io_error(proc, "[Errno 28] No space left on device")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child before exec")
+@pytest.mark.parametrize("argv", [A11, ["--help"]])
+def test_closed_stdout_is_io_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "orbitcalc", *argv],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                          text=True, timeout=120, env=child_env())
+    assert_io_error(proc, "[Errno 9] stdout is closed")
 
 
 # ---------------------------------------------------------------------------
