@@ -72,6 +72,16 @@ def _write_stdout(chunks: Iterable[str]) -> None:
         raise
 
 
+def warn(text: str) -> None:
+    """Write a diagnostic line to stderr, or drop it and the stream when it
+    cannot be written (stderr closed): its buffer would fail again at exit."""
+    try:
+        if sys.stderr is not None:
+            print(text, file=sys.stderr)
+    except OSError:
+        sys.stderr = None
+
+
 def emit_json(args, case: CaseId, **fields) -> None:
     """Write ``fields`` and the case's tag, p and q under ``"case"`` as one
     JSON document."""
@@ -100,11 +110,8 @@ def resolve_case(args) -> CaseId:
 def guardrail(args, case: CaseId, count: int) -> None:
     """Warn on stderr when the family has more orbits than ``--max-nodes``."""
     if count > args.max_nodes:
-        print(
-            f"warning: case {case.tag} ({case.p},{case.q}) has {count} orbits, "
-            f"above the --max-nodes cap {args.max_nodes}; this may take long",
-            file=sys.stderr,
-        )
+        warn(f"warning: case {case.tag} ({case.p},{case.q}) has {count} orbits, "
+             f"above the --max-nodes cap {args.max_nodes}; this may take long")
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +297,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         command, message = exc.args
         prog = "orbitcalc" if command is None else f"orbitcalc {command}"
-        print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
-        return USAGE_ERROR
+        text, code = f"{_usage(command)}\n{prog}: error: {message}", USAGE_ERROR
     except ClanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        text, code = f"error: {exc}", USAGE_ERROR
     except CheckError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return VERIFY_ERROR
+        text, code = f"verification failed: {exc}", VERIFY_ERROR
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        text, code = f"i/o error: {exc}", USAGE_ERROR
+    warn(text)
+    return code
 
 
 def entry():

@@ -1,9 +1,7 @@
 """``orbitcalc classes``: the class of every orbit closure, checked by
 localization with ``--verify``."""
 
-import sys
-
-from .cli import VERIFY_ERROR, emit, guardrail, resolve_case
+from .cli import VERIFY_ERROR, emit, guardrail, resolve_case, warn
 
 
 def run(args) -> int:
@@ -18,7 +16,7 @@ def run(args) -> int:
         report = verify_localization(poset, classes)
         if not report.ok:
             for line in report.failures:
-                print(f"verify: {line}", file=sys.stderr)
+                warn(f"verify: {line}")
             return VERIFY_ERROR
 
     def render(c) -> str:

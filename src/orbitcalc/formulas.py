@@ -4,14 +4,14 @@ Closed orbits get explicit factored formulas, read off the case table and
 their clans' signs (``closed_class``); only localization imports ``weyl``.
 Every other orbit's class is propagated along the weak order: a weak edge
 of degree d along simple root alpha_i carries [source] to (1/d) *
-divided_difference_i([source]), and propagation along different paths
-must agree.  Localization then checks the computed classes
-pointwise, at one fixed point of each closed orbit, which decides for all of
-that orbit's fixed points (see ``verify_localization``): the restriction of
-a closed class must equal the product of the tangent weights there, and
-(where the fixed-point dictionary is available) restrictions must vanish
-away from the closure.  Each restriction runs on the z-form below, and only
-the restricted polynomial is expanded in y.
+divided_difference_i([source]), and propagation along different paths must
+agree (in d-oxo-odd, modulo x_1...x_n).  Localization then checks the
+computed classes pointwise, at one fixed point of each closed orbit, which
+decides for all of that orbit's fixed points (see ``verify_localization``):
+the restriction of a closed class must equal the product of the tangent
+weights there, and (where the fixed-point dictionary is available)
+restrictions must vanish away from the closure.  Each restriction runs on
+the z-form below, and only the restricted polynomial is expanded in y.
 
 Propagation runs in z-form: in the x-variables and the Chern variables
 z_{a-1+k} = e_k(y_a, ..., y_{a+size-1}) of K's blocks (``chern_blocks``).
@@ -187,9 +187,8 @@ def all_classes(poset: OrbitPoset, upto: Clan | None = None) -> dict[Clan, Polyn
     """Classes of the orbit closures in z-form, propagated up the weak order
     along ``poset.weak_edges`` in their order, which reaches every source
     after all the edges into it.  With ``upto``, only the orbits of its weak
-    down-set get classes: the edges into it are followed, and compared,
-    from the closed orbits in it.  ``chern_expansion`` maps a class to the
-    y-variables."""
+    down-set get classes, from the closed orbits in it.  d-oxo-odd compares
+    paths after ``_reduced``.  ``chern_expansion`` maps a class to y."""
     case = poset.case
     ring = formula_ring(case)
     family, n = case.family, case.grank
@@ -213,7 +212,7 @@ def all_classes(poset: OrbitPoset, upto: Clan | None = None) -> dict[Clan, Polyn
         known = classes.get(dst)
         if known is None:
             classes[dst] = value
-        elif known != value:
+        elif known != value and not (case.uncovered and _reduced(known - value).is_zero()):
             raise FormulaError(
                 "propagation is path dependent at "
                 f"{dst.to_text()} (via root {i} from {src.to_text()})"
@@ -229,6 +228,13 @@ def all_classes(poset: OrbitPoset, upto: Clan | None = None) -> dict[Clan, Polyn
                 f"class of {c.to_text()} is not homogeneous of degree {expected}"
             )
     return classes
+
+
+def _reduced(f: Polynomial) -> Polynomial:
+    """R(f): f without its terms divisible by x_1...x_n, zero in d-oxo-odd
+    (as y_1...y_n, and y_{p+1} = 0) and W-invariant, so R d_i R = R d_i."""
+    n = f.ring.nx
+    return Polynomial(f.ring, {e: c for e, c in f.terms.items() if not all(e[:n])})
 
 
 @cache

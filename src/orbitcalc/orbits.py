@@ -5,19 +5,20 @@ The weak-order graph moves orbits by place, on their mate codes (a clan's
 ``mates``, described in :mod:`orbitcalc.clans`).  A simple root acts on a
 code through a short schedule of two-position windows (the windows a
 simple reflection swaps: one in type A, a window and its mirror in the
-folded families, a middle window in types B and C and two at the branched
-end of type D, and at the middle root of type B the braid of windows
-around the fixed middle), each of which fires exactly when the standard
-one-sided rule ascends.  A fired window swaps two entries and
-repoints their mates.  A folded image may leave the case's family; it is
-then no node's code, and the move is not applicable.
+folded families, a middle window in type C, and at the middle root of
+type B the braid of windows around the fixed middle), each of which fires
+exactly when the standard one-sided rule ascends.  A fired window swaps
+two entries and repoints their mates.  Type D's middle root moves as root
+n - 1 conjugated by tau, the swap of the middle positions: the diagram
+automorphism (as ``poly._dd_pair`` conjugates), which permutes the orbits
+of the orthogonal pairs.  A folded image may leave the case's family; it
+is then no node's code, and the move is not applicable.
 
 A simple reflection's cross action permutes clan positions.  Each root's
 ambient permutation is written down once per case (``root_permutations``):
 the position pairs it swaps are its windows.  On a mate code it is one pass,
-as the permutation is its own inverse.  The weak-order graph crosses only
-the sources of its edges, for their degrees; the saturation tabulates every
-orbit's cross image once, by place.
+as the permutation is its own inverse.  Only the sources of weak edges are
+crossed: for their degrees, and for the saturation's candidates.
 
 Saturation and comparison work on ``int`` bitsets over the orbits as the
 weak-order graph lists them, by rank and canonically within a rank (every
@@ -58,7 +59,7 @@ def _root_windows(case: CaseId, i: int) -> tuple[tuple[int, int], ...]:
     in the ambient clan alphabet, whose mirror is j -> N - 1 - j: i - 1 and
     i (with their mirrors in the folded families); at the middle root n,
     n - 1 and its mirror in types B and C, and in type D n - 2 and n - 1
-    each with the other's mirror."""
+    each with the other's mirror (root n - 1's, conjugated by tau)."""
     n, N = case.grank, case.ambient_len
     if case.family == "A":
         return ((i - 1, i),)
@@ -69,22 +70,27 @@ def _root_windows(case: CaseId, i: int) -> tuple[tuple[int, int], ...]:
     return ((n - 1, N - n),)
 
 
-def move_schedules(case: CaseId) -> dict[int, tuple[tuple[int, int], ...]]:
-    """For each simple root, the windows :func:`weak_move` applies, in
-    order: the root's windows, except at the middle root n of type B, whose
-    schedule is the braid n - 1, n, n - 1 of ambient windows around the
-    fixed middle n (0-based).  On signs at n - 1 and n + 1 the braid pairs
-    them exactly when the middle differs, and the middle takes their sign."""
-    schedules = {i: _root_windows(case, i) for i in simple_root_indices(case)}
+def move_schedules(case: CaseId) -> dict[int, tuple]:
+    """For each simple root, the schedule :func:`weak_move` takes: its
+    windows, in order, and a permutation tau to conjugate them by, or None.
+    At the middle root n, type B takes the braid n - 1, n, n - 1 of windows
+    around the fixed middle n (0-based; on signs at n - 1 and n + 1 it pairs
+    them exactly when the middle differs, and the middle takes their sign),
+    and type D root n - 1's windows, with tau the swap of n - 1 and n."""
+    schedules = {i: (_root_windows(case, i), None) for i in simple_root_indices(case)}
+    n = case.grank
     if case.family == "B":
-        n = case.grank
-        schedules[n] = ((n - 1, n), (n, n + 1), (n - 1, n))
+        schedules[n] = (((n - 1, n), (n, n + 1), (n - 1, n)), None)
+    elif case.family == "D":
+        tau = (*range(n - 1), n, n - 1, *range(n + 1, case.ambient_len))
+        schedules[n] = (_root_windows(case, n - 1), tau)
     return schedules
 
 
-def weak_move(m: tuple, windows: Sequence[tuple[int, int]]) -> tuple:
+def weak_move(m: tuple, windows: Sequence[tuple[int, int]], tau=None) -> tuple:
     """The weak-order action of a simple root on the mate code ``m``, given
-    the root's schedule (:func:`move_schedules`).
+    the root's schedule (:func:`move_schedules`); with ``tau``, the move is
+    tau o (the windows' move) o tau, tau acting as a cross action.
 
     Each window a < b fires when the ascending one-sided rule does:
       * opposite signs          -> they become a pair;
@@ -94,7 +100,7 @@ def weak_move(m: tuple, windows: Sequence[tuple[int, int]]) -> tuple:
     A swap moves the two entries and repoints their mates.  Returns ``m``
     itself when no window fires.  The image may lie outside the case's
     family; the caller decides."""
-    out = list(m)
+    out = list(m if tau is None else _cross(m, tau))
     fired = False
     for a, b in windows:
         x, y = out[a], out[b]
@@ -116,7 +122,9 @@ def weak_move(m: tuple, windows: Sequence[tuple[int, int]]) -> tuple:
         else:
             continue
         fired = True
-    return tuple(out) if fired else m
+    if not fired:
+        return m
+    return tuple(out) if tau is None else _cross(tuple(out), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +151,6 @@ def _cross(m: tuple, source: tuple[int, ...]) -> tuple:
     source positions: position j takes the entry at ``source[j]``, a mate
     moved to its own image, ``source`` being an involution."""
     return tuple([x if x.__class__ is str else source[x] for x in map(m.__getitem__, source)])
-
-
-def _cross_table(case: CaseId, nodes: Sequence[Clan]) -> dict[int, tuple[int, ...]]:
-    """For each simple root i, the place in ``nodes`` of each node's cross
-    image under s_i.  Nodes share one shape, so their mate codes tell them
-    apart."""
-    codes = [c.mates for c in nodes]
-    place = {m: k for k, m in enumerate(codes)}
-    return {i: tuple([place[_cross(m, source)] for m in codes])
-            for i, source in root_permutations(case).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +227,13 @@ def weak_order_graph(case: CaseId) -> OrbitPoset:
     codes = [c.mates for c in clans]
     place = {m: k for k, m in enumerate(codes)}
     perms = root_permutations(case)
-    roots = [(i, windows, perms[i]) for i, windows in move_schedules(case).items()]
+    roots = [(i, windows, tau, perms[i]) for i, (windows, tau) in move_schedules(case).items()]
     up: list[list[tuple[int, int, int]]] = []  # by source place: (target place, root, degree)
     indegree = [0] * len(codes)
     for m in codes:
         out = []
-        for i, windows, source in roots:
-            image = weak_move(m, windows)
+        for i, windows, tau, source in roots:
+            image = weak_move(m, windows, tau)
             if image is m or (dst := place.get(image)) is None:
                 continue
             out.append((dst, i, 2 if _cross(m, source) == m else 1))
@@ -290,19 +288,17 @@ def _members(bits: int) -> list[int]:
 
 
 def full_closure_order(poset: OrbitPoset) -> OrbitPoset:
-    """Saturate the weak order into the full closure order.
+    """Saturate the weak order into the full closure order, in one pass.
 
-    Down-sets start at {self}; for every weak edge Q -> Q' along root s, the
-    down-set of Q' absorbs, for every V below Q: V itself, the weak move of V
-    along s, and the cross action of s on V, each with its own down-set.
-
-    Each down-set is an ``int`` over ``poset.nodes`` (bit k is ``nodes[k]``),
-    which come by rank, so a pass in that order meets every edge's source,
-    and every image, before it needs their down-sets.  One pass then suffices,
-    as it shows by no down-set having a bit above its own orbit's (and no
-    edge being a loop).  Failing that (only a doctored graph fails it),
-    passes repeat until stable.  The result is the least family of down-sets closed under the
-    edge rule and transitivity, whatever the order of the pass.
+    For a weak edge Q -> Q' along root s, the closure of Q' is P_s Q-bar
+    (Richardson-Springer 1990), the union of the closures of the
+    candidates: Q; Q's cross image along s when it has Q's rank; and the
+    move along s of each cover V of Q (V itself when s does not ascend V).
+    So Q' has its own bit OR their down-sets, and its covers are the
+    candidates of Q's rank.  Every edge into Q' must give the same, or the
+    closures disagree.  Down-sets are ``int`` bitsets over ``poset.nodes``,
+    which come by rank, so a pass in that order has each candidate's
+    down-set and covers before it needs them.
 
     Three checks follow: the order is antisymmetric (no two orbits share a
     down-set), it contains the weak order, and it is contained in the
@@ -310,37 +306,37 @@ def full_closure_order(poset: OrbitPoset) -> OrbitPoset:
     (see the module docstring), from one rank table per orbit; both kinds
     of down-set are kept in ``order_bits`` for :func:`check_conjecture`."""
     nodes = poset.nodes
-    pos = {c: k for k, c in enumerate(nodes)}
+    place = {c.mates: k for k, c in enumerate(nodes)}
     m = len(nodes)
-    cross = _cross_table(poset.case, nodes)
+    perms = root_permutations(poset.case)
+    rank = [poset.ranks[c] for c in nodes]
     # a root that does not ascend moves an orbit to itself
-    move = {i: list(range(m)) for i in cross}
+    move = {i: list(range(m)) for i in perms}
     into: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for src, dst, i, _ in poset.weak_edges:
-        move[i][pos[src]] = pos[dst]
-        into[pos[dst]].append((pos[src], i))
-    # the orbits some root moves or crosses elsewhere
-    active = {i: sum(1 << v for v in range(m) if move[i][v] != v or cross[i][v] != v)
-              for i in cross}
-    loops = any(src == dst for src, dst, _, _ in poset.weak_edges)
+        move[i][place[src.mates]] = place[dst.mates]
+        into[place[dst.mates]].append((place[src.mates], i))
 
     down = [1 << k for k in range(m)]
-    while True:
-        changed, forward = False, loops
-        for k in range(m):
-            acc = down[k]
-            for src, i in into[k]:
-                below, moved, crossed = down[src], move[i], cross[i]
-                acc |= below
-                for v in _members(below & active[i]):
-                    acc |= down[moved[v]] | down[crossed[v]]
-            if acc != down[k]:
-                down[k] = acc
-                changed = True
-            if acc >> (k + 1):
-                forward = True
-        if not (changed and forward):
-            break
+    covers: list[tuple[int, ...]] = [()] * m
+    for k, edges in enumerate(into):
+        seen = None
+        for q, i in edges:
+            candidates = {q, *map(move[i].__getitem__, covers[q])}
+            crossed = place[_cross(nodes[q].mates, perms[i])]
+            if rank[crossed] == rank[q]:
+                candidates.add(crossed)
+            below = 1 << k
+            for v in candidates:
+                below |= down[v]
+            result = (below, tuple(sorted(v for v in candidates if rank[v] == rank[q])))
+            if seen is None:
+                seen = (q, i, result)
+                down[k], covers[k] = result
+            elif result != seen[2]:
+                raise OrbitError(f"closures disagree at {nodes[k].to_text()}: via root "
+                                 f"{seen[1]} from {nodes[seen[0]].to_text()} and via "
+                                 f"root {i} from {nodes[q].to_text()}")
 
     # one rank table per orbit; crossing ranks negated, so every column reads "at least"
     flat = [t.plus + t.minus + tuple(-x for row in t.cross for x in row)
@@ -361,25 +357,20 @@ def full_closure_order(poset: OrbitPoset) -> OrbitPoset:
     first: dict[int, int] = {}
     for k, below in enumerate(down):
         if below in first:
-            raise OrbitError(
-                f"saturated order is not antisymmetric: {nodes[first[below]].to_text()} "
-                f"and {nodes[k].to_text()} lie below each other"
-            )
+            raise OrbitError("saturated order is not antisymmetric: "
+                             f"{nodes[first[below]].to_text()} and {nodes[k].to_text()} "
+                             "lie below each other")
         first[below] = k
     for src, dst, i, _ in poset.weak_edges:
-        if not down[pos[dst]] >> pos[src] & 1:
-            raise OrbitError(
-                "saturated order does not contain the weak order: "
-                f"{src.to_text()} -> {dst.to_text()} (root {i})"
-            )
+        if not down[place[dst.mates]] >> place[src.mates] & 1:
+            raise OrbitError("saturated order does not contain the weak order: "
+                             f"{src.to_text()} -> {dst.to_text()} (root {i})")
     for k in range(m):
         outside = down[k] & ~rank_down[k]
         if outside:
             v = (outside & -outside).bit_length() - 1
-            raise OrbitError(
-                "saturated order is not contained in the rank-number order: "
-                f"{nodes[v].to_text()} vs {nodes[k].to_text()}"
-            )
+            raise OrbitError("saturated order is not contained in the rank-number order: "
+                             f"{nodes[v].to_text()} vs {nodes[k].to_text()}")
 
     bits = OrderBits(tuple(down), tuple(rank_down))
     return OrbitPoset(poset.case, nodes, poset.weak_edges, poset.ranks, bits)

@@ -12,7 +12,8 @@ kept here as checks on the code that does.
   symmetric and skew checks on mate codes, which no command needs since
   ``in_case_family`` reads the fold rules;
 * ``orbits``: the cross action of a whole Weyl element, the set-based
-  saturation and order comparison that the bitset versions replaced, and
+  saturation (the fixed-point rule over whole down-sets that the one-pass
+  rule from covers replaced) and order comparison, and
   the weak-order graph that validates every clan it builds: its weak move
   on labelled symbols, with its own window rule, its cross action and its
   family check, which the moves on mate codes and the lookup by place
@@ -875,8 +876,11 @@ def clan_weak_move(case: CaseId, c: Clan, i: int) -> Clan:
         moved = _apply_schedule(symbols, [(i, i + 1), (N - i, N + 1 - i)])
     elif case.family == "C":
         moved = _apply_schedule(symbols, [(n, n + 1)])
-    elif case.family == "D":
-        moved = _apply_schedule(symbols, [(n - 1, n + 1), (n, n + 2)])
+    elif case.family == "D":  # root n - 1's windows, with the middle symbols swapped
+        swapped = list(symbols)
+        swapped[n - 1], swapped[n] = symbols[n], symbols[n - 1]
+        moved = _apply_schedule(swapped, [(n - 1, n), (n + 1, n + 2)])
+        moved[n - 1], moved[n] = moved[n], moved[n - 1]
     else:  # type B middle root
         middle = symbols[n]
         if symbols[n - 1] in SIGNS:
@@ -1127,10 +1131,17 @@ def expand_class(case: CaseId, f: Polynomial) -> Polynomial:
 def y_all_classes(poset: OrbitPoset) -> dict[Clan, Polynomial]:
     """``all_classes`` as it was before propagation moved to z-form: the
     closed classes expanded in y, every divided difference on y-monomials,
-    and the plain degree checked."""
+    and the plain degree checked.  In d-oxo-odd, where x_1...x_n is zero,
+    paths are compared without the terms it divides."""
     case = poset.case
     ring = formula_ring(case)
     family, n = case.family, case.grank
+
+    def reduce(f: Polynomial) -> Polynomial:
+        if not case.uncovered:
+            return f
+        return Polynomial(ring, {e: c for e, c in f.terms.items() if 0 in e[:n]})
+
     classes = {c: closed_class(case, c).expand() for c in poset.minima()}
     for src, dst, i, deg in poset.weak_edges:
         value = divided_difference(classes[src], family, n, i)
@@ -1139,7 +1150,7 @@ def y_all_classes(poset: OrbitPoset) -> dict[Clan, Polynomial]:
         known = classes.get(dst)
         if known is None:
             classes[dst] = value
-        elif known != value:
+        elif reduce(known) != reduce(value):
             raise FormulaError(
                 "propagation is path dependent at "
                 f"{dst.to_text()} (via root {i} from {src.to_text()})"

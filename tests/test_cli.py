@@ -836,6 +836,26 @@ def test_closed_stdout_is_io_error(argv):
     assert_io_error(proc, "[Errno 9] stdout is closed")
 
 
+def run_without_stderr(*argv: str) -> subprocess.CompletedProcess:
+    """Spawn a call whose fd 2 is closed before exec."""
+    return subprocess.run([sys.executable, "-m", "orbitcalc", *argv],
+                          preexec_fn=lambda: os.close(2), stdout=subprocess.PIPE,
+                          text=True, timeout=120, env=child_env())
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 2 in the child before exec")
+def test_usage_error_with_closed_stderr_exits_2():
+    # the usage text cannot be written, so it is dropped, with no traceback
+    proc = run_without_stderr("enumerate", "--case", "zz")
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 2 in the child before exec")
+def test_warning_with_closed_stderr_keeps_the_output():
+    proc = run_without_stderr(*A11, "--max-nodes", "1")
+    assert (proc.returncode, proc.stdout) == (0, "+-\n-+\n11\n")
+
+
 # ---------------------------------------------------------------------------
 # golden run: exit code and output digests of every subcommand on every desk
 # rank; re-record with `PYTHONPATH=src python tests/test_cli.py`

@@ -26,7 +26,7 @@ from orbitcalc.formulas import (
     restrict_at,
     verify_localization,
 )
-from orbitcalc import formulas
+from orbitcalc import cli, formulas
 from orbitcalc.orbits import OrbitPoset, full_closure_order, weak_order_graph
 from orbitcalc.parse import parse_poly
 from orbitcalc.poly import FactoredPoly, PolyError, Ring, chern_substitute, determinant, elem_sym
@@ -744,6 +744,40 @@ class TestPropagationMutations:
         assert extra.degree() == 4
         with pytest.raises(FormulaError, match="not homogeneous of degree 4"):
             all_classes(seeds_only)
+
+
+class TestMiddleRootMutations:
+    """Type D's middle root: the edges it gains as the conjugate of root
+    n - 1, and the reduction d-oxo-odd compares paths after."""
+
+    @pytest.mark.parametrize("tag,p,q,count", [("d-oxo-even", 2, 1, 6), ("d-oxo-even", 2, 2, 35),
+                                               ("d-oxo-odd", 1, 2, 7), ("d-oxo-odd", 2, 2, 20)])
+    def test_wrong_degree_on_any_middle_root_edge_fails(self, tag, p, q, count):
+        case = case_from_params(tag, p, q)
+        poset = weak_order_graph(case)
+        middle = [k for k, (*_, i, _) in enumerate(poset.weak_edges) if i == case.grank]
+        assert len(middle) == count
+        for k in middle:
+            doctored = _doctored(poset, k, deg=3 - poset.weak_edges[k][3])
+            try:
+                report = verify_localization(doctored, all_classes(doctored))
+            except FormulaError:
+                continue
+            assert not report.ok, poset.weak_edges[k]
+
+    def test_classes_are_path_dependent_without_the_reduction(self, monkeypatch, capsys):
+        argv = ["classes", "--case", "d-oxo-odd", "--p", "1", "--q", "2"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(formulas, "_reduced", lambda f: f)
+        assert cli.main(argv) == 1
+        assert "propagation is path dependent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p,q", [(1, 3), (2, 3), (1, 4)])
+    def test_d_oxo_odd_classes_verify_beyond_the_desk_rank(self, p, q, capsys):
+        argv = ["classes", "--case", "d-oxo-odd", "--p", str(p), "--q", str(q), "--verify"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestChernDownSet:

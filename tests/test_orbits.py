@@ -34,6 +34,7 @@ from reference import (ambient_source, canonical, cases_up_to_rank, clan_from_ma
 
 ROOT = Path(__file__).parent.parent
 ATLAS_RANK5 = ROOT / "tests" / "data" / "atlas_rank5.json"
+ATLAS_D_OXO = ROOT / "tests" / "data" / "atlas_rank5_d_oxo.json"
 SWEEP = ROOT / "scripts" / "conjecture_sweep.py"
 STAGE_TIMES = ROOT / "scripts" / "stage_times.py"
 ATLAS_FAMILIES = ("b-so", "c-spxsp", "c-sp-gl", "d-so-gl")
@@ -59,7 +60,7 @@ def move(case: CaseId, c: Clan, i: int) -> Clan:
     """The clan of :func:`weak_move`'s image of ``c`` along root i, which
     may leave the case's family; ``c`` itself when no window fires."""
     m = c.mates
-    image = weak_move(m, orbits.move_schedules(case)[i])
+    image = weak_move(m, *orbits.move_schedules(case)[i])
     return c if image is m else clan_from_mates(image, c.p, c.q)
 
 
@@ -155,9 +156,9 @@ class TestWeakMove:
     def test_idempotent(self, case):
         schedules = orbits.move_schedules(case)
         for c in weak_order_graph(case).nodes:
-            for i, windows in schedules.items():
-                once = weak_move(c.mates, windows)
-                assert weak_move(once, windows) is once
+            for i, schedule in schedules.items():
+                once = weak_move(c.mates, *schedule)
+                assert weak_move(once, *schedule) is once
                 once = graph_move(case, c, i)
                 assert graph_move(case, once, i) == once
 
@@ -357,10 +358,10 @@ class TestWeakOrderGraph:
     def fake_moves(monkeypatch, case, moves):
         """Make weak_move follow {(clan, root): clan} on mate codes; other
         moves fix."""
-        root = {windows: i for i, windows in orbits.move_schedules(case).items()}
+        root = {schedule: i for i, schedule in orbits.move_schedules(case).items()}
         table = {(pc(case, a).mates, i): pc(case, b).mates for (a, i), b in moves.items()}
         monkeypatch.setattr(orbits, "weak_move",
-                            lambda m, windows: table.get((m, root[windows]), m))
+                            lambda m, windows, tau: table.get((m, root[windows, tau]), m))
 
     def test_cycle_is_an_error(self, monkeypatch):
         case = case_from_params("a", 1, 1)
@@ -551,14 +552,14 @@ def test_graph_decides_the_orbit_order(case):
     assert all(down >> k & 1 for k, down in enumerate(poset.order_bits.down))
 
 
-def atlas_rows(compare) -> list[dict]:
+def atlas_rows(compare, families=ATLAS_FAMILIES) -> list[dict]:
     """The rank-5 order-comparison atlas: verdict and witnesses at every
-    shape ``scripts/conjecture_sweep.py`` sweeps for the four families."""
+    shape ``scripts/conjecture_sweep.py`` sweeps for the families."""
     spec = importlib.util.spec_from_file_location("conjecture_sweep", SWEEP)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
     rows = []
-    for tag in ATLAS_FAMILIES:
+    for tag in families:
         for p, q in sweep.shapes_for(tag, 5):
             report = compare(weak_order_graph(case_from_params(tag, p, q)))
             rows.append({"tag": tag, "p": p, "q": q, "coincides": report.coincides,
@@ -572,6 +573,15 @@ def test_rank5_atlas_matches_frozen_record():
     assert len(recorded) == 28
     assert sum(len(row["witnesses"]) for row in recorded) == 24
     assert atlas_rows(check_conjecture) == recorded
+
+
+def test_d_oxo_rank5_comparison_matches_the_window_rule_record():
+    # recorded with type D's middle root moved by its own windows and the
+    # fixed-point saturation, before the one-pass rule; not re-recorded
+    recorded = json.loads(ATLAS_D_OXO.read_text(encoding="utf-8"))
+    assert len(recorded) == 20
+    assert sum(len(row["witnesses"]) for row in recorded) == 1837
+    assert atlas_rows(check_conjecture, ("d-oxo-even", "d-oxo-odd")) == recorded
 
 
 def test_stage_times_reports_both_stages_or_timeout(monkeypatch):
@@ -598,16 +608,21 @@ def test_stage_times_reports_both_stages_or_timeout(monkeypatch):
 
 
 class TestSaturationChecks:
-    """Each check fires on a doctored graph, and names the clans."""
+    """Each check fires on a doctored graph, and names the clans.  The
+    weak containment check is not among them: every in-edge's down-set
+    holds its source's, which holds the source, and the agreement check
+    makes the in-edges' down-sets equal."""
 
-    def test_downward_edge_breaks_antisymmetry(self):
+    def test_downward_edge_makes_closures_disagree(self):
         g = weak_order_graph(A22)
         src, dst, i, _ = next(e for e in g.weak_edges if e[0] == pc(A22, "+-+-"))
         doctored = orbits.OrbitPoset(A22, g.nodes, g.weak_edges + ((dst, src, i, 1),),
                                      g.ranks)
-        with pytest.raises(OrbitError, match="not antisymmetric") as err:
+        # above src, the edge out of it along root 3 now brings 11+- along too
+        with pytest.raises(OrbitError, match="closures disagree") as err:
             full_closure_order(doctored)
-        assert f"{src.to_text()} and {dst.to_text()}" in str(err.value)
+        assert str(err.value) == ("closures disagree at +-11: via root 3 from +-+- "
+                                  "and via root 3 from +--+")
         with pytest.raises(OrbitError, match="not antisymmetric"):
             set_full_closure_order(doctored)
 
@@ -619,12 +634,83 @@ class TestSaturationChecks:
         assert move(A22, low, 1) is low
         doctored = orbits.OrbitPoset(A22, g.nodes, g.weak_edges + ((low, high, 1, 1),),
                                      g.ranks)
-        with pytest.raises(OrbitError, match="rank-number order") as err:
+        # --++ now covers ++--, whose move along root 2 the other in-edge of
+        # -11+ does not bring
+        with pytest.raises(OrbitError, match="closures disagree") as err:
             full_closure_order(doctored)
-        assert str(err.value).endswith("++-- vs --++")
+        assert str(err.value) == ("closures disagree at -11+: via root 2 from -+-+ "
+                                  "and via root 2 from --++")
         with pytest.raises(OrbitError, match="rank-number order") as err:
             set_full_closure_order(doctored)
         assert str(err.value).endswith("++-- vs --++")
+
+    def test_cycle_breaks_antisymmetry(self):
+        case = case_from_params("a", 1, 1)
+        g = weak_order_graph(case)
+        a, b = pc(case, "+-"), pc(case, "-+")
+        doctored = orbits.OrbitPoset(case, g.nodes, ((a, b, 1, 1), (b, a, 1, 1)), g.ranks)
+        with pytest.raises(OrbitError, match="not antisymmetric: \\+- and -\\+ lie below"):
+            full_closure_order(doctored)
+
+    def test_loop_leaves_the_rank_number_order(self):
+        # the loop brings the cross image -+ below +-
+        case = case_from_params("a", 1, 1)
+        g = weak_order_graph(case)
+        loop = (pc(case, "+-"), pc(case, "+-"), 1, 1)
+        doctored = orbits.OrbitPoset(case, g.nodes, g.weak_edges + (loop,), g.ranks)
+        with pytest.raises(OrbitError, match="rank-number order") as err:
+            full_closure_order(doctored)
+        assert str(err.value).endswith("-+ vs +-")
+
+    def test_edge_drops_raise_or_keep_the_order(self):
+        # dropping one weak edge at b-so(2,1): the fixed-point saturation
+        # gives a different order with no error for 15 of the 37 drops; the
+        # one-pass rule raises on each of those, and on 32 drops in all
+        g = weak_order_graph(B21)
+        full = full_closure_order(g).order_bits
+        raised, silent = 0, 0
+        for k in range(len(g.weak_edges)):
+            edges = g.weak_edges[:k] + g.weak_edges[k + 1:]
+            doctored = orbits.OrbitPoset(B21, g.nodes, edges, g.ranks)
+            try:
+                moved = set_full_closure_order(doctored).order_bits != full
+            except OrbitError:
+                moved = False
+            silent += moved
+            try:
+                bits = full_closure_order(doctored).order_bits
+            except OrbitError:
+                raised += 1
+            else:
+                assert bits == full and not moved
+        assert (len(g.weak_edges), raised, silent) == (37, 32, 15)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_d_so_gl_middle_move_is_the_window_rule(n):
+    # the reflection swapping e_n and e_{-n} takes L to neither L nor L*, so
+    # the conjugation argument does not reach d-so-gl; its moves agree
+    case = CaseId("d-so-gl", n, n)
+    schedule, windows = orbits.move_schedules(case)[n], orbits._root_windows(case, n)
+    for c in weak_order_graph(case).nodes:
+        assert weak_move(c.mates, *schedule) == weak_move(c.mates, windows)
+
+
+def test_window_rule_for_the_middle_root_makes_closures_disagree(monkeypatch):
+    # type D's middle root moved by its own two windows, as before it became
+    # the conjugate of root n - 1
+    case = CaseId("d-oxo-even", 2, 2)
+    full_closure_order(weak_order_graph(case))
+    move_schedules = orbits.move_schedules
+
+    def window_rule(case: CaseId) -> dict:
+        schedules = move_schedules(case)
+        schedules[case.grank] = (orbits._root_windows(case, case.grank), None)
+        return schedules
+
+    monkeypatch.setattr(orbits, "move_schedules", window_rule)
+    with pytest.raises(OrbitError, match="closures disagree"):
+        full_closure_order(weak_order_graph(case))
 
 
 @pytest.mark.parametrize("case", DESK_CASES, ids=lambda c: c.tag)
@@ -645,6 +731,15 @@ def test_root_permutations_are_the_embedded_simple_reflections():
     for case in cases:
         expected = {i: ambient_source(case, i) for i in simple_root_indices(case)}
         assert orbits.root_permutations(case) == expected, case
+
+
+def cross_places(case: CaseId, nodes) -> dict[int, tuple[int, ...]]:
+    """For each simple root, the place in ``nodes`` of each node's cross
+    image: ``_cross`` by the root's permutation, found among the nodes' codes
+    as ``full_closure_order`` finds the cross images of edge sources."""
+    place = {c.mates: k for k, c in enumerate(nodes)}
+    return {i: tuple(place[orbits._cross(c.mates, source)] for c in nodes)
+            for i, source in orbits.root_permutations(case).items()}
 
 
 def _case_id(case):
@@ -674,7 +769,7 @@ def test_graph_and_saturation_match_the_validating_reference(case):
     pos = {c: k for k, c in enumerate(poset.nodes)}
     expected = {i: tuple(pos[cross_action_simple(case, c, i)] for c in poset.nodes)
                 for i in simple_root_indices(case)}
-    assert orbits._cross_table(case, poset.nodes) == expected
+    assert cross_places(case, poset.nodes) == expected
 
 
 # every case of every family whose clans have at most twelve positions;
@@ -699,7 +794,7 @@ def test_graph_and_cross_table_match_the_reference(case):
     for i in simple_root_indices(case):
         source = ambient_source(case, i)
         expected[i] = tuple(place[canonical([s[j] for j in source])] for s in symbols)
-    assert orbits._cross_table(case, g.nodes) == expected
+    assert cross_places(case, g.nodes) == expected
 
 
 def test_small_cases_cover_every_family():
@@ -764,7 +859,7 @@ def test_move_and_cross_images_pass_validation(case):
         assert make_clan(clan_symbols(c), c.p, c.q) == c
         m = c.mates
         for i, source in perms.items():
-            for image in (weak_move(m, schedules[i]), orbits._cross(m, source)):
+            for image in (weak_move(m, *schedules[i]), orbits._cross(m, source)):
                 assert clan_from_mates(image, c.p, c.q).mates == image
 
 
